@@ -1,8 +1,8 @@
 #include "sc_engine.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "core/backend_registry.h"
@@ -62,6 +62,17 @@ fillInputStreams(sc::StreamMatrix &input, const nn::Tensor &image,
 }
 
 } // namespace
+
+AdaptivePolicy
+AdaptivePolicy::neverExit(std::size_t checkpoint_cycles)
+{
+    AdaptivePolicy policy;
+    policy.checkpointCycles = checkpoint_cycles;
+    policy.exitMargin = std::numeric_limits<double>::infinity();
+    policy.minCycles = 0;
+    policy.deterministic = true;
+    return policy;
+}
 
 std::vector<std::string>
 AdaptivePolicy::validate() const
@@ -125,40 +136,8 @@ ScPrediction
 ScNetworkEngine::inferIndexed(const nn::Tensor &image, std::size_t index,
                               StageWorkspace &ws) const
 {
-    assert(&ws.engine_ == this &&
-           "workspace belongs to a different engine");
-
-    StageContext &ctx = ws.ctx_;
-    armContext(ctx, cfg_.seed, index, image, true);
-
-    // Value-domain backends (traits.wantsInputStreams == false) read the
-    // image through the context instead and get an empty matrix — no
-    // per-image work on the fast accuracy-debugging path.
-    if (encodeInputStreams_)
-        fillInputStreams(ws.input_, image, cfg_, plan_->streamLen,
-                         ctx.imageSeed);
-    else
-        ws.input_.reset(0, 0);
-
-    // Ping-pong the activation buffers: stage s reads what stage s-1
-    // wrote and overwrites the other buffer, so no stream is ever copied
-    // and steady-state stage execution allocates nothing.
-    const sc::StreamMatrix *cur = &ws.input_;
-    int flip = 0;
-    for (std::size_t s = 0; s < plan_->stageCount(); ++s) {
-        const ScStage &stage = plan_->stage(s);
-        sc::StreamMatrix &out = ws.pingPong_[flip];
-        stage.runInto(*cur, out, ctx, ws.scratch_[s].get());
-        if (stage.terminal())
-            break;
-        cur = &out;
-        flip ^= 1;
-    }
-
-    ScPrediction pred;
-    pred.scores = ctx.scores; // copy: ctx keeps its capacity for reuse
-    pred.label = argmaxLabel(pred.scores);
-    return pred;
+    return inferAdaptive(image, index, ws, AdaptivePolicy::neverExit())
+        .prediction;
 }
 
 void
@@ -166,47 +145,31 @@ ScNetworkEngine::inferCohort(const nn::Tensor *const images[],
                              const std::size_t indices[], std::size_t count,
                              CohortWorkspace &ws, ScPrediction out[]) const
 {
-    assert(&ws.engine_ == this &&
-           "workspace belongs to a different engine");
-    assert(count <= ws.capacity());
-    if (count == 0)
-        return;
+    AdaptivePrediction results[kMaxCohortImages];
+    inferAdaptiveCohort(images, indices, count, ws,
+                        AdaptivePolicy::neverExit(), results);
+    for (std::size_t c = 0; c < count; ++c)
+        out[c] = std::move(results[c].prediction);
+}
 
-    for (std::size_t c = 0; c < count; ++c) {
-        CohortWorkspace::Slot &slot = ws.slots_[c];
-        armContext(slot.ctx, cfg_.seed, indices[c], *images[c], true);
-        if (encodeInputStreams_)
-            fillInputStreams(slot.input, *images[c], cfg_,
-                             plan_->streamLen, slot.ctx.imageSeed);
-        else
-            slot.input.reset(0, 0);
-    }
+AdaptivePrediction
+ScNetworkEngine::inferAdaptive(const nn::Tensor &image, std::size_t index,
+                               StageWorkspace &ws,
+                               const AdaptivePolicy &policy,
+                               const RunControl *control) const
+{
+    const nn::Tensor *const images[] = {&image};
+    AdaptivePrediction result;
+    inferAdaptiveCohort(images, &index, 1, ws, policy, &result, control);
+    return result;
+}
 
-    // Stage-major sweep: one dispatch per stage pushes the whole cohort
-    // through it, so the stage's weight streams are traversed once per
-    // cohort.  Each slot ping-pongs its own pair of activation buffers
-    // exactly like the single-image path.
-    int flip = 0;
-    for (std::size_t s = 0; s < plan_->stageCount(); ++s) {
-        const ScStage &stage = plan_->stage(s);
-        for (std::size_t c = 0; c < count; ++c) {
-            CohortWorkspace::Slot &slot = ws.slots_[c];
-            ws.views_[c] =
-                CohortSlot{s == 0 ? &slot.input : &slot.pingPong[flip ^ 1],
-                           &slot.pingPong[flip], &slot.ctx,
-                           slot.scratch[s].get()};
-        }
-        stage.runCohortSpan(ws.views_.data(), count, 0,
-                            plan_->stageStreamLens[s]);
-        if (stage.terminal())
-            break;
-        flip ^= 1;
-    }
-
-    for (std::size_t c = 0; c < count; ++c) {
-        out[c].scores = ws.slots_[c].ctx.scores;
-        out[c].label = argmaxLabel(out[c].scores);
-    }
+AdaptivePrediction
+ScNetworkEngine::inferAdaptive(const nn::Tensor &image, std::size_t index,
+                               const AdaptivePolicy &policy) const
+{
+    StageWorkspace workspace(*this);
+    return inferAdaptive(image, index, workspace, policy);
 }
 
 bool
@@ -214,22 +177,53 @@ ScNetworkEngine::supportsAdaptive(std::string *why_not) const
 {
     if (plan_->resumable)
         return true;
-    for (std::size_t s = 0; s < plan_->stageCount(); ++s) {
-        if (!plan_->stage(s).resumable()) {
-            if (why_not != nullptr)
-                *why_not = plan_->stage(s).name();
-            return false;
-        }
-    }
+    const auto first = std::find_if(
+        plan_->stages.begin(), plan_->stages.end(),
+        [](const std::unique_ptr<ScStage> &s) { return !s->resumable(); });
+    if (why_not != nullptr)
+        *why_not = (*first)->name();
     return false;
 }
 
 namespace {
 
-/** Shared argument validation of the adaptive entry points. */
+/**
+ * The loop's entry checks: a malformed call fails here with
+ * std::invalid_argument, before any buffer is touched.  Only a policy
+ * that can exit early needs a resumable plan; a never-exit policy runs
+ * on every backend.
+ */
 void
-requireAdaptive(const ScNetworkEngine &engine, const AdaptivePolicy &policy)
+requireValidRun(const ScNetworkEngine &engine,
+                const nn::Tensor *const images[], std::size_t count,
+                const CohortWorkspace &ws, const AdaptivePolicy &policy)
 {
+    if (&ws.engine() != &engine)
+        throw std::invalid_argument(
+            "workspace belongs to a different engine");
+    if (count > ws.capacity()) {
+        throw std::invalid_argument(
+            "cohort of " + std::to_string(count) +
+            " images exceeds the workspace capacity of " +
+            std::to_string(ws.capacity()));
+    }
+    const std::size_t expected = engine.plan().inputElements;
+    for (std::size_t c = 0; c < count; ++c) {
+        const nn::Tensor &image = *images[c];
+        if (image.size() != expected) {
+            throw std::invalid_argument(
+                "image of " + std::to_string(image.size()) +
+                " elements; the network's first stage reads " +
+                std::to_string(expected));
+        }
+        for (std::size_t i = 0; i < image.size(); ++i) {
+            if (!std::isfinite(image[i])) {
+                throw std::invalid_argument(
+                    "image element " + std::to_string(i) +
+                    " is not finite");
+            }
+        }
+    }
     const std::vector<std::string> errors = policy.validate();
     if (!errors.empty()) {
         std::string joined = "invalid AdaptivePolicy: ";
@@ -238,10 +232,11 @@ requireAdaptive(const ScNetworkEngine &engine, const AdaptivePolicy &policy)
         throw std::invalid_argument(joined);
     }
     std::string why_not;
-    if (!engine.supportsAdaptive(&why_not)) {
+    if (std::isfinite(policy.exitMargin) &&
+        !engine.supportsAdaptive(&why_not)) {
         throw std::invalid_argument(
             "backend '" + engine.backendName() +
-            "' does not support adaptive inference: stage '" + why_not +
+            "' does not support early exit: stage '" + why_not +
             "' is not resumable");
     }
 }
@@ -268,101 +263,6 @@ pollControl(const RunControl *control, std::size_t cycle)
 
 } // namespace
 
-AdaptivePrediction
-ScNetworkEngine::inferAdaptive(const nn::Tensor &image, std::size_t index,
-                               StageWorkspace &ws,
-                               const AdaptivePolicy &policy,
-                               const RunControl *control) const
-{
-    assert(&ws.engine_ == this &&
-           "workspace belongs to a different engine");
-    requireAdaptive(*this, policy);
-
-    const std::size_t len = plan_->streamLen;
-    const std::vector<std::size_t> &lens = plan_->stageStreamLens;
-    StageContext &ctx = ws.ctx_;
-    armContext(ctx, cfg_.seed, index, image, policy.deterministic);
-
-    if (encodeInputStreams_) {
-        if (policy.deterministic) {
-            // Full-length up-front SNG fill: the exact draws of the
-            // non-adaptive path, so any exit point is a bit-exact
-            // prefix.
-            fillInputStreams(ws.input_, image, cfg_, len, ctx.imageSeed);
-        } else {
-            ws.input_.reset(image.size(), len);
-        }
-    } else {
-        ws.input_.reset(0, 0);
-    }
-
-    const std::size_t block = std::min(policy.checkpointCycles, len);
-    AdaptivePrediction result;
-    const ScStage *terminalStage = nullptr;
-    std::size_t begin = 0;
-    for (;;) {
-        pollControl(control, begin);
-        const std::size_t end = std::min(begin + block, len);
-        if (encodeInputStreams_ && !policy.deterministic) {
-            // Lazy SNG: this block's input cycles from an own substream
-            // — cycles past an early exit are never generated.  The
-            // block index is spread by the golden-ratio constant so no
-            // two (image, block) pairs share a seed in practice.
-            sc::Xoshiro256StarStar rng(
-                ctx.imageSeed ^
-                (0xB10C5EEDULL + (begin / 64) * 0x9E3779B97F4A7C15ULL));
-            for (std::size_t i = 0; i < image.size(); ++i)
-                ws.input_.fillBipolarSpan(i, image[i], cfg_.rngBits, rng,
-                                          begin, end);
-        }
-
-        const sc::StreamMatrix *cur = &ws.input_;
-        int flip = 0;
-        for (std::size_t s = 0; s < plan_->stageCount(); ++s) {
-            const ScStage &stage = plan_->stage(s);
-            sc::StreamMatrix &out = ws.pingPong_[flip];
-            // Per-stage clamp: a stage whose own (non-increasing) length
-            // is already exhausted is skipped — its completed output
-            // persists in the ping-pong buffer within this image, and
-            // every downstream stage (shorter still) skips with it.
-            const std::size_t sEnd = std::min(end, lens[s]);
-            if (begin < sEnd)
-                stage.runSpan(*cur, out, ctx, ws.scratch_[s].get(), begin,
-                              sEnd);
-            if (stage.terminal()) {
-                terminalStage = &stage;
-                break;
-            }
-            cur = &out;
-            flip ^= 1;
-        }
-
-        ++result.checkpoints;
-        result.consumedCycles = end;
-        if (end >= len)
-            break;
-        if (end >= policy.minCycles && terminalStage != nullptr &&
-            terminalStage->scoreMargin(ctx, std::min(end, lens.back())) >=
-                policy.exitMargin) {
-            result.exitedEarly = true;
-            break;
-        }
-        begin = end;
-    }
-
-    result.prediction.scores = ctx.scores;
-    result.prediction.label = argmaxLabel(result.prediction.scores);
-    return result;
-}
-
-AdaptivePrediction
-ScNetworkEngine::inferAdaptive(const nn::Tensor &image, std::size_t index,
-                               const AdaptivePolicy &policy) const
-{
-    StageWorkspace workspace(*this);
-    return inferAdaptive(image, index, workspace, policy);
-}
-
 void
 ScNetworkEngine::inferAdaptiveCohort(const nn::Tensor *const images[],
                                      const std::size_t indices[],
@@ -371,21 +271,26 @@ ScNetworkEngine::inferAdaptiveCohort(const nn::Tensor *const images[],
                                      AdaptivePrediction out[],
                                      const RunControl *control) const
 {
-    assert(&ws.engine_ == this &&
-           "workspace belongs to a different engine");
-    assert(count <= ws.capacity());
-    requireAdaptive(*this, policy);
+    requireValidRun(*this, images, count, ws, policy);
     if (count == 0)
         return;
     const std::size_t len = plan_->streamLen;
     const std::vector<std::size_t> &lens = plan_->stageStreamLens;
 
+    // Cancellation is polled once per checkpoint block, before the
+    // block's work — the first time before any input is encoded, so a
+    // run cancelled while it was being set up stops here.
+    pollControl(control, 0);
     ws.active_.clear();
     for (std::size_t c = 0; c < count; ++c) {
         CohortWorkspace::Slot &slot = ws.slots_[c];
         armContext(slot.ctx, cfg_.seed, indices[c], *images[c],
                    policy.deterministic);
+        // Value-domain backends (traits.wantsInputStreams == false) read
+        // the image through the context instead and get an empty matrix.
         if (encodeInputStreams_) {
+            // Deterministic: the full-length up-front SNG fill, so any
+            // exit point is a bit-exact prefix of the full run.
             if (policy.deterministic)
                 fillInputStreams(slot.input, *images[c], cfg_, len,
                                  slot.ctx.imageSeed);
@@ -398,18 +303,23 @@ ScNetworkEngine::inferAdaptiveCohort(const nn::Tensor *const images[],
         ws.active_.push_back(c);
     }
 
-    // The cohort advances through checkpoint blocks together: every
-    // still-active image executes the same span sequence (and therefore
-    // the same per-image state transitions) as the single-image adaptive
-    // path, so results are bit-identical to inferAdaptive() per image.
-    // Retired images are compacted out in place, shrinking the cohort a
-    // stage dispatch serves.
-    const std::size_t block = std::min(policy.checkpointCycles, len);
+    // The cohort advances through checkpoint blocks together, one stage
+    // dispatch per stage and block, so weight streams are traversed once
+    // per cohort.  Images whose margin clears the policy's threshold are
+    // retired and compacted out in place, shrinking the cohort a dispatch
+    // serves; per-image state lives in its own slot, so results never
+    // depend on the cohort.  A plan with a non-resumable stage runs one
+    // block covering the whole stream (its policy never exits).
+    const std::size_t block =
+        plan_->resumable ? std::min(policy.checkpointCycles, len) : len;
     std::size_t begin = 0;
     while (!ws.active_.empty()) {
-        pollControl(control, begin);
         const std::size_t end = std::min(begin + block, len);
         if (encodeInputStreams_ && !policy.deterministic) {
+            // Lazy SNG: this block's input cycles from an own substream —
+            // cycles past an early exit are never generated.  The block
+            // index is spread by the golden-ratio constant so no two
+            // (image, block) pairs share a seed in practice.
             for (const std::size_t c : ws.active_) {
                 CohortWorkspace::Slot &slot = ws.slots_[c];
                 sc::Xoshiro256StarStar rng(
@@ -422,13 +332,16 @@ ScNetworkEngine::inferAdaptiveCohort(const nn::Tensor *const images[],
             }
         }
 
+        // Ping-pong the activation buffers: stage s reads what stage s-1
+        // wrote and overwrites the other buffer, so no stream is copied.
         const ScStage *terminalStage = nullptr;
         int flip = 0;
         for (std::size_t s = 0; s < plan_->stageCount(); ++s) {
             const ScStage &stage = plan_->stage(s);
-            // Per-stage clamp, as in inferAdaptive(): exhausted stages
-            // (and everything downstream — lengths are non-increasing)
-            // are skipped; completed outputs persist per slot.
+            // Per-stage clamp: a stage whose own (non-increasing) length
+            // is already exhausted is skipped — its completed output
+            // persists per slot, and every downstream stage (shorter
+            // still) skips with it.
             const std::size_t sEnd = std::min(end, lens[s]);
             if (begin < sEnd) {
                 for (std::size_t k = 0; k < ws.active_.size(); ++k) {
@@ -472,6 +385,8 @@ ScNetworkEngine::inferAdaptiveCohort(const nn::Tensor *const images[],
         }
         ws.active_.resize(keep);
         begin = end;
+        if (!ws.active_.empty())
+            pollControl(control, begin);
     }
 }
 

@@ -25,6 +25,12 @@
  * core::BatchRunner, which evaluate() delegates to.  Each image's
  * randomness derives from seed XOR image-index, making every prediction
  * independent of batch size and thread count.
+ *
+ * Every entry point runs through one execution loop,
+ * inferAdaptiveCohort(): a cohort of images advances through the stage
+ * graph in checkpoint blocks of stream cycles.  A single image is a
+ * cohort of one, and non-adaptive inference is the never-exit policy
+ * (AdaptivePolicy::neverExit) in one block covering the whole stream.
  */
 
 #ifndef AQFPSC_CORE_SC_ENGINE_H
@@ -41,8 +47,8 @@
 namespace aqfpsc::core {
 
 class ScStage;
-class StageWorkspace;
 class CohortWorkspace;
+using StageWorkspace = CohortWorkspace;
 
 namespace stages {
 struct ExecutionPlan;
@@ -139,8 +145,8 @@ struct ScPrediction
  * reaches exitMargin — the remaining stream cycles are never computed.
  *
  * exitMargin = 0 exits at the first eligible checkpoint;
- * infinity() never exits (useful to verify the checkpoint machinery is
- * bit-exact against the non-adaptive path).
+ * infinity() never exits — the non-adaptive path is exactly that policy
+ * (see neverExit()), so checkpointed execution is bit-exact against it.
  *
  * The margin estimated after n cycles carries O(1/sqrt(n)) SC noise, so
  * a bare threshold misfires at the earliest checkpoints; the minCycles
@@ -155,7 +161,7 @@ struct AdaptivePolicy
      * Cycles per checkpoint block; must be a positive multiple of 64
      * (the packed-stream word size — spans are word-aligned so the
      * incremental kernels never split a word).  Values >= streamLen
-     * degenerate to the non-adaptive single-block path.
+     * degenerate to a single block covering the stream.
      */
     std::size_t checkpointCycles = 64;
 
@@ -180,6 +186,17 @@ struct AdaptivePolicy
 
     /** Violations of the constraints above; empty means valid. */
     std::vector<std::string> validate() const;
+
+    /**
+     * The never-exit policy of full-length inference: exitMargin =
+     * infinity, deterministic draws, blocks of @p checkpoint_cycles (a
+     * positive multiple of 64).  The default, the largest multiple of 64,
+     * is one block covering any stream — what non-adaptive inference
+     * runs; serving passes a finite block so a RunControl can stop the
+     * run between blocks.
+     */
+    static AdaptivePolicy neverExit(std::size_t checkpoint_cycles =
+                                        ~std::size_t{63});
 };
 
 /** One adaptive inference: the prediction plus how it terminated. */
@@ -244,46 +261,42 @@ class ScNetworkEngine
      * function of the image index.  Thread-safe.  Convenience form: a
      * transient StageWorkspace is built per call; loops should hold a
      * workspace and use the overload below.
+     * @throws std::invalid_argument on malformed images (see
+     *         inferAdaptiveCohort()).
      */
     ScPrediction inferIndexed(const nn::Tensor &image,
                               std::size_t index) const;
 
     /**
-     * The zero-allocation serving path: run one image through
-     * @p workspace (which must have been constructed for this engine).
-     * All stage scratch and stream buffers come from the workspace, so
-     * steady-state calls perform no heap allocation inside the stage
-     * pipeline.  Results are bit-identical to the transient overload.
-     * Thread-safe across distinct workspaces.
+     * The zero-allocation path: run one image through @p workspace (a
+     * one-slot CohortWorkspace constructed for this engine) as a cohort
+     * of one under AdaptivePolicy::neverExit().  All stage scratch and
+     * stream buffers come from the workspace, so steady-state calls
+     * perform no heap allocation inside the stage pipeline.  Results are
+     * bit-identical to the transient overload.  Thread-safe across
+     * distinct workspaces.
+     * @throws std::invalid_argument like inferAdaptiveCohort().
      */
     ScPrediction inferIndexed(const nn::Tensor &image, std::size_t index,
                               StageWorkspace &workspace) const;
 
     /**
-     * True when every compiled stage supports checkpointed (runSpan)
-     * execution, i.e. adaptive early-exit inference is available on this
-     * backend.  When false and @p why_not is non-null, it receives the
-     * first non-resumable stage's name.
+     * True when every compiled stage accepts partial spans (checkpointed
+     * execution), i.e. policies that can exit early are available on
+     * this backend.  When false and @p why_not is non-null, it receives
+     * the first non-resumable stage's name.
      */
     bool supportsAdaptive(std::string *why_not = nullptr) const;
 
     /**
-     * Adaptive early-exit inference (see AdaptivePolicy): runs the stage
-     * graph in checkpoint blocks through @p workspace and stops as soon
-     * as the score margin clears the policy's exit threshold.  With
+     * Adaptive early-exit inference of one image (see AdaptivePolicy): a
+     * cohort of one through inferAdaptiveCohort().  With
      * policy.deterministic the result is bit-identical to what
      * inferIndexed(image, index, workspace) computes over the same
      * number of cycles — and to the full inferIndexed() result whenever
      * the image does not exit early.  Thread-safe across distinct
      * workspaces.
-     *
-     * When @p control is non-null it is polled between checkpoint
-     * blocks (the serving stack's cooperative-cancellation point:
-     * block granularity, not stream granularity) and the run aborts
-     * with StatusError{Cancelled|Timeout} when it fires.  Polling
-     * never perturbs the results of runs that complete.
-     * @throws std::invalid_argument on invalid policies or if any stage
-     *         is not resumable (see supportsAdaptive()).
+     * @throws std::invalid_argument like inferAdaptiveCohort().
      * @throws StatusError when @p control reports cancellation/expiry.
      */
     AdaptivePrediction inferAdaptive(const nn::Tensor &image,
@@ -298,29 +311,41 @@ class ScNetworkEngine
                                      const AdaptivePolicy &policy) const;
 
     /**
-     * Stage-major cohort execution: run @p count images (each with the
-     * per-image seed of its entry in @p indices) through the stage graph
-     * together, one stage dispatch per stage for the whole cohort.
-     * Weight streams are traversed once per cohort, and every prediction
-     * is bit-identical to inferIndexed(*images[c], indices[c]) — cohort
-     * size changes throughput only, never results.  @p out receives
-     * @p count predictions.  @p count must not exceed the workspace's
-     * capacity.  Thread-safe across distinct workspaces.
+     * Full-length cohort execution: inferAdaptiveCohort() under
+     * AdaptivePolicy::neverExit().  Every prediction is bit-identical to
+     * inferIndexed(*images[c], indices[c]) — cohort size changes
+     * throughput only, never results.  @p out receives @p count
+     * predictions.  Thread-safe across distinct workspaces.
+     * @throws std::invalid_argument like inferAdaptiveCohort().
      */
     void inferCohort(const nn::Tensor *const images[],
                      const std::size_t indices[], std::size_t count,
                      CohortWorkspace &workspace, ScPrediction out[]) const;
 
     /**
-     * Adaptive early-exit cohort execution: the cohort advances through
-     * checkpoint blocks together and images whose margin clears the
-     * policy's threshold are retired, compacting the cohort in place, so
-     * the remaining images keep the stage-major amortization.  Each
-     * result is bit-identical to inferAdaptive(*images[c], indices[c],
-     * policy) for deterministic policies.  @p control is polled once
-     * per checkpoint block for the whole cohort, exactly like
-     * inferAdaptive(); on abort no entry of @p out is valid.
-     * @throws std::invalid_argument like inferAdaptive().
+     * The engine's one execution loop, which every other entry point
+     * wraps.  Runs @p count images (each with the per-image seed of its
+     * entry in @p indices) through the stage graph together in
+     * checkpoint blocks of policy.checkpointCycles (one block covering
+     * the stream when the plan is not resumable), one stage dispatch per
+     * stage and block, so weight streams are traversed once per cohort.
+     * After each block, images whose score margin clears the policy's
+     * threshold are retired, compacting the cohort in place.  Each
+     * result is bit-identical to running the image alone (cohort size
+     * changes throughput only).  Thread-safe across distinct workspaces.
+     *
+     * When @p control is non-null it is polled once per checkpoint block
+     * for the whole cohort (the serving stack's cooperative-cancellation
+     * point: block granularity, not stream granularity) and the run
+     * aborts with StatusError{Cancelled|Timeout} when it fires; on abort
+     * no entry of @p out is valid.  Polling never perturbs the results
+     * of runs that complete.
+     * @throws std::invalid_argument before any work when @p workspace
+     *         belongs to another engine, @p count exceeds its capacity,
+     *         an image's size is not plan().inputElements or it holds a
+     *         non-finite element, the policy is invalid, or the policy
+     *         can exit early (finite exitMargin) while some stage is not
+     *         resumable (see supportsAdaptive()).
      * @throws StatusError when @p control reports cancellation/expiry.
      */
     void inferAdaptiveCohort(const nn::Tensor *const images[],

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 #include <utility>
 
 #include "core/fault_injection.h"
-#include "core/stages/stage_compiler.h"
 #include "core/workspace.h"
 
 namespace aqfpsc::core {
@@ -107,19 +105,17 @@ InferenceServer::InferenceServer(const InferenceSession &session,
                 "' is not resumable");
         }
     }
-    // A timed non-adaptive request is cancellable only if the backend
-    // can run in checkpoint blocks; the exitMargin=infinity policy
-    // never exits early, so routing through the adaptive path keeps
-    // results bit-identical to inferCohort (pinned in test_adaptive).
-    if (!opts_.adaptive && opts_.timeoutSeconds > 0.0 &&
-        engine_->supportsAdaptive()) {
-        routeCancellable_ = true;
-        fullLengthPolicy_.checkpointCycles = 256;
-        fullLengthPolicy_.exitMargin =
-            std::numeric_limits<double>::infinity();
-        fullLengthPolicy_.minCycles = 0;
-        fullLengthPolicy_.deterministic = true;
-    }
+    // Non-adaptive serving is the never-exit policy: one full-length
+    // block, or — with a timeout — 256-cycle blocks the deadline can
+    // cancel between (the engine runs non-resumable plans in one block
+    // regardless).  Either way results are bit-identical to full-length
+    // inference (pinned in test_adaptive).
+    if (opts_.adaptive)
+        runPolicy_ = opts_.policy;
+    else if (opts_.timeoutSeconds > 0.0)
+        runPolicy_ = AdaptivePolicy::neverExit(256);
+    else
+        runPolicy_ = AdaptivePolicy::neverExit();
     workerCount_ = resolveWorkerCount(opts_.workers);
     threads_.reserve(static_cast<std::size_t>(workerCount_));
     for (int t = 0; t < workerCount_; ++t)
@@ -323,21 +319,14 @@ InferenceServer::serveCohort(std::vector<Request> &batch, std::size_t off,
     // per-request isolation pass below sorts out who actually expired.
     RunControl control;
     control.rearm(deadline);
-    const bool adaptiveRun = opts_.adaptive || routeCancellable_;
-    const AdaptivePolicy &runPolicy =
-        opts_.adaptive ? opts_.policy : fullLengthPolicy_;
 
-    ScPrediction preds[kMaxCohortImages];
-    AdaptivePrediction apreds[kMaxCohortImages];
+    AdaptivePrediction results[kMaxCohortImages];
     bool cohortOk = true;
     try {
         fault::injectDelay(FaultSite::WorkerSlowdown, ids[0], &control);
         fault::injectThrow(FaultSite::WorkerException, ids[0]);
-        if (adaptiveRun)
-            engine_->inferAdaptiveCohort(images, ids, live, workspace,
-                                         runPolicy, apreds, &control);
-        else
-            engine_->inferCohort(images, ids, live, workspace, preds);
+        engine_->inferAdaptiveCohort(images, ids, live, workspace,
+                                     runPolicy_, results, &control);
     } catch (...) {
         cohortOk = false;
     }
@@ -369,27 +358,13 @@ InferenceServer::serveCohort(std::vector<Request> &batch, std::size_t off,
                             " deadline elapsed during service");
                 RunControl solo;
                 solo.rearm(request.expiry);
-                if (adaptiveRun)
-                    engine_->inferAdaptiveCohort(&images[j], &ids[j], 1,
-                                                 workspace, runPolicy,
-                                                 &apreds[j], &solo);
-                else
-                    engine_->inferCohort(&images[j], &ids[j], 1,
-                                         workspace, &preds[j]);
+                engine_->inferAdaptiveCohort(&images[j], &ids[j], 1,
+                                             workspace, runPolicy_,
+                                             &results[j], &solo);
             }
-            if (opts_.adaptive) {
-                served.prediction = std::move(apreds[j].prediction);
-                served.consumedCycles = apreds[j].consumedCycles;
-                served.exitedEarly = apreds[j].exitedEarly;
-            } else if (adaptiveRun) {
-                // Cancellable full-length route: bit-identical to
-                // inferCohort, and reported as non-adaptive serving.
-                served.prediction = std::move(apreds[j].prediction);
-                served.consumedCycles = engine_->plan().fullRunCycles();
-            } else {
-                served.prediction = std::move(preds[j]);
-                served.consumedCycles = engine_->plan().fullRunCycles();
-            }
+            served.prediction = std::move(results[j].prediction);
+            served.consumedCycles = results[j].consumedCycles;
+            served.exitedEarly = results[j].exitedEarly;
             // Count before fulfilling: a caller returning from
             // future.get() must already see itself in stats().  All
             // counters are per image, never per cohort or queue pop.

@@ -49,13 +49,12 @@
  *    each request carries a hard deadline from submission.  Requests
  *    already expired at worker pickup fail immediately with
  *    StatusError{Timeout}; requests that expire mid-run are cancelled
- *    cooperatively at the next adaptive checkpoint block (non-adaptive
- *    serving is routed through the exitMargin=infinity adaptive path,
- *    which is bit-identical to full-length inference, whenever the
- *    backend supports checkpointed execution — so a timed-out request
+ *    cooperatively at the next checkpoint block (timed non-adaptive
+ *    serving runs the never-exit policy in 256-cycle blocks, which is
+ *    bit-identical to full-length inference, so a timed-out request
  *    frees its worker instead of wedging it for the rest of the
- *    stream).  On backends without resumable stages the deadline is
- *    enforced at pickup only.
+ *    stream).  Backends without resumable stages run one block, so
+ *    there the deadline is enforced before the run starts only.
  *
  * Thread safety: submit()/trySubmit()/submitBatch()/stats()/accepting()
  * may be called from any thread at any time; shutdown() from any
@@ -236,11 +235,9 @@ class InferenceServer
     ServerOptions opts_;
     const ScNetworkEngine *engine_ = nullptr; ///< compiled once, up front
     int workerCount_ = 0;
-    /** Non-adaptive serving with a timeout goes through the
-     *  exitMargin=infinity adaptive path (bit-identical to full-length
-     *  inference) so the deadline can cancel at block granularity. */
-    bool routeCancellable_ = false;
-    AdaptivePolicy fullLengthPolicy_;
+    /** The policy every cohort runs: opts_.policy when adaptive, else
+     *  the never-exit policy (in blocks a timeout can stop between). */
+    AdaptivePolicy runPolicy_;
 
     mutable std::mutex mutex_;
     std::condition_variable notEmpty_; ///< workers wait: work or stop

@@ -161,7 +161,8 @@ class InferenceSession
     /**
      * Adaptive early-exit inference of one image under
      * options().adaptive (engine seed, batch index 0).  Thread-safe.
-     * @throws std::invalid_argument if the backend has non-resumable
+     * @throws std::invalid_argument on malformed images, or when the
+     *         policy can exit early and the backend has non-resumable
      *         stages (e.g. "float-ref").
      */
     AdaptivePrediction inferAdaptive(const nn::Tensor &image,

@@ -36,14 +36,10 @@ class CmosOutputStage final : public ScStage
 
     std::unique_ptr<StageScratch> makeScratch() const override;
 
-    void runInto(const sc::StreamMatrix &in, sc::StreamMatrix &out,
-                 StageContext &ctx, StageScratch *scratch) const override;
-
     bool resumable() const override { return true; }
 
-    void runSpan(const sc::StreamMatrix &in, sc::StreamMatrix &out,
-                 StageContext &ctx, StageScratch *scratch,
-                 std::size_t begin, std::size_t end) const override;
+    void runCohortSpan(const CohortSlot *slots, std::size_t count,
+                       std::size_t begin, std::size_t end) const override;
 
     double scoreMargin(const StageContext &ctx,
                        std::size_t cycles) const override;

@@ -1,6 +1,7 @@
 #include "cmos_pool_stage.h"
 
 #include <cassert>
+#include <span>
 
 #include "core/backend_registry.h"
 #include "sc/rng.h"
@@ -20,7 +21,7 @@ const PoolStageRegistration kRegistration{
  * draws selects [p*N, (p+1)*N)), so checkpointed execution snapshots the
  * generator at every pixel's start offset on the first span and resumes
  * each snapshot as later spans arrive — the select draws are
- * bit-identical to runInto() at any checkpoint granularity.  In
+ * bit-identical to one full span at any checkpoint granularity.  In
  * non-deterministic mode each pixel instead gets an independent
  * substream (no skip-ahead cost, draws differ from the one-pass path).
  */
@@ -54,87 +55,84 @@ CmosPoolStage::makeScratch() const
 }
 
 void
-CmosPoolStage::runInto(const sc::StreamMatrix &in, sc::StreamMatrix &out,
-                       StageContext &ctx, StageScratch *scratch) const
-{
-    runSpan(in, out, ctx, scratch, 0, streamLen_);
-}
-
-void
-CmosPoolStage::runSpan(const sc::StreamMatrix &in, sc::StreamMatrix &out,
-                       StageContext &ctx, StageScratch *scratch,
-                       std::size_t begin, std::size_t end) const
+CmosPoolStage::runCohortSpan(const CohortSlot *slots, std::size_t count,
+                             std::size_t begin, std::size_t end) const
 {
     // The stage runs at its own compiled length; a longer upstream
     // stream only contributes its prefix to the MUX selects.
     const std::size_t len = streamLen_;
-    assert(in.streamLen() >= len);
     assert(begin % 64 == 0 && begin < end && end <= len);
-
-    out.reset(footprint().outputRows, len);
-    auto &ws = *static_cast<CmosPoolScratch *>(scratch);
     const bool firstSpan = begin == 0;
     const bool fullSpan = firstSpan && end == len;
-    // The MUX select lines are per-image randomness: derive them from the
-    // image seed so batched execution stays schedule-independent.
-    sc::Xoshiro256StarStar master(ctx.imageSeed ^ 0x9E3779B9ULL);
 
-    for (int c = 0; c < geom_.channels; ++c) {
-        for (int y = 0; y < geom_.outH; ++y) {
-            for (int x = 0; x < geom_.outW; ++x) {
-                const std::size_t out_row =
-                    (static_cast<std::size_t>(c) * geom_.outH + y) *
-                        geom_.outW +
-                    x;
-                const std::uint64_t *rows[4];
-                for (int dy = 0; dy < 2; ++dy) {
-                    for (int dx = 0; dx < 2; ++dx) {
-                        rows[2 * dy + dx] =
-                            in.row((static_cast<std::size_t>(c) * geom_.inH +
-                                    (2 * y + dy)) *
-                                       geom_.inW +
-                                   (2 * x + dx));
+    for (const CohortSlot &slot : std::span(slots, count)) {
+        const sc::StreamMatrix &in = *slot.in;
+        assert(in.streamLen() >= len);
+        sc::StreamMatrix &out = *slot.out;
+        out.reset(footprint().outputRows, len);
+        const StageContext &ctx = *slot.ctx;
+        auto &ws = *static_cast<CmosPoolScratch *>(slot.scratch);
+        // The MUX select lines are per-image randomness: derive them from
+        // the image seed so batched execution stays schedule-independent.
+        sc::Xoshiro256StarStar master(ctx.imageSeed ^ 0x9E3779B9ULL);
+
+        for (int c = 0; c < geom_.channels; ++c) {
+            for (int y = 0; y < geom_.outH; ++y) {
+                for (int x = 0; x < geom_.outW; ++x) {
+                    const std::size_t out_row =
+                        (static_cast<std::size_t>(c) * geom_.outH + y) *
+                            geom_.outW +
+                        x;
+                    // Top-left input pixel of the 2x2 window.
+                    const std::size_t in_row =
+                        (static_cast<std::size_t>(c) * geom_.inH + 2 * y) *
+                            geom_.inW +
+                        2 * x;
+                    const std::uint64_t *rows[4];
+                    for (int dy = 0; dy < 2; ++dy)
+                        for (int dx = 0; dx < 2; ++dx)
+                            rows[2 * dy + dx] =
+                                in.row(in_row + dy * geom_.inW + dx);
+                    // Position this pixel's select generator.  Full
+                    // span: draw from the master directly — identical
+                    // cost and draws to the one-pass loop.
+                    sc::Xoshiro256StarStar *rng = &master;
+                    if (!fullSpan) {
+                        if (firstSpan && !ctx.deterministicSpans)
+                            ws.rngs[out_row] = sc::Xoshiro256StarStar(
+                                sc::deriveStreamSeed(
+                                    ctx.imageSeed ^ 0x9E3779B9ULL,
+                                    out_row + 1));
+                        else if (firstSpan)
+                            ws.rngs[out_row] = master; // offset p*N
+                        rng = &ws.rngs[out_row];
                     }
-                }
-                // Position this pixel's select generator.  Full span
-                // (the runInto() path): draw from the master directly —
-                // identical cost and draws to the one-pass loop.
-                sc::Xoshiro256StarStar *rng = &master;
-                if (!fullSpan) {
-                    if (firstSpan && !ctx.deterministicSpans)
-                        ws.rngs[out_row] = sc::Xoshiro256StarStar(
-                            sc::deriveStreamSeed(
-                                ctx.imageSeed ^ 0x9E3779B9ULL,
-                                out_row + 1));
-                    else if (firstSpan)
-                        ws.rngs[out_row] = master; // offset p*N
-                    rng = &ws.rngs[out_row];
-                }
-                // Accumulate each 64-cycle block in a register and store
-                // whole words: the output buffer is reused across images,
-                // so every covered word (tail bits included) is fully
-                // rewritten.
-                std::uint64_t *dst = out.row(out_row);
-                std::uint64_t word = 0;
-                for (std::size_t i = begin; i < end; ++i) {
-                    const std::uint64_t sel = rng->nextBits(2);
-                    word |= ((rows[sel][i / 64] >> (i % 64)) & 1ULL)
-                            << (i % 64);
-                    if (i % 64 == 63) {
-                        dst[i / 64] = word;
-                        word = 0;
+                    // Accumulate each 64-cycle block in a register and
+                    // store whole words: the output buffer is reused
+                    // across images, so every covered word (tail bits
+                    // included) is fully rewritten.
+                    std::uint64_t *dst = out.row(out_row);
+                    std::uint64_t word = 0;
+                    for (std::size_t i = begin; i < end; ++i) {
+                        const std::uint64_t sel = rng->nextBits(2);
+                        word |= ((rows[sel][i / 64] >> (i % 64)) & 1ULL)
+                                << (i % 64);
+                        if (i % 64 == 63) {
+                            dst[i / 64] = word;
+                            word = 0;
+                        }
                     }
-                }
-                if (end % 64 != 0)
-                    dst[end / 64] = word;
-                // Deterministic partial first span: skip the master past
-                // the draws this pixel would have consumed to the end of
-                // the stream, so the next pixel's snapshot lands at its
-                // one-pass offset.
-                if (firstSpan && !fullSpan && ctx.deterministicSpans) {
-                    master = ws.rngs[out_row];
-                    for (std::size_t i = end; i < len; ++i)
-                        master.nextWord();
+                    if (end % 64 != 0)
+                        dst[end / 64] = word;
+                    // Deterministic partial first span: skip the master
+                    // past the draws this pixel would have consumed to
+                    // the end of the stream, so the next pixel's snapshot
+                    // lands at its one-pass offset.
+                    if (firstSpan && !fullSpan && ctx.deterministicSpans) {
+                        master = ws.rngs[out_row];
+                        for (std::size_t i = end; i < len; ++i)
+                            master.nextWord();
+                    }
                 }
             }
         }

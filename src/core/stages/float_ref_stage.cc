@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <span>
 
 #include "nn/layers.h"
 #include "nn/tensor.h"
@@ -56,6 +57,16 @@ majValue(float a, float x, float y)
 
 } // namespace
 
+void
+FloatRefStage::runCohortSpan(const CohortSlot *slots, std::size_t count,
+                             std::size_t, std::size_t) const
+{
+    for (const CohortSlot &slot : std::span(slots, count)) {
+        forward(*slot.ctx);
+        slot.out->reset(0, 0); // value-domain: no streams flow between stages
+    }
+}
+
 FloatRefConvStage::FloatRefConvStage(const ConvGeometry &geom,
                                      WeightedStageInit init)
     : geom_(geom), w_(init.weights), b_(init.biases),
@@ -72,8 +83,7 @@ FloatRefConvStage::name() const
 }
 
 void
-FloatRefConvStage::runInto(const sc::StreamMatrix &, sc::StreamMatrix &out,
-                           StageContext &ctx, StageScratch *) const
+FloatRefConvStage::forward(StageContext &ctx) const
 {
     const std::vector<float> x = takeValues(
         ctx, static_cast<std::size_t>(geom_.inC) * geom_.inH * geom_.inW);
@@ -113,7 +123,6 @@ FloatRefConvStage::runInto(const sc::StreamMatrix &, sc::StreamMatrix &out,
     }
     applyActivation(y, activation_);
     ctx.values = std::move(y);
-    out.reset(0, 0); // value-domain: no streams flow between stages
 }
 
 FloatRefDenseStage::FloatRefDenseStage(const DenseGeometry &geom,
@@ -131,8 +140,7 @@ FloatRefDenseStage::name() const
 }
 
 void
-FloatRefDenseStage::runInto(const sc::StreamMatrix &, sc::StreamMatrix &out,
-                            StageContext &ctx, StageScratch *) const
+FloatRefDenseStage::forward(StageContext &ctx) const
 {
     const std::vector<float> x =
         takeValues(ctx, static_cast<std::size_t>(geom_.inFeatures));
@@ -147,7 +155,6 @@ FloatRefDenseStage::runInto(const sc::StreamMatrix &, sc::StreamMatrix &out,
     }
     applyActivation(y, activation_);
     ctx.values = std::move(y);
-    out.reset(0, 0); // value-domain: no streams flow between stages
 }
 
 std::string
@@ -158,8 +165,7 @@ FloatRefPoolStage::name() const
 }
 
 void
-FloatRefPoolStage::runInto(const sc::StreamMatrix &, sc::StreamMatrix &out,
-                           StageContext &ctx, StageScratch *) const
+FloatRefPoolStage::forward(StageContext &ctx) const
 {
     const std::vector<float> x = takeValues(
         ctx,
@@ -183,7 +189,6 @@ FloatRefPoolStage::runInto(const sc::StreamMatrix &, sc::StreamMatrix &out,
         }
     }
     ctx.values = std::move(y);
-    out.reset(0, 0); // value-domain: no streams flow between stages
 }
 
 FloatRefOutputStage::FloatRefOutputStage(const DenseGeometry &geom,
@@ -203,8 +208,7 @@ FloatRefOutputStage::name() const
 }
 
 void
-FloatRefOutputStage::runInto(const sc::StreamMatrix &, sc::StreamMatrix &out,
-                             StageContext &ctx, StageScratch *) const
+FloatRefOutputStage::forward(StageContext &ctx) const
 {
     const std::vector<float> x =
         takeValues(ctx, static_cast<std::size_t>(geom_.inFeatures));

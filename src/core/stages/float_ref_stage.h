@@ -30,64 +30,80 @@ namespace aqfpsc::core::stages {
 /** Registry name of the value-domain reference backend. */
 inline constexpr const char *kFloatRefBackend = "float-ref";
 
+/**
+ * Common base of the value-domain stages: they run whole images only
+ * (not resumable, so the engine hands them the full span) and pass
+ * activations through StageContext::values instead of streams.
+ */
+class FloatRefStage : public ScStage
+{
+  public:
+    void runCohortSpan(const CohortSlot *slots, std::size_t count,
+                       std::size_t begin, std::size_t end) const final;
+
+  protected:
+    /** Compute one image's activations (or, terminal, its scores). */
+    virtual void forward(StageContext &ctx) const = 0;
+};
+
 /** Conv2D (+ fused activation) in the value domain. */
-class FloatRefConvStage final : public ScStage
+class FloatRefConvStage final : public FloatRefStage
 {
   public:
     FloatRefConvStage(const ConvGeometry &geom, WeightedStageInit init);
 
     std::string name() const override;
-    void runInto(const sc::StreamMatrix &in, sc::StreamMatrix &out,
-                 StageContext &ctx, StageScratch *scratch) const override;
 
   private:
+    void forward(StageContext &ctx) const override;
+
     ConvGeometry geom_;
     std::vector<float> w_, b_;
     FusedActivation activation_;
 };
 
 /** Hidden Dense (+ fused activation) in the value domain. */
-class FloatRefDenseStage final : public ScStage
+class FloatRefDenseStage final : public FloatRefStage
 {
   public:
     FloatRefDenseStage(const DenseGeometry &geom, WeightedStageInit init);
 
     std::string name() const override;
-    void runInto(const sc::StreamMatrix &in, sc::StreamMatrix &out,
-                 StageContext &ctx, StageScratch *scratch) const override;
 
   private:
+    void forward(StageContext &ctx) const override;
+
     DenseGeometry geom_;
     std::vector<float> w_, b_;
     FusedActivation activation_;
 };
 
 /** 2x2 average pooling in the value domain. */
-class FloatRefPoolStage final : public ScStage
+class FloatRefPoolStage final : public FloatRefStage
 {
   public:
     explicit FloatRefPoolStage(const PoolGeometry &geom) : geom_(geom) {}
 
     std::string name() const override;
-    void runInto(const sc::StreamMatrix &in, sc::StreamMatrix &out,
-                 StageContext &ctx, StageScratch *scratch) const override;
 
   private:
+    void forward(StageContext &ctx) const override;
+
     PoolGeometry geom_;
 };
 
 /** Terminal scoring stage: linear Dense or the majority-chain fold. */
-class FloatRefOutputStage final : public ScStage
+class FloatRefOutputStage final : public FloatRefStage
 {
   public:
     FloatRefOutputStage(const DenseGeometry &geom, WeightedStageInit init);
 
     std::string name() const override;
     bool terminal() const override { return true; }
-    void runInto(const sc::StreamMatrix &in, sc::StreamMatrix &out,
-                 StageContext &ctx, StageScratch *scratch) const override;
 
   private:
+    void forward(StageContext &ctx) const override;
+
     DenseGeometry geom_;
     std::vector<float> w_, b_;
     bool majorityChain_;

@@ -1,44 +1,8 @@
 #include "stage.h"
 
-#include <stdexcept>
 #include <utility>
 
 namespace aqfpsc::core {
-
-void
-ScStage::runSpan(const sc::StreamMatrix &in, sc::StreamMatrix &out,
-                 StageContext &ctx, StageScratch *scratch,
-                 std::size_t begin, std::size_t end) const
-{
-    if (begin != 0 || end != in.streamLen()) {
-        throw std::logic_error("ScStage '" + name() +
-                               "' does not support partial spans "
-                               "(resumable() is false)");
-    }
-    runInto(in, out, ctx, scratch);
-}
-
-void
-ScStage::runCohortSpan(const CohortSlot *slots, std::size_t count,
-                       std::size_t begin, std::size_t end) const
-{
-    // Image-major fallback: correct for every stage (per-slot state is
-    // independent), just without the weight-traversal amortization the
-    // linear kernel cores' overrides provide.  A span covering the whole
-    // input is exactly runInto() — routing it there keeps full-stream
-    // cohorts working on non-resumable stages (value-domain backends
-    // carry empty input matrices, so the engine's [0, streamLen) span
-    // always covers them).
-    for (std::size_t c = 0; c < count; ++c) {
-        if (begin == 0 && end >= slots[c].in->streamLen()) {
-            runInto(*slots[c].in, *slots[c].out, *slots[c].ctx,
-                    slots[c].scratch);
-        } else {
-            runSpan(*slots[c].in, *slots[c].out, *slots[c].ctx,
-                    slots[c].scratch, begin, end);
-        }
-    }
-}
 
 double
 scoreTopTwoGap(const std::vector<double> &scores)

@@ -16,21 +16,17 @@
  * pure function of (network, config, image, image index) regardless of
  * thread schedule.
  *
- * Execution entry points, all per-image state in caller-owned scratch:
- *
- *  - runInto(in, out, ctx, scratch): the allocation-free hot path.  The
- *    stage reshapes @p out (a reusable arena buffer that only ever
- *    grows) and fully overwrites it, drawing all scratch state from the
- *    StageScratch it built once via makeScratch().  Steady-state
- *    inference through core::StageWorkspace performs no heap allocation
- *    here.
- *  - runSpan(...): checkpointed execution of one 64-cycle-aligned block,
- *    resuming per-image state across blocks (adaptive early exit).
- *  - runCohortSpan(...): stage-major cohort execution — one stage
- *    dispatch processes the same span of several images, so weight
- *    streams are traversed once per cohort instead of once per image.
- *    The default loops runSpan() per image; the linear kernel cores
- *    override it with interleaved per-image block processing.
+ * One execution entry point, all per-image state in caller-owned
+ * scratch: runCohortSpan(slots, count, begin, end) processes stream
+ * cycles [begin, end) of count images in one stage dispatch, so
+ * weight streams are traversed once per cohort instead of once per
+ * image.  A single image is a cohort of one and a full-length run is the
+ * span [0, N); resumable stages additionally accept 64-cycle-aligned
+ * partial spans and resume per-image state across them (adaptive early
+ * exit).  The stage reshapes each slot's output (a reusable arena buffer
+ * that only ever grows) and draws all state from the StageScratch it
+ * built once via makeScratch(), so steady-state inference through a
+ * core::CohortWorkspace performs no heap allocation here.
  */
 
 #ifndef AQFPSC_CORE_STAGES_STAGE_H
@@ -76,10 +72,10 @@ struct StageContext
     std::vector<float> values;
 
     /**
-     * Checkpointed (runSpan) execution only: when true, stages whose
-     * randomness consumption depends on stream position (CmosPool's MUX
-     * selects) replay the exact draw sequence of the uninterrupted path,
-     * so block-wise execution is bit-identical to runInto().  When
+     * Partial-span execution only: when true, stages whose randomness
+     * consumption depends on stream position (CmosPool's MUX selects)
+     * replay the exact draw sequence of the uninterrupted path, so
+     * block-wise execution is bit-identical to one full span.  When
      * false, they may draw from cheaper per-block substreams instead
      * (statistically equivalent, not bit-identical).
      */
@@ -100,13 +96,14 @@ class StageScratch
 };
 
 /**
- * Compile-time resource declaration of one stage, used by
- * core::StageWorkspace to pre-size its arena buffers before the first
- * image runs.
+ * Compile-time resource declaration of one stage, used by the execution
+ * plan to pre-size the workspace arena buffers before the first image
+ * runs.
  */
 struct StageFootprint
 {
-    /** Rows runInto() writes into @p out (0 = terminal / value-domain). */
+    /** Rows runCohortSpan() writes per slot (0 = terminal /
+     *  value-domain). */
     std::size_t outputRows = 0;
 };
 
@@ -120,9 +117,10 @@ inline constexpr std::size_t kMaxCohortImages = 64;
 
 /**
  * One image's execution slot within a cohort: the per-image buffers and
- * state a stage needs to process that image's span.  @c in / @c out
- * follow the same contract as runInto()/runSpan(); @c scratch must come
- * from this stage's makeScratch() and belong to this slot alone.
+ * state a stage needs to process that image's span (see
+ * ScStage::runCohortSpan for the @c in / @c out contract).  @c scratch
+ * must come from this stage's makeScratch() and belong to this slot
+ * alone.
  */
 struct CohortSlot
 {
@@ -171,65 +169,38 @@ class ScStage
     }
 
     /**
-     * Execute the stage on one image's streams, writing the output
-     * streams into @p out (reshaped and fully overwritten by the stage;
-     * its buffer is reused across images and only ever grows).
-     * @p scratch must come from this stage's makeScratch().
-     *
-     * Thread-safe across distinct (out, scratch) pairs.  Terminal stages
-     * fill @p ctx .scores and leave @p out untouched.
-     */
-    virtual void runInto(const sc::StreamMatrix &in, sc::StreamMatrix &out,
-                         StageContext &ctx, StageScratch *scratch) const = 0;
-
-    /**
-     * True when this stage implements runSpan(), i.e. can execute a
-     * stream in 64-cycle-aligned blocks with per-image state resumed
-     * across blocks.  Adaptive (early-exit) inference requires every
-     * stage of the graph to be resumable.
+     * True when this stage accepts partial spans (see runCohortSpan), i.e.
+     * can execute a stream in 64-cycle-aligned blocks with per-image state
+     * resumed across blocks.  An early-exit policy requires every stage
+     * of the graph to be resumable; any stage runs the full span.
      */
     virtual bool resumable() const { return false; }
 
     /**
-     * Checkpointable execution: process input cycles [@p begin, @p end)
-     * and write the same cycle range of the output streams (only the
-     * covered words of @p out are touched; @p begin must be 64-aligned).
+     * Stage-major execution: process input cycles [@p begin, @p end) of
+     * @p count images in one dispatch, writing the same cycle range of
+     * each slot's output streams (only the covered words of @c out are
+     * touched; @p begin must be 64-aligned).  @p end never exceeds the
+     * stage's own stream length; the input may carry a longer upstream
+     * stream, of which the stage reads only the prefix.
      *
      * Per-image sequential state (feedback-vector counts, activation
      * counters, score accumulators, per-pixel RNG positions) lives in
-     * @p scratch: a call with begin == 0 re-arms it for a new image and
-     * reshapes @p out; later calls resume it, so that covering [0, N)
-     * with any sequence of adjacent spans is bit-identical to one
-     * runInto() pass (see StageContext::deterministicSpans for the one
+     * each slot's scratch: a call with begin == 0 re-arms it for a new
+     * image and reshapes @c out; later calls resume it, so that covering
+     * [0, N) with any sequence of adjacent spans is bit-identical to one
+     * full span (see StageContext::deterministicSpans for the one
      * permitted deviation).  Within one image, spans must be executed in
      * order and without gaps.  Terminal stages update ctx.scores to the
-     * scores over cycles [0, @p end) — at end == N these equal the
-     * runInto() scores exactly.
+     * scores over cycles [0, @p end) and write no output streams.
+     * Non-resumable stages are only ever called with the full span.
      *
-     * Thread-safe across distinct (out, scratch) pairs, like runInto().
-     * Default: forwards full spans ([0, input length)) to runInto() and
-     * throws std::logic_error for partial ones — a stage that returns
-     * resumable() == true must override it.
-     */
-    virtual void runSpan(const sc::StreamMatrix &in, sc::StreamMatrix &out,
-                         StageContext &ctx, StageScratch *scratch,
-                         std::size_t begin, std::size_t end) const;
-
-    /**
-     * Stage-major cohort execution: process cycles [@p begin, @p end) of
-     * @p count images in one stage dispatch.  Each slot follows the
-     * runSpan() contract independently (per-slot resume state, spans in
-     * order and without gaps), and the result per image is bit-identical
-     * to runSpan(*slot.in, *slot.out, *slot.ctx, slot.scratch, begin,
-     * end) — cohort size never changes results, only how often shared
-     * weight streams are traversed.  The full span [0, stream length)
-     * also works on non-resumable stages (it degenerates to runInto()).
-     *
-     * Default: loops runSpan() over the slots.  The linear kernel cores
-     * override it to interleave images per weight row.
+     * Results are per slot: cohort size never changes them, only how
+     * often shared weight streams are traversed.  Thread-safe across
+     * distinct (out, scratch) pairs.
      */
     virtual void runCohortSpan(const CohortSlot *slots, std::size_t count,
-                               std::size_t begin, std::size_t end) const;
+                               std::size_t begin, std::size_t end) const = 0;
 
     /**
      * Terminal stages: normalized confidence margin of the scores

@@ -19,10 +19,10 @@
  *    per-row scratch state.
  *
  * The core has exactly one kernel path, the stage-major cohort span: a
- * single-image runSpan() is a cohort of one, and a cohort of C images
- * walks every weight row once while feeding all C images' carry-save
- * planes through the ColumnCounts multi-scratch entry points.  Results
- * are bit-identical at every cohort size by construction.
+ * single image is a cohort of one, and a cohort of C images walks every
+ * weight row once while feeding all C images' carry-save planes through
+ * the ColumnCounts multi-scratch entry points.  Results are bit-identical
+ * at every cohort size by construction.
  */
 
 #ifndef AQFPSC_CORE_STAGES_STAGE_COMMON_H
@@ -92,7 +92,7 @@ featureStreamBytes(const FeatureStreams &fs)
  * bit-plane layout, bias rows, neutral pad row).  The plan cache interns
  * StageShared objects by spec so identical layers across engines,
  * sessions, and serving tenants reference one copy; mutable run state
- * stays in StageScratch / StageWorkspace, which remain strictly
+ * stays in StageScratch / CohortWorkspace, which remain strictly
  * per-engine-invocation.
  *
  * rngStateAfter records the compiler RNG state immediately after the
@@ -329,7 +329,7 @@ struct OnesScratch final : StageScratch
 {
     explicit OnesScratch(std::size_t classes) : ones(classes, 0) {}
 
-    /** begin-of-image re-arm (runSpan with begin == 0). */
+    /** begin-of-image re-arm (a span with begin == 0). */
     void rearm() { ones.assign(ones.size(), 0); }
 
     std::vector<Count> ones;
@@ -436,9 +436,8 @@ class ApcBtanhPolicy
 /**
  * The shared linear stage: Gather names the products of each output
  * row, Policy accumulates and activates them.  There is exactly one
- * kernel path — the stage-major cohort span — so the per-image
- * entry points (runInto, runSpan) are cohorts of one and bit-identity
- * across cohort sizes holds by construction: per-image state (counters,
+ * kernel path — the stage-major cohort span — and bit-identity across
+ * cohort sizes holds by construction: per-image state (counters,
  * feedback/Btanh resume values, output rows) is fully per-slot, and the
  * multi-scratch ColumnCounts entry points perform the same per-image
  * plane updates as their single-image forms.
@@ -472,23 +471,7 @@ class LinearScStage : public ScStage
             Policy::maxCount(gather_.maxProducts()), gather_.rows());
     }
 
-    void
-    runInto(const sc::StreamMatrix &in, sc::StreamMatrix &out,
-            StageContext &ctx, StageScratch *scratch) const override
-    {
-        runSpan(in, out, ctx, scratch, 0, streams().weights.streamLen());
-    }
-
     bool resumable() const override { return true; }
-
-    void
-    runSpan(const sc::StreamMatrix &in, sc::StreamMatrix &out,
-            StageContext &ctx, StageScratch *scratch, std::size_t begin,
-            std::size_t end) const override
-    {
-        const CohortSlot slot{&in, &out, &ctx, scratch};
-        runCohortSpan(&slot, 1, begin, end);
-    }
 
     void
     runCohortSpan(const CohortSlot *slots, std::size_t count,

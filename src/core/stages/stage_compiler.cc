@@ -118,7 +118,8 @@ makePlanSpec(const nn::Network &net, const ScEngineConfig &cfg,
     auto append = [&p](const std::vector<float> &v) {
         p.params.insert(p.params.end(), v.begin(), v.end());
     };
-    std::string arch = "q" + std::to_string(net.quantBits());
+    std::string arch = "q";
+    arch += std::to_string(net.quantBits());
     for (std::size_t li = 0; li < net.layerCount(); ++li) {
         const nn::Layer &l = net.layer(li);
         const nn::LayerSpec s = l.spec();
@@ -266,6 +267,7 @@ compileNetworkUncached(const nn::Network &net, const ScEngineConfig &cfg)
     // Walk the float network and fuse (Conv|Dense) + activation pairs.
     int in_c = 0, in_h = 0, in_w = 0; // tracked spatial shape
     bool shape_known = false;
+    std::size_t input_elements = 0; // what the first stage reads
 
     const std::size_t n_layers = net.layerCount();
     for (std::size_t li = 0; li < n_layers; ++li) {
@@ -283,6 +285,8 @@ compileNetworkUncached(const nn::Network &net, const ScEngineConfig &cfg)
                 in_w = 28;
                 shape_known = true;
             }
+            if (stages.empty())
+                input_elements = static_cast<std::size_t>(in_c) * in_h * in_w;
             ConvGeometry g;
             g.inC = conv->inChannels();
             g.inH = in_h;
@@ -334,6 +338,8 @@ compileNetworkUncached(const nn::Network &net, const ScEngineConfig &cfg)
             DenseGeometry g;
             g.inFeatures = chain->inFeatures();
             g.outFeatures = chain->outFeatures();
+            if (stages.empty())
+                input_elements = static_cast<std::size_t>(g.inFeatures);
             if (!factories.output)
                 throwIncomplete(backend, "output");
             const ScEngineConfig scfg = stageCfg();
@@ -356,6 +362,8 @@ compileNetworkUncached(const nn::Network &net, const ScEngineConfig &cfg)
             DenseGeometry g;
             g.inFeatures = fc->inFeatures();
             g.outFeatures = fc->outFeatures();
+            if (stages.empty())
+                input_elements = static_cast<std::size_t>(g.inFeatures);
             const FusedActivation act =
                 has_act ? activationKind(net.layer(li + 1))
                         : FusedActivation::None;
@@ -403,6 +411,7 @@ compileNetworkUncached(const nn::Network &net, const ScEngineConfig &cfg)
     ExecutionPlan plan;
     plan.streamLen = lens.front();
     plan.stageStreamLens = lens;
+    plan.inputElements = input_elements;
     for (std::size_t s = 0; s < stages.size(); ++s) {
         plan.bufferRows[s % 2] = std::max(
             plan.bufferRows[s % 2], stages[s]->footprint().outputRows);

@@ -41,8 +41,8 @@ namespace aqfpsc::core::stages {
 /**
  * Compiled stage graph plus the graph-level buffer plan.
  *
- * The plan is what workspaces (per-image StageWorkspace, multi-image
- * CohortWorkspace) size their arenas from: stage s of the graph reads
+ * The plan is what every core::CohortWorkspace sizes its arena from,
+ * and what the engine validates inputs against: stage s of the graph reads
  * ping-pong buffer (s % 2) ^ 1 and writes buffer s % 2 (the first stage
  * reads the input matrix), so @ref bufferRows holds the high-water row
  * count of each parity — one sized allocation per buffer per cohort
@@ -61,8 +61,16 @@ struct ExecutionPlan
      *  buffer from (bufferRows, bufferLen) of its parity. */
     std::size_t bufferLen[2] = {0, 0};
 
-    /** True when every stage supports checkpointed (runSpan) execution. */
+    /** True when every stage accepts partial spans (checkpointed
+     *  execution); otherwise every run is one full-length span. */
     bool resumable = true;
+
+    /**
+     * Input elements the first stage reads per image: inC x 28 x 28 for a
+     * conv (the compiler's fixed input geometry) or inFeatures for a
+     * dense layer.  The engine rejects images of any other size.
+     */
+    std::size_t inputElements = 0;
 
     /**
      * Full-run cycle count: the longest stage stream length, i.e. the

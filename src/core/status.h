@@ -20,8 +20,8 @@
  *    types into the taxonomy).
  *  - **RunControl** is the cooperative cancellation primitive: a worker
  *    arms it with the request deadline before dispatching into the
- *    engine, the engine polls it between adaptive checkpoint blocks
- *    (ScNetworkEngine::inferAdaptive/inferAdaptiveCohort), and a
+ *    engine, the engine polls it between the checkpoint blocks of its
+ *    one execution loop (ScNetworkEngine::inferAdaptiveCohort), and a
  *    watchdog may flip its cancel flag from another thread to reclaim a
  *    stuck worker.  poll() also counts "beats", which is how the
  *    ServingFrontend watchdog distinguishes a slow-but-alive worker

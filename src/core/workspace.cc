@@ -7,17 +7,6 @@
 
 namespace aqfpsc::core {
 
-StageWorkspace::StageWorkspace(const ScNetworkEngine &engine)
-    : engine_(engine)
-{
-    const stages::ExecutionPlan &plan = engine.plan();
-    scratch_.reserve(plan.stageCount());
-    for (std::size_t s = 0; s < plan.stageCount(); ++s)
-        scratch_.push_back(plan.stage(s).makeScratch());
-    for (int i = 0; i < 2; ++i)
-        pingPong_[i].reset(plan.bufferRows[i], plan.bufferLen[i]);
-}
-
 CohortWorkspace::CohortWorkspace(const ScNetworkEngine &engine,
                                  std::size_t capacity)
     : engine_(engine)

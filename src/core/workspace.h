@@ -1,10 +1,11 @@
 /**
  * @file
- * Per-thread inference arenas: all mutable buffers a worker needs to
- * push images through a compiled stage graph without allocating.
+ * Per-thread inference arena: all mutable buffers a worker needs to push
+ * images through a compiled stage graph without allocating.
  *
- * Both arenas are sized up front from the engine's ExecutionPlan (the
- * graph-level buffer plan compileNetwork emits): each image slot owns
+ * The arena is sized up front from the engine's ExecutionPlan (the
+ * graph-level buffer plan compileNetwork emits): each of its capacity()
+ * image slots owns
  *
  *  - the SNG-encoded input stream matrix,
  *  - two ping-pong activation StreamMatrix buffers (stage s reads what
@@ -12,15 +13,16 @@
  *    plan's per-parity high-water marks, so even the first image
  *    allocates nothing for them),
  *  - one StageScratch per stage (column counters, feedback units, ...),
- *  - a reusable StageContext.
+ *  - a reusable StageContext,
  *
- * StageWorkspace is the single-image arena of the per-image entry
- * points; CohortWorkspace holds capacity() slots plus the slot-view
- * table stage-major cohort execution (ScNetworkEngine::inferCohort /
- * inferAdaptiveCohort) threads through ScStage::runCohortSpan.
+ * plus the slot-view table the engine's one execution loop
+ * (ScNetworkEngine::inferAdaptiveCohort) threads through
+ * ScStage::runCohortSpan.  A single image is a cohort of one:
+ * StageWorkspace is the one-slot CohortWorkspace of the per-image entry
+ * points.
  *
  * Thread safety: an arena is NOT thread-safe — one arena per worker
- * thread (core::BatchRunner and core::InferenceServer construct exactly
+ * thread (core::BatchRunner and the serving workers construct exactly
  * that), at most one inference/cohort through it at a time.  Distinct
  * arenas of one engine run concurrently without restriction.
  *
@@ -44,35 +46,10 @@ namespace aqfpsc::core {
 
 class ScNetworkEngine;
 
-/** Reusable per-worker buffers of one engine's single-image loop. */
-class StageWorkspace
-{
-  public:
-    /** Build scratch for every stage of @p engine and pre-size the
-     *  ping-pong buffers from the execution plan.
-     *  @param engine Must outlive the workspace. */
-    explicit StageWorkspace(const ScNetworkEngine &engine);
-
-    StageWorkspace(const StageWorkspace &) = delete;
-    StageWorkspace &operator=(const StageWorkspace &) = delete;
-
-    /** The engine this workspace serves. */
-    const ScNetworkEngine &engine() const { return engine_; }
-
-  private:
-    friend class ScNetworkEngine;
-
-    const ScNetworkEngine &engine_;
-    sc::StreamMatrix input_;            ///< per-image SNG input streams
-    sc::StreamMatrix pingPong_[2];      ///< stage activation buffers
-    std::vector<std::unique_ptr<StageScratch>> scratch_; ///< per stage
-    StageContext ctx_;                  ///< reused per-image context
-};
-
 /**
  * Per-worker arena of stage-major cohort execution: capacity() image
- * slots, each a full single-image arena (input + ping-pong buffers +
- * per-stage scratch + context), built once from the execution plan.
+ * slots, each with its own input, ping-pong buffers, per-stage scratch
+ * and context, built once from the execution plan.
  */
 class CohortWorkspace
 {
@@ -81,7 +58,8 @@ class CohortWorkspace
      * @param engine Must outlive the workspace.
      * @param capacity Image slots, clamped to [1, kMaxCohortImages].
      */
-    CohortWorkspace(const ScNetworkEngine &engine, std::size_t capacity);
+    explicit CohortWorkspace(const ScNetworkEngine &engine,
+                             std::size_t capacity = 1);
 
     CohortWorkspace(const CohortWorkspace &) = delete;
     CohortWorkspace &operator=(const CohortWorkspace &) = delete;
@@ -89,7 +67,7 @@ class CohortWorkspace
     /** The engine this workspace serves. */
     const ScNetworkEngine &engine() const { return engine_; }
 
-    /** Largest cohort one inferCohort() call may execute. */
+    /** Largest cohort one engine call may execute. */
     std::size_t capacity() const { return slots_.size(); }
 
   private:
@@ -108,9 +86,12 @@ class CohortWorkspace
     std::vector<Slot> slots_;
     /** Per-stage slot views, rebuilt per dispatch (capacity() entries). */
     std::vector<CohortSlot> views_;
-    /** Active slot indices of an adaptive cohort (in-place compaction). */
+    /** Slot indices still running (retired images are compacted out). */
     std::vector<std::size_t> active_;
 };
+
+/** The single-image arena: a CohortWorkspace of one slot. */
+using StageWorkspace = CohortWorkspace;
 
 } // namespace aqfpsc::core
 

@@ -9,7 +9,6 @@
 #include "core/fault_injection.h"
 #include "core/model_zoo.h"
 #include "core/stages/stage.h"
-#include "core/stages/stage_compiler.h"
 #include "core/workspace.h"
 
 namespace aqfpsc::serving {
@@ -316,18 +315,6 @@ ServingFrontend::addTenant(TenantConfig cfg)
     auto tenant = std::make_unique<Tenant>();
     tenant->cfg = std::move(cfg);
     tenant->engine = &engine;
-    if (!tenant->cfg.adaptive && engine.supportsAdaptive()) {
-        // Route full-length serving through the adaptive path under an
-        // exitMargin=infinity policy — bit-identical to inferCohort —
-        // so timeouts and watchdog kicks can cancel the run at
-        // checkpoint-block granularity instead of at batch boundaries.
-        tenant->cancellable = true;
-        tenant->fullLengthPolicy.checkpointCycles = 256;
-        tenant->fullLengthPolicy.exitMargin =
-            std::numeric_limits<double>::infinity();
-        tenant->fullLengthPolicy.minCycles = 0;
-        tenant->fullLengthPolicy.deterministic = true;
-    }
     tenantIndex_.emplace(tenant->cfg.name, tenants_.size());
     tenants_.push_back(std::move(tenant));
 }
@@ -555,8 +542,12 @@ ServingFrontend::popBatchLocked(std::chrono::steady_clock::time_point now)
     Tenant &t = *tenants_[idx];
     batch.tenant = &t;
     batch.adaptive = t.cfg.adaptive;
-    batch.cancellable = t.cancellable;
-    batch.policy = t.cfg.adaptive ? t.cfg.policy : t.fullLengthPolicy;
+    // Non-adaptive tenants run the never-exit policy — bit-identical to
+    // full-length inference — in 256-cycle blocks, so timeouts and
+    // watchdog kicks can cancel the run between blocks instead of at
+    // batch boundaries (non-resumable backends run one block).
+    batch.policy = t.cfg.adaptive ? t.cfg.policy
+                                  : core::AdaptivePolicy::neverExit(256);
     batch.seq = nextBatchSeq_++;
 
     // The load signal, sampled at dispatch: queue fill fraction; when
@@ -757,10 +748,6 @@ ServingFrontend::serveBatchWith(Batch &batch,
 {
     Tenant &tenant = *batch.tenant;
     const core::ScNetworkEngine &engine = *tenant.engine;
-    // Adaptive tenants run their own policy; cancellable non-adaptive
-    // tenants run the exitMargin=infinity policy through the same path
-    // (bit-identical to inferCohort) so the RunControl can stop them.
-    const bool adaptiveRun = batch.adaptive || batch.cancellable;
     const auto picked = std::chrono::steady_clock::now();
 
     for (std::size_t off = 0; off < batch.requests.size();
@@ -784,8 +771,7 @@ ServingFrontend::serveBatchWith(Batch &batch,
             (static_cast<std::uint64_t>(batch.requests[off].attempt)
              << 40);
 
-        core::ScPrediction preds[core::kMaxCohortImages];
-        core::AdaptivePrediction apreds[core::kMaxCohortImages];
+        core::AdaptivePrediction results[core::kMaxCohortImages];
         bool cohortOk = true;
         try {
             slot->control.rearm(chunkExpiry);
@@ -794,12 +780,9 @@ ServingFrontend::serveBatchWith(Batch &batch,
             core::fault::injectDelay(FaultSite::WorkerSlowdown, chunkKey,
                                      &slot->control);
             core::fault::injectThrow(FaultSite::WorkerException, chunkKey);
-            if (adaptiveRun)
-                engine.inferAdaptiveCohort(images, ids, count, workspace,
-                                           batch.policy, apreds,
-                                           &slot->control);
-            else
-                engine.inferCohort(images, ids, count, workspace, preds);
+            engine.inferAdaptiveCohort(images, ids, count, workspace,
+                                       batch.policy, results,
+                                       &slot->control);
         } catch (...) {
             cohortOk = false;
         }
@@ -842,14 +825,9 @@ ServingFrontend::serveBatchWith(Batch &batch,
                             0x517CC1B727220A95ull ^
                             (static_cast<std::uint64_t>(request.attempt)
                              << 40));
-                    if (adaptiveRun)
-                        engine.inferAdaptiveCohort(&images[j], &ids[j], 1,
-                                                   workspace, batch.policy,
-                                                   &apreds[j],
-                                                   &slot->control);
-                    else
-                        engine.inferCohort(&images[j], &ids[j], 1,
-                                           workspace, &preds[j]);
+                    engine.inferAdaptiveCohort(&images[j], &ids[j], 1,
+                                               workspace, batch.policy,
+                                               &results[j], &slot->control);
                 } catch (...) {
                     disposeFailure(tenant, std::move(request),
                                    Status::fromCurrentException());
@@ -857,17 +835,9 @@ ServingFrontend::serveBatchWith(Batch &batch,
                     continue;
                 }
             }
-            if (batch.adaptive) {
-                served.prediction = std::move(apreds[j].prediction);
-                served.consumedCycles = apreds[j].consumedCycles;
-                served.exitedEarly = apreds[j].exitedEarly;
-            } else if (adaptiveRun) {
-                served.prediction = std::move(apreds[j].prediction);
-                served.consumedCycles = engine.plan().fullRunCycles();
-            } else {
-                served.prediction = std::move(preds[j]);
-                served.consumedCycles = engine.plan().fullRunCycles();
-            }
+            served.prediction = std::move(results[j].prediction);
+            served.consumedCycles = results[j].consumedCycles;
+            served.exitedEarly = results[j].exitedEarly;
             // Count before fulfilling: a caller returning from
             // future.get() must already see itself in stats().
             {

@@ -74,10 +74,10 @@
  *  - **Per-request timeouts + cooperative cancellation.**  With
  *    TenantConfig::timeoutSeconds > 0 each request carries a hard
  *    deadline; expiry fails it with StatusError{Timeout} at pickup or
- *    mid-run at the next adaptive checkpoint block (non-adaptive
- *    tenants on resumable backends are served through the
- *    exitMargin=infinity adaptive path — bit-identical to full-length
- *    inference — so their runs are cancellable too).  A cancelled
+ *    mid-run at the next checkpoint block (non-adaptive tenants run the
+ *    never-exit policy in 256-cycle blocks — bit-identical to
+ *    full-length inference — so their runs can be stopped too, except
+ *    on non-resumable backends, which run one block).  A cancelled
  *    request frees its worker; it never wedges the pool.
  *  - **Bounded retry with backoff.**  Transient failures (a worker
  *    crash, a throwing serve path) requeue the request at the front of
@@ -247,8 +247,8 @@ struct ServedResult
     bool exitedEarly = false;       ///< adaptive early exit taken
     bool adaptive = false;          ///< served through the adaptive path
     /** The policy actually applied to this request's batch (equals the
-     *  tenant's base policy when no shedding occurred).  Meaningless
-     *  when !adaptive. */
+     *  tenant's base policy when no shedding occurred; non-adaptive
+     *  tenants run AdaptivePolicy::neverExit). */
     core::AdaptivePolicy effectivePolicy;
     bool shed = false; ///< effectivePolicy was tightened below the base
     double queueSeconds = 0.0;   ///< submit -> worker pickup
@@ -430,12 +430,6 @@ class ServingFrontend
         const core::ScNetworkEngine *engine = nullptr;
         std::deque<Request> queue; ///< invariant: ascending request id
         double pass = 0.0; ///< WeightedFair virtual finish time
-        /** Non-adaptive tenants on resumable backends run through the
-         *  adaptive path under this exitMargin=infinity policy
-         *  (bit-identical to full-length inference) so their runs are
-         *  cancellable at checkpoint granularity. */
-        bool cancellable = false;
-        core::AdaptivePolicy fullLengthPolicy;
 
         // Stats (under the front end's mutex_).
         std::uint64_t submitted = 0;
@@ -490,7 +484,6 @@ class ServingFrontend
         std::vector<Request> expired;
         core::AdaptivePolicy policy;
         bool adaptive = false;
-        bool cancellable = false;
         bool shed = false;
         /** Requests[0, firstPending) are fulfilled/disposed; the crash
          *  recovery path requeues the rest. */

@@ -258,7 +258,11 @@ TEST(AdaptivePolicy, ValidateTable)
                  std::invalid_argument);
 }
 
-/** float-ref computes in the value domain: not resumable, and says so. */
+/**
+ * float-ref computes in the value domain: not resumable, and says so
+ * when a policy could exit early.  The never-exit policy needs no
+ * resumable stage — it runs as one full span and equals inferIndexed().
+ */
 TEST(AdaptiveInference, FloatRefIsRejectedWithDiagnostic)
 {
     const InferenceSession session = makeSession("float-ref", 128);
@@ -268,6 +272,14 @@ TEST(AdaptiveInference, FloatRefIsRejectedWithDiagnostic)
     EXPECT_FALSE(why_not.empty());
 
     const auto image = testImages(1)[0].image;
+    AdaptivePolicy never;
+    never.checkpointCycles = 64;
+    never.exitMargin = kInf;
+    const AdaptivePrediction full = engine.inferAdaptive(image, 3, never);
+    EXPECT_EQ(full.prediction.scores, engine.inferIndexed(image, 3).scores);
+    EXPECT_EQ(full.consumedCycles, 128u);
+    EXPECT_EQ(full.checkpoints, 1u);
+    EXPECT_FALSE(full.exitedEarly);
     try {
         engine.inferAdaptive(image, 0, AdaptivePolicy{});
         FAIL() << "expected std::invalid_argument";

@@ -115,12 +115,14 @@ class ConstantOutputStage final : public ScStage
     explicit ConstantOutputStage(int classes) : classes_(classes) {}
     std::string name() const override { return "ConstantOutput"; }
     bool terminal() const override { return true; }
-    void runInto(const sc::StreamMatrix &, sc::StreamMatrix &,
-                 StageContext &ctx, StageScratch *) const override
+    void runCohortSpan(const CohortSlot *slots, std::size_t count,
+                       std::size_t, std::size_t) const override
     {
-        ctx.scores.assign(static_cast<std::size_t>(classes_), 0.0);
-        for (int c = 0; c < classes_; ++c)
-            ctx.scores[static_cast<std::size_t>(c)] = c == 1 ? 1.0 : 0.0;
+        for (std::size_t i = 0; i < count; ++i) {
+            std::vector<double> &scores = slots[i].ctx->scores;
+            scores.assign(static_cast<std::size_t>(classes_), 0.0);
+            scores[1] = 1.0;
+        }
     }
 
   private:

@@ -36,6 +36,7 @@
 #include "core/session.h"
 #include "core/stages/stage.h"
 #include "core/stages/stage_common.h"
+#include "core/stages/stage_compiler.h"
 #include "core/workspace.h"
 #include "data/digits.h"
 #include "sc/apc.h"
@@ -406,6 +407,7 @@ dumpConfig(const std::string &backend, std::size_t len, std::uint64_t seed,
 
     std::string out;
     char buf[256];
+    std::vector<std::vector<double>> walked; // the walk's scores per image
     for (std::size_t idx = 0; idx < samples.size(); ++idx) {
         const nn::Tensor &image = samples[idx].image;
         core::StageContext ctx;
@@ -428,7 +430,8 @@ dumpConfig(const std::string &backend, std::size_t len, std::uint64_t seed,
             const std::unique_ptr<core::StageScratch> scratch =
                 stage.makeScratch();
             sc::StreamMatrix next;
-            stage.runInto(cur, next, ctx, scratch.get());
+            const core::CohortSlot slot{&cur, &next, &ctx, scratch.get()};
+            stage.runCohortSpan(&slot, 1, 0, engine.plan().stageStreamLens[s]);
             if (stage.terminal())
                 break;
             cur = std::move(next);
@@ -442,12 +445,22 @@ dumpConfig(const std::string &backend, std::size_t len, std::uint64_t seed,
             out += buf;
         }
         out += "\n";
-        // Cross-check: the workspace-based inferIndexed path agrees with
-        // the stage-by-stage walk.
+        // Cross-check: the engine loop (inferIndexed) agrees with the
+        // stage-by-stage walk bit for bit.
         const core::ScPrediction p = engine.inferIndexed(image, idx);
+        EXPECT_EQ(p.scores, ctx.scores) << backend << " img=" << idx;
         std::snprintf(buf, sizeof(buf), "  label=%d\n", p.label);
         out += buf;
+        walked.push_back(ctx.scores);
     }
+    // And so does a multi-image cohort of the same loop.
+    core::EvalOptions cohort;
+    cohort.cohort = 3;
+    const std::vector<core::ScPrediction> batch =
+        engine.predict(samples, cohort);
+    for (std::size_t idx = 0; idx < samples.size(); ++idx)
+        EXPECT_EQ(batch[idx].scores, walked[idx])
+            << backend << " img=" << idx << " (predict at cohort 3)";
     return out;
 }
 

@@ -285,8 +285,9 @@ TEST(MixedPrecision, TunerReturnsValidVectorWithinBudget)
     for (std::size_t s = 0; s < r.stageStreamLens.size(); ++s) {
         EXPECT_EQ(r.stageStreamLens[s] % 64, 0u) << s;
         EXPECT_GE(r.stageStreamLens[s], 64u) << s;
-        if (s > 0)
+        if (s > 0) {
             EXPECT_LE(r.stageStreamLens[s], r.stageStreamLens[s - 1]) << s;
+        }
     }
     // With the budget wide open every stage descends to the floor.
     for (const std::size_t len : r.stageStreamLens)

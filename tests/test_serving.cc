@@ -16,6 +16,7 @@
 
 #include <atomic>
 #include <future>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -152,8 +153,8 @@ TEST(ServingFrontendRegistration, ErrorsAreActionable)
  * Served predictions are the pure function (model, backend, requestId,
  * effective policy): for every result, recomputing through the engine
  * entry points with the *reported* effective policy reproduces the
- * scores bit for bit — across scheduling policies, worker counts and
- * adaptive/non-adaptive tenants.
+ * scores bit for bit — across scheduling policies, worker counts,
+ * adaptive/non-adaptive tenants and a non-resumable (float-ref) tenant.
  */
 TEST(ServingFrontend, ResultsMatchEngineBitwise)
 {
@@ -170,18 +171,23 @@ TEST(ServingFrontend, ResultsMatchEngineBitwise)
             adaptive.policy.checkpointCycles = 64;
             adaptive.policy.exitMargin = 0.1;
             adaptive.policy.minCycles = 64;
+            TenantConfig ref = tenant("ref");
+            ref.backend = "float-ref";
             fe.addTenant(plain);
             fe.addTenant(adaptive);
+            fe.addTenant(ref);
 
+            const char *const names[] = {"plain", "adaptive", "ref"};
             std::vector<std::pair<std::size_t,
                                   std::future<ServedResult>>>
                 futures;
             for (std::size_t i = 0; i < samples.size(); ++i) {
                 futures.emplace_back(
-                    i, fe.submit(i % 2 ? "adaptive" : "plain",
-                                 samples[i].image));
+                    i, fe.submit(names[i % 3], samples[i].image));
             }
             const core::ScNetworkEngine &engine = fe.model("m").engine();
+            const core::ScNetworkEngine &refEngine =
+                fe.model("m").engine("float-ref");
             for (auto &[i, f] : futures) {
                 const ServedResult r = f.get();
                 SCOPED_TRACE("policy=" +
@@ -196,14 +202,61 @@ TEST(ServingFrontend, ResultsMatchEngineBitwise)
                     EXPECT_EQ(r.consumedCycles, ref.consumedCycles);
                     EXPECT_EQ(r.exitedEarly, ref.exitedEarly);
                 } else {
-                    const core::ScPrediction ref = engine.inferIndexed(
-                        samples[i].image, r.requestId);
-                    EXPECT_EQ(r.prediction.scores, ref.scores);
+                    const core::ScPrediction expect =
+                        (i % 3 == 2 ? refEngine : engine)
+                            .inferIndexed(samples[i].image, r.requestId);
+                    EXPECT_EQ(r.prediction.scores, expect.scores);
                     EXPECT_EQ(r.consumedCycles, 128u);
+                    EXPECT_FALSE(r.exitedEarly);
                 }
             }
         }
     }
+}
+
+/**
+ * Malformed images fail their own futures with InvalidArgument — never
+ * retried, never on a worker's stack as undefined behaviour — while the
+ * well-formed requests of the same cohort are served normally.
+ */
+TEST(ServingFrontend, MalformedImagesFailWithInvalidArgument)
+{
+    const auto samples = testImages(2);
+    ServingFrontend fe({.workers = 1, .maxBatch = 4, .startPaused = true});
+    addTinyModel(fe);
+    TenantConfig t = tenant("t");
+    t.maxRetries = 2;
+    fe.addTenant(t);
+
+    nn::Tensor nan = samples[0].image;
+    for (std::size_t i = 0; i < nan.size(); ++i)
+        nan[i] = std::numeric_limits<float>::quiet_NaN();
+    std::future<ServedResult> good0 = fe.submit("t", samples[0].image);
+    std::future<ServedResult> small = fe.submit("t", nn::Tensor({1, 10, 10}));
+    std::future<ServedResult> allNan = fe.submit("t", nan);
+    std::future<ServedResult> good1 = fe.submit("t", samples[1].image);
+    fe.start();
+
+    const core::ScNetworkEngine &engine = fe.model("m").engine();
+    const ServedResult r0 = good0.get();
+    const ServedResult r1 = good1.get();
+    EXPECT_EQ(r0.prediction.scores,
+              engine.inferIndexed(samples[0].image, r0.requestId).scores);
+    EXPECT_EQ(r1.prediction.scores,
+              engine.inferIndexed(samples[1].image, r1.requestId).scores);
+    for (std::future<ServedResult> *f : {&small, &allNan}) {
+        try {
+            f->get();
+            ADD_FAILURE() << "malformed image was served";
+        } catch (const core::StatusError &e) {
+            EXPECT_EQ(e.status().code, core::StatusCode::InvalidArgument)
+                << e.what();
+        }
+    }
+    const TenantStats stats = fe.tenantStats("t");
+    EXPECT_EQ(stats.completed, 2u);
+    EXPECT_EQ(stats.failed, 2u);
+    EXPECT_EQ(stats.retried, 0u);
 }
 
 /** Two tenants on two different models: each result matches its own

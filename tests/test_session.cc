@@ -6,6 +6,7 @@
  * threads (config threads, per-call override, deprecated forwarders).
  */
 
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -14,6 +15,8 @@
 
 #include "core/model_zoo.h"
 #include "core/session.h"
+#include "core/stages/stage_compiler.h"
+#include "core/workspace.h"
 #include "data/digits.h"
 #include "nn/layers.h"
 
@@ -187,6 +190,66 @@ TEST(Session, MatchesDirectEnginePathBitExactly)
 
     const ScPrediction one = session.infer(samples[0].image);
     EXPECT_EQ(one.scores, via_engine[0].scores);
+}
+
+/**
+ * Malformed images are rejected once, at the engine loop's entry, with
+ * std::invalid_argument — never read past their end or scored: a
+ * 1x10x10 image on a 1x28x28 network, an all-NaN image and one
+ * infinite pixel, through infer() and a batched predict(), on a stream
+ * and the value-domain backend.
+ */
+TEST(Session, MalformedImagesAreRejected)
+{
+    nn::Tensor nan = data::generateDigits(1, 5)[0].image;
+    for (std::size_t i = 0; i < nan.size(); ++i)
+        nan[i] = std::numeric_limits<float>::quiet_NaN();
+    nn::Tensor inf = data::generateDigits(1, 5)[0].image;
+    inf[100] = std::numeric_limits<float>::infinity();
+    const nn::Tensor small({1, 10, 10});
+    const nn::Tensor *const malformed[] = {&small, &nan, &inf};
+
+    for (const char *backend : {"aqfp-sorter", "float-ref"}) {
+        EngineOptions opts;
+        opts.backend = backend;
+        opts.streamLen = 64;
+        const InferenceSession session(buildTinyCnn(3), opts);
+        EXPECT_EQ(session.engine().plan().inputElements, 28u * 28u);
+        for (const nn::Tensor *bad : malformed) {
+            SCOPED_TRACE(std::string(backend) + " image of " +
+                         std::to_string(bad->size()) + " elements");
+            EXPECT_THROW(session.infer(*bad), std::invalid_argument);
+            std::vector<nn::Sample> batch = data::generateDigits(3, 5);
+            batch[1].image = *bad;
+            EXPECT_THROW(session.predict(batch, {.cohort = 3}),
+                         std::invalid_argument);
+        }
+    }
+}
+
+/** Workspace misuse is an argument error, not an out-of-bounds index:
+ *  a cohort larger than the arena, or an arena of another engine. */
+TEST(Session, WorkspaceMisuseIsRejected)
+{
+    EngineOptions opts;
+    opts.streamLen = 64;
+    const InferenceSession a(buildTinyCnn(3), opts);
+    const InferenceSession b(buildTinyCnn(3), opts);
+    const std::vector<nn::Sample> samples = data::generateDigits(3, 5);
+    const nn::Tensor *images[] = {&samples[0].image, &samples[1].image,
+                                  &samples[2].image};
+    const std::size_t indices[] = {0, 1, 2};
+    ScPrediction out[3];
+
+    CohortWorkspace two(a.engine(), 2);
+    EXPECT_THROW(a.engine().inferCohort(images, indices, 3, two, out),
+                 std::invalid_argument);
+    EXPECT_THROW(b.engine().inferIndexed(samples[0].image, 0, two),
+                 std::invalid_argument);
+    // The rejected calls left the arena usable.
+    a.engine().inferCohort(images, indices, 2, two, out);
+    EXPECT_EQ(out[1].scores, a.engine().inferIndexed(samples[1].image, 1)
+                                 .scores);
 }
 
 TEST(Session, EvaluateStatsAndThreadOverridesAgree)
