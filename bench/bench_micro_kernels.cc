@@ -87,13 +87,17 @@ struct KernelInputs
           w(static_cast<std::size_t>(m), len)
     {
         sc::Xoshiro256StarStar rng(3);
-        for (int j = 0; j < m; ++j) {
-            x.fillBipolar(static_cast<std::size_t>(j), 0.1, 10, rng);
-            w.fillBipolar(static_cast<std::size_t>(j), -0.2, 10, rng);
+        for (std::size_t j = 0; j < static_cast<std::size_t>(m); ++j) {
+            x.fillBipolar(j, 0.1, 10, rng);
+            w.fillBipolar(j, -0.2, 10, rng);
+            xs.push_back(x.row(j));
+            ws.push_back(w.row(j));
         }
     }
 
     sc::StreamMatrix x, w;
+    /** Row pointers of x and w: the operands of ColumnCounts::addXnorRow. */
+    std::vector<const std::uint64_t *> xs, ws;
 };
 
 /** Reference path: XNOR into a product buffer, addWords, extract, step. */
@@ -121,24 +125,15 @@ runUnfusedNeuron(const KernelInputs &in, sc::ColumnCounts &counts,
     }
 }
 
-/** Fused path: paired addXnor2 + lazy clear + drive, no intermediates. */
+/** Fused path: one addXnorRow + lazy clear + drive, no intermediates. */
 void
 runFusedNeuron(const KernelInputs &in, sc::ColumnCounts &counts,
                blocks::FeatureFeedbackUnit &unit, std::uint64_t *dst)
 {
-    const std::size_t wpr = in.x.wordsPerRow();
     const int m = static_cast<int>(in.x.rows());
     counts.clear();
-    int j = 0;
-    for (; j + 1 < m; j += 2) {
-        counts.addXnor2(in.x.row(static_cast<std::size_t>(j)),
-                        in.w.row(static_cast<std::size_t>(j)),
-                        in.x.row(static_cast<std::size_t>(j) + 1),
-                        in.w.row(static_cast<std::size_t>(j) + 1), wpr);
-    }
-    if (j < m)
-        counts.addXnor(in.x.row(static_cast<std::size_t>(j)),
-                       in.w.row(static_cast<std::size_t>(j)), wpr);
+    counts.addXnorRow(in.xs.data(), in.ws.data(), in.xs.size(),
+                      in.x.wordsPerRow());
     unit.reset(m % 2 == 1 ? m : m + 1);
     counts.drive([&](int c) { return unit.step(c); }, dst);
 }
@@ -233,69 +228,18 @@ BM_SngFillWordBatched(benchmark::State &state)
 BENCHMARK(BM_SngFillWordBatched)->Arg(1024);
 
 // ---------------------------------------------------------------------
-// Cohort carry-save ripple: scalar reference table vs the dispatched
-// SIMD kernels, over the exact *Multi call mix stage-major execution
-// issues per output row (paired addXnor2Multi + addWordsMulti bias).
-// tests/test_simd_kernels.cc asserts the paths are bit-identical; the
-// pair here isolates the vector ripple's speedup per cohort size.
+// Carry-save row kernel per dispatch tier: one output row's XNOR
+// products summed by ColumnCounts::addXnorRow, at the stream lengths of
+// the paper's sweep and the fan-ins of tiny Conv1 (9 + bias), snn Conv2
+// (288 + bias) and snn FC1 (1568 + bias).  tests/test_simd_kernels.cc
+// asserts the tiers are bit-identical; these cases isolate their speed.
 // ---------------------------------------------------------------------
 
-struct CohortInputs
-{
-    CohortInputs(std::size_t images, int m, std::size_t len)
-        : images_(images), m_(m), w(static_cast<std::size_t>(m), len)
-    {
-        sc::Xoshiro256StarStar rng(6);
-        for (int j = 0; j < m; ++j)
-            w.fillBipolar(static_cast<std::size_t>(j), -0.2, 10, rng);
-        for (std::size_t c = 0; c < images; ++c) {
-            xs.emplace_back(static_cast<std::size_t>(m), len);
-            for (int j = 0; j < m; ++j)
-                xs.back().fillBipolar(static_cast<std::size_t>(j),
-                                      0.1, 10, rng);
-            counts.emplace_back(len, m + 2);
-        }
-    }
+constexpr sc::simd::Level kTiers[] = {sc::simd::Level::Scalar,
+                                      sc::simd::Level::Avx2,
+                                      sc::simd::Level::Avx512};
 
-    /** One output row: clear, paired products, bias-style shared row. */
-    void
-    runRow()
-    {
-        const std::size_t wpr = w.wordsPerRow();
-        sc::ColumnCounts *cc[sc::ColumnCounts::kMaxMultiImages];
-        const std::uint64_t *px[sc::ColumnCounts::kMaxMultiImages];
-        const std::uint64_t *x2[sc::ColumnCounts::kMaxMultiImages];
-        for (std::size_t c = 0; c < images_; ++c) {
-            cc[c] = &counts[c];
-            cc[c]->clear();
-        }
-        int j = 0;
-        for (; j + 1 < m_; j += 2) {
-            for (std::size_t c = 0; c < images_; ++c) {
-                px[c] = xs[c].row(static_cast<std::size_t>(j));
-                x2[c] = xs[c].row(static_cast<std::size_t>(j) + 1);
-            }
-            sc::ColumnCounts::addXnor2Multi(
-                cc, px, x2, images_, w.row(static_cast<std::size_t>(j)),
-                w.row(static_cast<std::size_t>(j) + 1), wpr);
-        }
-        if (j < m_) {
-            for (std::size_t c = 0; c < images_; ++c)
-                px[c] = xs[c].row(static_cast<std::size_t>(j));
-            sc::ColumnCounts::addXnorMulti(
-                cc, px, images_, w.row(static_cast<std::size_t>(j)), wpr);
-        }
-        sc::ColumnCounts::addWordsMulti(cc, images_, w.row(0), wpr);
-    }
-
-    std::size_t images_;
-    int m_;
-    sc::StreamMatrix w;
-    std::vector<sc::StreamMatrix> xs;
-    std::vector<sc::ColumnCounts> counts;
-};
-
-/** RAII level pin for the scalar-vs-dispatched comparison cases. */
+/** RAII level pin for the per-tier cases. */
 struct BenchLevelGuard
 {
     explicit BenchLevelGuard(sc::simd::Level level)
@@ -307,35 +251,42 @@ struct BenchLevelGuard
     sc::simd::Level prev;
 };
 
+/** One output row: clear the counter, add every product. */
 void
-BM_ColumnCountsCohortRippleScalar(benchmark::State &state)
+runRowKernel(const KernelInputs &in, sc::ColumnCounts &counts)
 {
-    const std::size_t images = static_cast<std::size_t>(state.range(0));
-    CohortInputs in(images, 121, 1024);
-    const BenchLevelGuard guard(sc::simd::Level::Scalar);
-    for (auto _ : state) {
-        in.runRow();
-        benchmark::DoNotOptimize(in.counts[0]);
-    }
-    state.SetItemsProcessed(state.iterations() * 121 *
-                            static_cast<long>(images) * 1024);
+    counts.clear();
+    counts.addXnorRow(in.xs.data(), in.ws.data(), in.xs.size(),
+                      in.x.wordsPerRow());
 }
-BENCHMARK(BM_ColumnCountsCohortRippleScalar)->Arg(1)->Arg(4)->Arg(8);
 
 void
-BM_ColumnCountsCohortRippleSimd(benchmark::State &state)
+BM_ColumnCountsRowKernel(benchmark::State &state)
 {
-    const std::size_t images = static_cast<std::size_t>(state.range(0));
-    CohortInputs in(images, 121, 1024);
-    const BenchLevelGuard guard(sc::simd::detectedLevel());
-    for (auto _ : state) {
-        in.runRow();
-        benchmark::DoNotOptimize(in.counts[0]);
+    const sc::simd::Level tier =
+        kTiers[static_cast<std::size_t>(state.range(0))];
+    const std::size_t len = static_cast<std::size_t>(state.range(1));
+    const int fan_in = static_cast<int>(state.range(2));
+    if (static_cast<int>(tier) >
+        static_cast<int>(sc::simd::detectedLevel())) {
+        state.SkipWithError("tier not available on this host");
+        return;
     }
-    state.SetItemsProcessed(state.iterations() * 121 *
-                            static_cast<long>(images) * 1024);
+    const KernelInputs in(fan_in, len);
+    sc::ColumnCounts counts(len, fan_in);
+    const BenchLevelGuard guard(tier);
+    for (auto _ : state) {
+        runRowKernel(in, counts);
+        benchmark::DoNotOptimize(counts);
+        benchmark::ClobberMemory();
+    }
+    state.SetLabel(sc::simd::levelName(tier));
+    state.SetItemsProcessed(state.iterations() * fan_in *
+                            static_cast<long>(len));
 }
-BENCHMARK(BM_ColumnCountsCohortRippleSimd)->Arg(1)->Arg(4)->Arg(8);
+BENCHMARK(BM_ColumnCountsRowKernel)
+    ->ArgNames({"tier", "N", "fanin"})
+    ->ArgsProduct({{0, 1, 2}, {64, 256, 1024}, {10, 289, 1569}});
 
 void
 BM_FeatureBlockRun(benchmark::State &state)
@@ -464,34 +415,35 @@ writeFusedKernelReport()
                       .set("speedup", serial / batched));
     }
 
-    // Scalar vs dispatched SIMD rows.  Both sides run the same *Multi
-    // entry points; only the dispatch table differs, so the speedup is
-    // purely the vector kernels' (the outputs are bit-identical — see
+    // Row kernel per tier.  Every tier runs the same addXnorRow call;
+    // only the dispatch table differs, so the speedup over the scalar
+    // tier is the vector lanes' (the outputs are bit-identical — see
     // tests/test_simd_kernels.cc).
     const sc::simd::Level vec = sc::simd::detectedLevel();
     const std::string vec_name = sc::simd::levelName(vec);
-    for (const std::size_t images : {std::size_t{1}, std::size_t{4},
-                                     std::size_t{8}}) {
-        CohortInputs in(images, 121, len);
-        double scalar_sec = 0.0;
-        double simd_sec = 0.0;
-        {
-            const BenchLevelGuard guard(sc::simd::Level::Scalar);
-            scalar_sec = secondsPerPass([&] { in.runRow(); }, target);
+    for (const std::size_t n : {std::size_t{64}, std::size_t{256},
+                                std::size_t{1024}}) {
+        for (const int fan_in : {10, 289, 1569}) {
+            const KernelInputs in(fan_in, n);
+            sc::ColumnCounts counts(n, fan_in);
+            double scalar_sec = 0.0;
+            for (const sc::simd::Level tier : kTiers) {
+                if (static_cast<int>(tier) > static_cast<int>(vec))
+                    break;
+                const BenchLevelGuard guard(tier);
+                const double sec = secondsPerPass(
+                    [&] { runRowKernel(in, counts); }, target);
+                if (tier == sc::simd::Level::Scalar)
+                    scalar_sec = sec;
+                rows.push(bench::Json::object()
+                              .set("kernel", "carry_save_row")
+                              .set("simd_level", sc::simd::levelName(tier))
+                              .set("stream_len", n)
+                              .set("fan_in", fan_in)
+                              .set("sec_per_row", sec)
+                              .set("speedup_vs_scalar", scalar_sec / sec));
+            }
         }
-        {
-            const BenchLevelGuard guard(vec);
-            simd_sec = secondsPerPass([&] { in.runRow(); }, target);
-        }
-        rows.push(bench::Json::object()
-                      .set("kernel", "cohort_carry_save_ripple")
-                      .set("cohort", images)
-                      .set("m", 121)
-                      .set("stream_len", len)
-                      .set("scalar_sec_per_row", scalar_sec)
-                      .set("simd_sec_per_row", simd_sec)
-                      .set("speedup", scalar_sec / simd_sec)
-                      .set("simd_level", vec_name));
     }
     {
         sc::Xoshiro256StarStar rng(9);

@@ -775,8 +775,9 @@ cmdBackends()
     for (const auto &name : core::BackendRegistry::instance().names())
         std::printf("%s\n", name.c_str());
     const core::HostSimdInfo simd = core::hostSimdInfo();
-    std::printf("# simd dispatch: active=%s detected=%s\n",
-                simd.active.c_str(), simd.detected.c_str());
+    std::printf("# simd dispatch: active=%s detected=%s kernels: %s\n",
+                simd.active.c_str(), simd.detected.c_str(),
+                simd.variants.c_str());
     return 0;
 }
 

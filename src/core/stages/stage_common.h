@@ -19,10 +19,10 @@
  *    per-row scratch state.
  *
  * The core has exactly one kernel path, the stage-major cohort span: a
- * single image is a cohort of one, and a cohort of C images walks every
- * weight row once while feeding all C images' carry-save planes through
- * the ColumnCounts multi-scratch entry points.  Results are bit-identical
- * at every cohort size by construction.
+ * single image is a cohort of one, and a cohort of C images gathers each
+ * output row's operands once and sums them into every image's
+ * carry-save planes with one ColumnCounts::addXnorRow call per image.
+ * Results are bit-identical at every cohort size by construction.
  */
 
 #ifndef AQFPSC_CORE_STAGES_STAGE_COMMON_H
@@ -336,6 +336,31 @@ struct OnesScratch final : StageScratch
 };
 
 /**
+ * Per-slot state every linear stage shares: the row's carry-save counter
+ * and the operands of its products, gathered once per output row for
+ * ColumnCounts::addXnorRow.
+ */
+struct LinearScratch : StageScratch
+{
+    LinearScratch(std::size_t len, int max_count)
+        : counts(len, max_count),
+          xrows(static_cast<std::size_t>(max_count)),
+          wrows(static_cast<std::size_t>(max_count)),
+          ones((len + 63) / 64, ~0ULL)
+    {
+    }
+
+    sc::ColumnCounts counts;
+    /** Input-side operand of each product of the current row. */
+    std::vector<const std::uint64_t *> xrows;
+    /** Weight-side operands; the cohort shares slot 0's. */
+    std::vector<const std::uint64_t *> wrows;
+    /** The constant +1 input stream: the bias and the neutral pad enter
+     *  the sum as products with it (XNOR with all ones is identity). */
+    std::vector<std::uint64_t> ones;
+};
+
+/**
  * Accumulation policy of the AQFP sorter-majority linear stages: exact
  * column counts drive the sorter + feedback unit (Algorithm 1, counter
  * form).  The sorter needs an odd input count, so even rows are padded
@@ -350,14 +375,13 @@ class SorterMajorityPolicy
     /** Pad even product counts to odd with the neutral stream. */
     static constexpr bool kPadToOdd = true;
 
-    struct Scratch final : StageScratch
+    struct Scratch final : LinearScratch
     {
         Scratch(std::size_t len, int max_count, std::size_t rows)
-            : counts(len, max_count), unit(1), carries(rows, 0)
+            : LinearScratch(len, max_count), unit(1), carries(rows, 0)
         {
         }
 
-        sc::ColumnCounts counts;
         blocks::FeatureFeedbackUnit unit;
         /** Per-output-row feedback count, resumed across spans. */
         std::vector<int> carries;
@@ -395,19 +419,15 @@ class ApcBtanhPolicy
     /** Model the SC-DCNN first-layer OR-pair approximate counter. */
     bool approx = false;
 
-    struct Scratch final : StageScratch
+    struct Scratch final : LinearScratch
     {
         Scratch(std::size_t len, int max_count, std::size_t rows)
-            : counts(len, max_count), over(len, max_count / 2 + 1),
-              prod((len + 63) / 64), states(rows, 0)
+            : LinearScratch(len, max_count), over(len, max_count / 2 + 1),
+              states(rows, 0)
         {
         }
 
-        sc::ColumnCounts counts;
         ApproxPairOvercount over;
-        /** Product buffer of the approximate-APC path (shared between
-         *  the counter and the overcount model: one XNOR per product). */
-        std::vector<std::uint64_t> prod;
         /** Per-output-row Btanh counter state, resumed across spans. */
         std::vector<int> states;
     };
@@ -438,9 +458,8 @@ class ApcBtanhPolicy
  * row, Policy accumulates and activates them.  There is exactly one
  * kernel path — the stage-major cohort span — and bit-identity across
  * cohort sizes holds by construction: per-image state (counters,
- * feedback/Btanh resume values, output rows) is fully per-slot, and the
- * multi-scratch ColumnCounts entry points perform the same per-image
- * plane updates as their single-image forms.
+ * feedback/Btanh resume values, output rows) is fully per-slot, and each
+ * image's counter sums the same products whatever the cohort.
  *
  * Concrete stages only add name() and a registry entry.
  */
@@ -478,11 +497,6 @@ class LinearScStage : public ScStage
                   std::size_t begin, std::size_t end) const override
     {
         const std::size_t len = streams().weights.streamLen();
-        // The multi entry points below route through the sc::simd
-        // dispatch table (stack-allocated plane-span arrays sized by
-        // the kernel-layer cap), so the cohort cap must fit.
-        static_assert(kMaxCohortImages <=
-                      sc::ColumnCounts::kMaxMultiImages);
         assert(count >= 1 && count <= kMaxCohortImages);
         assert(begin % 64 == 0 && begin < end && end <= len);
         // Spans accumulate at plane offset 0 of each scratch counter and
@@ -493,84 +507,67 @@ class LinearScStage : public ScStage
         const std::size_t rows = gather_.rows();
 
         typename Policy::Scratch *ws[kMaxCohortImages];
-        sc::ColumnCounts *cc[kMaxCohortImages];
         const sc::StreamMatrix *in[kMaxCohortImages];
         for (std::size_t c = 0; c < count; ++c) {
             ws[c] = static_cast<typename Policy::Scratch *>(
                 slots[c].scratch);
-            cc[c] = &ws[c]->counts;
             in[c] = slots[c].in;
             // Prefix consumption: the input may carry a longer upstream
             // stream; this stage reads only its own len cycles of it.
             assert(in[c]->streamLen() >= len);
             slots[c].out->reset(rows, len);
         }
-        const std::uint64_t *neutral = streams().neutral.row(0) + w0;
+        const std::uint64_t *const neutral = streams().neutral.row(0) + w0;
+        const std::uint64_t *const ones = ws[0]->ones.data();
+        const std::uint64_t **const wrows = ws[0]->wrows.data();
 
         for (std::size_t r = 0; r < rows; ++r) {
-            for (std::size_t c = 0; c < count; ++c)
-                cc[c]->clear();
-            int m = 0;
-            bool exact = true;
-            if constexpr (Policy::kApproxCapable) {
-                if (policy_.approx) {
-                    exact = false;
-                    // One XNOR per product per image, shared by the
-                    // counter and the overcount model; products observed
-                    // in visit order per image.
-                    for (std::size_t c = 0; c < count; ++c)
-                        ws[c]->over.reset();
-                    m = gather_.forEachProduct(
-                        r, [&](std::size_t xr, std::size_t wr) {
-                            const std::uint64_t *w =
-                                streams().weights.row(wr) + w0;
-                            for (std::size_t c = 0; c < count; ++c) {
-                                xnorProduct(ws[c]->prod.data(),
-                                            in[c]->row(xr) + w0, w, sw);
-                                cc[c]->addWords(ws[c]->prod.data(), sw);
-                                ws[c]->over.observe(ws[c]->prod, sw);
-                            }
-                        });
-                }
-            }
-            if (exact) {
-                // Pair up products for the 3:2 carry-save add (an odd
-                // trailing product goes in alone); every weight row is
-                // walked once and feeds all images' planes.
-                const std::uint64_t *pw = nullptr;
-                const std::uint64_t *px[kMaxCohortImages];
-                const std::uint64_t *x2[kMaxCohortImages];
-                m = gather_.forEachProduct(
-                    r, [&](std::size_t xr, std::size_t wr) {
-                        const std::uint64_t *w =
-                            streams().weights.row(wr) + w0;
-                        if (pw != nullptr) {
-                            for (std::size_t c = 0; c < count; ++c)
-                                x2[c] = in[c]->row(xr) + w0;
-                            sc::ColumnCounts::addXnor2Multi(
-                                cc, px, x2, count, pw, w, sw);
-                            pw = nullptr;
-                        } else {
-                            pw = w;
-                            for (std::size_t c = 0; c < count; ++c)
-                                px[c] = in[c]->row(xr) + w0;
-                        }
-                    });
-                if (pw != nullptr)
-                    sc::ColumnCounts::addXnorMulti(cc, px, count, pw, sw);
-            }
+            // Gather the row's operands once for the cohort: the weight
+            // side is shared, the input side is per image.
+            std::size_t n = 0;
+            const auto push = [&](const std::uint64_t *w, std::size_t xr) {
+                wrows[n] = w;
+                for (std::size_t c = 0; c < count; ++c)
+                    ws[c]->xrows[n] = in[c]->row(xr) + w0;
+                ++n;
+            };
+            const auto pushConstant = [&](const std::uint64_t *w) {
+                wrows[n] = w;
+                for (std::size_t c = 0; c < count; ++c)
+                    ws[c]->xrows[n] = ones;
+                ++n;
+            };
+            int m = gather_.forEachProduct(
+                r, [&](std::size_t xr, std::size_t wr) {
+                    push(streams().weights.row(wr) + w0, xr);
+                });
+            const std::size_t products = n;
             // Bias enters the sum as one more product stream of fixed
             // value (its "input" is the constant 1 stream).
-            sc::ColumnCounts::addWordsMulti(
-                cc, count, streams().biases.row(gather_.biasRow(r)) + w0,
-                sw);
+            pushConstant(streams().biases.row(gather_.biasRow(r)) + w0);
             ++m;
             int eff_m = m;
             if constexpr (Policy::kPadToOdd) {
                 if (m % 2 == 0) {
-                    sc::ColumnCounts::addWordsMulti(cc, count, neutral,
-                                                    sw);
+                    pushConstant(neutral);
                     eff_m = m + 1;
+                }
+            }
+            for (std::size_t c = 0; c < count; ++c) {
+                sc::ColumnCounts &cc = ws[c]->counts;
+                cc.clear();
+                cc.addXnorRow(ws[c]->xrows.data(), wrows, n, sw);
+            }
+            if constexpr (Policy::kApproxCapable) {
+                if (policy_.approx) {
+                    // The OR-pair overcount model pairs the products (not
+                    // the bias) in visit order, per image.
+                    for (std::size_t c = 0; c < count; ++c) {
+                        ApproxPairOvercount &over = ws[c]->over;
+                        over.reset();
+                        for (std::size_t p = 0; p < products; ++p)
+                            over.observeXnor(ws[c]->xrows[p], wrows[p], sw);
+                    }
                 }
             }
             for (std::size_t c = 0; c < count; ++c)

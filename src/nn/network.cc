@@ -221,6 +221,42 @@ hex64(std::uint64_t v)
     return s;
 }
 
+/**
+ * Parameters a layer spec declares (weights plus biases), saturating at
+ * UINT64_MAX.  Parameter-free kinds, and shapes makeLayer rejects
+ * anyway, declare none.
+ */
+std::uint64_t
+declaredParams(const LayerSpec &spec)
+{
+    constexpr std::uint64_t kMax = UINT64_MAX;
+    const auto mul = [](std::uint64_t a, std::uint64_t b) {
+        return b != 0 && a > kMax / b ? kMax : a * b;
+    };
+    const auto add = [](std::uint64_t a, std::uint64_t b) {
+        return a > kMax - b ? kMax : a + b;
+    };
+    const auto in = static_cast<std::uint64_t>(spec.p0);
+    const auto out = static_cast<std::uint64_t>(spec.p1);
+    const auto k = static_cast<std::uint64_t>(spec.p2);
+    switch (spec.kind) {
+    case LayerSpec::Kind::Conv2D:
+        if (spec.p0 <= 0 || spec.p1 <= 0 || spec.p2 <= 0)
+            return 0;
+        return add(mul(mul(mul(out, in), k), k), out);
+    case LayerSpec::Kind::Dense:
+    case LayerSpec::Kind::MajorityChainDense:
+        if (spec.p0 <= 0 || spec.p1 <= 0)
+            return 0;
+        return add(mul(in, out), out);
+    case LayerSpec::Kind::HardTanh:
+    case LayerSpec::Kind::SorterTanh:
+    case LayerSpec::Kind::AvgPool2:
+        break;
+    }
+    return 0;
+}
+
 /** Append-only in-memory serializer the artifact is built into before
  *  it touches the file system. */
 struct ByteSink
@@ -383,6 +419,10 @@ Network::loadModel(const std::string &path)
     Network net;
     net.quantBits_ = src.pod<std::int32_t>("quantBits");
     const auto n_layers = src.pod<std::uint32_t>("layer count");
+    // Building a layer allocates its weights, gradients and momenta, so
+    // the sizes a spec declares are checked against the payload first:
+    // the parameters of every layer so far must fit in the bytes left.
+    std::uint64_t declared = 0;
     for (std::uint32_t i = 0; i < n_layers; ++i) {
         LayerSpec spec;
         spec.kind =
@@ -390,6 +430,18 @@ Network::loadModel(const std::string &path)
         spec.p0 = src.pod<std::int32_t>("layer param");
         spec.p1 = src.pod<std::int32_t>("layer param");
         spec.p2 = src.pod<std::int32_t>("layer param");
+        const std::uint64_t params = declaredParams(spec);
+        const std::uint64_t left = src.end - src.pos;
+        declared = params > UINT64_MAX - declared ? UINT64_MAX
+                                                  : declared + params;
+        if (declared > left / sizeof(float))
+            throw StatusError(StatusCode::ModelCorrupted,
+                              "loadModel: '" + path + "' layer " +
+                                  std::to_string(i) + " declares " +
+                                  std::to_string(params) +
+                                  " parameters, more than the " +
+                                  std::to_string(left) +
+                                  " payload bytes left can hold");
         try {
             net.add(makeLayer(spec));
         } catch (const std::invalid_argument &e) {

@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cmath>
 
+#include "simd/kernels_scalar.h"
 #include "simd/simd.h"
 
 namespace aqfpsc::sc {
@@ -122,95 +123,19 @@ ColumnCounts::addXnor(const std::uint64_t *x, const std::uint64_t *w,
 }
 
 void
-ColumnCounts::addXnor2(const std::uint64_t *x1, const std::uint64_t *w1,
-                       const std::uint64_t *x2, const std::uint64_t *w2,
-                       std::size_t word_count)
+ColumnCounts::addXnorRow(const std::uint64_t *const xs[],
+                         const std::uint64_t *const ws[],
+                         std::size_t products, std::size_t word_count)
 {
     // Spans (drivePrefix) may add fewer words than the full stream.
     assert(word_count <= wordCount_);
-    assert(added_ + 2 <= maxCount_);
-    added_ += 2;
-    for (std::size_t wi = 0; wi < word_count; ++wi) {
-        const std::uint64_t p1 = ~(x1[wi] ^ w1[wi]);
-        const std::uint64_t p2 = ~(x2[wi] ^ w2[wi]);
-        // 3:2 compress: p1 + p2 = (p1 ^ p2) + 2 * (p1 & p2).
-        std::uint64_t carry = p1 ^ p2;
-        for (int k = 0; k < planeCount_ && carry; ++k) {
-            std::uint64_t &plane = planes_[
-                static_cast<std::size_t>(k) * wordCount_ + wi];
-            const std::uint64_t t = plane & carry;
-            plane ^= carry;
-            carry = t;
-        }
-        assert(carry == 0 && "ColumnCounts overflow");
-        carry = p1 & p2;
-        for (int k = 1; k < planeCount_ && carry; ++k) {
-            std::uint64_t &plane = planes_[
-                static_cast<std::size_t>(k) * wordCount_ + wi];
-            const std::uint64_t t = plane & carry;
-            plane ^= carry;
-            carry = t;
-        }
-        assert(carry == 0 && "ColumnCounts overflow");
-    }
-}
-
-void
-ColumnCounts::addXnorMulti(ColumnCounts *const counters[],
-                           const std::uint64_t *const xs[],
-                           std::size_t images, const std::uint64_t *w,
-                           std::size_t word_count)
-{
-    assert(images <= kMaxMultiImages);
-    simd::PlaneSpan spans[kMaxMultiImages];
-    for (std::size_t c = 0; c < images; ++c) {
-        ColumnCounts &cc = *counters[c];
-        assert(word_count <= cc.wordCount_);
-        assert(cc.added_ < cc.maxCount_);
-        ++cc.added_;
-        spans[c] = simd::PlaneSpan{cc.planes_.data(), cc.wordCount_,
-                                   cc.planeCount_};
-    }
-    simd::kernels().addXnorMulti(spans, xs, images, w, word_count);
-}
-
-void
-ColumnCounts::addXnor2Multi(ColumnCounts *const counters[],
-                            const std::uint64_t *const xs1[],
-                            const std::uint64_t *const xs2[],
-                            std::size_t images, const std::uint64_t *w1,
-                            const std::uint64_t *w2, std::size_t word_count)
-{
-    assert(images <= kMaxMultiImages);
-    simd::PlaneSpan spans[kMaxMultiImages];
-    for (std::size_t c = 0; c < images; ++c) {
-        ColumnCounts &cc = *counters[c];
-        assert(word_count <= cc.wordCount_);
-        assert(cc.added_ + 2 <= cc.maxCount_);
-        cc.added_ += 2;
-        spans[c] = simd::PlaneSpan{cc.planes_.data(), cc.wordCount_,
-                                   cc.planeCount_};
-    }
-    simd::kernels().addXnor2Multi(spans, xs1, xs2, images, w1, w2,
-                                  word_count);
-}
-
-void
-ColumnCounts::addWordsMulti(ColumnCounts *const counters[],
-                            std::size_t images, const std::uint64_t *words,
-                            std::size_t word_count)
-{
-    assert(images <= kMaxMultiImages);
-    simd::PlaneSpan spans[kMaxMultiImages];
-    for (std::size_t c = 0; c < images; ++c) {
-        ColumnCounts &cc = *counters[c];
-        assert(word_count <= cc.wordCount_);
-        assert(cc.added_ < cc.maxCount_);
-        ++cc.added_;
-        spans[c] = simd::PlaneSpan{cc.planes_.data(), cc.wordCount_,
-                                   cc.planeCount_};
-    }
-    simd::kernels().addWordsMulti(spans, images, words, word_count);
+    assert(products <= static_cast<std::size_t>(maxCount_ - added_));
+    added_ += static_cast<int>(products);
+    const simd::PlaneSpan span{planes_.data(), wordCount_, planeCount_};
+    if (planeCount_ > simd::kMaxRowPlanes)
+        simd::detail::addXnorRowRipple(span, xs, ws, products, word_count);
+    else
+        simd::kernels().addXnorRow(span, xs, ws, products, word_count);
 }
 
 int

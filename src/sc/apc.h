@@ -76,13 +76,14 @@ class ApproximateParallelCounter
  *  - Reference path: addWords() every (pre-XNORed) product, then
  *    extract() the per-cycle counts into a std::vector<int>.  This is
  *    the golden implementation the fused kernels are tested against.
- *  - Fused path: addXnor() folds the bipolar XNOR multiply directly into
- *    the carry-save add (no product buffer), and drive()/forEachCount()
- *    walk the planes word-by-word to feed a bit-serial step function
- *    without materializing the count array.  clear() is lazy: it only
- *    re-zeros the planes dirtied since the last clear (tracked through
- *    the stream count high-water mark), so per-neuron reuse in the
- *    inference hot loop costs O(planes actually used).
+ *  - Fused path: addXnor()/addXnorRow() fold the bipolar XNOR multiply
+ *    directly into the carry-save add (no product buffer), and
+ *    drive()/forEachCount() walk the planes word-by-word to feed a
+ *    bit-serial step function without materializing the count array.
+ *    clear() is lazy: it only re-zeros the planes dirtied since the
+ *    last clear (tracked through the stream count high-water mark), so
+ *    per-neuron reuse in the inference hot loop costs O(planes
+ *    actually used).
  */
 class ColumnCounts
 {
@@ -111,62 +112,19 @@ class ColumnCounts
                  std::size_t word_count);
 
     /**
-     * Add two XNOR products in one pass with a 3:2 carry-save
-     * compression: the pair enters the planes as (sum, carry) at
-     * weights 1 and 2, so two streams cost roughly one ripple instead
-     * of two.  The planes hold the exact per-cycle binary count, which
-     * is independent of addition grouping — the result is bit-identical
-     * to two addXnor() calls.
+     * Fused multiply-accumulate of a whole output row: add the XNOR
+     * products of rows xs[p] and ws[p], p in [0, @p products), over the
+     * first @p word_count words.  This is the inference hot path.  It
+     * runs one dispatched sc::simd row kernel per call, which sums the
+     * products through a carry-save adder tree with the planes held in
+     * registers (src/sc/simd/row_kernel.h); counters wider than
+     * sc::simd::kMaxRowPlanes planes take the scalar ripple instead.
+     * The planes hold exact binary counts, so the result is
+     * bit-identical to one addXnor() per product.
      */
-    void addXnor2(const std::uint64_t *x1, const std::uint64_t *w1,
-                  const std::uint64_t *x2, const std::uint64_t *w2,
-                  std::size_t word_count);
-
-    /** Hard cap on the cohort width of the *Multi entry points (core's
-     *  kMaxCohortImages must not exceed this). */
-    static constexpr std::size_t kMaxMultiImages = 64;
-
-    /**
-     * Cohort (multi-scratch) form of addXnor(): fold ONE shared weight
-     * row into @p images distinct counters, each against its own input
-     * row.  The walk is word-major with the weight word (or, in the
-     * dispatched SIMD kernels, a 4/8-word weight lane group) held in a
-     * register across the whole cohort, so one pass over a weight block
-     * feeds every image's carry-save planes — this is the entry point
-     * stage-major cohort execution uses to amortize weight-plane
-     * traversal across images.  All *Multi entry points route through
-     * the sc::simd kernel table (see src/sc/simd/simd.h); the planes
-     * hold exact binary counts, so every variant is bit-identical:
-     * per counter the result equals counters[c]->addXnor(xs[c], w,
-     * word_count) exactly.  All counters must share length and plane
-     * geometry; images must be <= kMaxMultiImages.
-     */
-    static void addXnorMulti(ColumnCounts *const counters[],
-                             const std::uint64_t *const xs[],
-                             std::size_t images, const std::uint64_t *w,
-                             std::size_t word_count);
-
-    /**
-     * Cohort form of addXnor2(): two shared weight rows against each
-     * image's pair of input rows, 3:2-compressed per image.  Per counter
-     * bit-identical to addXnor2(xs1[c], w1, xs2[c], w2, word_count).
-     */
-    static void addXnor2Multi(ColumnCounts *const counters[],
-                              const std::uint64_t *const xs1[],
-                              const std::uint64_t *const xs2[],
-                              std::size_t images, const std::uint64_t *w1,
-                              const std::uint64_t *w2,
-                              std::size_t word_count);
-
-    /**
-     * Cohort form of addWords(): add one shared packed row (bias,
-     * neutral pad, pooling window) into every counter.  Per counter
-     * bit-identical to addWords(words, word_count).
-     */
-    static void addWordsMulti(ColumnCounts *const counters[],
-                              std::size_t images,
-                              const std::uint64_t *words,
-                              std::size_t word_count);
+    void addXnorRow(const std::uint64_t *const xs[],
+                    const std::uint64_t *const ws[], std::size_t products,
+                    std::size_t word_count);
 
     /** Extract the count at cycle @p i. */
     int count(std::size_t i) const;

@@ -1,7 +1,7 @@
 /**
  * @file
  * Kernel-table resolution: cpuid feature detection, the scalar
- * reference table, and the process-wide active-table pointer (resolved
+ * table, and the process-wide active-table pointer (resolved
  * once at static init, AQFPSC_FORCE_SCALAR override, swappable from
  * tests via setActiveLevel()).
  */
@@ -12,33 +12,40 @@
 #include <cstdlib>
 
 #include "kernels_scalar.h"
+#include "row_kernel.h"
 
 namespace aqfpsc::sc::simd {
 
 namespace {
 
-void
-scalarAddXnorMulti(const PlaneSpan spans[], const std::uint64_t *const xs[],
-                   std::size_t images, const std::uint64_t *w,
-                   std::size_t words)
+/** One packed word per lane: the row kernel in general-purpose
+ *  registers. */
+struct WordLane
 {
-    detail::addXnorMultiWords(spans, xs, images, w, 0, words);
-}
+    using V = std::uint64_t;
+
+    V load(const std::uint64_t *p) const { return *p; }
+    void store(std::uint64_t *p, V v) const { *p = v; }
+    static V zero() { return 0; }
+    static V xnor(V a, V b) { return ~(a ^ b); }
+    static V bitAnd(V a, V b) { return a & b; }
+    static V bitXor(V a, V b) { return a ^ b; }
+    static void
+    csa(V &high, V &low, V b, V c)
+    {
+        const V u = low ^ b;
+        high = (low & b) | (u & c);
+        low = u ^ c;
+    }
+};
 
 void
-scalarAddXnor2Multi(const PlaneSpan spans[], const std::uint64_t *const xs1[],
-                    const std::uint64_t *const xs2[], std::size_t images,
-                    const std::uint64_t *w1, const std::uint64_t *w2,
-                    std::size_t words)
+scalarAddXnorRow(const PlaneSpan &span, const std::uint64_t *const xs[],
+                 const std::uint64_t *const ws[], std::size_t products,
+                 std::size_t words)
 {
-    detail::addXnor2MultiWords(spans, xs1, xs2, images, w1, w2, 0, words);
-}
-
-void
-scalarAddWordsMulti(const PlaneSpan spans[], std::size_t images,
-                    const std::uint64_t *src, std::size_t words)
-{
-    detail::addWordsMultiWords(spans, images, src, 0, words);
+    for (std::size_t wi = 0; wi < words; ++wi)
+        detail::addXnorRowGroup(WordLane{}, span, xs, ws, products, wi);
 }
 
 std::uint64_t
@@ -49,8 +56,9 @@ scalarThresholdPack(const std::uint64_t *rnd, std::size_t n,
 }
 
 constexpr KernelTable kScalarTable = {
-    "scalar",         scalarAddXnorMulti,  scalarAddXnor2Multi,
-    scalarAddWordsMulti, scalarThresholdPack,
+    "scalar",
+    scalarAddXnorRow,
+    scalarThresholdPack,
 };
 
 // Constant-initialized, so kernels() is safe from any other TU's static
@@ -158,9 +166,7 @@ variantSummary()
 {
     const char *name = kernels().name;
     std::string out;
-    for (const char *kernel :
-         {"addXnorMulti", "addXnor2Multi", "addWordsMulti",
-          "thresholdPack"}) {
+    for (const char *kernel : kKernelNames) {
         if (!out.empty())
             out += ' ';
         out += kernel;

@@ -1,114 +1,90 @@
 /**
  * @file
- * AVX2 kernel table: 4 packed stream words (256 cycles) per lane group.
+ * AVX2 kernel table.  The row kernel (row_kernel.h) runs on 4-word
+ * (256-cycle) ymm lane groups; the 1-3 words left after the last full
+ * group take one group masked with vpmaskmovq.  AVX2 has no ternary
+ * logic, so each carry-save adder is five AND/OR/XOR ops.
  *
  * Compiled with -mavx2 via a per-file CMake property; when the compiler
  * lacks the flag (non-x86), the TU degrades to a nullptr stub and
- * dispatch falls back to scalar.  Bit-identity with the scalar
- * reference holds because the ripple performs the same AND/XOR plane
- * updates per word — only 4 words at a time — and the planes hold exact
- * binary counts.  The vector early-exit (whole lane group's carry zero)
- * is coarser than the scalar per-word exit but only skips no-op plane
- * updates, so the stored bits are unchanged.
+ * dispatch falls back to scalar.
  */
 
 #include "kernels_scalar.h"
+#include "row_kernel.h"
 #include "simd.h"
 
 #if defined(__AVX2__)
 
 #include <immintrin.h>
 
-#include <cassert>
-
 namespace aqfpsc::sc::simd {
 namespace {
 
-inline void
-rippleVec(const PlaneSpan &s, std::size_t wi, __m256i carry, int from_plane)
+/** Full 4-word lane group. */
+struct YmmLane
 {
-    for (int k = from_plane; k < s.planeCount; ++k) {
-        if (_mm256_testz_si256(carry, carry))
-            return;
-        std::uint64_t *p =
-            s.planes + static_cast<std::size_t>(k) * s.stride + wi;
-        const __m256i plane =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(p));
-        const __m256i t = _mm256_and_si256(plane, carry);
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(p),
-                            _mm256_xor_si256(plane, carry));
-        carry = t;
+    using V = __m256i;
+
+    V load(const std::uint64_t *p) const
+    {
+        return _mm256_loadu_si256(reinterpret_cast<const __m256i *>(p));
     }
-    assert(_mm256_testz_si256(carry, carry) && "ColumnCounts overflow");
-}
+    void store(std::uint64_t *p, V v) const
+    {
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(p), v);
+    }
+    static V zero() { return _mm256_setzero_si256(); }
+    static V
+    xnor(V a, V b)
+    {
+        return _mm256_xor_si256(_mm256_xor_si256(a, b),
+                                _mm256_set1_epi64x(-1));
+    }
+    static V bitAnd(V a, V b) { return _mm256_and_si256(a, b); }
+    static V bitXor(V a, V b) { return _mm256_xor_si256(a, b); }
+    static void
+    csa(V &high, V &low, V b, V c)
+    {
+        const V u = _mm256_xor_si256(low, b);
+        high = _mm256_or_si256(_mm256_and_si256(low, b),
+                               _mm256_and_si256(u, c));
+        low = _mm256_xor_si256(u, c);
+    }
+};
+
+/** The first 1-3 words of a ymm group, masked. */
+struct YmmPartLane : YmmLane
+{
+    __m256i mask; ///< all-ones in the lanes to load and store
+
+    V load(const std::uint64_t *p) const
+    {
+        return _mm256_maskload_epi64(reinterpret_cast<const long long *>(p),
+                                     mask);
+    }
+    void store(std::uint64_t *p, V v) const
+    {
+        _mm256_maskstore_epi64(reinterpret_cast<long long *>(p), mask, v);
+    }
+};
 
 void
-addXnorMulti(const PlaneSpan spans[], const std::uint64_t *const xs[],
-             std::size_t images, const std::uint64_t *w, std::size_t words)
-{
-    const __m256i ones = _mm256_set1_epi64x(-1);
-    std::size_t wi = 0;
-    for (; wi + 4 <= words; wi += 4) {
-        // One shared weight lane group feeds the whole cohort.
-        const __m256i wv =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(w + wi));
-        for (std::size_t c = 0; c < images; ++c) {
-            const __m256i xv = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(xs[c] + wi));
-            const __m256i prod =
-                _mm256_xor_si256(_mm256_xor_si256(xv, wv), ones);
-            rippleVec(spans[c], wi, prod, 0);
-        }
-    }
-    detail::addXnorMultiWords(spans, xs, images, w, wi, words);
-}
-
-void
-addXnor2Multi(const PlaneSpan spans[], const std::uint64_t *const xs1[],
-              const std::uint64_t *const xs2[], std::size_t images,
-              const std::uint64_t *w1, const std::uint64_t *w2,
-              std::size_t words)
-{
-    const __m256i ones = _mm256_set1_epi64x(-1);
-    std::size_t wi = 0;
-    for (; wi + 4 <= words; wi += 4) {
-        const __m256i wv1 =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(w1 + wi));
-        const __m256i wv2 =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(w2 + wi));
-        for (std::size_t c = 0; c < images; ++c) {
-            const __m256i p1 = _mm256_xor_si256(
-                _mm256_xor_si256(_mm256_loadu_si256(
-                                     reinterpret_cast<const __m256i *>(
-                                         xs1[c] + wi)),
-                                 wv1),
-                ones);
-            const __m256i p2 = _mm256_xor_si256(
-                _mm256_xor_si256(_mm256_loadu_si256(
-                                     reinterpret_cast<const __m256i *>(
-                                         xs2[c] + wi)),
-                                 wv2),
-                ones);
-            // 3:2 compress: p1 + p2 = (p1 ^ p2) + 2 * (p1 & p2).
-            rippleVec(spans[c], wi, _mm256_xor_si256(p1, p2), 0);
-            rippleVec(spans[c], wi, _mm256_and_si256(p1, p2), 1);
-        }
-    }
-    detail::addXnor2MultiWords(spans, xs1, xs2, images, w1, w2, wi, words);
-}
-
-void
-addWordsMulti(const PlaneSpan spans[], std::size_t images,
-              const std::uint64_t *src, std::size_t words)
+addXnorRow(const PlaneSpan &span, const std::uint64_t *const xs[],
+           const std::uint64_t *const ws[], std::size_t products,
+           std::size_t words)
 {
     std::size_t wi = 0;
-    for (; wi + 4 <= words; wi += 4) {
-        const __m256i wv =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(src + wi));
-        for (std::size_t c = 0; c < images; ++c)
-            rippleVec(spans[c], wi, wv, 0);
+    for (; words - wi >= 4; wi += 4)
+        detail::addXnorRowGroup(YmmLane{}, span, xs, ws, products, wi);
+    const std::size_t rest = words - wi;
+    if (rest > 0) {
+        const __m256i mask = _mm256_cmpgt_epi64(
+            _mm256_set1_epi64x(static_cast<long long>(rest)),
+            _mm256_setr_epi64x(0, 1, 2, 3));
+        detail::addXnorRowGroup(YmmPartLane{{}, mask}, span, xs, ws,
+                                products, wi);
     }
-    detail::addWordsMultiWords(spans, images, src, wi, words);
 }
 
 std::uint64_t
@@ -136,7 +112,9 @@ thresholdPack(const std::uint64_t *rnd, std::size_t n,
 }
 
 constexpr KernelTable kAvx2Table = {
-    "avx2", addXnorMulti, addXnor2Multi, addWordsMulti, thresholdPack,
+    "avx2",
+    addXnorRow,
+    thresholdPack,
 };
 
 } // namespace

@@ -1,98 +1,133 @@
 /**
  * @file
- * AVX-512 kernel table: 8 packed stream words (512 cycles) per lane
- * group.  Same structure and bit-identity argument as kernels_avx2.cc;
- * the mask registers additionally give the threshold compare its packed
- * result for free (_mm512_cmplt_epu64_mask yields the 8 stream bits
- * directly).  Compiled with -mavx512f/bw/dq/vl via a per-file CMake
- * property; degrades to a nullptr stub without it.
+ * AVX-512 kernel table.  The row kernel (row_kernel.h) runs on 8-word
+ * (512-cycle) zmm lane groups; the words left after the last full group
+ * take one narrower or masked group: a plain ymm group for exactly 4
+ * words (the whole row at N = 256), a masked ymm group for 1-3 and a
+ * masked zmm group for 5-7.  Each carry-save adder is two ternary-logic
+ * ops (majority and three-way XOR).  The mask registers also give the
+ * threshold compare its packed result for free
+ * (_mm512_cmplt_epu64_mask yields the 8 stream bits directly).
+ * Compiled with -mavx512f/bw/dq/vl via a per-file CMake property;
+ * degrades to a nullptr stub without it.
  */
 
 #include "kernels_scalar.h"
+#include "row_kernel.h"
 #include "simd.h"
 
 #if defined(__AVX512F__)
 
 #include <immintrin.h>
 
-#include <cassert>
-
 namespace aqfpsc::sc::simd {
 namespace {
 
-inline void
-rippleVec(const PlaneSpan &s, std::size_t wi, __m512i carry, int from_plane)
+// vpternlogq truth tables over (a, b, c): bit (a << 2 | b << 1 | c).
+constexpr int kXnorAB = 0xC3;    // ~(a ^ b)
+constexpr int kMajority = 0xE8;  // at least two of a, b, c
+constexpr int kXor3 = 0x96;      // a ^ b ^ c
+
+/** Full 8-word lane group. */
+struct ZmmLane
 {
-    for (int k = from_plane; k < s.planeCount; ++k) {
-        if (_mm512_test_epi64_mask(carry, carry) == 0)
-            return;
-        std::uint64_t *p =
-            s.planes + static_cast<std::size_t>(k) * s.stride + wi;
-        const __m512i plane = _mm512_loadu_si512(p);
-        const __m512i t = _mm512_and_si512(plane, carry);
-        _mm512_storeu_si512(p, _mm512_xor_si512(plane, carry));
-        carry = t;
+    using V = __m512i;
+
+    V load(const std::uint64_t *p) const { return _mm512_loadu_si512(p); }
+    void store(std::uint64_t *p, V v) const { _mm512_storeu_si512(p, v); }
+    static V zero() { return _mm512_setzero_si512(); }
+    static V
+    xnor(V a, V b)
+    {
+        return _mm512_ternarylogic_epi64(a, b, b, kXnorAB);
     }
-    assert(_mm512_test_epi64_mask(carry, carry) == 0 &&
-           "ColumnCounts overflow");
-}
+    static V bitAnd(V a, V b) { return _mm512_and_si512(a, b); }
+    static V bitXor(V a, V b) { return _mm512_xor_si512(a, b); }
+    static void
+    csa(V &high, V &low, V b, V c)
+    {
+        high = _mm512_ternarylogic_epi64(low, b, c, kMajority);
+        low = _mm512_ternarylogic_epi64(low, b, c, kXor3);
+    }
+};
+
+/** The first 5-7 words of a zmm group, masked. */
+struct ZmmPartLane : ZmmLane
+{
+    __mmask8 mask;
+
+    V load(const std::uint64_t *p) const
+    {
+        return _mm512_maskz_loadu_epi64(mask, p);
+    }
+    void store(std::uint64_t *p, V v) const
+    {
+        _mm512_mask_storeu_epi64(p, mask, v);
+    }
+};
+
+/** A 4-word lane group (AVX-512VL encodings of the same ops). */
+struct YmmLane
+{
+    using V = __m256i;
+
+    V load(const std::uint64_t *p) const
+    {
+        return _mm256_loadu_si256(reinterpret_cast<const __m256i *>(p));
+    }
+    void store(std::uint64_t *p, V v) const
+    {
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(p), v);
+    }
+    static V zero() { return _mm256_setzero_si256(); }
+    static V
+    xnor(V a, V b)
+    {
+        return _mm256_ternarylogic_epi64(a, b, b, kXnorAB);
+    }
+    static V bitAnd(V a, V b) { return _mm256_and_si256(a, b); }
+    static V bitXor(V a, V b) { return _mm256_xor_si256(a, b); }
+    static void
+    csa(V &high, V &low, V b, V c)
+    {
+        high = _mm256_ternarylogic_epi64(low, b, c, kMajority);
+        low = _mm256_ternarylogic_epi64(low, b, c, kXor3);
+    }
+};
+
+/** The first 1-3 words of a ymm group, masked. */
+struct YmmPartLane : YmmLane
+{
+    __mmask8 mask;
+
+    V load(const std::uint64_t *p) const
+    {
+        return _mm256_maskz_loadu_epi64(mask, p);
+    }
+    void store(std::uint64_t *p, V v) const
+    {
+        _mm256_mask_storeu_epi64(p, mask, v);
+    }
+};
 
 void
-addXnorMulti(const PlaneSpan spans[], const std::uint64_t *const xs[],
-             std::size_t images, const std::uint64_t *w, std::size_t words)
-{
-    const __m512i ones = _mm512_set1_epi64(-1);
-    std::size_t wi = 0;
-    for (; wi + 8 <= words; wi += 8) {
-        // One shared weight lane group feeds the whole cohort.
-        const __m512i wv = _mm512_loadu_si512(w + wi);
-        for (std::size_t c = 0; c < images; ++c) {
-            const __m512i xv = _mm512_loadu_si512(xs[c] + wi);
-            const __m512i prod =
-                _mm512_xor_si512(_mm512_xor_si512(xv, wv), ones);
-            rippleVec(spans[c], wi, prod, 0);
-        }
-    }
-    detail::addXnorMultiWords(spans, xs, images, w, wi, words);
-}
-
-void
-addXnor2Multi(const PlaneSpan spans[], const std::uint64_t *const xs1[],
-              const std::uint64_t *const xs2[], std::size_t images,
-              const std::uint64_t *w1, const std::uint64_t *w2,
-              std::size_t words)
-{
-    const __m512i ones = _mm512_set1_epi64(-1);
-    std::size_t wi = 0;
-    for (; wi + 8 <= words; wi += 8) {
-        const __m512i wv1 = _mm512_loadu_si512(w1 + wi);
-        const __m512i wv2 = _mm512_loadu_si512(w2 + wi);
-        for (std::size_t c = 0; c < images; ++c) {
-            const __m512i p1 = _mm512_xor_si512(
-                _mm512_xor_si512(_mm512_loadu_si512(xs1[c] + wi), wv1),
-                ones);
-            const __m512i p2 = _mm512_xor_si512(
-                _mm512_xor_si512(_mm512_loadu_si512(xs2[c] + wi), wv2),
-                ones);
-            // 3:2 compress: p1 + p2 = (p1 ^ p2) + 2 * (p1 & p2).
-            rippleVec(spans[c], wi, _mm512_xor_si512(p1, p2), 0);
-            rippleVec(spans[c], wi, _mm512_and_si512(p1, p2), 1);
-        }
-    }
-    detail::addXnor2MultiWords(spans, xs1, xs2, images, w1, w2, wi, words);
-}
-
-void
-addWordsMulti(const PlaneSpan spans[], std::size_t images,
-              const std::uint64_t *src, std::size_t words)
+addXnorRow(const PlaneSpan &span, const std::uint64_t *const xs[],
+           const std::uint64_t *const ws[], std::size_t products,
+           std::size_t words)
 {
     std::size_t wi = 0;
-    for (; wi + 8 <= words; wi += 8) {
-        const __m512i wv = _mm512_loadu_si512(src + wi);
-        for (std::size_t c = 0; c < images; ++c)
-            rippleVec(spans[c], wi, wv, 0);
-    }
-    detail::addWordsMultiWords(spans, images, src, wi, words);
+    for (; words - wi >= 8; wi += 8)
+        detail::addXnorRowGroup(ZmmLane{}, span, xs, ws, products, wi);
+    const std::size_t rest = words - wi;
+    const auto mask = static_cast<__mmask8>((1u << rest) - 1);
+    if (rest > 4)
+        detail::addXnorRowGroup(ZmmPartLane{{}, mask}, span, xs, ws,
+                                products, wi);
+    else if (rest == 4)
+        detail::addXnorRowGroup(YmmLane{}, span, xs, ws, products, wi);
+    else if (rest > 0)
+        detail::addXnorRowGroup(YmmPartLane{{}, mask}, span, xs, ws,
+                                products, wi);
 }
 
 std::uint64_t
@@ -112,7 +147,9 @@ thresholdPack(const std::uint64_t *rnd, std::size_t n,
 }
 
 constexpr KernelTable kAvx512Table = {
-    "avx512", addXnorMulti, addXnor2Multi, addWordsMulti, thresholdPack,
+    "avx512",
+    addXnorRow,
+    thresholdPack,
 };
 
 } // namespace

@@ -2,11 +2,12 @@
  * @file
  * Scalar reference loops for the dispatched SC kernels.
  *
- * These are the exact loops the pre-dispatch ColumnCounts /
- * StreamMatrix code ran, lifted out so (a) the scalar table can wrap
- * them over the full word range and (b) the AVX2/AVX-512 TUs can reuse
- * them for the sub-lane-group word tail.  Every vector kernel must be
- * bit-identical to these over any word sub-range.
+ * addXnorRowRipple() adds one product at a time through the carry-save
+ * planes: the plain ripple every row kernel tier must reproduce bit for
+ * bit (tests/test_simd_kernels.cc), and the path ColumnCounts takes for
+ * counters too wide for the row kernel's registers.  thresholdPackBits()
+ * is the SNG compare+pack loop; the scalar table wraps it and the vector
+ * tables use it for the bits past their last full lane group.
  */
 
 #ifndef AQFPSC_SC_SIMD_KERNELS_SCALAR_H
@@ -20,12 +21,11 @@
 
 namespace aqfpsc::sc::simd::detail {
 
-/** One word's carry-save ripple (the add all kernels share). */
+/** One word's carry-save ripple: add @p carry at plane 0. */
 inline void
-rippleWord(const PlaneSpan &s, std::size_t wi, std::uint64_t carry,
-           int from_plane = 0)
+rippleWord(const PlaneSpan &s, std::size_t wi, std::uint64_t carry)
 {
-    for (int k = from_plane; k < s.planeCount && carry; ++k) {
+    for (int k = 0; k < s.planeCount && carry; ++k) {
         std::uint64_t &plane =
             s.planes[static_cast<std::size_t>(k) * s.stride + wi];
         const std::uint64_t t = plane & carry;
@@ -35,50 +35,16 @@ rippleWord(const PlaneSpan &s, std::size_t wi, std::uint64_t carry,
     assert(carry == 0 && "ColumnCounts overflow");
 }
 
-/** Scalar addXnorMulti over words [begin, end). */
+/** Reference AddXnorRowFn: one ripple per product and word (any
+ *  plane count). */
 inline void
-addXnorMultiWords(const PlaneSpan spans[], const std::uint64_t *const xs[],
-                  std::size_t images, const std::uint64_t *w,
-                  std::size_t begin, std::size_t end)
+addXnorRowRipple(const PlaneSpan &s, const std::uint64_t *const xs[],
+                 const std::uint64_t *const ws[], std::size_t products,
+                 std::size_t words)
 {
-    for (std::size_t wi = begin; wi < end; ++wi) {
-        const std::uint64_t ww = w[wi];
-        for (std::size_t c = 0; c < images; ++c)
-            rippleWord(spans[c], wi, ~(xs[c][wi] ^ ww));
-    }
-}
-
-/** Scalar addXnor2Multi over words [begin, end). */
-inline void
-addXnor2MultiWords(const PlaneSpan spans[], const std::uint64_t *const xs1[],
-                   const std::uint64_t *const xs2[], std::size_t images,
-                   const std::uint64_t *w1, const std::uint64_t *w2,
-                   std::size_t begin, std::size_t end)
-{
-    for (std::size_t wi = begin; wi < end; ++wi) {
-        const std::uint64_t ww1 = w1[wi];
-        const std::uint64_t ww2 = w2[wi];
-        for (std::size_t c = 0; c < images; ++c) {
-            const std::uint64_t p1 = ~(xs1[c][wi] ^ ww1);
-            const std::uint64_t p2 = ~(xs2[c][wi] ^ ww2);
-            // 3:2 compress: p1 + p2 = (p1 ^ p2) + 2 * (p1 & p2).
-            rippleWord(spans[c], wi, p1 ^ p2);
-            rippleWord(spans[c], wi, p1 & p2, 1);
-        }
-    }
-}
-
-/** Scalar addWordsMulti over words [begin, end). */
-inline void
-addWordsMultiWords(const PlaneSpan spans[], std::size_t images,
-                   const std::uint64_t *src, std::size_t begin,
-                   std::size_t end)
-{
-    for (std::size_t wi = begin; wi < end; ++wi) {
-        const std::uint64_t ww = src[wi];
-        for (std::size_t c = 0; c < images; ++c)
-            rippleWord(spans[c], wi, ww);
-    }
+    for (std::size_t p = 0; p < products; ++p)
+        for (std::size_t wi = 0; wi < words; ++wi)
+            rippleWord(s, wi, ~(xs[p][wi] ^ ws[p][wi]));
 }
 
 /** Scalar threshold compare+pack over bits [begin, end). */

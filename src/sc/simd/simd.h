@@ -2,10 +2,10 @@
  * @file
  * Runtime ISA dispatch for the SC kernel hot loops.
  *
- * PR 5 rebuilt execution around stage-major cohorts so the carry-save
- * ripple (ColumnCounts::add*Multi) and the SNG threshold fill
- * (StreamMatrix::fillBipolar*) could vectorize; this layer supplies the
- * vector kernels and picks one implementation per process:
+ * Two loops dominate stream execution: the carry-save accumulation of
+ * an output row's XNOR products (ColumnCounts::addXnorRow) and the SNG
+ * threshold fill (StreamMatrix::fillBipolar*).  This layer supplies
+ * their vector kernels and picks one implementation per process:
  *
  *  - kernels() returns a per-kernel function-pointer table resolved
  *    once at static init from cpuid feature detection (scalar, AVX2 or
@@ -15,13 +15,13 @@
  *    CMakeLists.txt) and degrade to stubs when the compiler lacks the
  *    flag, so the binary stays portable: no vector instruction executes
  *    unless the running CPU advertises the feature.
- *  - Every vector kernel is bit-identical to the scalar reference: the
- *    carry-save planes hold exact binary counts (independent of
- *    addition grouping) and the vector ripple performs the same
- *    AND/XOR plane updates, just 4/8 packed words per lane group; the
- *    threshold fill performs the same unsigned compare per RNG word.
- *    tests/test_simd_kernels.cc pins this differentially, and the
- *    PR 3/PR 5 golden hashes pin it end to end.
+ *  - Every kernel is bit-identical to the scalar reference: the
+ *    carry-save planes hold exact binary counts, which do not depend on
+ *    how the additions are grouped, so the row kernel's adder tree
+ *    (row_kernel.h) stores the same planes as one ripple per product
+ *    (kernels_scalar.h); the threshold fill performs the same unsigned
+ *    compare per RNG word.  tests/test_simd_kernels.cc pins this on
+ *    every tier, and the golden score hashes pin it end to end.
  *
  * setActiveLevel() exists for tests and benches that need to compare
  * variants in-process; it swaps an atomic table pointer, so it must not
@@ -59,22 +59,19 @@ struct PlaneSpan
     int planeCount;
 };
 
-/** Fold ~(xs[c] ^ w) into each image's planes over words [0, words). */
-using AddXnorMultiFn = void (*)(const PlaneSpan spans[],
-                                const std::uint64_t *const xs[],
-                                std::size_t images, const std::uint64_t *w,
-                                std::size_t words);
+/** Most planes the row kernel keeps in registers (counts < 65536);
+ *  ColumnCounts routes wider counters to the scalar ripple. */
+inline constexpr int kMaxRowPlanes = 16;
 
-/** 3:2-compressed pair of XNOR products per image (see addXnor2()). */
-using AddXnor2MultiFn = void (*)(const PlaneSpan spans[],
-                                 const std::uint64_t *const xs1[],
-                                 const std::uint64_t *const xs2[],
-                                 std::size_t images, const std::uint64_t *w1,
-                                 const std::uint64_t *w2, std::size_t words);
-
-/** Add one shared packed row into every image's planes. */
-using AddWordsMultiFn = void (*)(const PlaneSpan spans[], std::size_t images,
-                                 const std::uint64_t *src, std::size_t words);
+/**
+ * Add the XNOR products ~(xs[p] ^ ws[p]), p in [0, products), into the
+ * planes over words [0, words).  The planes must hold every resulting
+ * count; span.planeCount is in [1, kMaxRowPlanes].
+ */
+using AddXnorRowFn = void (*)(const PlaneSpan &span,
+                              const std::uint64_t *const xs[],
+                              const std::uint64_t *const ws[],
+                              std::size_t products, std::size_t words);
 
 /** Pack (rnd[b] < threshold) for b in [0, n) into one stream word. */
 using ThresholdPackFn = std::uint64_t (*)(const std::uint64_t *rnd,
@@ -85,11 +82,19 @@ using ThresholdPackFn = std::uint64_t (*)(const std::uint64_t *rnd,
 struct KernelTable
 {
     const char *name; ///< levelName() of the implementing tier.
-    AddXnorMultiFn addXnorMulti;
-    AddXnor2MultiFn addXnor2Multi;
-    AddWordsMultiFn addWordsMulti;
+    AddXnorRowFn addXnorRow;
     ThresholdPackFn thresholdPack;
 };
+
+/** KernelTable's kernels in field order: the names variantSummary()
+ *  stamps.  Keep in step with the struct (the size check below). */
+inline constexpr const char *kKernelNames[] = {"addXnorRow",
+                                               "thresholdPack"};
+static_assert(sizeof(KernelTable) ==
+                  sizeof(const char *) +
+                      sizeof(kKernelNames) / sizeof(kKernelNames[0]) *
+                          sizeof(ThresholdPackFn),
+              "kKernelNames must list every KernelTable kernel");
 
 /** The active table.  Safe during static init (falls back to scalar). */
 const KernelTable &kernels();
@@ -107,7 +112,7 @@ Level activeLevel();
  */
 bool setActiveLevel(Level level);
 
-/** "kernel=tier" summary of the active table for report stamps. */
+/** "kernel=tier" per kKernelNames entry, for report stamps. */
 std::string variantSummary();
 
 /**

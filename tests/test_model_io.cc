@@ -6,7 +6,9 @@
  * name-keyed model zoo resolves / rejects correctly.
  */
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <stdexcept>
@@ -233,6 +235,72 @@ TEST(ModelIo, SaveIsAtomicAndFailsCleanlyOnUnwritablePaths)
     EXPECT_TRUE(final_file.good());
     std::ifstream temp_file(file.path() + ".tmp");
     EXPECT_FALSE(temp_file.good());
+}
+
+/** Rewrite @p bytes' FNV-1a-64 footer checksum for its (edited)
+ *  payload, so a mutation reaches the parser instead of the checksum. */
+void
+refreshChecksum(std::string &bytes)
+{
+    const std::size_t payload = bytes.size() - 16; // checksum + magic
+    std::uint64_t h = 0xCBF29CE484222325ULL;
+    for (std::size_t i = 0; i < payload; ++i) {
+        h ^= static_cast<unsigned char>(bytes[i]);
+        h *= 0x100000001B3ULL;
+    }
+    std::memcpy(&bytes[payload], &h, sizeof(h));
+}
+
+TEST(ModelIo, InflatedLayerSizesAreRejectedBeforeAllocation)
+{
+    // One Dense(2, 3): its spec's in/out fields sit right after the
+    // magic, version, quant bits, layer count and kind bytes.
+    constexpr std::size_t kInOffset = 8 + 4 + 4 + 4 + 1;
+    nn::Network net;
+    net.add(std::make_unique<nn::Dense>(2, 3, 0u));
+    TempFile good("inflated_good.model");
+    ASSERT_TRUE(net.saveModel(good.path()));
+    std::string bytes;
+    {
+        std::ifstream in(good.path(), std::ios::binary);
+        bytes.assign((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    }
+
+    struct Case
+    {
+        std::int32_t in, out;
+    };
+    // About 120 GB of weights, gradients and momenta, and a size whose
+    // allocation would throw std::length_error.
+    for (const Case c : {Case{2, 3}, Case{100000, 100000},
+                         Case{INT32_MAX, INT32_MAX}}) {
+        SCOPED_TRACE(std::to_string(c.in) + "x" + std::to_string(c.out));
+        std::string mutated = bytes;
+        std::memcpy(&mutated[kInOffset], &c.in, sizeof(c.in));
+        std::memcpy(&mutated[kInOffset + 4], &c.out, sizeof(c.out));
+        refreshChecksum(mutated);
+        TempFile file("inflated.model");
+        {
+            std::ofstream out(file.path(), std::ios::binary);
+            out.write(mutated.data(),
+                      static_cast<std::streamsize>(mutated.size()));
+        }
+        if (c.in == 2) {
+            // The rewritten footer is valid: the unmodified sizes load.
+            EXPECT_EQ(nn::Network::loadModel(file.path()).describe(),
+                      net.describe());
+            continue;
+        }
+        try {
+            nn::Network::loadModel(file.path());
+            FAIL() << "expected StatusError";
+        } catch (const core::StatusError &e) {
+            EXPECT_EQ(e.status().code, core::StatusCode::ModelCorrupted);
+            EXPECT_TRUE(contains(e.what(), "payload bytes left"))
+                << e.what();
+        }
+    }
 }
 
 TEST(ModelIo, WeightsOnlyFilesAreRejectedWithGuidance)

@@ -274,16 +274,16 @@ TEST(ColumnCounts, LazyClearHighWaterAcrossAlternatingReuses)
 }
 
 /**
- * The cohort (multi-scratch) kernel entry points perform the same
- * per-image plane updates as their single-image forms: one shared
- * weight row against each image's own input rows, bit-identical
- * counters afterwards.
+ * The row entry point adds the same counts as one single-stream addXnor
+ * per product, on top of what the counter already holds: a row whose
+ * count crosses every Harley-Seal block size, added after an earlier
+ * stream, over a ragged tail.  A counter too wide for the row kernel's
+ * registers takes the scalar ripple and must agree too.
  */
-TEST(ColumnCounts, CohortEntryPointsMatchSingleImageForms)
+TEST(ColumnCounts, AddXnorRowMatchesSingleStreamForms)
 {
     const std::size_t len = 130; // ragged tail
     const std::size_t words = (len + 63) / 64;
-    const std::size_t images = 5;
     Xoshiro256StarStar rng(99);
 
     auto randomRow = [&] {
@@ -292,43 +292,32 @@ TEST(ColumnCounts, CohortEntryPointsMatchSingleImageForms)
             w = rng.nextWord();
         return r;
     };
-    const std::vector<std::uint64_t> w1 = randomRow();
-    const std::vector<std::uint64_t> w2 = randomRow();
-    const std::vector<std::uint64_t> shared = randomRow();
-    std::vector<std::vector<std::uint64_t>> x1s, x2s;
-    for (std::size_t c = 0; c < images; ++c) {
-        x1s.push_back(randomRow());
-        x2s.push_back(randomRow());
-    }
+    for (const int max_count : {40, 70000}) {
+        SCOPED_TRACE("max_count=" + std::to_string(max_count));
+        const std::size_t products = 31; // 16 + 8 + 4 + 2 + 1
+        std::vector<std::vector<std::uint64_t>> xrows, wrows;
+        std::vector<const std::uint64_t *> xs, ws;
+        for (std::size_t p = 0; p < products; ++p) {
+            xrows.push_back(randomRow());
+            wrows.push_back(randomRow());
+        }
+        for (std::size_t p = 0; p < products; ++p) {
+            xs.push_back(xrows[p].data());
+            ws.push_back(wrows[p].data());
+        }
+        const std::vector<std::uint64_t> first = randomRow();
 
-    std::vector<ColumnCounts> multi(images, ColumnCounts(len, 8));
-    std::vector<ColumnCounts> single(images, ColumnCounts(len, 8));
-    ColumnCounts *mp[8];
-    const std::uint64_t *xs1[8];
-    const std::uint64_t *xs2[8];
-    for (std::size_t c = 0; c < images; ++c) {
-        mp[c] = &multi[c];
-        xs1[c] = x1s[c].data();
-        xs2[c] = x2s[c].data();
-    }
+        ColumnCounts row(len, max_count);
+        ColumnCounts single(len, max_count);
+        row.addWords(first.data(), words);
+        single.addWords(first.data(), words);
+        row.addXnorRow(xs.data(), ws.data(), products, words);
+        for (std::size_t p = 0; p < products; ++p)
+            single.addXnor(xs[p], ws[p], words);
 
-    ColumnCounts::addXnor2Multi(mp, xs1, xs2, images, w1.data(), w2.data(),
-                                words);
-    ColumnCounts::addXnorMulti(mp, xs1, images, w1.data(), words);
-    ColumnCounts::addWordsMulti(mp, images, shared.data(), words);
-
-    for (std::size_t c = 0; c < images; ++c) {
-        single[c].addXnor2(x1s[c].data(), w1.data(), x2s[c].data(),
-                           w2.data(), words);
-        single[c].addXnor(x1s[c].data(), w1.data(), words);
-        single[c].addWords(shared.data(), words);
-    }
-
-    for (std::size_t c = 0; c < images; ++c) {
-        EXPECT_EQ(multi[c].added(), single[c].added());
+        EXPECT_EQ(row.added(), single.added());
         for (std::size_t i = 0; i < len; ++i)
-            ASSERT_EQ(multi[c].count(i), single[c].count(i))
-                << "image " << c << " cycle " << i;
+            ASSERT_EQ(row.count(i), single.count(i)) << "cycle " << i;
     }
 }
 

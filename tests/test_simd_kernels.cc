@@ -1,30 +1,36 @@
 /**
  * @file
  * Differential tests of the runtime-dispatched SIMD kernels
- * (src/sc/simd/) against the scalar reference path.
+ * (src/sc/simd/) against the scalar reference loops.
  *
  * The dispatch contract is bit-identity: the carry-save planes hold
- * exact binary counts (independent of addition grouping), so the AVX2/
- * AVX-512 ripple and threshold-pack kernels must reproduce the scalar
- * loops exactly on every input.  Coverage:
+ * exact binary counts (independent of addition grouping), so every
+ * tier's row kernel and threshold-pack kernel must reproduce the scalar
+ * reference exactly on every input.  Coverage:
  *
- *  - randomized sweep of the three *Multi entry points across plane
- *    counts 1-10, cohort sizes {1,2,3,4,7,8}, odd/even stream counts
- *    and tail lengths (incl. len 100), against both the forced-scalar
- *    table and the per-image single-stream reference;
+ *  - the row kernel of every tier this host can run (not only the
+ *    detected one), swept over plane counts 1-12, word counts
+ *    {1,2,3,4,5,8,9,16,17} and product counts {0,1,15,16,17,31,33,max}
+ *    (max also with all-ones products) against the one-ripple-per-
+ *    product reference, on planes that already hold counts and whose
+ *    stride is wider than the words added (the words past them must
+ *    stay untouched);
  *  - SNG threshold fill (fillBipolar) forced-scalar vs dispatched
  *    across values (incl. the all-ones special case), code widths and
  *    lengths, plus a direct kernel unit sweep over n in [1, 64];
- *  - dispatch-layer invariants (level ordering, env-override policy);
- *  - forced-scalar vs forced-vector end-to-end golden score hash on
- *    all stream backends (the session-level analogue of the PR 3/PR 5
- *    goldens, here exercised at both dispatch levels in one process).
+ *  - dispatch-layer invariants (level ordering, env-override policy,
+ *    the kernel list variantSummary() stamps);
+ *  - end-to-end golden score hashes equal on every tier: tiny on all
+ *    stream backends, snn's wide fan-in layers on cmos-apc at N = 256
+ *    (2 images), and an adaptive run with 64-cycle checkpoints.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -32,8 +38,8 @@
 #include "core/model_zoo.h"
 #include "core/session.h"
 #include "data/digits.h"
-#include "sc/apc.h"
 #include "sc/rng.h"
+#include "sc/simd/kernels_scalar.h"
 #include "sc/simd/simd.h"
 #include "sc/stream_matrix.h"
 
@@ -56,142 +62,99 @@ class LevelGuard
     Level prev_;
 };
 
-/** One randomized cohort workload: m product streams (paired through
- *  addXnor2Multi, odd leftover through addXnorMulti) plus one shared
- *  addWordsMulti row — the exact call mix of stage_common.h. */
-struct CohortWorkload
+/** Every tier up to the detected one, scalar first. */
+std::vector<Level>
+runnableLevels()
 {
-    std::size_t images;
-    std::size_t len;
-    std::size_t words;
-    int maxCount;
-    int m; ///< XNOR product streams (m + 1 total adds per counter)
-    std::vector<std::vector<std::uint64_t>> weights; ///< m rows, shared
-    std::vector<std::uint64_t> shared; ///< the addWordsMulti row
-    /** inputs[c][s] = image c's input row for stream s. */
-    std::vector<std::vector<std::vector<std::uint64_t>>> inputs;
-
-    CohortWorkload(std::size_t images_, std::size_t len_, int max_count,
-                   int m_, sc::Xoshiro256StarStar &rng)
-        : images(images_), len(len_), words((len_ + 63) / 64),
-          maxCount(max_count), m(m_)
-    {
-        const auto randomRow = [&] {
-            std::vector<std::uint64_t> row(words);
-            rng.nextWords(row.data(), words);
-            return row;
-        };
-        for (int s = 0; s < m; ++s)
-            weights.push_back(randomRow());
-        shared = randomRow();
-        inputs.resize(images);
-        for (std::size_t c = 0; c < images; ++c)
-            for (int s = 0; s < m; ++s)
-                inputs[c].push_back(randomRow());
-    }
-
-    /** Run the stage_common call mix through the *Multi entry points. */
-    void
-    runMulti(std::vector<sc::ColumnCounts> &cc) const
-    {
-        ASSERT_EQ(cc.size(), images);
-        sc::ColumnCounts *ptrs[sc::ColumnCounts::kMaxMultiImages];
-        const std::uint64_t *px[sc::ColumnCounts::kMaxMultiImages];
-        const std::uint64_t *x2[sc::ColumnCounts::kMaxMultiImages];
-        for (std::size_t c = 0; c < images; ++c)
-            ptrs[c] = &cc[c];
-        int s = 0;
-        for (; s + 1 < m; s += 2) {
-            for (std::size_t c = 0; c < images; ++c) {
-                px[c] = inputs[c][static_cast<std::size_t>(s)].data();
-                x2[c] = inputs[c][static_cast<std::size_t>(s) + 1].data();
-            }
-            sc::ColumnCounts::addXnor2Multi(
-                ptrs, px, x2, images,
-                weights[static_cast<std::size_t>(s)].data(),
-                weights[static_cast<std::size_t>(s) + 1].data(), words);
-        }
-        if (s < m) {
-            for (std::size_t c = 0; c < images; ++c)
-                px[c] = inputs[c][static_cast<std::size_t>(s)].data();
-            sc::ColumnCounts::addXnorMulti(
-                ptrs, px, images,
-                weights[static_cast<std::size_t>(s)].data(), words);
-        }
-        sc::ColumnCounts::addWordsMulti(ptrs, images, shared.data(),
-                                        words);
-    }
-
-    /** Per-image single-stream reference (never dispatched). */
-    void
-    runReference(std::vector<sc::ColumnCounts> &cc) const
-    {
-        ASSERT_EQ(cc.size(), images);
-        for (std::size_t c = 0; c < images; ++c) {
-            for (int s = 0; s < m; ++s)
-                cc[c].addXnor(inputs[c][static_cast<std::size_t>(s)].data(),
-                              weights[static_cast<std::size_t>(s)].data(),
-                              words);
-            cc[c].addWords(shared.data(), words);
-        }
-    }
-};
-
-std::vector<sc::ColumnCounts>
-makeCounters(const CohortWorkload &wl)
-{
-    std::vector<sc::ColumnCounts> cc;
-    cc.reserve(wl.images);
-    for (std::size_t c = 0; c < wl.images; ++c)
-        cc.emplace_back(wl.len, wl.maxCount);
-    return cc;
+    std::vector<Level> levels;
+    for (const Level level : {Level::Scalar, Level::Avx2, Level::Avx512})
+        if (static_cast<int>(level) <=
+            static_cast<int>(sc::simd::detectedLevel()))
+            levels.push_back(level);
+    return levels;
 }
 
-TEST(SimdKernels, MultiEntryPointsMatchScalarAndReference)
+const sc::simd::KernelTable &
+tableOf(Level level)
 {
-    const Level vector_level = sc::simd::detectedLevel();
-    sc::Xoshiro256StarStar rng(20260807);
-    const std::size_t lens[] = {64, 100, 192, 513, 1024};
-    const std::size_t cohorts[] = {1, 2, 3, 4, 7, 8};
-    for (int planes = 1; planes <= 10; ++planes) {
-        const int max_count = (1 << planes) - 1;
-        for (std::size_t ci = 0; ci < std::size(cohorts); ++ci) {
-            const std::size_t images = cohorts[ci];
-            const std::size_t len =
-                lens[(static_cast<std::size_t>(planes) + ci) %
-                     std::size(lens)];
-            // Odd/even product counts alternate with the cohort index;
-            // m + 1 adds must stay within max_count.
-            int m = max_count - 1 - static_cast<int>(ci % 2);
-            if (m < 0)
-                m = 0;
-            SCOPED_TRACE("planes=" + std::to_string(planes) +
-                         " images=" + std::to_string(images) +
-                         " len=" + std::to_string(len) +
-                         " m=" + std::to_string(m));
-            const CohortWorkload wl(images, len, max_count, m, rng);
+    switch (level) {
+    case Level::Avx512:
+        return *sc::simd::avx512Kernels();
+    case Level::Avx2:
+        return *sc::simd::avx2Kernels();
+    case Level::Scalar:
+        break;
+    }
+    return *sc::simd::scalarKernels();
+}
 
-            auto scalar_cc = makeCounters(wl);
-            {
-                LevelGuard guard(Level::Scalar);
-                wl.runMulti(scalar_cc);
-            }
-            auto vector_cc = makeCounters(wl);
-            {
-                LevelGuard guard(vector_level);
-                wl.runMulti(vector_cc);
-            }
-            auto ref_cc = makeCounters(wl);
-            wl.runReference(ref_cc);
+TEST(SimdKernels, RowKernelMatchesRippleReferenceOnEveryTier)
+{
+    constexpr std::size_t kMaxWords = 17;
+    constexpr std::size_t kPool = 4096; // >= the largest product count
+    constexpr std::size_t kPad = 2;     // plane words past the span
+    constexpr std::uint64_t kSentinel = 0x5A5A5A5A5A5A5A5AULL;
+    sc::Xoshiro256StarStar rng(20261017);
+    std::vector<std::uint64_t> xpool(kPool * kMaxWords);
+    std::vector<std::uint64_t> wpool(kPool * kMaxWords);
+    rng.nextWords(xpool.data(), xpool.size());
+    rng.nextWords(wpool.data(), wpool.size());
 
-            std::vector<int> scalar_counts, vector_counts, ref_counts;
-            for (std::size_t c = 0; c < images; ++c) {
-                SCOPED_TRACE("image=" + std::to_string(c));
-                scalar_cc[c].extract(scalar_counts);
-                vector_cc[c].extract(vector_counts);
-                ref_cc[c].extract(ref_counts);
-                EXPECT_EQ(scalar_counts, ref_counts);
-                EXPECT_EQ(vector_counts, ref_counts);
+    const std::size_t word_counts[] = {1, 2, 3, 4, 5, 8, 9, 16, 17};
+    const std::vector<Level> levels = runnableLevels();
+    std::size_t salt = 0;
+    for (int planes = 1; planes <= 12; ++planes) {
+        const std::size_t max = (std::size_t{1} << planes) - 1;
+        // (products, x == w): with x == w every product is all ones, so
+        // every column counts up to max exactly.
+        const std::pair<std::size_t, bool> cases[] = {
+            {0, false},  {1, false},  {15, false},  {16, false}, {17, false},
+            {31, false}, {33, false}, {max, false}, {max, true}};
+        for (const std::size_t words : word_counts) {
+            for (const auto &[n, saturate] : cases) {
+                if (n > max)
+                    continue;
+                SCOPED_TRACE("planes=" + std::to_string(planes) +
+                             " words=" + std::to_string(words) +
+                             " products=" + std::to_string(n) +
+                             (saturate ? " all-ones" : ""));
+                // Operands: rows of the pools, shifted per case.
+                ++salt;
+                std::vector<const std::uint64_t *> xs, ws;
+                for (std::size_t p = 0; p < n; ++p) {
+                    xs.push_back(&xpool[(p + salt) % kPool * kMaxWords]);
+                    ws.push_back(saturate ? xs.back()
+                                          : &wpool[(p * 7 + salt) % kPool *
+                                                   kMaxWords]);
+                }
+                // Planes that already hold counts (up to two streams,
+                // within the capacity) and sentinels past the span.
+                const std::size_t stride = words + kPad;
+                std::vector<std::uint64_t> start(
+                    static_cast<std::size_t>(planes) * stride, kSentinel);
+                for (std::size_t k = 0; k < static_cast<std::size_t>(planes);
+                     ++k)
+                    std::fill_n(&start[k * stride], words, 0);
+                const std::uint64_t *const pre_xs[] = {&xpool[0],
+                                                       &xpool[kMaxWords]};
+                const std::uint64_t *const pre_ws[] = {&wpool[0],
+                                                       &wpool[kMaxWords]};
+                sc::simd::detail::addXnorRowRipple(
+                    {start.data(), stride, planes}, pre_xs, pre_ws,
+                    std::min<std::size_t>(2, max - n), words);
+
+                std::vector<std::uint64_t> ref = start;
+                sc::simd::detail::addXnorRowRipple(
+                    {ref.data(), stride, planes}, xs.data(), ws.data(), n,
+                    words);
+                for (const Level level : levels) {
+                    SCOPED_TRACE(sc::simd::levelName(level));
+                    std::vector<std::uint64_t> got = start;
+                    tableOf(level).addXnorRow({got.data(), stride, planes},
+                                              xs.data(), ws.data(), n,
+                                              words);
+                    ASSERT_EQ(got, ref);
+                }
             }
         }
     }
@@ -205,13 +168,16 @@ TEST(SimdKernels, ThresholdPackKernelSweepsAllLengths)
     const std::uint64_t thresholds[] = {
         0ULL, 1ULL, 0x8000000000000000ULL, 0xFFFFFFFFFFFFFFFFULL,
         rng.nextWord()};
-    const sc::simd::KernelTable &dispatched = sc::simd::kernels();
-    const sc::simd::KernelTable &scalar = *sc::simd::scalarKernels();
-    for (const std::uint64_t threshold : thresholds) {
-        for (std::size_t n = 1; n <= 64; ++n) {
-            EXPECT_EQ(dispatched.thresholdPack(rnd, n, threshold),
-                      scalar.thresholdPack(rnd, n, threshold))
-                << "n=" << n << " threshold=" << threshold;
+    for (const Level level : runnableLevels()) {
+        const sc::simd::KernelTable &table = tableOf(level);
+        for (const std::uint64_t threshold : thresholds) {
+            for (std::size_t n = 1; n <= 64; ++n) {
+                EXPECT_EQ(table.thresholdPack(rnd, n, threshold),
+                          sc::simd::detail::thresholdPackBits(rnd, 0, n,
+                                                              threshold))
+                    << sc::simd::levelName(level) << " n=" << n
+                    << " threshold=" << threshold;
+            }
         }
     }
 }
@@ -278,10 +244,25 @@ TEST(SimdKernels, DispatchInvariants)
     EXPECT_EQ(sc::simd::resolveLevel(detected, "1"), Level::Scalar);
     EXPECT_EQ(sc::simd::resolveLevel(detected, "yes"), Level::Scalar);
     EXPECT_EQ(sc::simd::resolveLevel(detected, "00"), Level::Scalar);
+
+    // The report stamp names every table kernel once, as the active tier.
+    const std::string tier = sc::simd::kernels().name;
+    EXPECT_EQ(sc::simd::variantSummary(),
+              "addXnorRow=" + tier + " thresholdPack=" + tier);
 }
 
-/** FNV-1a over the hexfloat rendering of every score (the test_cohort
- *  golden-hash pattern): any bit drift anywhere changes the hash. */
+/** FNV-1a step over a string (the test_cohort golden-hash pattern). */
+void
+fnvMix(std::uint64_t &h, const char *text)
+{
+    for (const char *c = text; *c; ++c) {
+        h ^= static_cast<unsigned char>(*c);
+        h *= 0x100000001B3ULL;
+    }
+}
+
+/** FNV-1a over the hexfloat rendering of every score: any bit drift
+ *  anywhere changes the hash. */
 std::uint64_t
 scoreHash(const std::vector<core::ScPrediction> &preds)
 {
@@ -290,65 +271,102 @@ scoreHash(const std::vector<core::ScPrediction> &preds)
     for (const core::ScPrediction &p : preds) {
         for (const double v : p.scores) {
             std::snprintf(buf, sizeof(buf), "%a;", v);
-            for (const char *c = buf; *c; ++c) {
-                h ^= static_cast<unsigned char>(*c);
-                h *= 0x100000001B3ULL;
-            }
+            fnvMix(h, buf);
         }
     }
     return h;
 }
 
+/**
+ * Run @p hash_of_run with each runnable tier pinned and expect every
+ * tier's hash to equal the scalar tier's.  Sessions must be built inside
+ * the run, so stream generation (weights at compile, inputs at predict)
+ * uses the pinned table too.
+ */
+template <typename Run>
+void
+expectSameHashOnEveryTier(Run &&hash_of_run)
+{
+    std::uint64_t scalar_hash = 0;
+    for (const Level level : runnableLevels()) {
+        SCOPED_TRACE(sc::simd::levelName(level));
+        const LevelGuard guard(level);
+        const std::uint64_t h = hash_of_run();
+        if (level == Level::Scalar)
+            scalar_hash = h;
+        else
+            EXPECT_EQ(h, scalar_hash);
+    }
+}
+
 TEST(SimdKernels, ForcedScalarAndVectorEndToEndHashesMatch)
 {
-    const Level vector_level = sc::simd::detectedLevel();
-    if (vector_level == Level::Scalar)
+    if (sc::simd::detectedLevel() == Level::Scalar)
         GTEST_SKIP() << "no vector ISA available on this host/build";
 
-    const auto samples = data::generateDigits(8, 77);
     struct Case
     {
+        const char *model;
         const char *backend;
         std::size_t len;
         bool approx;
+        std::size_t images;
     };
-    // len 576 = 9 words: both full lane groups and a scalar tail word;
-    // len 100 pins the sub-lane-group (pure tail) path end to end.
+    // tiny at len 576 = 9 words: full lane groups and a 1-word masked
+    // group; len 100 = 2 words: a row that is one masked group.  snn at
+    // N = 256: 4-word rows, and Conv2/FC1/FC2 sum 290/1570/502 products
+    // into 9/11/9 planes (16-product blocks plus every shorter block).
     const Case cases[] = {
-        {"aqfp-sorter", 576, false},
-        {"aqfp-sorter", 100, false},
-        {"cmos-apc", 576, false},
-        {"cmos-apc", 576, true}, // OR-pair overcount path
+        {"tiny", "aqfp-sorter", 576, false, 8},
+        {"tiny", "aqfp-sorter", 100, false, 8},
+        {"tiny", "cmos-apc", 576, false, 8},
+        {"tiny", "cmos-apc", 576, true, 8}, // OR-pair overcount path
+        {"snn", "cmos-apc", 256, false, 2},
     };
     for (const Case &c : cases) {
-        SCOPED_TRACE(std::string(c.backend) + " len=" +
+        SCOPED_TRACE(std::string(c.model) + " " + c.backend + " len=" +
                      std::to_string(c.len) + " approx=" +
                      std::to_string(c.approx));
+        const auto samples = data::generateDigits(c.images, 77);
         core::EngineOptions opts;
         opts.backend = c.backend;
         opts.streamLen = c.len;
         opts.approximateApc = c.approx;
         core::EvalOptions eval;
         eval.cohort = 4;
-
-        std::uint64_t scalar_hash, vector_hash;
-        {
-            // Sessions are built inside the guard so stream generation
-            // (weights at compile, inputs at predict) uses the pinned
-            // kernel table too.
-            LevelGuard guard(Level::Scalar);
-            const core::InferenceSession session(core::buildTinyCnn(3),
-                                                 opts);
-            scalar_hash = scoreHash(session.predict(samples, eval));
-        }
-        {
-            LevelGuard guard(vector_level);
-            const core::InferenceSession session(core::buildTinyCnn(3),
-                                                 opts);
-            vector_hash = scoreHash(session.predict(samples, eval));
-        }
-        EXPECT_EQ(scalar_hash, vector_hash);
+        expectSameHashOnEveryTier([&] {
+            const core::InferenceSession session(
+                core::buildModel(c.model, 3), opts);
+            return scoreHash(session.predict(samples, eval));
+        });
     }
+}
+
+TEST(SimdKernels, AdaptiveCheckpointSpansHashMatchOnEveryTier)
+{
+    if (sc::simd::detectedLevel() == Level::Scalar)
+        GTEST_SKIP() << "no vector ISA available on this host/build";
+
+    // 64-cycle checkpoints make every span one word: each row kernel
+    // call is a single masked (or one-word) lane group.
+    const auto samples = data::generateDigits(6, 79);
+    core::EngineOptions opts;
+    opts.backend = "aqfp-sorter";
+    opts.streamLen = 512;
+    opts.adaptive.checkpointCycles = 64;
+    opts.adaptive.minCycles = 0;
+    expectSameHashOnEveryTier([&] {
+        const core::InferenceSession session(core::buildTinyCnn(3), opts);
+        std::vector<core::ScPrediction> preds;
+        std::uint64_t h = 0xCBF29CE484222325ULL;
+        for (const nn::Sample &s : samples) {
+            const core::AdaptivePrediction a =
+                session.inferAdaptive(s.image);
+            preds.push_back(a.prediction);
+            fnvMix(h, std::to_string(a.consumedCycles).c_str());
+        }
+        return h ^ scoreHash(preds);
+    });
 }
 
 } // namespace
