@@ -4,7 +4,8 @@
  * XNOR multiply, column counting (unfused reference vs fused
  * XNOR+carry-save kernels), count extraction vs the fused feedback
  * drive, SNG stream generation (bit-serial vs word-batched), the
- * feedback units, sorting-network application and netlist legalization.
+ * feedback kernel and closed-form pool against the per-cycle feedback
+ * units, sorting-network application and netlist legalization.
  * These guard the performance of the whole-network SC engine (which
  * executes millions of block steps per image).
  *
@@ -17,6 +18,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <vector>
 
@@ -288,6 +291,206 @@ BENCHMARK(BM_ColumnCountsRowKernel)
     ->ArgNames({"tier", "N", "fanin"})
     ->ArgsProduct({{0, 1, 2}, {64, 256, 1024}, {10, 289, 1569}});
 
+// ---------------------------------------------------------------------
+// AQFP feedback recurrences: the rows-as-lanes feature-feedback kernel
+// per tier against the per-row drive it replaced (ColumnCounts::
+// drivePrefix stepping a FeatureFeedbackUnit), on one tile of
+// kFeedbackTileRows rows at tiny Conv1's M = 11 and tiny FC1's M = 393;
+// and the closed-form 2x2 pool word against the PoolingFeedbackUnit
+// drive.  tests/test_simd_kernels.cc and tests/test_blocks.cc assert
+// the pairs are bit-identical; these cases isolate their speed.
+// ---------------------------------------------------------------------
+
+/** One tile of rows' column counts, as per-row counters and as the
+ *  feedback kernel's plane buffer. */
+struct FeedbackBenchTile
+{
+    FeedbackBenchTile(std::size_t len, int m)
+        : len(len), m(m), words((len + 63) / 64),
+          planes(std::bit_width(static_cast<unsigned>(m))),
+          tile(kRows * static_cast<std::size_t>(planes) * words, 0),
+          mBits(static_cast<std::size_t>(planes) * kSlice, 0),
+          carryBits(mBits.size(), 0), out(kRows * words, 0)
+    {
+        // Each row counts m random product streams.
+        sc::Xoshiro256StarStar rng(6);
+        std::vector<std::uint64_t> stream(words);
+        for (std::size_t r = 0; r < kRows; ++r) {
+            sc::ColumnCounts &counts = rows.emplace_back(len, m);
+            for (int j = 0; j < m; ++j) {
+                rng.nextWords(stream.data(), words);
+                counts.addWords(stream.data(), words);
+            }
+            for (int k = 0; k < planes; ++k) {
+                std::uint64_t *plane =
+                    &tile[(r * static_cast<std::size_t>(planes) +
+                           static_cast<std::size_t>(k)) *
+                          words];
+                for (std::size_t t = 0; t < len; ++t)
+                    plane[t / 64] |=
+                        static_cast<std::uint64_t>((counts.count(t) >> k) &
+                                                   1)
+                        << (t % 64);
+                mBits[static_cast<std::size_t>(k) * kSlice + r / 64] |=
+                    static_cast<std::uint64_t>((m >> k) & 1) << (r % 64);
+            }
+        }
+    }
+
+    /** The stage's per-row drive, from the operating point. */
+    void
+    runPerRow()
+    {
+        for (std::size_t r = 0; r < kRows; ++r) {
+            unit.reset(m);
+            rows[r].drivePrefix(len, [&](int c) { return unit.step(c); },
+                                &out[r * words]);
+        }
+    }
+
+    /** One feedback kernel call over the tile, from the operating point
+     *  (H = M >> 1 in every row). */
+    void
+    runKernel()
+    {
+        for (int k = 0; k < planes; ++k) {
+            const std::size_t at = static_cast<std::size_t>(k) * kSlice;
+            if (k + 1 < planes)
+                std::copy_n(&mBits[at + kSlice], kSlice, &carryBits[at]);
+            else
+                std::fill_n(&carryBits[at], kSlice, 0);
+        }
+        sc::simd::kernels().featureFeedback(
+            {tile.data(), static_cast<std::size_t>(planes) * words, words,
+             planes, kRows, mBits.data(), carryBits.data(), kSlice,
+             out.data(), words, len});
+    }
+
+    static constexpr std::size_t kRows = sc::simd::kFeedbackTileRows;
+    static constexpr std::size_t kSlice = kRows / 64;
+    std::size_t len;
+    int m;
+    std::size_t words;
+    int planes;
+    std::vector<sc::ColumnCounts> rows;
+    std::vector<std::uint64_t> tile, mBits, carryBits, out;
+    blocks::FeatureFeedbackUnit unit{1};
+};
+
+void
+BM_FeatureFeedbackPerRow(benchmark::State &state)
+{
+    FeedbackBenchTile tile(static_cast<std::size_t>(state.range(0)),
+                           static_cast<int>(state.range(1)));
+    for (auto _ : state) {
+        tile.runPerRow();
+        benchmark::DoNotOptimize(tile.out.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<long>(tile.kRows * tile.len));
+}
+BENCHMARK(BM_FeatureFeedbackPerRow)
+    ->ArgNames({"N", "M"})
+    ->ArgsProduct({{64, 256, 1024}, {11, 393}});
+
+void
+BM_FeatureFeedbackKernel(benchmark::State &state)
+{
+    const sc::simd::Level tier =
+        kTiers[static_cast<std::size_t>(state.range(0))];
+    if (static_cast<int>(tier) >
+        static_cast<int>(sc::simd::detectedLevel())) {
+        state.SkipWithError("tier not available on this host");
+        return;
+    }
+    FeedbackBenchTile tile(static_cast<std::size_t>(state.range(1)),
+                           static_cast<int>(state.range(2)));
+    const BenchLevelGuard guard(tier);
+    for (auto _ : state) {
+        tile.runKernel();
+        benchmark::DoNotOptimize(tile.out.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetLabel(sc::simd::levelName(tier));
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<long>(tile.kRows * tile.len));
+}
+BENCHMARK(BM_FeatureFeedbackKernel)
+    ->ArgNames({"tier", "N", "M"})
+    ->ArgsProduct({{0, 1, 2}, {64, 256, 1024}, {11, 393}});
+
+/** One 2x2 pooling window's four streams and its output row. */
+struct PoolBenchWindow
+{
+    explicit PoolBenchWindow(std::size_t len)
+        : len(len), words((len + 63) / 64), in(4, len), out(words),
+          counts(len, 4)
+    {
+        sc::Xoshiro256StarStar rng(7);
+        for (std::size_t j = 0; j < 4; ++j)
+            in.fillBipolar(j, 0.3 - 0.2 * static_cast<double>(j), 10, rng);
+    }
+
+    /** The replaced drive: count the window, step the unit per cycle. */
+    void
+    runUnit()
+    {
+        counts.clear();
+        for (std::size_t j = 0; j < 4; ++j)
+            counts.addWords(in.row(j), words);
+        unit.reset();
+        counts.drivePrefix(len, [&](int c) { return unit.step(c); },
+                           out.data());
+    }
+
+    void
+    runClosedForm()
+    {
+        int carry = 0;
+        for (std::size_t w = 0; w < words; ++w)
+            out[w] = blocks::poolWord4(
+                in.row(0)[w], in.row(1)[w], in.row(2)[w], in.row(3)[w],
+                carry,
+                static_cast<unsigned>(std::min<std::size_t>(64, len - 64 * w)));
+    }
+
+    std::size_t len;
+    std::size_t words;
+    sc::StreamMatrix in;
+    std::vector<std::uint64_t> out;
+    sc::ColumnCounts counts;
+    blocks::PoolingFeedbackUnit unit{4};
+};
+
+void
+BM_PoolWindowUnitDrive(benchmark::State &state)
+{
+    PoolBenchWindow win(static_cast<std::size_t>(state.range(0)));
+    for (auto _ : state) {
+        win.runUnit();
+        benchmark::DoNotOptimize(win.out.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<long>(win.len));
+}
+BENCHMARK(BM_PoolWindowUnitDrive)->Arg(1024);
+
+void
+BM_PoolWindowClosedForm(benchmark::State &state)
+{
+    PoolBenchWindow win(static_cast<std::size_t>(state.range(0)));
+    for (auto _ : state) {
+        win.runClosedForm();
+        benchmark::DoNotOptimize(win.out.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<long>(win.len));
+}
+BENCHMARK(BM_PoolWindowClosedForm)->Arg(1024);
+
 void
 BM_FeatureBlockRun(benchmark::State &state)
 {
@@ -444,6 +647,50 @@ writeFusedKernelReport()
                               .set("speedup_vs_scalar", scalar_sec / sec));
             }
         }
+    }
+    // Feedback kernel per tier against the per-row drive, one tile of
+    // kFeedbackTileRows rows per pass.
+    for (const std::size_t n : {std::size_t{64}, std::size_t{256},
+                                std::size_t{1024}}) {
+        for (const int m : {11, 393}) {
+            FeedbackBenchTile tile(n, m);
+            const double row_cycles =
+                static_cast<double>(tile.kRows * tile.len);
+            const double per_row =
+                secondsPerPass([&] { tile.runPerRow(); }, target);
+            rows.push(bench::Json::object()
+                          .set("kernel", "feature_feedback_per_row")
+                          .set("stream_len", n)
+                          .set("m", m)
+                          .set("ns_per_row_cycle", per_row / row_cycles * 1e9));
+            for (const sc::simd::Level tier : kTiers) {
+                if (static_cast<int>(tier) > static_cast<int>(vec))
+                    break;
+                const BenchLevelGuard guard(tier);
+                const double sec =
+                    secondsPerPass([&] { tile.runKernel(); }, target);
+                rows.push(bench::Json::object()
+                              .set("kernel", "feature_feedback_tile")
+                              .set("simd_level", sc::simd::levelName(tier))
+                              .set("stream_len", n)
+                              .set("m", m)
+                              .set("ns_per_row_cycle", sec / row_cycles * 1e9)
+                              .set("speedup_vs_per_row", per_row / sec));
+            }
+        }
+    }
+    {
+        PoolBenchWindow win(len);
+        const double unit_sec =
+            secondsPerPass([&] { win.runUnit(); }, target);
+        const double closed_sec =
+            secondsPerPass([&] { win.runClosedForm(); }, target);
+        rows.push(bench::Json::object()
+                      .set("kernel", "pool_window_closed_form")
+                      .set("stream_len", len)
+                      .set("unit_sec_per_window", unit_sec)
+                      .set("closed_form_sec_per_window", closed_sec)
+                      .set("speedup", unit_sec / closed_sec));
     }
     {
         sc::Xoshiro256StarStar rng(9);

@@ -38,10 +38,14 @@
  *    out = (s >= M)
  *    c'  = out ? s - M : s
  *
- * These counter forms are what the fast functional models and the
- * whole-network SC inference engine execute; unit tests assert bit-exact
- * equivalence against the literal sorted-vector procedure and against
- * the gate-level netlists.
+ * These counter forms are what the fast functional block models
+ * execute; unit tests assert bit-exact equivalence against the literal
+ * sorted-vector procedure and against the gate-level netlists.  The
+ * whole-network SC inference engine runs word-parallel forms of the
+ * same recurrences: 2x2 pooling in closed form (poolWord4 below) and
+ * feature extraction as a bit-sliced kernel with one row per bit lane
+ * (src/sc/simd/feedback_kernel.h).  Both are bit-identical to stepping
+ * these units, which stay the reference the tests pin them to.
  */
 
 #ifndef AQFPSC_BLOCKS_FEEDBACK_UNIT_H
@@ -49,6 +53,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
 
 namespace aqfpsc::blocks {
 
@@ -167,6 +172,61 @@ class PoolingFeedbackUnit
     int m_;
     int carry_ = 0;
 };
+
+/** Inclusive prefix XOR: bit t of the result is bits [0, t] of @p x
+ *  XORed together. */
+inline std::uint64_t
+prefixXor(std::uint64_t x)
+{
+    x ^= x << 1;
+    x ^= x << 2;
+    x ^= x << 4;
+    x ^= x << 8;
+    x ^= x << 16;
+    x ^= x << 32;
+    return x;
+}
+
+/**
+ * 2x2 pooling (Algorithm 2 at M = 4) in closed form over one 64-cycle
+ * word: bit-identical to stepping PoolingFeedbackUnit(4) through cycles
+ * [0, @p cycles) of the window streams @p a .. @p d.
+ *
+ * With S the running count of ones, the unit's carry is always S mod 4
+ * (s < 2M, so out = s >= 4 takes 4 away exactly when S passes a
+ * multiple of 4) and its output bit is bit 2 of S_t xor bit 2 of
+ * S_{t-1}, the carry into bit 2 of S_{t-1} + column_t.  A full adder
+ * turns the window into column-count bits p0/p1/p2; the low bits of S
+ * are then prefix XORs, S0 = prefixXor(p0) with bit-1 carry
+ * c1 = S0_prev & p0 and S1 = prefixXor(p1 ^ c1), and the output is
+ * p2 ^ MAJ(S1_prev, p1, c1).
+ *
+ * @param carry In: the unit's carry() before the word, in [0, 4).  Out:
+ *        its carry() after cycle @p cycles - 1.
+ * @return The output bits; bits at and above @p cycles are zero.
+ */
+inline std::uint64_t
+poolWord4(std::uint64_t a, std::uint64_t b, std::uint64_t c,
+          std::uint64_t d, int &carry, unsigned cycles = 64)
+{
+    assert(carry >= 0 && carry < 4 && cycles >= 1 && cycles <= 64);
+    const std::uint64_t ab = a ^ b;
+    const std::uint64_t cd = c ^ d;
+    const std::uint64_t p0 = ab ^ cd;
+    const std::uint64_t p1 = (a & b) ^ (c & d) ^ (ab & cd);
+    const std::uint64_t p2 = a & b & c & d;
+    const std::uint64_t in0 = static_cast<std::uint64_t>(carry & 1);
+    const std::uint64_t in1 = static_cast<std::uint64_t>(carry >> 1);
+    const std::uint64_t s0 = prefixXor(p0) ^ (0 - in0);
+    const std::uint64_t c1 = ((s0 << 1) | in0) & p0;
+    const std::uint64_t s1 = prefixXor(p1 ^ c1) ^ (0 - in1);
+    const std::uint64_t s1_prev = (s1 << 1) | in1;
+    const std::uint64_t out =
+        p2 ^ ((s1_prev & p1) | (s1_prev & c1) | (p1 & c1));
+    const unsigned last = cycles - 1;
+    carry = static_cast<int>(((s1 >> last) & 1) << 1 | ((s0 >> last) & 1));
+    return cycles == 64 ? out : out & ((1ULL << cycles) - 1);
+}
 
 } // namespace aqfpsc::blocks
 

@@ -185,6 +185,22 @@ ScNetworkEngine::supportsAdaptive(std::string *why_not) const
     return false;
 }
 
+std::string
+ScNetworkEngine::imageError(const nn::Tensor &image) const
+{
+    const std::size_t expected = plan().inputElements;
+    if (image.size() != expected) {
+        return "image of " + std::to_string(image.size()) +
+               " elements; the network's first stage reads " +
+               std::to_string(expected);
+    }
+    for (std::size_t i = 0; i < image.size(); ++i) {
+        if (!std::isfinite(image[i]))
+            return "image element " + std::to_string(i) + " is not finite";
+    }
+    return {};
+}
+
 namespace {
 
 /**
@@ -207,22 +223,10 @@ requireValidRun(const ScNetworkEngine &engine,
             " images exceeds the workspace capacity of " +
             std::to_string(ws.capacity()));
     }
-    const std::size_t expected = engine.plan().inputElements;
     for (std::size_t c = 0; c < count; ++c) {
-        const nn::Tensor &image = *images[c];
-        if (image.size() != expected) {
-            throw std::invalid_argument(
-                "image of " + std::to_string(image.size()) +
-                " elements; the network's first stage reads " +
-                std::to_string(expected));
-        }
-        for (std::size_t i = 0; i < image.size(); ++i) {
-            if (!std::isfinite(image[i])) {
-                throw std::invalid_argument(
-                    "image element " + std::to_string(i) +
-                    " is not finite");
-            }
-        }
+        const std::string error = engine.imageError(*images[c]);
+        if (!error.empty())
+            throw std::invalid_argument(error);
     }
     const std::vector<std::string> errors = policy.validate();
     if (!errors.empty()) {

@@ -398,6 +398,14 @@ class ScNetworkEngine
      *  &engine.plan() compares equal across them. */
     const stages::ExecutionPlan &plan() const { return *plan_; }
 
+    /**
+     * Why @p image cannot run on this engine: its size is not
+     * plan().inputElements, or it holds a non-finite element.  Empty
+     * when it can.  Every entry point rejects such an image; the
+     * serving front end checks it at admission.
+     */
+    std::string imageError(const nn::Tensor &image) const;
+
   private:
     ScEngineConfig cfg_;
     std::string backendName_;

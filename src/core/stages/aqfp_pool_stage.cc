@@ -1,5 +1,6 @@
 #include "aqfp_pool_stage.h"
 
+#include <algorithm>
 #include <cassert>
 #include <span>
 
@@ -15,17 +16,11 @@ const PoolStageRegistration kRegistration{
         return std::make_unique<AqfpPoolStage>(g, cfg.streamLen);
     }};
 
-/** 2x2 window counter + pooling feedback unit reused across pixels. */
+/** Per-output-pixel remainder count S mod 4, resumed across spans. */
 struct PoolScratch final : StageScratch
 {
-    PoolScratch(std::size_t len, std::size_t rows)
-        : counts(len, 4), unit(4), carries(rows, 0)
-    {
-    }
+    explicit PoolScratch(std::size_t rows) : carries(rows, 0) {}
 
-    sc::ColumnCounts counts;
-    blocks::PoolingFeedbackUnit unit;
-    /** Per-output-pixel remainder count, resumed across spans. */
     std::vector<int> carries;
 };
 
@@ -48,8 +43,7 @@ AqfpPoolStage::footprint() const
 std::unique_ptr<StageScratch>
 AqfpPoolStage::makeScratch() const
 {
-    return std::make_unique<PoolScratch>(streamLen_,
-                                         footprint().outputRows);
+    return std::make_unique<PoolScratch>(footprint().outputRows);
 }
 
 void
@@ -61,7 +55,8 @@ AqfpPoolStage::runCohortSpan(const CohortSlot *slots, std::size_t count,
     const std::size_t len = streamLen_;
     assert(begin % 64 == 0 && begin < end && end <= len);
     const std::size_t w0 = begin / 64;
-    const std::size_t sw = (end - begin + 63) / 64;
+    const std::size_t cycles = end - begin;
+    const std::size_t in_w = static_cast<std::size_t>(geom_.inW);
 
     for (const CohortSlot &slot : std::span(slots, count)) {
         const sc::StreamMatrix &in = *slot.in;
@@ -79,25 +74,20 @@ AqfpPoolStage::runCohortSpan(const CohortSlot *slots, std::size_t count,
                     // Top-left input pixel of the 2x2 window.
                     const std::size_t in_row =
                         (static_cast<std::size_t>(c) * geom_.inH + 2 * y) *
-                            geom_.inW +
+                            in_w +
                         2 * x;
-                    ws.counts.clear();
-                    for (int dy = 0; dy < 2; ++dy) {
-                        for (int dx = 0; dx < 2; ++dx) {
-                            ws.counts.addWords(
-                                in.row(in_row + dy * geom_.inW + dx) + w0,
-                                sw);
-                        }
-                    }
-                    if (begin == 0)
-                        ws.unit.reset();
-                    else
-                        ws.unit.restore(4, ws.carries[out_row]);
-                    ws.counts.drivePrefix(
-                        end - begin,
-                        [&](int cnt) { return ws.unit.step(cnt); },
-                        out.row(out_row) + w0);
-                    ws.carries[out_row] = ws.unit.carry();
+                    const std::uint64_t *a = in.row(in_row) + w0;
+                    const std::uint64_t *b = in.row(in_row + 1) + w0;
+                    const std::uint64_t *cc = in.row(in_row + in_w) + w0;
+                    const std::uint64_t *d = in.row(in_row + in_w + 1) + w0;
+                    std::uint64_t *dst = out.row(out_row) + w0;
+                    int carry = begin == 0 ? 0 : ws.carries[out_row];
+                    for (std::size_t w = 0; 64 * w < cycles; ++w)
+                        dst[w] = blocks::poolWord4(
+                            a[w], b[w], cc[w], d[w], carry,
+                            static_cast<unsigned>(
+                                std::min<std::size_t>(64, cycles - 64 * w)));
+                    ws.carries[out_row] = carry;
                 }
             }
         }

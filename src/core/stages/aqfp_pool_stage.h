@@ -1,8 +1,10 @@
 /**
  * @file
- * 2x2 average pooling on the AQFP sorter backend (Algorithm 2, counter
- * form): the sorter + half-feedback loop emits the exact running average
- * of the four pooled streams.
+ * 2x2 average pooling on the AQFP sorter backend (Algorithm 2): the
+ * sorter + half-feedback loop emits the exact running average of the
+ * four pooled streams.  The stage computes it in closed form, one
+ * 64-cycle word at a time (blocks::poolWord4), resuming each pixel's
+ * carry S mod 4 across spans.
  */
 
 #ifndef AQFPSC_CORE_STAGES_AQFP_POOL_STAGE_H
@@ -17,7 +19,7 @@ namespace aqfpsc::core::stages {
 class AqfpPoolStage final : public ScStage
 {
   public:
-    /** @param stream_len Engine stream length (sizes the scratch). */
+    /** @param stream_len Engine stream length (the stage's own). */
     AqfpPoolStage(const PoolGeometry &geom, std::size_t stream_len)
         : geom_(geom), streamLen_(stream_len)
     {

@@ -21,13 +21,17 @@
  * The core has exactly one kernel path, the stage-major cohort span: a
  * single image is a cohort of one, and a cohort of C images gathers each
  * output row's operands once and sums them into every image's
- * carry-save planes with one ColumnCounts::addXnorRow call per image.
- * Results are bit-identical at every cohort size by construction.
+ * carry-save planes with one row-kernel call per image
+ * (sc::simd::KernelTable::addXnorRow), then drives each image.  The
+ * CMOS policy drives each row as it is summed; the sorter policy drives
+ * a tile of rows at once.  Results are bit-identical at every cohort
+ * size by construction.
  */
 
 #ifndef AQFPSC_CORE_STAGES_STAGE_COMMON_H
 #define AQFPSC_CORE_STAGES_STAGE_COMMON_H
 
+#include <algorithm>
 #include <array>
 #include <cassert>
 #include <cstdint>
@@ -39,6 +43,7 @@
 #include "blocks/feedback_unit.h"
 #include "core/stages/stage.h"
 #include "sc/apc.h"
+#include "sc/simd/simd.h"
 #include "sc/stream_matrix.h"
 
 namespace aqfpsc::core::stages {
@@ -336,9 +341,9 @@ struct OnesScratch final : StageScratch
 };
 
 /**
- * Per-slot state every linear stage shares: the row's carry-save counter
- * and the operands of its products, gathered once per output row for
- * ColumnCounts::addXnorRow.
+ * Per-slot state every linear stage shares: the operands of the current
+ * row's products, and the carry-save counter of the policies that drive
+ * one row at a time.
  */
 struct LinearScratch : StageScratch
 {
@@ -348,6 +353,16 @@ struct LinearScratch : StageScratch
           wrows(static_cast<std::size_t>(max_count)),
           ones((len + 63) / 64, ~0ULL)
     {
+    }
+
+    /** Sum the current row's @p n products (weight side @p ws) over the
+     *  span's @p sw words into counts. */
+    void
+    sumCounts(const std::uint64_t *const ws[], std::size_t n,
+              std::size_t sw)
+    {
+        counts.clear();
+        counts.addXnorRow(xrows.data(), ws, n, sw);
     }
 
     sc::ColumnCounts counts;
@@ -366,6 +381,13 @@ struct LinearScratch : StageScratch
  * form).  The sorter needs an odd input count, so even rows are padded
  * with the neutral stream; the feedback carry is the per-row resumable
  * state.
+ *
+ * Rows are summed a tile of sc::simd::kFeedbackTileRows at a time into
+ * one plane buffer, and the feedback kernel then drives the whole tile
+ * with rows as bit lanes (src/sc/simd/feedback_kernel.h).  Counters
+ * wider than its sc::simd::kMaxFeedbackPlanes planes step a
+ * blocks::FeatureFeedbackUnit through each row's counts instead; both
+ * paths compute the unit's recurrence exactly.
  */
 class SorterMajorityPolicy
 {
@@ -378,12 +400,61 @@ class SorterMajorityPolicy
     struct Scratch final : LinearScratch
     {
         Scratch(std::size_t len, int max_count, std::size_t rows)
-            : LinearScratch(len, max_count), unit(1), carries(rows, 0)
+            : LinearScratch(len, max_count), rows(rows),
+              words((len + 63) / 64), planes(counts.planeCount()), unit(1)
         {
+            if (planes > sc::simd::kMaxFeedbackPlanes) {
+                carries.assign(rows, 0);
+                return;
+            }
+            // Whole registers of rows for every tile (FeedbackTile).
+            constexpr std::size_t kTileWords =
+                sc::simd::kFeedbackTileRows / 64;
+            sliceStride = (rows + sc::simd::kFeedbackTileRows - 1) /
+                          sc::simd::kFeedbackTileRows * kTileWords;
+            tile.assign(std::min(rows, sc::simd::kFeedbackTileRows) *
+                            rowStride(),
+                        0);
+            mBits.assign(static_cast<std::size_t>(planes) * sliceStride, 0);
+            carryBits.assign(mBits.size(), 0);
         }
 
+        bool tiled() const { return !mBits.empty(); }
+        std::size_t
+        rowStride() const
+        {
+            return static_cast<std::size_t>(planes) * words;
+        }
+
+        /** Tile path: set row @p r's bit-sliced M and re-arm its carry
+         *  at the operating point (M - 1) / 2. */
+        void
+        rearm(std::size_t r, int m)
+        {
+            const std::uint64_t bit = 1ULL << (r % 64);
+            const int h = (m - 1) / 2;
+            for (int k = 0; k < planes; ++k) {
+                const std::size_t at =
+                    static_cast<std::size_t>(k) * sliceStride + r / 64;
+                mBits[at] = (m >> k & 1) != 0 ? mBits[at] | bit
+                                              : mBits[at] & ~bit;
+                carryBits[at] = (h >> k & 1) != 0 ? carryBits[at] | bit
+                                                  : carryBits[at] & ~bit;
+            }
+        }
+
+        std::size_t rows;
+        std::size_t words;
+        int planes;
+        /** Tile path: each tile row's count planes. */
+        std::vector<std::uint64_t> tile;
+        /** Tile path: bit-sliced sorter input count M of every row. */
+        std::vector<std::uint64_t> mBits;
+        /** Tile path: bit-sliced feedback count, resumed across spans. */
+        std::vector<std::uint64_t> carryBits;
+        std::size_t sliceStride = 0;
+        /** Per-row path: the unit and each row's resumed feedback count. */
         blocks::FeatureFeedbackUnit unit;
-        /** Per-output-row feedback count, resumed across spans. */
         std::vector<int> carries;
     };
 
@@ -391,16 +462,57 @@ class SorterMajorityPolicy
     static int maxCount(int max_products) { return max_products + 2; }
 
     void
-    drive(Scratch &ws, std::size_t r, int /*m*/, int eff_m,
-          std::size_t begin, std::size_t end, std::uint64_t *dst) const
+    sum(Scratch &ws, std::size_t r, const std::uint64_t *const wrows[],
+        std::size_t n, std::size_t sw) const
     {
+        if (!ws.tiled()) {
+            ws.sumCounts(wrows, n, sw);
+            return;
+        }
+        std::uint64_t *const planes =
+            ws.tile.data() + r % sc::simd::kFeedbackTileRows * ws.rowStride();
+        for (int k = 0; k < ws.planes; ++k)
+            std::fill_n(planes + static_cast<std::size_t>(k) * ws.words, sw,
+                        0);
+        sc::simd::kernels().addXnorRow({planes, ws.words, ws.planes},
+                                       ws.xrows.data(), wrows, n, sw);
+    }
+
+    void
+    drive(Scratch &ws, std::size_t r, int /*m*/, int eff_m,
+          std::size_t begin, std::size_t end, sc::StreamMatrix &out) const
+    {
+        if (!ws.tiled()) {
+            if (begin == 0)
+                ws.unit.reset(eff_m);
+            else
+                ws.unit.restore(eff_m, ws.carries[r]);
+            ws.counts.drivePrefix(end - begin,
+                                  [&](int c) { return ws.unit.step(c); },
+                                  out.row(r) + begin / 64);
+            ws.carries[r] = ws.unit.carry();
+            return;
+        }
         if (begin == 0)
-            ws.unit.reset(eff_m);
-        else
-            ws.unit.restore(eff_m, ws.carries[r]);
-        ws.counts.drivePrefix(end - begin,
-                              [&](int c) { return ws.unit.step(c); }, dst);
-        ws.carries[r] = ws.unit.carry();
+            ws.rearm(r, eff_m);
+        // The tile's last row drives the whole tile.
+        const std::size_t t = r % sc::simd::kFeedbackTileRows;
+        if (t + 1 == sc::simd::kFeedbackTileRows || r + 1 == ws.rows)
+            driveTile(ws, r - t, t + 1, begin, end, out);
+    }
+
+  private:
+    /** Drive tile rows [r0, r0 + rows) through the span. */
+    static void
+    driveTile(Scratch &ws, std::size_t r0, std::size_t rows,
+              std::size_t begin, std::size_t end, sc::StreamMatrix &out)
+    {
+        const std::size_t slice0 = r0 / 64;
+        sc::simd::kernels().featureFeedback(
+            {ws.tile.data(), ws.rowStride(), ws.words, ws.planes, rows,
+             ws.mBits.data() + slice0, ws.carryBits.data() + slice0,
+             ws.sliceStride, out.row(r0) + begin / 64, out.wordsPerRow(),
+             end - begin});
     }
 };
 
@@ -435,8 +547,15 @@ class ApcBtanhPolicy
     static int maxCount(int max_products) { return max_products + 2; }
 
     void
+    sum(Scratch &ws, std::size_t /*r*/, const std::uint64_t *const wrows[],
+        std::size_t n, std::size_t sw) const
+    {
+        ws.sumCounts(wrows, n, sw);
+    }
+
+    void
     drive(Scratch &ws, std::size_t r, int m, int /*eff_m*/,
-          std::size_t begin, std::size_t end, std::uint64_t *dst) const
+          std::size_t begin, std::size_t end, sc::StreamMatrix &out) const
     {
         // s_max / 2 with s_max = 2m; resumed across spans.
         int state = begin == 0 ? m : ws.states[r];
@@ -444,6 +563,7 @@ class ApcBtanhPolicy
             return baseline::ApcFeatureExtraction::btanhStep(state, c, m,
                                                              2 * m);
         };
+        std::uint64_t *const dst = out.row(r) + begin / 64;
         if (approx)
             ws.counts.driveWithOvercountPrefix(ws.over.counts(), m,
                                                end - begin, step, dst);
@@ -553,11 +673,8 @@ class LinearScStage : public ScStage
                     eff_m = m + 1;
                 }
             }
-            for (std::size_t c = 0; c < count; ++c) {
-                sc::ColumnCounts &cc = ws[c]->counts;
-                cc.clear();
-                cc.addXnorRow(ws[c]->xrows.data(), wrows, n, sw);
-            }
+            for (std::size_t c = 0; c < count; ++c)
+                policy_.sum(*ws[c], r, wrows, n, sw);
             if constexpr (Policy::kApproxCapable) {
                 if (policy_.approx) {
                     // The OR-pair overcount model pairs the products (not
@@ -572,7 +689,7 @@ class LinearScStage : public ScStage
             }
             for (std::size_t c = 0; c < count; ++c)
                 policy_.drive(*ws[c], r, m, eff_m, begin, end,
-                              slots[c].out->row(r) + w0);
+                              *slots[c].out);
         }
     }
 

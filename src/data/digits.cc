@@ -177,7 +177,10 @@ generateDigits(int count, std::uint64_t seed, const DigitGenConfig &cfg)
     assert(count >= 1);
     std::mt19937_64 gen(seed);
     std::uniform_real_distribution<double> uni(0.0, 1.0);
-    std::normal_distribution<double> noise(0.0, cfg.noiseStd);
+    // A unit normal scaled by noiseStd: std::normal_distribution requires
+    // stddev > 0, and noiseStd = 0 (noise-free images) is valid.  This is
+    // the same value the library's z * stddev + mean draw produces.
+    std::normal_distribution<double> unit_normal(0.0, 1.0);
 
     const int n = kDigitImageSize;
     std::vector<nn::Sample> samples;
@@ -209,7 +212,8 @@ generateDigits(int count, std::uint64_t seed, const DigitGenConfig &cfg)
                 const double ry = (y + 0.5 - icy) / base_scale;
                 const double gx = ca * rx + sa * ry + gcx - 0.5;
                 const double gy = -sa * rx + ca * ry + gcy - 0.5;
-                double v = sampleGlyph(digit, gx, gy) + noise(gen);
+                double v = sampleGlyph(digit, gx, gy) +
+                           unit_normal(gen) * cfg.noiseStd;
                 v = std::min(1.0, std::max(0.0, v));
                 // Bipolar input domain for SC.
                 s.image.at(0, y, x) = static_cast<float>(2.0 * v - 1.0);

@@ -244,6 +244,9 @@ class ColumnCounts
     /** Number of streams added so far. */
     int added() const { return added_; }
 
+    /** Bit planes of the counter (bit_width of its largest count). */
+    int planeCount() const { return planeCount_; }
+
     /** Packed words per plane ((len + 63) / 64). */
     std::size_t wordCount() const { return wordCount_; }
 

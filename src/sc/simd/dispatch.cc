@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cstdlib>
 
+#include "feedback_kernel.h"
 #include "kernels_scalar.h"
 #include "row_kernel.h"
 
@@ -18,24 +19,58 @@ namespace aqfpsc::sc::simd {
 
 namespace {
 
-/** One packed word per lane: the row kernel in general-purpose
- *  registers. */
+/** One packed word per lane: the row and feedback kernels in
+ *  general-purpose registers. */
 struct WordLane
 {
     using V = std::uint64_t;
+    static constexpr std::size_t kWidth = 1;
 
     V load(const std::uint64_t *p) const { return *p; }
     void store(std::uint64_t *p, V v) const { *p = v; }
     static V zero() { return 0; }
+    static V ones() { return ~0ULL; }
+    static V broadcast(std::uint64_t x) { return x; }
     static V xnor(V a, V b) { return ~(a ^ b); }
+    static V bitNot(V a) { return ~a; }
     static V bitAnd(V a, V b) { return a & b; }
+    static V bitOr(V a, V b) { return a | b; }
     static V bitXor(V a, V b) { return a ^ b; }
+    static V xor3(V a, V b, V c) { return a ^ b ^ c; }
+    static V maj(V a, V b, V c) { return (a & b) | (c & (a | b)); }
+    static V borrow(V a, V b, V c) { return maj(~a, b, c); }
+    static V select(V m, V a, V b) { return (m & a) | (~m & b); }
+    template <int S>
+    static V
+    shiftLeft(V a)
+    {
+        return a << S;
+    }
+    template <int S>
+    static V
+    shiftRight(V a)
+    {
+        return a >> S;
+    }
     static void
     csa(V &high, V &low, V b, V c)
     {
         const V u = low ^ b;
         high = (low & b) | (u & c);
         low = u ^ c;
+    }
+    V
+    gather(const std::uint64_t *p, std::size_t /*stride*/,
+           std::size_t lanes) const
+    {
+        return lanes != 0 ? *p : 0;
+    }
+    void
+    scatter(std::uint64_t *p, std::size_t /*stride*/, std::size_t lanes,
+            V v) const
+    {
+        if (lanes != 0)
+            *p = v;
     }
 };
 
@@ -48,6 +83,12 @@ scalarAddXnorRow(const PlaneSpan &span, const std::uint64_t *const xs[],
         detail::addXnorRowGroup(WordLane{}, span, xs, ws, products, wi);
 }
 
+void
+scalarFeatureFeedback(const FeedbackTile &tile)
+{
+    detail::feedbackRows<WordLane>(tile, 0);
+}
+
 std::uint64_t
 scalarThresholdPack(const std::uint64_t *rnd, std::size_t n,
                     std::uint64_t threshold)
@@ -58,6 +99,7 @@ scalarThresholdPack(const std::uint64_t *rnd, std::size_t n,
 constexpr KernelTable kScalarTable = {
     "scalar",
     scalarAddXnorRow,
+    scalarFeatureFeedback,
     scalarThresholdPack,
 };
 

@@ -2,14 +2,18 @@
  * @file
  * AVX2 kernel table.  The row kernel (row_kernel.h) runs on 4-word
  * (256-cycle) ymm lane groups; the 1-3 words left after the last full
- * group take one group masked with vpmaskmovq.  AVX2 has no ternary
- * logic, so each carry-save adder is five AND/OR/XOR ops.
+ * group take one group masked with vpmaskmovq.  The feedback kernel
+ * (feedback_kernel.h) drives 4 x 64 rows per ymm group, gathering the
+ * count planes with vpgatherqq; a tile of 64 rows or fewer takes the
+ * scalar table's kernel.  AVX2 has no ternary logic, so each
+ * carry-save adder is five AND/OR/XOR ops.
  *
  * Compiled with -mavx2 via a per-file CMake property; when the compiler
  * lacks the flag (non-x86), the TU degrades to a nullptr stub and
  * dispatch falls back to scalar.
  */
 
+#include "feedback_kernel.h"
 #include "kernels_scalar.h"
 #include "row_kernel.h"
 #include "simd.h"
@@ -25,6 +29,7 @@ namespace {
 struct YmmLane
 {
     using V = __m256i;
+    static constexpr std::size_t kWidth = 4;
 
     V load(const std::uint64_t *p) const
     {
@@ -50,6 +55,75 @@ struct YmmLane
         high = _mm256_or_si256(_mm256_and_si256(low, b),
                                _mm256_and_si256(u, c));
         low = _mm256_xor_si256(u, c);
+    }
+
+    // Feedback kernel operations (feedback_kernel.h).
+    static V ones() { return _mm256_set1_epi64x(-1); }
+    static V
+    broadcast(std::uint64_t x)
+    {
+        return _mm256_set1_epi64x(static_cast<long long>(x));
+    }
+    static V bitNot(V a) { return _mm256_xor_si256(a, ones()); }
+    static V bitOr(V a, V b) { return _mm256_or_si256(a, b); }
+    static V
+    xor3(V a, V b, V c)
+    {
+        return _mm256_xor_si256(_mm256_xor_si256(a, b), c);
+    }
+    static V
+    maj(V a, V b, V c)
+    {
+        return _mm256_or_si256(_mm256_and_si256(a, b),
+                               _mm256_and_si256(c, _mm256_or_si256(a, b)));
+    }
+    static V
+    borrow(V a, V b, V c)
+    {
+        // (~a & b) | (c & ~(a & ~b))
+        return _mm256_or_si256(
+            _mm256_andnot_si256(a, b),
+            _mm256_andnot_si256(_mm256_andnot_si256(b, a), c));
+    }
+    static V
+    select(V m, V a, V b)
+    {
+        return _mm256_or_si256(_mm256_and_si256(m, a),
+                               _mm256_andnot_si256(m, b));
+    }
+    template <int S>
+    static V
+    shiftLeft(V a)
+    {
+        return _mm256_slli_epi64(a, S);
+    }
+    template <int S>
+    static V
+    shiftRight(V a)
+    {
+        return _mm256_srli_epi64(a, S);
+    }
+    V
+    gather(const std::uint64_t *p, std::size_t stride,
+           std::size_t lanes) const
+    {
+        const auto s = static_cast<long long>(stride);
+        const __m256i mask = _mm256_cmpgt_epi64(
+            _mm256_set1_epi64x(static_cast<long long>(lanes)),
+            _mm256_setr_epi64x(0, 1, 2, 3));
+        return _mm256_mask_i64gather_epi64(
+            _mm256_setzero_si256(), reinterpret_cast<const long long *>(p),
+            _mm256_setr_epi64x(0, s, 2 * s, 3 * s), mask, 8);
+    }
+    void
+    scatter(std::uint64_t *p, std::size_t stride, std::size_t lanes,
+            V v) const
+    {
+        // AVX2 has no scatter; the output is one word per row and word.
+        alignas(32) std::uint64_t w[4];
+        _mm256_store_si256(reinterpret_cast<__m256i *>(w), v);
+        for (std::size_t j = 0; j < lanes; ++j)
+            p[j * stride] = w[j];
     }
 };
 
@@ -87,6 +161,15 @@ addXnorRow(const PlaneSpan &span, const std::uint64_t *const xs[],
     }
 }
 
+void
+featureFeedback(const FeedbackTile &tile)
+{
+    if (tile.rows > 64)
+        detail::feedbackRows<YmmLane>(tile, 0);
+    else
+        scalarKernels()->featureFeedback(tile);
+}
+
 std::uint64_t
 thresholdPack(const std::uint64_t *rnd, std::size_t n,
               std::uint64_t threshold)
@@ -114,6 +197,7 @@ thresholdPack(const std::uint64_t *rnd, std::size_t n,
 constexpr KernelTable kAvx2Table = {
     "avx2",
     addXnorRow,
+    featureFeedback,
     thresholdPack,
 };
 

@@ -5,13 +5,19 @@
  * take one narrower or masked group: a plain ymm group for exactly 4
  * words (the whole row at N = 256), a masked ymm group for 1-3 and a
  * masked zmm group for 5-7.  Each carry-save adder is two ternary-logic
- * ops (majority and three-way XOR).  The mask registers also give the
+ * ops (majority and three-way XOR).  The feedback kernel
+ * (feedback_kernel.h) drives up to 8 x 64 rows per zmm group, a tile of
+ * at most 256 rows per ymm group and a tile of 64 rows or fewer through
+ * the scalar table's kernel; masked gathers and scatters move the count
+ * planes and output words, and every adder, comparator and select is
+ * one or two ternary-logic ops.  The mask registers also give the
  * threshold compare its packed result for free
  * (_mm512_cmplt_epu64_mask yields the 8 stream bits directly).
  * Compiled with -mavx512f/bw/dq/vl via a per-file CMake property;
  * degrades to a nullptr stub without it.
  */
 
+#include "feedback_kernel.h"
 #include "kernels_scalar.h"
 #include "row_kernel.h"
 #include "simd.h"
@@ -27,11 +33,15 @@ namespace {
 constexpr int kXnorAB = 0xC3;    // ~(a ^ b)
 constexpr int kMajority = 0xE8;  // at least two of a, b, c
 constexpr int kXor3 = 0x96;      // a ^ b ^ c
+constexpr int kBorrow = 0x8E;    // majority of ~a, b, c
+constexpr int kSelect = 0xCA;    // a ? b : c
+constexpr int kNotA = 0x0F;      // ~a
 
 /** Full 8-word lane group. */
 struct ZmmLane
 {
     using V = __m512i;
+    static constexpr std::size_t kWidth = 8;
 
     V load(const std::uint64_t *p) const { return _mm512_loadu_si512(p); }
     void store(std::uint64_t *p, V v) const { _mm512_storeu_si512(p, v); }
@@ -48,6 +58,73 @@ struct ZmmLane
     {
         high = _mm512_ternarylogic_epi64(low, b, c, kMajority);
         low = _mm512_ternarylogic_epi64(low, b, c, kXor3);
+    }
+
+    // Feedback kernel operations (feedback_kernel.h).
+    static V ones() { return _mm512_set1_epi64(-1); }
+    static V
+    broadcast(std::uint64_t x)
+    {
+        return _mm512_set1_epi64(static_cast<long long>(x));
+    }
+    static V bitNot(V a) { return _mm512_ternarylogic_epi64(a, a, a, kNotA); }
+    static V bitOr(V a, V b) { return _mm512_or_si512(a, b); }
+    static V
+    xor3(V a, V b, V c)
+    {
+        return _mm512_ternarylogic_epi64(a, b, c, kXor3);
+    }
+    static V
+    maj(V a, V b, V c)
+    {
+        return _mm512_ternarylogic_epi64(a, b, c, kMajority);
+    }
+    static V
+    borrow(V a, V b, V c)
+    {
+        return _mm512_ternarylogic_epi64(a, b, c, kBorrow);
+    }
+    static V
+    select(V m, V a, V b)
+    {
+        return _mm512_ternarylogic_epi64(m, a, b, kSelect);
+    }
+    // Vector-extension shifts: GCC 12's _mm512_s[lr]li_epi64 trip
+    // -Wmaybe-uninitialized on their internal undefined operand.
+    template <int S>
+    static V
+    shiftLeft(V a)
+    {
+        return reinterpret_cast<V>(reinterpret_cast<__v8du>(a) << S);
+    }
+    template <int S>
+    static V
+    shiftRight(V a)
+    {
+        return reinterpret_cast<V>(reinterpret_cast<__v8du>(a) >> S);
+    }
+    static __m512i
+    laneOffsets(std::size_t stride)
+    {
+        return _mm512_mullo_epi64(
+            _mm512_set1_epi64(static_cast<long long>(stride)),
+            _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7));
+    }
+    V
+    gather(const std::uint64_t *p, std::size_t stride,
+           std::size_t lanes) const
+    {
+        return _mm512_mask_i64gather_epi64(
+            _mm512_setzero_si512(), static_cast<__mmask8>((1u << lanes) - 1),
+            laneOffsets(stride), p, 8);
+    }
+    void
+    scatter(std::uint64_t *p, std::size_t stride, std::size_t lanes,
+            V v) const
+    {
+        _mm512_mask_i64scatter_epi64(p,
+                                     static_cast<__mmask8>((1u << lanes) - 1),
+                                     laneOffsets(stride), v, 8);
     }
 };
 
@@ -70,6 +147,7 @@ struct ZmmPartLane : ZmmLane
 struct YmmLane
 {
     using V = __m256i;
+    static constexpr std::size_t kWidth = 4;
 
     V load(const std::uint64_t *p) const
     {
@@ -92,6 +170,70 @@ struct YmmLane
     {
         high = _mm256_ternarylogic_epi64(low, b, c, kMajority);
         low = _mm256_ternarylogic_epi64(low, b, c, kXor3);
+    }
+
+    // Feedback kernel operations (feedback_kernel.h).
+    static V ones() { return _mm256_set1_epi64x(-1); }
+    static V
+    broadcast(std::uint64_t x)
+    {
+        return _mm256_set1_epi64x(static_cast<long long>(x));
+    }
+    static V bitNot(V a) { return _mm256_ternarylogic_epi64(a, a, a, kNotA); }
+    static V bitOr(V a, V b) { return _mm256_or_si256(a, b); }
+    static V
+    xor3(V a, V b, V c)
+    {
+        return _mm256_ternarylogic_epi64(a, b, c, kXor3);
+    }
+    static V
+    maj(V a, V b, V c)
+    {
+        return _mm256_ternarylogic_epi64(a, b, c, kMajority);
+    }
+    static V
+    borrow(V a, V b, V c)
+    {
+        return _mm256_ternarylogic_epi64(a, b, c, kBorrow);
+    }
+    static V
+    select(V m, V a, V b)
+    {
+        return _mm256_ternarylogic_epi64(m, a, b, kSelect);
+    }
+    template <int S>
+    static V
+    shiftLeft(V a)
+    {
+        return _mm256_slli_epi64(a, S);
+    }
+    template <int S>
+    static V
+    shiftRight(V a)
+    {
+        return _mm256_srli_epi64(a, S);
+    }
+    static __m256i
+    laneOffsets(std::size_t stride)
+    {
+        const auto s = static_cast<long long>(stride);
+        return _mm256_setr_epi64x(0, s, 2 * s, 3 * s);
+    }
+    V
+    gather(const std::uint64_t *p, std::size_t stride,
+           std::size_t lanes) const
+    {
+        return _mm256_mmask_i64gather_epi64(
+            _mm256_setzero_si256(), static_cast<__mmask8>((1u << lanes) - 1),
+            laneOffsets(stride), p, 8);
+    }
+    void
+    scatter(std::uint64_t *p, std::size_t stride, std::size_t lanes,
+            V v) const
+    {
+        _mm256_mask_i64scatter_epi64(p,
+                                     static_cast<__mmask8>((1u << lanes) - 1),
+                                     laneOffsets(stride), v, 8);
     }
 };
 
@@ -130,6 +272,17 @@ addXnorRow(const PlaneSpan &span, const std::uint64_t *const xs[],
                                 products, wi);
 }
 
+void
+featureFeedback(const FeedbackTile &tile)
+{
+    if (tile.rows > 256)
+        detail::feedbackRows<ZmmLane>(tile, 0);
+    else if (tile.rows > 64)
+        detail::feedbackRows<YmmLane>(tile, 0);
+    else
+        scalarKernels()->featureFeedback(tile);
+}
+
 std::uint64_t
 thresholdPack(const std::uint64_t *rnd, std::size_t n,
               std::uint64_t threshold)
@@ -149,6 +302,7 @@ thresholdPack(const std::uint64_t *rnd, std::size_t n,
 constexpr KernelTable kAvx512Table = {
     "avx512",
     addXnorRow,
+    featureFeedback,
     thresholdPack,
 };
 

@@ -2,8 +2,10 @@
  * @file
  * Runtime ISA dispatch for the SC kernel hot loops.
  *
- * Two loops dominate stream execution: the carry-save accumulation of
- * an output row's XNOR products (ColumnCounts::addXnorRow) and the SNG
+ * Three loops dominate stream execution: the carry-save accumulation
+ * of an output row's XNOR products (ColumnCounts::addXnorRow), the
+ * AQFP sorter feedback recurrence that turns a tile of rows' counts
+ * into output streams (Algorithm 1, feedback_kernel.h) and the SNG
  * threshold fill (StreamMatrix::fillBipolar*).  This layer supplies
  * their vector kernels and picks one implementation per process:
  *
@@ -19,9 +21,12 @@
  *    carry-save planes hold exact binary counts, which do not depend on
  *    how the additions are grouped, so the row kernel's adder tree
  *    (row_kernel.h) stores the same planes as one ripple per product
- *    (kernels_scalar.h); the threshold fill performs the same unsigned
- *    compare per RNG word.  tests/test_simd_kernels.cc pins this on
- *    every tier, and the golden score hashes pin it end to end.
+ *    (kernels_scalar.h); the feedback kernel runs the integer
+ *    recurrence of blocks::FeatureFeedbackUnit with bit-sliced adders
+ *    and comparators, one row per bit lane; the threshold fill performs
+ *    the same unsigned compare per RNG word.  tests/test_simd_kernels.cc
+ *    pins this on every tier, and the golden score hashes pin it end to
+ *    end.
  *
  * setActiveLevel() exists for tests and benches that need to compare
  * variants in-process; it swaps an atomic table pointer, so it must not
@@ -73,6 +78,53 @@ using AddXnorRowFn = void (*)(const PlaneSpan &span,
                               const std::uint64_t *const ws[],
                               std::size_t products, std::size_t words);
 
+/** Rows one feedback kernel call drives: 64 bit lanes times the 8
+ *  words of the widest (AVX-512) register. */
+inline constexpr std::size_t kFeedbackTileRows = 512;
+
+/** Most count planes the feedback kernel's bit-sliced arithmetic
+ *  handles (sorter input counts < 4096); wider counters take the
+ *  per-row blocks::FeatureFeedbackUnit drive. */
+inline constexpr int kMaxFeedbackPlanes = 12;
+
+/**
+ * A tile of sorter feedback rows (Algorithm 1, counter form) for the
+ * feedback kernel.  Row t of the tile has
+ *
+ *  - count plane k, word w at planes[t * rowStride + k * planeStride + w]
+ *    (bit b of that word is bit k of the cycle 64w + b column count, as
+ *    in ColumnCounts);
+ *  - its sorter input count M (odd, < 2^planeCount) and its feedback
+ *    count, bit-sliced: bit t % 64 of m[k * sliceStride + t / 64] is bit
+ *    k of M, and likewise for carry;
+ *  - its output stream at out[t * outStride + w].
+ *
+ * m and carry hold kFeedbackTileRows / 64 words per plane (whole
+ * registers); the carry bits of rows past @c rows are unspecified
+ * afterwards.
+ */
+struct FeedbackTile
+{
+    const std::uint64_t *planes;
+    std::size_t rowStride;
+    std::size_t planeStride;
+    int planeCount; ///< [1, kMaxFeedbackPlanes]
+    std::size_t rows; ///< [1, kFeedbackTileRows]
+    const std::uint64_t *m;
+    std::uint64_t *carry; ///< in/out, each row's in [0, M]
+    std::size_t sliceStride;
+    std::uint64_t *out;
+    std::size_t outStride;
+    std::size_t cycles; ///< drives words [0, ceil(cycles / 64))
+};
+
+/**
+ * Step every row of @p tile through @c cycles cycles of
+ * blocks::FeatureFeedbackUnit from its carry, writing the output bits
+ * (tail bits of the last word zero) and the final carries.
+ */
+using FeatureFeedbackFn = void (*)(const FeedbackTile &tile);
+
 /** Pack (rnd[b] < threshold) for b in [0, n) into one stream word. */
 using ThresholdPackFn = std::uint64_t (*)(const std::uint64_t *rnd,
                                           std::size_t n,
@@ -83,13 +135,14 @@ struct KernelTable
 {
     const char *name; ///< levelName() of the implementing tier.
     AddXnorRowFn addXnorRow;
+    FeatureFeedbackFn featureFeedback;
     ThresholdPackFn thresholdPack;
 };
 
 /** KernelTable's kernels in field order: the names variantSummary()
  *  stamps.  Keep in step with the struct (the size check below). */
-inline constexpr const char *kKernelNames[] = {"addXnorRow",
-                                               "thresholdPack"};
+inline constexpr const char *kKernelNames[] = {
+    "addXnorRow", "featureFeedback", "thresholdPack"};
 static_assert(sizeof(KernelTable) ==
                   sizeof(const char *) +
                       sizeof(kKernelNames) / sizeof(kKernelNames[0]) *

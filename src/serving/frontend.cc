@@ -427,6 +427,23 @@ ServingFrontend::enqueueLocked(Tenant &tenant, nn::Tensor image)
     return future;
 }
 
+std::optional<std::future<ServedResult>>
+ServingFrontend::rejectMalformedLocked(Tenant &tenant,
+                                       const nn::Tensor &image)
+{
+    std::string error = tenant.engine->imageError(image);
+    if (error.empty())
+        return std::nullopt;
+    // A client error: it costs no service work, so it adds no failure
+    // pressure to the shed signal.
+    ++tenant.failed;
+    std::promise<ServedResult> promise;
+    fulfillException(promise, Status{StatusCode::InvalidArgument,
+                                     "tenant '" + tenant.cfg.name +
+                                         "': " + std::move(error)});
+    return promise.get_future();
+}
+
 std::future<ServedResult>
 ServingFrontend::submit(const std::string &tenant, nn::Tensor image)
 {
@@ -439,6 +456,8 @@ ServingFrontend::submit(const std::string &tenant, nn::Tensor image)
                 StatusCode::Shutdown,
                 "ServingFrontend is shut down: request rejected");
         }
+        if (auto failed = rejectMalformedLocked(t, image))
+            return std::move(*failed);
         if (t.queue.size() >= t.cfg.queueCapacity) {
             ++t.rejected;
             throw StatusError(
@@ -462,6 +481,8 @@ ServingFrontend::trySubmit(const std::string &tenant, nn::Tensor image)
         Tenant &t = tenantOrThrow(tenant);
         if (stopping_)
             return std::nullopt;
+        if (auto failed = rejectMalformedLocked(t, image))
+            return failed;
         if (t.queue.size() >= t.cfg.queueCapacity) {
             ++t.rejected;
             return std::nullopt;

@@ -369,7 +369,11 @@ class ServingFrontend
     void start();
 
     /**
-     * Enqueue one image for @p tenant (copied into the request).
+     * Enqueue one image for @p tenant (copied into the request).  An
+     * image the tenant's engine cannot run (wrong size for
+     * plan().inputElements, or a non-finite pixel) is not queued: its
+     * future is already failed with StatusCode::InvalidArgument, it
+     * counts in TenantStats::failed and takes no request id.
      * @throws std::invalid_argument for unknown tenants,
      *         std::runtime_error when the tenant queue is full or
      *         shutdown has begun (admission control never blocks —
@@ -379,8 +383,9 @@ class ServingFrontend
                                      nn::Tensor image);
 
     /** Non-throwing admission control: std::nullopt when the tenant
-     *  queue is full or shutdown has begun.  @throws
-     *  std::invalid_argument for unknown tenants (a caller bug). */
+     *  queue is full or shutdown has begun; a malformed image gets a
+     *  failed future, as in submit().  @throws std::invalid_argument
+     *  for unknown tenants (a caller bug). */
     std::optional<std::future<ServedResult>>
     trySubmit(const std::string &tenant, nn::Tensor image);
 
@@ -497,6 +502,12 @@ class ServingFrontend
     /** Enqueue into @p tenant; caller holds mutex_ and checked space. */
     std::future<ServedResult> enqueueLocked(Tenant &tenant,
                                             nn::Tensor image);
+
+    /** Admission validation (caller holds mutex_): for an image the
+     *  tenant's engine cannot run, a future already failed with
+     *  InvalidArgument, counted in failed; std::nullopt otherwise. */
+    std::optional<std::future<ServedResult>>
+    rejectMalformedLocked(Tenant &tenant, const nn::Tensor &image);
 
     /** True when some tenant's head request is schedulable now (or
      *  already expired and needs failing).  Caller holds mutex_. */

@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -123,6 +125,58 @@ TEST(FeedbackUnit, Reset)
     EXPECT_NE(f.carry(), 2);
     f.reset();
     EXPECT_EQ(f.carry(), 2);
+}
+
+TEST(FeedbackUnit, ClosedFormPoolMatchesPoolingUnit)
+{
+    // poolWord4 against PoolingFeedbackUnit(4): every start carry, spans
+    // of 1, 2 and 5 words each resumed from the carry the previous one
+    // left, and a last word of every partial length.  Each window word
+    // is empty, full, or 1/4, 1/2 or 3/4 dense, so columns reach every
+    // count 0..4.
+    sc::Xoshiro256StarStar rng(4);
+    for (int start = 0; start < 4; ++start) {
+        for (unsigned last = 1; last <= 64; ++last) {
+            SCOPED_TRACE("start=" + std::to_string(start) +
+                         " last=" + std::to_string(last));
+            const std::size_t spans[] = {64, 128, 320, last};
+            const std::size_t words = 9;
+            std::uint64_t win[4][words];
+            for (auto &stream : win) {
+                for (std::uint64_t &w : stream) {
+                    const std::uint64_t x = rng.nextWord();
+                    const std::uint64_t y = rng.nextWord();
+                    const std::uint64_t forms[] = {0, ~0ULL, x & y, x,
+                                                   x | y};
+                    w = forms[rng.nextWord() % 5];
+                }
+            }
+            PoolingFeedbackUnit unit(4);
+            unit.restore(4, start);
+            int carry = start;
+            std::size_t t = 0;
+            for (const std::size_t span : spans) {
+                for (std::size_t end = t + span; t < end; t += 64) {
+                    const std::size_t w = t / 64;
+                    const auto cycles = static_cast<unsigned>(
+                        std::min<std::size_t>(64, end - t));
+                    std::uint64_t expect = 0;
+                    for (unsigned b = 0; b < cycles; ++b) {
+                        int col = 0;
+                        for (const auto &stream : win)
+                            col += static_cast<int>((stream[w] >> b) & 1);
+                        if (unit.step(col))
+                            expect |= 1ULL << b;
+                    }
+                    ASSERT_EQ(poolWord4(win[0][w], win[1][w], win[2][w],
+                                        win[3][w], carry, cycles),
+                              expect)
+                        << "word " << w;
+                }
+                ASSERT_EQ(carry, unit.carry()) << "cycle " << t;
+            }
+        }
+    }
 }
 
 // --------------------------------------------------- feature extraction

@@ -15,6 +15,7 @@
  */
 
 #include <atomic>
+#include <chrono>
 #include <future>
 #include <limits>
 #include <optional>
@@ -233,13 +234,23 @@ TEST(ServingFrontend, MalformedImagesFailWithInvalidArgument)
         nan[i] = std::numeric_limits<float>::quiet_NaN();
     std::future<ServedResult> good0 = fe.submit("t", samples[0].image);
     std::future<ServedResult> small = fe.submit("t", nn::Tensor({1, 10, 10}));
-    std::future<ServedResult> allNan = fe.submit("t", nan);
+    std::optional<std::future<ServedResult>> tried = fe.trySubmit("t", nan);
+    ASSERT_TRUE(tried.has_value());
+    std::future<ServedResult> allNan = std::move(*tried);
     std::future<ServedResult> good1 = fe.submit("t", samples[1].image);
+    // Admission rejects both malformed images: their futures are ready
+    // while the front end is still paused, and they take no queue slot.
+    for (std::future<ServedResult> *f : {&small, &allNan})
+        EXPECT_EQ(f->wait_for(std::chrono::seconds(0)),
+                  std::future_status::ready);
+    EXPECT_EQ(fe.tenantStats("t").submitted, 2u);
+    EXPECT_EQ(fe.tenantStats("t").failed, 2u);
     fe.start();
 
     const core::ScNetworkEngine &engine = fe.model("m").engine();
     const ServedResult r0 = good0.get();
     const ServedResult r1 = good1.get();
+    EXPECT_EQ(r1.requestId, r0.requestId + 1); // no id for the rejected
     EXPECT_EQ(r0.prediction.scores,
               engine.inferIndexed(samples[0].image, r0.requestId).scores);
     EXPECT_EQ(r1.prediction.scores,

@@ -4,9 +4,10 @@
  * (src/sc/simd/) against the scalar reference loops.
  *
  * The dispatch contract is bit-identity: the carry-save planes hold
- * exact binary counts (independent of addition grouping), so every
- * tier's row kernel and threshold-pack kernel must reproduce the scalar
- * reference exactly on every input.  Coverage:
+ * exact binary counts (independent of addition grouping) and the
+ * feedback kernel computes the feedback unit's integer recurrence, so
+ * every tier's kernels must reproduce the scalar references exactly on
+ * every input.  Coverage:
  *
  *  - the row kernel of every tier this host can run (not only the
  *    detected one), swept over plane counts 1-12, word counts
@@ -15,6 +16,11 @@
  *    product reference, on planes that already hold counts and whose
  *    stride is wider than the words added (the words past them must
  *    stay untouched);
+ *  - the feedback kernel of every tier against one FeatureFeedbackUnit
+ *    per row: every odd M up to 63 and five wide ones, mixed M within a
+ *    tile, tiles of 1 to 512 rows, resumed spans and a partial last
+ *    word; and the sorter dense stage on both of its paths (tile kernel
+ *    and the per-row drive of counters wider than the kernel);
  *  - SNG threshold fill (fillBipolar) forced-scalar vs dispatched
  *    across values (incl. the all-ones special case), code widths and
  *    lengths, plus a direct kernel unit sweep over n in [1, 64];
@@ -26,18 +32,23 @@
  */
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <iterator>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "blocks/feedback_unit.h"
 #include "core/model_zoo.h"
 #include "core/session.h"
+#include "core/stages/aqfp_dense_stage.h"
 #include "data/digits.h"
+#include "sc/apc.h"
 #include "sc/rng.h"
 #include "sc/simd/kernels_scalar.h"
 #include "sc/simd/simd.h"
@@ -160,6 +171,256 @@ TEST(SimdKernels, RowKernelMatchesRippleReferenceOnEveryTier)
     }
 }
 
+/**
+ * One feedback-kernel differential case: @p rows rows with @p planes
+ * count planes and sorter input counts M = m_of_row(r), driven through
+ * spans of @p spans cycles (each resuming the carries the previous one
+ * left), on every runnable tier, against one FeatureFeedbackUnit per row
+ * stepped through all the cycles in one pass.
+ */
+template <typename MOfRow>
+void
+expectFeedbackKernelMatchesUnits(std::size_t rows, int planes,
+                                 MOfRow &&m_of_row,
+                                 const std::vector<std::size_t> &spans,
+                                 sc::Xoshiro256StarStar &rng)
+{
+    std::size_t total = 0;
+    for (const std::size_t s : spans)
+        total += s;
+    const std::size_t words = (total + 63) / 64;
+    const auto p = static_cast<std::size_t>(planes);
+
+    // Per-row M, start carry and counts.  Each 64-cycle block draws its
+    // counts uniformly, pinned at 0 or M (driving the carry into its
+    // clamps), or around the operating point.
+    std::vector<int> ms(rows), start(rows);
+    std::vector<std::vector<int>> counts(rows, std::vector<int>(total));
+    for (std::size_t r = 0; r < rows; ++r) {
+        const int m = m_of_row(r);
+        ASSERT_TRUE(m >= 1 && m % 2 == 1 && m < (1 << planes));
+        ms[r] = m;
+        start[r] = static_cast<int>(rng.nextWord() % (m + 1U));
+        for (std::size_t t = 0; t < total; ++t) {
+            const std::uint64_t x = rng.nextWord();
+            switch ((t / 64 + r) % 4) {
+            case 0:
+                counts[r][t] = static_cast<int>(x % (m + 1U));
+                break;
+            case 1:
+                counts[r][t] = x % 8 == 0 ? 0 : m;
+                break;
+            case 2:
+                counts[r][t] = x % 8 == 0 ? m : 0;
+                break;
+            default:
+                counts[r][t] =
+                    std::clamp(m / 2 + static_cast<int>(x % 3) - 1, 0, m);
+            }
+        }
+    }
+
+    // Reference: one unit per row, all cycles in one pass; the carry
+    // after each span.
+    std::vector<std::uint64_t> ref_out(rows * words, 0);
+    std::vector<std::vector<int>> ref_carry(spans.size(),
+                                            std::vector<int>(rows));
+    for (std::size_t r = 0; r < rows; ++r) {
+        blocks::FeatureFeedbackUnit unit(ms[r]);
+        unit.restore(ms[r], start[r]);
+        std::size_t t = 0;
+        for (std::size_t si = 0; si < spans.size(); ++si) {
+            for (const std::size_t e = t + spans[si]; t < e; ++t)
+                if (unit.step(counts[r][t]))
+                    ref_out[r * words + t / 64] |= 1ULL << (t % 64);
+            ref_carry[si][r] = unit.carry();
+        }
+    }
+
+    // Bit-sliced per-row M (rows past the tile hold garbage) and the
+    // starting carries.
+    constexpr std::size_t kSliceWords = sc::simd::kFeedbackTileRows / 64;
+    const std::size_t slice_stride = kSliceWords + 1;
+    std::vector<std::uint64_t> m_bits(p * slice_stride);
+    rng.nextWords(m_bits.data(), m_bits.size());
+    std::vector<std::uint64_t> carry0(p * slice_stride, 0);
+    for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t k = 0; k < p; ++k) {
+            std::uint64_t &mw = m_bits[k * slice_stride + r / 64];
+            mw = (mw & ~(1ULL << (r % 64))) |
+                 (static_cast<std::uint64_t>((ms[r] >> k) & 1) << (r % 64));
+            carry0[k * slice_stride + r / 64] |=
+                static_cast<std::uint64_t>((start[r] >> k) & 1) << (r % 64);
+        }
+    }
+
+    constexpr std::uint64_t kSentinel = 0xA5A5A5A5A5A5A5A5ULL;
+    for (const Level level : runnableLevels()) {
+        SCOPED_TRACE(sc::simd::levelName(level));
+        std::vector<std::uint64_t> carry = carry0;
+        const std::size_t out_stride = words + 2;
+        std::vector<std::uint64_t> out(rows * out_stride, kSentinel);
+        std::size_t begin = 0;
+        for (std::size_t si = 0; si < spans.size(); ++si) {
+            SCOPED_TRACE("span " + std::to_string(si));
+            // The span's count planes at word offset 0, with padding
+            // words between planes and rows.
+            const std::size_t sw = (spans[si] + 63) / 64;
+            const std::size_t plane_stride = sw + 1;
+            const std::size_t row_stride = p * plane_stride + 3;
+            std::vector<std::uint64_t> tile_planes(rows * row_stride,
+                                                   kSentinel);
+            for (std::size_t r = 0; r < rows; ++r) {
+                for (std::size_t k = 0; k < p; ++k) {
+                    std::uint64_t *plane =
+                        &tile_planes[r * row_stride + k * plane_stride];
+                    std::fill_n(plane, sw, 0);
+                    for (std::size_t i = 0; i < spans[si]; ++i)
+                        plane[i / 64] |= static_cast<std::uint64_t>(
+                                             (counts[r][begin + i] >> k) & 1)
+                                         << (i % 64);
+                }
+            }
+            const sc::simd::FeedbackTile tile{
+                tile_planes.data(), row_stride, plane_stride, planes, rows,
+                m_bits.data(),      carry.data(), slice_stride,
+                out.data() + begin / 64, out_stride, spans[si]};
+            tableOf(level).featureFeedback(tile);
+            for (std::size_t r = 0; r < rows; ++r) {
+                int got = 0;
+                for (std::size_t k = 0; k < p; ++k)
+                    got |= static_cast<int>(
+                               (carry[k * slice_stride + r / 64] >> (r % 64)) &
+                               1)
+                           << k;
+                ASSERT_EQ(got, ref_carry[si][r]) << "row " << r;
+            }
+            begin += spans[si];
+        }
+        for (std::size_t r = 0; r < rows; ++r) {
+            for (std::size_t w = 0; w < words; ++w)
+                ASSERT_EQ(out[r * out_stride + w], ref_out[r * words + w])
+                    << "row " << r << " word " << w;
+            for (std::size_t w = words; w < out_stride; ++w)
+                ASSERT_EQ(out[r * out_stride + w], kSentinel);
+        }
+    }
+}
+
+TEST(SimdKernels, FeedbackKernelMatchesFeatureFeedbackUnitOnEveryTier)
+{
+    sc::Xoshiro256StarStar rng(20261017);
+    // 1, 2 and 16-word spans resumed from the carries the previous span
+    // left, then a 100-cycle last span whose tail bits must stay zero.
+    const std::vector<std::size_t> spans = {64, 128, 1024, 100};
+
+    // Every odd M up to 63 and the wide ones, each at its narrowest
+    // plane count (S = carry + count then fills planes + 1 bits).
+    std::vector<int> ms;
+    for (int m = 1; m <= 63; m += 2)
+        ms.push_back(m);
+    for (const int m : {65, 127, 129, 393, 1569})
+        ms.push_back(m);
+    for (const int m : ms) {
+        SCOPED_TRACE("M=" + std::to_string(m));
+        expectFeedbackKernelMatchesUnits(
+            65, std::bit_width(static_cast<unsigned>(m)),
+            [m](std::size_t) { return m; }, {64, 128, 100}, rng);
+    }
+
+    // Mixed M within one tile: conv border windows (5/7/11 at 4 planes)
+    // and every odd M up to 63 at 6 planes; tiles of 1, 63, 64, 65 and
+    // 512 rows (every tier's narrow, remainder and full groups).
+    for (const std::size_t rows : {std::size_t{1}, std::size_t{63},
+                                   std::size_t{64}, std::size_t{65},
+                                   std::size_t{200}, std::size_t{300},
+                                   sc::simd::kFeedbackTileRows}) {
+        SCOPED_TRACE("rows=" + std::to_string(rows));
+        expectFeedbackKernelMatchesUnits(
+            rows, 4,
+            [&](std::size_t) {
+                const int border[] = {5, 7, 11};
+                return border[rng.nextWord() % 3];
+            },
+            spans, rng);
+        expectFeedbackKernelMatchesUnits(
+            rows, 6,
+            [&](std::size_t) {
+                return static_cast<int>(2 * (rng.nextWord() % 32) + 1);
+            },
+            spans, rng);
+    }
+}
+
+/**
+ * The AQFP sorter dense stage, on every tier, against one
+ * FeatureFeedbackUnit per output row stepped through the row's exact
+ * column counts.  Fan-ins 9 and 392 take the feedback kernel (513 rows:
+ * a full 512-row tile plus a one-row tile; 70 rows: one partial tile);
+ * fan-in 4100 needs 13 count planes, more than the kernel's 12, and
+ * takes the per-row drive.  The stage runs in three spans, each resuming
+ * the carries the previous one left, the last one partial.
+ */
+TEST(SimdKernels, SorterDenseStageMatchesPerRowUnits)
+{
+    const std::size_t len = 300;
+    const std::size_t spans[][2] = {{0, 64}, {64, 192}, {192, 300}};
+    sc::Xoshiro256StarStar rng(71);
+    const auto random_streams = [&](std::size_t rows) {
+        sc::StreamMatrix m(rows, len);
+        for (std::size_t r = 0; r < rows; ++r)
+            m.fillBipolar(r, static_cast<double>(rng.nextBits(10)) / 512.0 -
+                                 1.0,
+                          10, rng);
+        return m;
+    };
+    for (const auto &[in, out] : {std::pair{9, 513}, std::pair{392, 70},
+                                  std::pair{4100, 3}}) {
+        SCOPED_TRACE("fan-in " + std::to_string(in));
+        const auto in_rows = static_cast<std::size_t>(in);
+        const auto out_rows = static_cast<std::size_t>(out);
+        auto shared = std::make_shared<core::stages::StageShared>();
+        core::stages::FeatureStreams &fs = shared->streams;
+        fs.weights = random_streams(out_rows * in_rows);
+        fs.biases = random_streams(out_rows);
+        fs.neutral = sc::StreamMatrix(1, len);
+        fs.neutral.fillNeutral(0);
+        const sc::StreamMatrix x = random_streams(in_rows);
+
+        const int eff_m = (in + 1) | 1; // bias, then the odd pad
+        sc::StreamMatrix expect(out_rows, len);
+        for (std::size_t r = 0; r < out_rows; ++r) {
+            sc::ColumnCounts counts(len, eff_m);
+            for (std::size_t j = 0; j < in_rows; ++j)
+                counts.addXnor(x.row(j), fs.weights.row(r * in_rows + j),
+                               x.wordsPerRow());
+            counts.addWords(fs.biases.row(r), x.wordsPerRow());
+            if (eff_m != in + 1)
+                counts.addWords(fs.neutral.row(0), x.wordsPerRow());
+            blocks::FeatureFeedbackUnit unit(eff_m);
+            counts.drive([&](int c) { return unit.step(c); }, expect.row(r));
+        }
+
+        const core::stages::AqfpDenseStage stage({in, out}, shared);
+        for (const Level level : runnableLevels()) {
+            SCOPED_TRACE(sc::simd::levelName(level));
+            const LevelGuard guard(level);
+            sc::StreamMatrix got;
+            core::StageContext ctx;
+            const std::unique_ptr<core::StageScratch> scratch =
+                stage.makeScratch();
+            const core::CohortSlot slot{&x, &got, &ctx, scratch.get()};
+            for (const auto &[begin, end] : spans)
+                stage.runCohortSpan(&slot, 1, begin, end);
+            for (std::size_t r = 0; r < out_rows; ++r)
+                ASSERT_TRUE(std::equal(expect.row(r),
+                                       expect.row(r) + x.wordsPerRow(),
+                                       got.row(r)))
+                    << "row " << r;
+        }
+    }
+}
+
 TEST(SimdKernels, ThresholdPackKernelSweepsAllLengths)
 {
     sc::Xoshiro256StarStar rng(42);
@@ -248,7 +509,8 @@ TEST(SimdKernels, DispatchInvariants)
     // The report stamp names every table kernel once, as the active tier.
     const std::string tier = sc::simd::kernels().name;
     EXPECT_EQ(sc::simd::variantSummary(),
-              "addXnorRow=" + tier + " thresholdPack=" + tier);
+              "addXnorRow=" + tier + " featureFeedback=" + tier +
+                  " thresholdPack=" + tier);
 }
 
 /** FNV-1a step over a string (the test_cohort golden-hash pattern). */
