@@ -4,8 +4,9 @@
  * XNOR multiply, column counting (unfused reference vs fused
  * XNOR+carry-save kernels), count extraction vs the fused feedback
  * drive, SNG stream generation (bit-serial vs word-batched), the
- * feedback kernel and closed-form pool against the per-cycle feedback
- * units, sorting-network application and netlist legalization.
+ * feedback kernel (AQFP sorter feedback and CMOS Btanh) and the
+ * closed-form and word-wide MUX pools against their per-cycle drives,
+ * sorting-network application and netlist legalization.
  * These guard the performance of the whole-network SC engine (which
  * executes millions of block steps per image).
  *
@@ -24,10 +25,12 @@
 #include <vector>
 
 #include "aqfp/passes.h"
+#include "baseline/sc_dcnn.h"
 #include "bench_util.h"
 #include "blocks/avg_pooling.h"
 #include "blocks/feature_extraction.h"
 #include "blocks/feedback_unit.h"
+#include "core/stages/cmos_pool_stage.h"
 #include "core/stages/stage_common.h"
 #include "sc/apc.h"
 #include "sc/simd/simd.h"
@@ -292,25 +295,29 @@ BENCHMARK(BM_ColumnCountsRowKernel)
     ->ArgsProduct({{0, 1, 2}, {64, 256, 1024}, {10, 289, 1569}});
 
 // ---------------------------------------------------------------------
-// AQFP feedback recurrences: the rows-as-lanes feature-feedback kernel
-// per tier against the per-row drive it replaced (ColumnCounts::
-// drivePrefix stepping a FeatureFeedbackUnit), on one tile of
-// kFeedbackTileRows rows at tiny Conv1's M = 11 and tiny FC1's M = 393;
-// and the closed-form 2x2 pool word against the PoolingFeedbackUnit
-// drive.  tests/test_simd_kernels.cc and tests/test_blocks.cc assert
-// the pairs are bit-identical; these cases isolate their speed.
+// Feedback recurrences: the rows-as-lanes feedback kernel per tier
+// against the per-row drive it replaced (ColumnCounts::drivePrefix
+// stepping one row's recurrence), on one tile of kFeedbackTileRows
+// rows.  The AQFP sorter feedback runs at tiny Conv1's M = 11 and tiny
+// FC1's M = 393, the CMOS Btanh counter at snn Conv1's m = 10 and snn
+// Conv2's m = 289.  Then the closed-form 2x2 pool word against the
+// PoolingFeedbackUnit drive, and the CMOS word-wide MUX pool against
+// its per-cycle select draws.  tests/test_simd_kernels.cc and
+// tests/test_blocks.cc assert the pairs are bit-identical; these cases
+// isolate their speed.
 // ---------------------------------------------------------------------
 
 /** One tile of rows' column counts, as per-row counters and as the
  *  feedback kernel's plane buffer. */
 struct FeedbackBenchTile
 {
-    FeedbackBenchTile(std::size_t len, int m)
-        : len(len), m(m), words((len + 63) / 64),
+    FeedbackBenchTile(std::size_t len, int m,
+                      sc::simd::FeedbackRecurrence recurrence)
+        : len(len), m(m), recurrence(recurrence), words((len + 63) / 64),
           planes(std::bit_width(static_cast<unsigned>(m))),
           tile(kRows * static_cast<std::size_t>(planes) * words, 0),
           mBits(static_cast<std::size_t>(planes) * kSlice, 0),
-          carryBits(mBits.size(), 0), out(kRows * words, 0)
+          stateBits(mBits.size() + kSlice, 0), out(kRows * words, 0)
     {
         // Each row counts m random product streams.
         sc::Xoshiro256StarStar rng(6);
@@ -337,11 +344,28 @@ struct FeedbackBenchTile
         }
     }
 
+    bool
+    btanh() const
+    {
+        return recurrence == sc::simd::FeedbackRecurrence::Btanh;
+    }
+
     /** The stage's per-row drive, from the operating point. */
     void
     runPerRow()
     {
         for (std::size_t r = 0; r < kRows; ++r) {
+            if (btanh()) {
+                int state = m;
+                rows[r].drivePrefix(
+                    len,
+                    [&](int c) {
+                        return baseline::ApcFeatureExtraction::btanhStep(
+                            state, c, m, 2 * m);
+                    },
+                    &out[r * words]);
+                continue;
+            }
             unit.reset(m);
             rows[r].drivePrefix(len, [&](int c) { return unit.step(c); },
                                 &out[r * words]);
@@ -349,39 +373,44 @@ struct FeedbackBenchTile
     }
 
     /** One feedback kernel call over the tile, from the operating point
-     *  (H = M >> 1 in every row). */
+     *  in every row: the sorter's carry H = M >> 1, Btanh's state m. */
     void
     runKernel()
     {
-        for (int k = 0; k < planes; ++k) {
+        const int shift = btanh() ? 0 : 1;
+        for (int k = 0; k <= planes; ++k) {
             const std::size_t at = static_cast<std::size_t>(k) * kSlice;
-            if (k + 1 < planes)
-                std::copy_n(&mBits[at + kSlice], kSlice, &carryBits[at]);
+            if (k + shift < planes)
+                std::copy_n(&mBits[at + shift * kSlice], kSlice,
+                            &stateBits[at]);
             else
-                std::fill_n(&carryBits[at], kSlice, 0);
+                std::fill_n(&stateBits[at], kSlice, 0);
         }
         sc::simd::kernels().featureFeedback(
             {tile.data(), static_cast<std::size_t>(planes) * words, words,
-             planes, kRows, mBits.data(), carryBits.data(), kSlice,
-             out.data(), words, len});
+             planes, kRows, mBits.data(), stateBits.data(), kSlice,
+             out.data(), words, len, recurrence});
     }
 
     static constexpr std::size_t kRows = sc::simd::kFeedbackTileRows;
     static constexpr std::size_t kSlice = kRows / 64;
     std::size_t len;
     int m;
+    sc::simd::FeedbackRecurrence recurrence;
     std::size_t words;
     int planes;
     std::vector<sc::ColumnCounts> rows;
-    std::vector<std::uint64_t> tile, mBits, carryBits, out;
+    std::vector<std::uint64_t> tile, mBits, stateBits, out;
     blocks::FeatureFeedbackUnit unit{1};
 };
 
+/** Per-row drive of @p recurrence over one tile: args (N, m). */
 void
-BM_FeatureFeedbackPerRow(benchmark::State &state)
+runFeedbackPerRow(benchmark::State &state,
+                  sc::simd::FeedbackRecurrence recurrence)
 {
     FeedbackBenchTile tile(static_cast<std::size_t>(state.range(0)),
-                           static_cast<int>(state.range(1)));
+                           static_cast<int>(state.range(1)), recurrence);
     for (auto _ : state) {
         tile.runPerRow();
         benchmark::DoNotOptimize(tile.out.data());
@@ -390,12 +419,11 @@ BM_FeatureFeedbackPerRow(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() *
                             static_cast<long>(tile.kRows * tile.len));
 }
-BENCHMARK(BM_FeatureFeedbackPerRow)
-    ->ArgNames({"N", "M"})
-    ->ArgsProduct({{64, 256, 1024}, {11, 393}});
 
+/** Feedback kernel of @p recurrence over one tile: args (tier, N, m). */
 void
-BM_FeatureFeedbackKernel(benchmark::State &state)
+runFeedbackKernel(benchmark::State &state,
+                  sc::simd::FeedbackRecurrence recurrence)
 {
     const sc::simd::Level tier =
         kTiers[static_cast<std::size_t>(state.range(0))];
@@ -405,7 +433,7 @@ BM_FeatureFeedbackKernel(benchmark::State &state)
         return;
     }
     FeedbackBenchTile tile(static_cast<std::size_t>(state.range(1)),
-                           static_cast<int>(state.range(2)));
+                           static_cast<int>(state.range(2)), recurrence);
     const BenchLevelGuard guard(tier);
     for (auto _ : state) {
         tile.runKernel();
@@ -416,9 +444,42 @@ BM_FeatureFeedbackKernel(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() *
                             static_cast<long>(tile.kRows * tile.len));
 }
+
+void
+BM_FeatureFeedbackPerRow(benchmark::State &state)
+{
+    runFeedbackPerRow(state, sc::simd::FeedbackRecurrence::SorterMajority);
+}
+BENCHMARK(BM_FeatureFeedbackPerRow)
+    ->ArgNames({"N", "M"})
+    ->ArgsProduct({{64, 256, 1024}, {11, 393}});
+
+void
+BM_FeatureFeedbackKernel(benchmark::State &state)
+{
+    runFeedbackKernel(state, sc::simd::FeedbackRecurrence::SorterMajority);
+}
 BENCHMARK(BM_FeatureFeedbackKernel)
     ->ArgNames({"tier", "N", "M"})
     ->ArgsProduct({{0, 1, 2}, {64, 256, 1024}, {11, 393}});
+
+void
+BM_BtanhPerRow(benchmark::State &state)
+{
+    runFeedbackPerRow(state, sc::simd::FeedbackRecurrence::Btanh);
+}
+BENCHMARK(BM_BtanhPerRow)
+    ->ArgNames({"N", "m"})
+    ->ArgsProduct({{64, 256, 1024}, {10, 289}});
+
+void
+BM_BtanhKernel(benchmark::State &state)
+{
+    runFeedbackKernel(state, sc::simd::FeedbackRecurrence::Btanh);
+}
+BENCHMARK(BM_BtanhKernel)
+    ->ArgNames({"tier", "N", "m"})
+    ->ArgsProduct({{0, 1, 2}, {64, 256, 1024}, {10, 289}});
 
 /** One 2x2 pooling window's four streams and its output row. */
 struct PoolBenchWindow
@@ -490,6 +551,78 @@ BM_PoolWindowClosedForm(benchmark::State &state)
                             static_cast<long>(win.len));
 }
 BENCHMARK(BM_PoolWindowClosedForm)->Arg(1024);
+
+/** One CMOS MUX pooling window: four streams, the select generator and
+ *  the output row. */
+struct MuxBenchWindow
+{
+    explicit MuxBenchWindow(std::size_t len)
+        : len(len), in(4, len), out((len + 63) / 64)
+    {
+        sc::Xoshiro256StarStar fill(8);
+        for (std::size_t j = 0; j < 4; ++j) {
+            in.fillBipolar(j, 0.3 - 0.2 * static_cast<double>(j), 10, fill);
+            rows[j] = in.row(j);
+        }
+    }
+
+    /** The replaced loop: one nextBits(2) select per cycle. */
+    void
+    runPerCycle()
+    {
+        std::uint64_t word = 0;
+        for (std::size_t i = 0; i < len; ++i) {
+            const std::uint64_t sel = rng.nextBits(2);
+            word |= ((rows[sel][i / 64] >> (i % 64)) & 1ULL) << (i % 64);
+            if (i % 64 == 63) {
+                out[i / 64] = word;
+                word = 0;
+            }
+        }
+        if (len % 64 != 0)
+            out[len / 64] = word;
+    }
+
+    void
+    runWordMux()
+    {
+        core::stages::muxPoolWindow(rows, rng, 0, len, out.data());
+    }
+
+    std::size_t len;
+    sc::StreamMatrix in;
+    const std::uint64_t *rows[4];
+    std::vector<std::uint64_t> out;
+    sc::Xoshiro256StarStar rng{9};
+};
+
+void
+BM_CmosPoolPerCycle(benchmark::State &state)
+{
+    MuxBenchWindow win(static_cast<std::size_t>(state.range(0)));
+    for (auto _ : state) {
+        win.runPerCycle();
+        benchmark::DoNotOptimize(win.out.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<long>(win.len));
+}
+BENCHMARK(BM_CmosPoolPerCycle)->Arg(256)->Arg(1024);
+
+void
+BM_CmosPoolWordMux(benchmark::State &state)
+{
+    MuxBenchWindow win(static_cast<std::size_t>(state.range(0)));
+    for (auto _ : state) {
+        win.runWordMux();
+        benchmark::DoNotOptimize(win.out.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<long>(win.len));
+}
+BENCHMARK(BM_CmosPoolWordMux)->Arg(256)->Arg(1024);
 
 void
 BM_FeatureBlockRun(benchmark::State &state)
@@ -649,33 +782,49 @@ writeFusedKernelReport()
         }
     }
     // Feedback kernel per tier against the per-row drive, one tile of
-    // kFeedbackTileRows rows per pass.
-    for (const std::size_t n : {std::size_t{64}, std::size_t{256},
-                                std::size_t{1024}}) {
-        for (const int m : {11, 393}) {
-            FeedbackBenchTile tile(n, m);
-            const double row_cycles =
-                static_cast<double>(tile.kRows * tile.len);
-            const double per_row =
-                secondsPerPass([&] { tile.runPerRow(); }, target);
-            rows.push(bench::Json::object()
-                          .set("kernel", "feature_feedback_per_row")
-                          .set("stream_len", n)
-                          .set("m", m)
-                          .set("ns_per_row_cycle", per_row / row_cycles * 1e9));
-            for (const sc::simd::Level tier : kTiers) {
-                if (static_cast<int>(tier) > static_cast<int>(vec))
-                    break;
-                const BenchLevelGuard guard(tier);
-                const double sec =
-                    secondsPerPass([&] { tile.runKernel(); }, target);
+    // kFeedbackTileRows rows per pass: the sorter feedback, then Btanh.
+    struct FeedbackRows
+    {
+        sc::simd::FeedbackRecurrence recurrence;
+        const char *perRow;
+        const char *tile;
+        int ms[2];
+    };
+    for (const FeedbackRows &kind :
+         {FeedbackRows{sc::simd::FeedbackRecurrence::SorterMajority,
+                       "feature_feedback_per_row", "feature_feedback_tile",
+                       {11, 393}},
+          FeedbackRows{sc::simd::FeedbackRecurrence::Btanh, "btanh_per_row",
+                       "btanh_tile", {10, 289}}}) {
+        for (const std::size_t n : {std::size_t{64}, std::size_t{256},
+                                    std::size_t{1024}}) {
+            for (const int m : kind.ms) {
+                FeedbackBenchTile tile(n, m, kind.recurrence);
+                const double row_cycles =
+                    static_cast<double>(tile.kRows * tile.len);
+                const double per_row =
+                    secondsPerPass([&] { tile.runPerRow(); }, target);
                 rows.push(bench::Json::object()
-                              .set("kernel", "feature_feedback_tile")
-                              .set("simd_level", sc::simd::levelName(tier))
+                              .set("kernel", kind.perRow)
                               .set("stream_len", n)
                               .set("m", m)
-                              .set("ns_per_row_cycle", sec / row_cycles * 1e9)
-                              .set("speedup_vs_per_row", per_row / sec));
+                              .set("ns_per_row_cycle",
+                                   per_row / row_cycles * 1e9));
+                for (const sc::simd::Level tier : kTiers) {
+                    if (static_cast<int>(tier) > static_cast<int>(vec))
+                        break;
+                    const BenchLevelGuard guard(tier);
+                    const double sec =
+                        secondsPerPass([&] { tile.runKernel(); }, target);
+                    rows.push(
+                        bench::Json::object()
+                            .set("kernel", kind.tile)
+                            .set("simd_level", sc::simd::levelName(tier))
+                            .set("stream_len", n)
+                            .set("m", m)
+                            .set("ns_per_row_cycle", sec / row_cycles * 1e9)
+                            .set("speedup_vs_per_row", per_row / sec));
+                }
             }
         }
     }
@@ -691,6 +840,22 @@ writeFusedKernelReport()
                       .set("unit_sec_per_window", unit_sec)
                       .set("closed_form_sec_per_window", closed_sec)
                       .set("speedup", unit_sec / closed_sec));
+    }
+    for (const std::size_t n : {std::size_t{256}, std::size_t{1024}}) {
+        MuxBenchWindow win(n);
+        const double per_cycle =
+            secondsPerPass([&] { win.runPerCycle(); }, target);
+        const double word_mux =
+            secondsPerPass([&] { win.runWordMux(); }, target);
+        rows.push(bench::Json::object()
+                      .set("kernel", "cmos_pool_word_mux")
+                      .set("stream_len", n)
+                      .set("simd_level", vec_name)
+                      .set("per_cycle_ns_per_cycle",
+                           per_cycle / static_cast<double>(n) * 1e9)
+                      .set("word_mux_ns_per_cycle",
+                           word_mux / static_cast<double>(n) * 1e9)
+                      .set("speedup", per_cycle / word_mux));
     }
     {
         sc::Xoshiro256StarStar rng(9);

@@ -12,6 +12,14 @@
  *  - MuxAveragePooling: selects one input stream per cycle at random;
  *    unbiased but with sampling noise that grows with the input count
  *    (the inaccuracy the paper's sorter-based pooling eliminates).
+ *
+ * These are the per-stream reference models.  The engine's cmos-apc
+ * stages (src/core/stages) compute the same recurrences word-parallel:
+ * btanhStep is the reference for the rows-as-lanes feedback kernel's
+ * Btanh form (src/sc/simd/feedback_kernel.h), which the approximate
+ * counter and counters wider than the kernel still step per row; the
+ * MUX pool stage draws its 2-bit selects 64 at a time
+ * (core::stages::muxPoolWindow).
  */
 
 #ifndef AQFPSC_BASELINE_SC_DCNN_H
@@ -47,7 +55,10 @@ class ApcFeatureExtraction
                                   const std::vector<sc::Bitstream> &w) const;
 
     /**
-     * Stateless helper: per-cycle Btanh update.
+     * Stateless helper: per-cycle Btanh update, state += 2 * count - m
+     * clamped to [0, s_max - 1].  With s_max = 2m and T = state +
+     * 2 * count this is out = T >= 2m, state' = T < m ? 0 :
+     * min(T - m, 2m - 1), the form the feedback kernel slices by bit.
      * @param state Current counter state in [0, s_max - 1].
      * @param count APC output for the cycle, in [0, m].
      * @param m Input count.

@@ -1,10 +1,12 @@
 #include "cmos_pool_stage.h"
 
+#include <algorithm>
 #include <cassert>
 #include <span>
 
 #include "core/backend_registry.h"
 #include "sc/rng.h"
+#include "sc/simd/simd.h"
 
 namespace aqfpsc::core::stages {
 
@@ -32,7 +34,48 @@ struct CmosPoolScratch final : StageScratch
     std::vector<sc::Xoshiro256StarStar> rngs;
 };
 
+/**
+ * The 2-bit MUX select of a cycle is its draw's top two bits, sel =
+ * word >> 62 (RandomSource::nextBits(2)), so sel < k exactly when the
+ * draw is below k * 2^62: three threshold masks per 64 draws pick each
+ * cycle's window row.
+ */
+constexpr std::uint64_t kSelectBelow1 = 1ULL << 62;
+constexpr std::uint64_t kSelectBelow2 = 2ULL << 62;
+constexpr std::uint64_t kSelectBelow3 = 3ULL << 62;
+
+/** Advance @p rng past @p n draws. */
+void
+skipDraws(sc::Xoshiro256StarStar &rng, std::size_t n)
+{
+    std::uint64_t draws[64];
+    for (; n > 0; n -= std::min<std::size_t>(64, n))
+        rng.nextWords(draws, std::min<std::size_t>(64, n));
+}
+
 } // namespace
+
+void
+muxPoolWindow(const std::uint64_t *const rows[4],
+              sc::Xoshiro256StarStar &rng, std::size_t begin,
+              std::size_t end, std::uint64_t *dst)
+{
+    const sc::simd::ThresholdPackFn pack = sc::simd::kernels().thresholdPack;
+    std::uint64_t draws[64];
+    for (std::size_t i = begin; i < end; i += 64) {
+        const std::size_t n = std::min<std::size_t>(64, end - i);
+        rng.nextWords(draws, n);
+        const std::uint64_t below1 = pack(draws, n, kSelectBelow1);
+        const std::uint64_t below2 = pack(draws, n, kSelectBelow2);
+        const std::uint64_t below3 = pack(draws, n, kSelectBelow3);
+        const std::size_t w = i / 64;
+        const std::uint64_t low =
+            (below1 & rows[0][w]) | (~below1 & rows[1][w]);
+        const std::uint64_t high =
+            (below3 & rows[2][w]) | (~below3 & rows[3][w]);
+        dst[w] = ((below2 & low) | (~below2 & high)) & lastWordMask(n);
+    }
+}
 
 std::string
 CmosPoolStage::name() const
@@ -107,31 +150,17 @@ CmosPoolStage::runCohortSpan(const CohortSlot *slots, std::size_t count,
                             ws.rngs[out_row] = master; // offset p*N
                         rng = &ws.rngs[out_row];
                     }
-                    // Accumulate each 64-cycle block in a register and
-                    // store whole words: the output buffer is reused
-                    // across images, so every covered word (tail bits
-                    // included) is fully rewritten.
-                    std::uint64_t *dst = out.row(out_row);
-                    std::uint64_t word = 0;
-                    for (std::size_t i = begin; i < end; ++i) {
-                        const std::uint64_t sel = rng->nextBits(2);
-                        word |= ((rows[sel][i / 64] >> (i % 64)) & 1ULL)
-                                << (i % 64);
-                        if (i % 64 == 63) {
-                            dst[i / 64] = word;
-                            word = 0;
-                        }
-                    }
-                    if (end % 64 != 0)
-                        dst[end / 64] = word;
+                    // The output buffer is reused across images, so
+                    // every covered word (tail bits included) is fully
+                    // rewritten.
+                    muxPoolWindow(rows, *rng, begin, end, out.row(out_row));
                     // Deterministic partial first span: skip the master
                     // past the draws this pixel would have consumed to
                     // the end of the stream, so the next pixel's snapshot
                     // lands at its one-pass offset.
                     if (firstSpan && !fullSpan && ctx.deterministicSpans) {
                         master = ws.rngs[out_row];
-                        for (std::size_t i = end; i < len; ++i)
-                            master.nextWord();
+                        skipDraws(master, len - end);
                     }
                 }
             }

@@ -7,10 +7,26 @@
 #ifndef AQFPSC_CORE_STAGES_CMOS_POOL_STAGE_H
 #define AQFPSC_CORE_STAGES_CMOS_POOL_STAGE_H
 
+#include <cstddef>
+#include <cstdint>
+
+#include "sc/rng.h"
 #include "stage.h"
 #include "stage_common.h"
 
 namespace aqfpsc::core::stages {
+
+/**
+ * MUX cycles [begin, end) (begin word-aligned) of one pooling window's
+ * four input rows into @p dst, drawing each cycle's select from @p rng:
+ * the draws per-cycle nextBits(2) calls would consume, in the same
+ * order, taken 64 at a time with nextWords and turned into select masks
+ * by the dispatched threshold compare.  Every covered word is fully
+ * rewritten, its bits past @p end zero.
+ */
+void muxPoolWindow(const std::uint64_t *const rows[4],
+                   sc::Xoshiro256StarStar &rng, std::size_t begin,
+                   std::size_t end, std::uint64_t *dst);
 
 /** Random-select MUX 2x2 average pooling. */
 class CmosPoolStage final : public ScStage

@@ -14,18 +14,19 @@
  *    expresses conv as dense-with-window-gather in the canonical
  *    (ic, ky, kx) in-bounds order (part of the deterministic contract:
  *    the CMOS approximate counter pairs products in visit order);
- *  - the Policy supplies the accumulation/activation — sorter-majority
- *    feedback (AQFP) or APC + Btanh (CMOS) — together with its resumable
- *    per-row scratch state.
+ *  - the Policy supplies the activation — sorter-majority feedback
+ *    (AQFP) or APC + Btanh (CMOS) — together with its resumable per-row
+ *    scratch state.
  *
  * The core has exactly one kernel path, the stage-major cohort span: a
  * single image is a cohort of one, and a cohort of C images gathers each
  * output row's operands once and sums them into every image's
  * carry-save planes with one row-kernel call per image
- * (sc::simd::KernelTable::addXnorRow), then drives each image.  The
- * CMOS policy drives each row as it is summed; the sorter policy drives
- * a tile of rows at once.  Results are bit-identical at every cohort
- * size by construction.
+ * (sc::simd::KernelTable::addXnorRow), then drives each image.  Both
+ * policies drive a tile of rows at once through the feedback kernel
+ * (LinearScratch); wide counters and the CMOS approximate counter
+ * drive each row as it is summed.  Results are bit-identical at every
+ * cohort size by construction.
  */
 
 #ifndef AQFPSC_CORE_STAGES_STAGE_COMMON_H
@@ -342,29 +343,95 @@ struct OnesScratch final : StageScratch
 
 /**
  * Per-slot state every linear stage shares: the operands of the current
- * row's products, and the carry-save counter of the policies that drive
- * one row at a time.
+ * row's products, and the tile machinery of the rows-as-lanes feedback
+ * kernel (src/sc/simd/feedback_kernel.h).  Rows are summed a tile of
+ * sc::simd::kFeedbackTileRows at a time into one plane buffer; each
+ * row's m and recurrence state are kept bit-sliced, the state resumed
+ * across spans; and the tile's last row drives the whole tile.  A
+ * scratch built untiled (counters wider than the kernel's
+ * sc::simd::kMaxFeedbackPlanes planes, or a policy that opts out) sums
+ * each row into @ref counts for the policy's per-row drive instead.
  */
 struct LinearScratch : StageScratch
 {
-    LinearScratch(std::size_t len, int max_count)
+    LinearScratch(std::size_t len, int max_count, std::size_t rows,
+                  sc::simd::FeedbackRecurrence recurrence, bool tile_wanted)
         : counts(len, max_count),
           xrows(static_cast<std::size_t>(max_count)),
           wrows(static_cast<std::size_t>(max_count)),
-          ones((len + 63) / 64, ~0ULL)
+          ones((len + 63) / 64, ~0ULL), rows(rows), words((len + 63) / 64),
+          planes(counts.planeCount()), recurrence(recurrence)
     {
+        if (!tile_wanted || planes > sc::simd::kMaxFeedbackPlanes)
+            return;
+        // Whole registers of rows for every tile (FeedbackTile).
+        constexpr std::size_t kTileWords = sc::simd::kFeedbackTileRows / 64;
+        sliceStride = (rows + sc::simd::kFeedbackTileRows - 1) /
+                      sc::simd::kFeedbackTileRows * kTileWords;
+        tile.assign(std::min(rows, sc::simd::kFeedbackTileRows) * rowStride(),
+                    0);
+        mBits.assign(static_cast<std::size_t>(planes) * sliceStride, 0);
+        stateBits.assign(static_cast<std::size_t>(statePlanes()) *
+                             sliceStride,
+                         0);
     }
 
-    /** Sum the current row's @p n products (weight side @p ws) over the
-     *  span's @p sw words into counts. */
+    bool tiled() const { return !mBits.empty(); }
+
+    /** Sum row @p r's @p n products (weight side @p weights) over the
+     *  span's @p sw words: into its tile slot, or into counts. */
     void
-    sumCounts(const std::uint64_t *const ws[], std::size_t n,
-              std::size_t sw)
+    sumRow(std::size_t r, const std::uint64_t *const weights[],
+           std::size_t n, std::size_t sw)
     {
-        counts.clear();
-        counts.addXnorRow(xrows.data(), ws, n, sw);
+        if (!tiled()) {
+            counts.clear();
+            counts.addXnorRow(xrows.data(), weights, n, sw);
+            return;
+        }
+        std::uint64_t *const p =
+            tile.data() + r % sc::simd::kFeedbackTileRows * rowStride();
+        for (int k = 0; k < planes; ++k)
+            std::fill_n(p + static_cast<std::size_t>(k) * words, sw, 0);
+        sc::simd::kernels().addXnorRow({p, words, planes}, xrows.data(),
+                                       weights, n, sw);
     }
 
+    /** Tile path: set row @p r's bit-sliced m and recurrence state. */
+    void
+    armRow(std::size_t r, int m, int state)
+    {
+        const std::uint64_t bit = 1ULL << (r % 64);
+        const auto set = [&](std::vector<std::uint64_t> &bits, int value,
+                             int count) {
+            for (int k = 0; k < count; ++k) {
+                std::uint64_t &w =
+                    bits[static_cast<std::size_t>(k) * sliceStride + r / 64];
+                w = (value >> k & 1) != 0 ? w | bit : w & ~bit;
+            }
+        };
+        set(mBits, m, planes);
+        set(stateBits, state, statePlanes());
+    }
+
+    /** Tile path: when row @p r is the last of its tile, drive the
+     *  tile through the span [begin, end). */
+    void
+    driveTileAt(std::size_t r, std::size_t begin, std::size_t end,
+                sc::StreamMatrix &out)
+    {
+        const std::size_t t = r % sc::simd::kFeedbackTileRows;
+        if (t + 1 != sc::simd::kFeedbackTileRows && r + 1 != rows)
+            return;
+        const std::size_t r0 = r - t;
+        sc::simd::kernels().featureFeedback(
+            {tile.data(), rowStride(), words, planes, t + 1,
+             mBits.data() + r0 / 64, stateBits.data() + r0 / 64,
+             sliceStride, out.row(r0) + begin / 64, out.wordsPerRow(),
+             end - begin, recurrence});
+    }
+
+    /** Per-row path: the current row's column counts. */
     sc::ColumnCounts counts;
     /** Input-side operand of each product of the current row. */
     std::vector<const std::uint64_t *> xrows;
@@ -373,6 +440,31 @@ struct LinearScratch : StageScratch
     /** The constant +1 input stream: the bias and the neutral pad enter
      *  the sum as products with it (XNOR with all ones is identity). */
     std::vector<std::uint64_t> ones;
+
+  private:
+    std::size_t
+    rowStride() const
+    {
+        return static_cast<std::size_t>(planes) * words;
+    }
+    int
+    statePlanes() const
+    {
+        return recurrence == sc::simd::FeedbackRecurrence::Btanh ? planes + 1
+                                                                 : planes;
+    }
+
+    std::size_t rows;
+    std::size_t words;
+    int planes;
+    sc::simd::FeedbackRecurrence recurrence;
+    /** Tile path: each tile row's count planes. */
+    std::vector<std::uint64_t> tile;
+    /** Tile path: bit-sliced m of every row. */
+    std::vector<std::uint64_t> mBits;
+    /** Tile path: bit-sliced recurrence state, resumed across spans. */
+    std::vector<std::uint64_t> stateBits;
+    std::size_t sliceStride = 0;
 };
 
 /**
@@ -382,10 +474,8 @@ struct LinearScratch : StageScratch
  * with the neutral stream; the feedback carry is the per-row resumable
  * state.
  *
- * Rows are summed a tile of sc::simd::kFeedbackTileRows at a time into
- * one plane buffer, and the feedback kernel then drives the whole tile
- * with rows as bit lanes (src/sc/simd/feedback_kernel.h).  Counters
- * wider than its sc::simd::kMaxFeedbackPlanes planes step a
+ * The feedback kernel drives each tile of rows (LinearScratch).
+ * Counters wider than its sc::simd::kMaxFeedbackPlanes planes step a
  * blocks::FeatureFeedbackUnit through each row's counts instead; both
  * paths compute the unit's recurrence exactly.
  */
@@ -399,60 +489,17 @@ class SorterMajorityPolicy
 
     struct Scratch final : LinearScratch
     {
-        Scratch(std::size_t len, int max_count, std::size_t rows)
-            : LinearScratch(len, max_count), rows(rows),
-              words((len + 63) / 64), planes(counts.planeCount()), unit(1)
+        Scratch(std::size_t len, int max_count, std::size_t rows,
+                const SorterMajorityPolicy & /*policy*/)
+            : LinearScratch(len, max_count, rows,
+                            sc::simd::FeedbackRecurrence::SorterMajority,
+                            true),
+              unit(1)
         {
-            if (planes > sc::simd::kMaxFeedbackPlanes) {
+            if (!tiled())
                 carries.assign(rows, 0);
-                return;
-            }
-            // Whole registers of rows for every tile (FeedbackTile).
-            constexpr std::size_t kTileWords =
-                sc::simd::kFeedbackTileRows / 64;
-            sliceStride = (rows + sc::simd::kFeedbackTileRows - 1) /
-                          sc::simd::kFeedbackTileRows * kTileWords;
-            tile.assign(std::min(rows, sc::simd::kFeedbackTileRows) *
-                            rowStride(),
-                        0);
-            mBits.assign(static_cast<std::size_t>(planes) * sliceStride, 0);
-            carryBits.assign(mBits.size(), 0);
         }
 
-        bool tiled() const { return !mBits.empty(); }
-        std::size_t
-        rowStride() const
-        {
-            return static_cast<std::size_t>(planes) * words;
-        }
-
-        /** Tile path: set row @p r's bit-sliced M and re-arm its carry
-         *  at the operating point (M - 1) / 2. */
-        void
-        rearm(std::size_t r, int m)
-        {
-            const std::uint64_t bit = 1ULL << (r % 64);
-            const int h = (m - 1) / 2;
-            for (int k = 0; k < planes; ++k) {
-                const std::size_t at =
-                    static_cast<std::size_t>(k) * sliceStride + r / 64;
-                mBits[at] = (m >> k & 1) != 0 ? mBits[at] | bit
-                                              : mBits[at] & ~bit;
-                carryBits[at] = (h >> k & 1) != 0 ? carryBits[at] | bit
-                                                  : carryBits[at] & ~bit;
-            }
-        }
-
-        std::size_t rows;
-        std::size_t words;
-        int planes;
-        /** Tile path: each tile row's count planes. */
-        std::vector<std::uint64_t> tile;
-        /** Tile path: bit-sliced sorter input count M of every row. */
-        std::vector<std::uint64_t> mBits;
-        /** Tile path: bit-sliced feedback count, resumed across spans. */
-        std::vector<std::uint64_t> carryBits;
-        std::size_t sliceStride = 0;
         /** Per-row path: the unit and each row's resumed feedback count. */
         blocks::FeatureFeedbackUnit unit;
         std::vector<int> carries;
@@ -460,23 +507,6 @@ class SorterMajorityPolicy
 
     /** Interior window + bias + possible neutral pad bounds the counts. */
     static int maxCount(int max_products) { return max_products + 2; }
-
-    void
-    sum(Scratch &ws, std::size_t r, const std::uint64_t *const wrows[],
-        std::size_t n, std::size_t sw) const
-    {
-        if (!ws.tiled()) {
-            ws.sumCounts(wrows, n, sw);
-            return;
-        }
-        std::uint64_t *const planes =
-            ws.tile.data() + r % sc::simd::kFeedbackTileRows * ws.rowStride();
-        for (int k = 0; k < ws.planes; ++k)
-            std::fill_n(planes + static_cast<std::size_t>(k) * ws.words, sw,
-                        0);
-        sc::simd::kernels().addXnorRow({planes, ws.words, ws.planes},
-                                       ws.xrows.data(), wrows, n, sw);
-    }
 
     void
     drive(Scratch &ws, std::size_t r, int /*m*/, int eff_m,
@@ -493,34 +523,23 @@ class SorterMajorityPolicy
             ws.carries[r] = ws.unit.carry();
             return;
         }
+        // Re-arm the carry at the operating point (M - 1) / 2.
         if (begin == 0)
-            ws.rearm(r, eff_m);
-        // The tile's last row drives the whole tile.
-        const std::size_t t = r % sc::simd::kFeedbackTileRows;
-        if (t + 1 == sc::simd::kFeedbackTileRows || r + 1 == ws.rows)
-            driveTile(ws, r - t, t + 1, begin, end, out);
-    }
-
-  private:
-    /** Drive tile rows [r0, r0 + rows) through the span. */
-    static void
-    driveTile(Scratch &ws, std::size_t r0, std::size_t rows,
-              std::size_t begin, std::size_t end, sc::StreamMatrix &out)
-    {
-        const std::size_t slice0 = r0 / 64;
-        sc::simd::kernels().featureFeedback(
-            {ws.tile.data(), ws.rowStride(), ws.words, ws.planes, rows,
-             ws.mBits.data() + slice0, ws.carryBits.data() + slice0,
-             ws.sliceStride, out.row(r0) + begin / 64, out.wordsPerRow(),
-             end - begin});
+            ws.armRow(r, eff_m, (eff_m - 1) / 2);
+        ws.driveTileAt(r, begin, end, out);
     }
 };
 
 /**
  * Accumulation policy of the CMOS SC-DCNN linear stages: (approximate)
  * APC column counts drive the Btanh activation counter, whose state is
- * the per-row resumable state.  With @ref approx the OR-pair overcount
- * model rides along (ApproxPairOvercount), folded into the drive.
+ * the per-row resumable state.
+ *
+ * The feedback kernel drives each tile of rows (LinearScratch)
+ * with the Btanh recurrence.  Two cases keep the per-row drive of
+ * baseline::ApcFeatureExtraction::btanhStep: counters wider than the
+ * kernel's planes, and @ref approx, where the OR-pair overcount model
+ * rides along (ApproxPairOvercount), folded into the drive.
  */
 class ApcBtanhPolicy
 {
@@ -533,31 +552,36 @@ class ApcBtanhPolicy
 
     struct Scratch final : LinearScratch
     {
-        Scratch(std::size_t len, int max_count, std::size_t rows)
-            : LinearScratch(len, max_count), over(len, max_count / 2 + 1),
-              states(rows, 0)
+        Scratch(std::size_t len, int max_count, std::size_t rows,
+                const ApcBtanhPolicy &policy)
+            : LinearScratch(len, max_count, rows,
+                            sc::simd::FeedbackRecurrence::Btanh,
+                            !policy.approx),
+              over(len, max_count / 2 + 1)
         {
+            if (!tiled())
+                states.assign(rows, 0);
         }
 
         ApproxPairOvercount over;
-        /** Per-output-row Btanh counter state, resumed across spans. */
+        /** Per-row path: each row's Btanh counter state, resumed across
+         *  spans. */
         std::vector<int> states;
     };
 
     static int maxCount(int max_products) { return max_products + 2; }
 
     void
-    sum(Scratch &ws, std::size_t /*r*/, const std::uint64_t *const wrows[],
-        std::size_t n, std::size_t sw) const
-    {
-        ws.sumCounts(wrows, n, sw);
-    }
-
-    void
     drive(Scratch &ws, std::size_t r, int m, int /*eff_m*/,
           std::size_t begin, std::size_t end, sc::StreamMatrix &out) const
     {
-        // s_max / 2 with s_max = 2m; resumed across spans.
+        // The counter starts at s_max / 2 with s_max = 2m.
+        if (ws.tiled()) {
+            if (begin == 0)
+                ws.armRow(r, m, m);
+            ws.driveTileAt(r, begin, end, out);
+            return;
+        }
         int state = begin == 0 ? m : ws.states[r];
         auto step = [&](int c) {
             return baseline::ApcFeatureExtraction::btanhStep(state, c, m,
@@ -607,7 +631,7 @@ class LinearScStage : public ScStage
     {
         return std::make_unique<typename Policy::Scratch>(
             streams().weights.streamLen(),
-            Policy::maxCount(gather_.maxProducts()), gather_.rows());
+            Policy::maxCount(gather_.maxProducts()), gather_.rows(), policy_);
     }
 
     bool resumable() const override { return true; }
@@ -674,7 +698,7 @@ class LinearScStage : public ScStage
                 }
             }
             for (std::size_t c = 0; c < count; ++c)
-                policy_.sum(*ws[c], r, wrows, n, sw);
+                ws[c]->sumRow(r, wrows, n, sw);
             if constexpr (Policy::kApproxCapable) {
                 if (policy_.approx) {
                     // The OR-pair overcount model pairs the products (not

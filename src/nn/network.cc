@@ -450,18 +450,31 @@ Network::loadModel(const std::string &path)
                                   std::to_string(i) + ": " + e.what());
         }
     }
-    for (auto &l : net.layers_) {
-        for (std::vector<float> *p : l->params()) {
+    for (std::size_t i = 0; i < net.layers_.size(); ++i) {
+        Layer &l = *net.layers_[i];
+        for (std::vector<float> *p : l.params()) {
             const auto n = src.pod<std::uint64_t>("parameter count");
             if (n != p->size())
                 throw StatusError(
                     StatusCode::ModelCorrupted,
                     "loadModel: '" + path + "' parameter block of " +
-                        l->name() + " holds " + std::to_string(n) +
+                        l.name() + " holds " + std::to_string(n) +
                         " floats, architecture expects " +
                         std::to_string(p->size()));
             src.raw(p->data(), p->size() * sizeof(float),
                     "layer parameters");
+            // A NaN or Inf would serve: float-ref would score it and the
+            // SC backends quantize it to an arbitrary code.
+            const auto bad = std::find_if(p->begin(), p->end(), [](float v) {
+                return !std::isfinite(v);
+            });
+            if (bad != p->end())
+                throw StatusError(
+                    StatusCode::ModelCorrupted,
+                    "loadModel: '" + path + "' layer " + std::to_string(i) +
+                        " (" + l.name() + ") holds a non-finite parameter " +
+                        std::to_string(*bad) + " at index " +
+                        std::to_string(bad - p->begin()));
         }
     }
     return net;

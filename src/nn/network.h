@@ -99,9 +99,9 @@ class Network
      * @throws core::StatusError (a std::runtime_error) with an
      *         actionable message; the status code distinguishes
      *         IoError (missing/unreadable), ModelTruncated (footer
-     *         missing: partial write), ModelCorrupted (bad magic or
-     *         checksum mismatch: bit rot) and InvalidArgument
-     *         (version/architecture mismatch).
+     *         missing: partial write), ModelCorrupted (bad magic,
+     *         checksum mismatch: bit rot, or a NaN/Inf parameter) and
+     *         InvalidArgument (version/architecture mismatch).
      */
     static Network loadModel(const std::string &path);
 

@@ -57,11 +57,12 @@ class RandomSource
      * Fill @p dst with the next @p n words — the exact sequence n
      * nextWord() calls would produce.  Concrete generators override this
      * to batch the state updates (no virtual dispatch per word), which
-     * is what makes word-parallel SNG stream fill fast.  Generation
-     * itself stays scalar even under SIMD dispatch — the xoshiro
-     * recurrence is serial — so StreamMatrix::fillBipolar vectorizes
-     * only the downstream threshold compare+pack (sc::simd), which
-     * consumes these words unchanged.
+     * is what makes word-parallel SNG stream fill and the CMOS MUX
+     * pool's select draws fast.  Generation itself stays scalar even
+     * under SIMD dispatch — the xoshiro recurrence is serial — so
+     * StreamMatrix::fillBipolar and core::stages::muxPoolWindow
+     * vectorize only the downstream threshold compare+pack (sc::simd),
+     * which consumes these words unchanged.
      */
     virtual void
     nextWords(std::uint64_t *dst, std::size_t n)
@@ -70,7 +71,8 @@ class RandomSource
             dst[i] = nextWord();
     }
 
-    /** Next uniform value in [0, 2^bits). @p bits must be in [1, 64]. */
+    /** Next uniform value in [0, 2^bits): the top @p bits bits of
+     *  nextWord(). @p bits must be in [1, 64]. */
     std::uint64_t nextBits(int bits);
 
     /** Next double uniform in [0, 1). */

@@ -1,13 +1,15 @@
 /**
  * @file
- * The rows-as-lanes feature-feedback kernel, written once over a lane
- * type.
+ * The rows-as-lanes feedback kernel, written once over a lane type and
+ * a per-cycle recurrence.
  *
- * Algorithm 1's counter form (blocks::FeatureFeedbackUnit) is one serial
- * recurrence per output row:
+ * Both feedback-driven linear stages run one serial recurrence per
+ * output row, fed by the row's per-cycle column count:
  *
- *    S = carry + count,  out = S >= M,
- *    carry' = clamp(S - H - out, 0, M),  H = (M - 1) / 2.
+ *  - Algorithm 1's counter form (blocks::FeatureFeedbackUnit, the AQFP
+ *    sorter stages), SorterMajorityStep below;
+ *  - SC-DCNN's Btanh counter (baseline::ApcFeatureExtraction::
+ *    btanhStep, the cmos-apc stages), BtanhStep below.
  *
  * Stepped one row at a time, every cycle waits on the previous one.
  * Rows are independent, though, so feedbackGroup() steps 64 x
@@ -18,22 +20,20 @@
  *  1. each count plane of the group is gathered (register i holds row i
  *     of every 64-row lane) and transposed 64 x 64 bits per lane, so
  *     register t then holds cycle t's count bit of every row;
- *  2. per cycle, ripple adders and comparators run the recurrence with
- *     each row's own M (conv border windows mix M = 5/7/11 in one tile):
- *       - low = S < M is the borrow of S - M, and out = ~low;
- *       - T = S - H - out is the sum S + ~H + low; its carry-out is
- *         T >= 0 (the lower clamp);
- *       - S >= M + H + 2 is exactly T > M (the upper clamp, which only
- *         an out = 1 cycle can reach);
- *     H = M >> 1 because M is odd, so its planes are M's shifted down
- *     one;
+ *  2. per cycle, the recurrence's ripple adders and comparators update
+ *     each row's bit-sliced state against its own m (conv border
+ *     windows mix fan-ins in one tile) and yield its output bit;
  *  3. the 64 output registers transpose back into one word per row and
  *     scatter into the rows' output streams.
  *
+ * The transposes and the recurrence steps are forced inline, so the
+ * state stays in registers however many instantiations share a TU (GCC
+ * stops inlining once a TU grows past its unit-growth limit).
+ *
  * Every operation is exact integer arithmetic on each row's own bits,
- * so a lane computes exactly FeatureFeedbackUnit::step's carry and
- * output, whatever the lane width: the kernel is bit-identical to the
- * per-row drive on every tier (tests/test_simd_kernels.cc).
+ * so a lane computes exactly the per-row step's state and output,
+ * whatever the lane width: the kernel is bit-identical to the per-row
+ * drive on every tier (tests/test_simd_kernels.cc).
  *
  * Beyond the row kernel's Lane operations (row_kernel.h), a Lane
  * provides:
@@ -73,7 +73,7 @@ namespace aqfpsc::sc::simd::detail {
 /** One level of the 64 x 64 transpose: swap the off-diagonal J x J
  *  blocks, bit p + J of register k with bit p of register k + J. */
 template <typename Lane, int J>
-inline void
+[[gnu::always_inline]] inline void
 transposeLevel(typename Lane::V a[64], std::uint64_t low_halves)
 {
     using V = typename Lane::V;
@@ -90,7 +90,7 @@ transposeLevel(typename Lane::V a[64], std::uint64_t low_halves)
 /** Transpose each lane's 64 x 64 bit matrix in place: bit t of a[i]
  *  becomes bit i of a[t]. */
 template <typename Lane>
-inline void
+[[gnu::always_inline]] inline void
 transpose64(typename Lane::V a[64])
 {
     transposeLevel<Lane, 32>(a, 0x00000000FFFFFFFFULL);
@@ -102,37 +102,39 @@ transpose64(typename Lane::V a[64])
 }
 
 /**
- * Drive tile rows [r0, r0 + 64 * Lane::kWidth) (clipped to tile.rows)
- * through every cycle of the tile, with P count planes (see the file
- * comment).
+ * Algorithm 1's feedback count, per row with its odd sorter input
+ * count M and H = (M - 1) / 2:
+ *
+ *    S = carry + count,  out = S >= M,
+ *    carry' = clamp(S - H - out, 0, M).
+ *
+ *  - low = S < M is the borrow of S - M, and out = ~low;
+ *  - T = S - H - out is the sum S + ~H + low; its carry-out is T >= 0
+ *    (the lower clamp);
+ *  - S >= M + H + 2 is exactly T > M (the upper clamp, which only an
+ *    out = 1 cycle can reach).
+ *
+ * H = M >> 1 because M is odd, so its planes are M's shifted down one.
+ * The state is the carry, in P planes.
  */
 template <typename Lane, int P>
-void
-feedbackGroup(const FeedbackTile &tile, std::size_t r0)
+struct SorterMajorityStep
 {
     using V = typename Lane::V;
-    const Lane lane{};
-    const std::size_t rows = std::min(tile.rows - r0, 64 * Lane::kWidth);
-    const std::size_t slice0 = r0 / 64;
-    // Lanes of row i of each 64-row lane that lie inside the group.
-    const auto lanesOf = [rows](std::size_t i) -> std::size_t {
-        return i < rows ? (rows - i + 63) / 64 : 0;
-    };
+    static constexpr int kCountPlanes = P;
+    static constexpr int kStatePlanes = P;
 
-    // Per-row constants: M, ~H (H = M >> 1) and G = M + H + 2, the
-    // first S whose clamped carry is M.
-    V m[P], nh[P], g[P + 1], carry[P];
-    for (int b = 0; b < P; ++b) {
-        m[b] = lane.load(tile.m + b * tile.sliceStride + slice0);
-        carry[b] = lane.load(tile.carry + b * tile.sliceStride + slice0);
-    }
+    /** Per-row constants from M: ~H and G = M + H + 2, the first S
+     *  whose clamped carry is M. */
+    [[gnu::always_inline]] explicit SorterMajorityStep(const V (&m_in)[P])
     {
         V cy = Lane::zero();
         for (int b = 0; b < P; ++b) {
-            const V h = b + 1 < P ? m[b + 1] : Lane::zero();
+            m[b] = m_in[b];
+            const V h = b + 1 < P ? m_in[b + 1] : Lane::zero();
             nh[b] = Lane::bitNot(h);
-            g[b] = Lane::xor3(m[b], h, cy);
-            cy = Lane::maj(m[b], h, cy);
+            g[b] = Lane::xor3(m_in[b], h, cy);
+            cy = Lane::maj(m_in[b], h, cy);
         }
         g[P] = cy;
         cy = Lane::ones(); // + 2
@@ -142,6 +144,151 @@ feedbackGroup(const FeedbackTile &tile, std::size_t r0)
             g[b] = sum;
         }
     }
+
+    /** Step every lane through cycle @p t; returns the output bits. */
+    [[gnu::always_inline]] V
+    operator()(V (&carry)[P], const V (&count)[P][64], std::size_t t) const
+    {
+        V s[P + 1];
+        V cy = Lane::zero();
+        for (int b = 0; b < P; ++b) {
+            const V c = count[b][t];
+            s[b] = Lane::xor3(carry[b], c, cy);
+            cy = Lane::maj(carry[b], c, cy);
+        }
+        s[P] = cy;
+        V low = Lane::zero();
+        for (int b = 0; b < P; ++b)
+            low = Lane::borrow(s[b], m[b], low);
+        low = Lane::borrow(s[P], Lane::zero(), low);
+        V below_g = Lane::zero();
+        for (int b = 0; b <= P; ++b)
+            below_g = Lane::borrow(s[b], g[b], below_g);
+        V t_bits[P];
+        cy = low;
+        for (int b = 0; b < P; ++b) {
+            t_bits[b] = Lane::xor3(s[b], nh[b], cy);
+            cy = Lane::maj(s[b], nh[b], cy);
+        }
+        const V nonneg = Lane::bitOr(s[P], cy); // bit P of ~H is 1
+        for (int b = 0; b < P; ++b)
+            carry[b] = Lane::select(below_g, Lane::bitAnd(nonneg, t_bits[b]),
+                                    m[b]);
+        return Lane::bitNot(low);
+    }
+
+    V m[P], nh[P], g[P + 1];
+};
+
+/**
+ * SC-DCNN's Btanh counter with s_max = 2m states, per row with its
+ * product count m (either parity, m < 2^P).  btanhStep adds 2c - m and
+ * clamps to [0, 2m - 1]; with T = s + 2c that is
+ *
+ *    out = T >= 2m,
+ *    s' = T < m ? 0 : min(T - m, 2m - 1),
+ *
+ * since the clamped state reaches m exactly when T - m does.  T < 4m
+ * fits P + 2 planes and s < 2m fits P + 1.  D = T - m rides along the
+ * T < m borrow chain; T >= 3m (the upper rail) and T >= 2m compare
+ * against per-row constants.
+ */
+template <typename Lane, int P>
+struct BtanhStep
+{
+    using V = typename Lane::V;
+    static constexpr int kCountPlanes = P;
+    static constexpr int kStatePlanes = P + 1;
+
+    /** Per-row constants from m: 3m and the rail 2m - 1. */
+    [[gnu::always_inline]] explicit BtanhStep(const V (&m_in)[P])
+    {
+        // 3m = m + (m << 1), P + 2 planes.
+        V cy = Lane::zero();
+        for (int b = 0; b <= P; ++b) {
+            const V lo = b < P ? m_in[b] : Lane::zero();
+            const V hi = b > 0 ? m_in[b - 1] : Lane::zero();
+            m3[b] = Lane::xor3(lo, hi, cy);
+            cy = Lane::maj(lo, hi, cy);
+        }
+        m3[P + 1] = cy;
+        // 2m - 1 = ((m - 1) << 1) | 1, P + 1 planes (m >= 1).
+        rail[0] = Lane::ones();
+        V br = Lane::ones();
+        for (int b = 0; b < P; ++b) {
+            m[b] = m_in[b];
+            rail[b + 1] = Lane::bitXor(m_in[b], br);
+            br = Lane::borrow(m_in[b], Lane::zero(), br);
+        }
+    }
+
+    /** Step every lane through cycle @p t; returns the output bits. */
+    [[gnu::always_inline]] V
+    operator()(V (&s)[P + 1], const V (&count)[P][64], std::size_t t) const
+    {
+        // T = s + 2c.
+        V tt[P + 2];
+        tt[0] = s[0];
+        V cy = Lane::zero();
+        for (int b = 0; b < P; ++b) {
+            const V c = count[b][t];
+            tt[b + 1] = Lane::xor3(s[b + 1], c, cy);
+            cy = Lane::maj(s[b + 1], c, cy);
+        }
+        tt[P + 1] = cy;
+        // D = T - m; its borrow out is T < m.
+        V d[P + 1];
+        V low = Lane::zero();
+        for (int b = 0; b <= P + 1; ++b) {
+            const V mb = b < P ? m[b] : Lane::zero();
+            if (b <= P)
+                d[b] = Lane::xor3(tt[b], mb, low);
+            low = Lane::borrow(tt[b], mb, low);
+        }
+        // T < 2m (bit 0 of 2m is zero, so bit 0 never borrows).
+        V below2 = Lane::zero();
+        for (int b = 1; b <= P + 1; ++b)
+            below2 = Lane::borrow(tt[b], b <= P ? m[b - 1] : Lane::zero(),
+                                  below2);
+        // T < 3m.
+        V below3 = Lane::zero();
+        for (int b = 0; b <= P + 1; ++b)
+            below3 = Lane::borrow(tt[b], m3[b], below3);
+        for (int b = 0; b <= P; ++b)
+            s[b] = Lane::select(low, Lane::zero(),
+                                Lane::select(below3, d[b], rail[b]));
+        return Lane::bitNot(below2);
+    }
+
+    V m[P], m3[P + 2], rail[P + 1];
+};
+
+/**
+ * Drive tile rows [r0, r0 + 64 * Lane::kWidth) (clipped to tile.rows)
+ * through every cycle of the tile with the recurrence @p Step (see the
+ * file comment).
+ */
+template <typename Lane, typename Step>
+void
+feedbackGroup(const FeedbackTile &tile, std::size_t r0)
+{
+    using V = typename Lane::V;
+    constexpr int P = Step::kCountPlanes;
+    constexpr int S = Step::kStatePlanes;
+    const Lane lane{};
+    const std::size_t rows = std::min(tile.rows - r0, 64 * Lane::kWidth);
+    const std::size_t slice0 = r0 / 64;
+    // Lanes of row i of each 64-row lane that lie inside the group.
+    const auto lanesOf = [rows](std::size_t i) -> std::size_t {
+        return i < rows ? (rows - i + 63) / 64 : 0;
+    };
+
+    V m[P], state[S];
+    for (int b = 0; b < P; ++b)
+        m[b] = lane.load(tile.m + b * tile.sliceStride + slice0);
+    for (int b = 0; b < S; ++b)
+        state[b] = lane.load(tile.state + b * tile.sliceStride + slice0);
+    const Step step(m);
 
     V count[P][64];
     V out[64];
@@ -157,34 +304,8 @@ feedbackGroup(const FeedbackTile &tile, std::size_t r0)
         }
         const std::size_t cycles =
             std::min<std::size_t>(64, tile.cycles - 64 * w);
-        for (std::size_t t = 0; t < cycles; ++t) {
-            V s[P + 1];
-            V cy = Lane::zero();
-            for (int b = 0; b < P; ++b) {
-                const V c = count[b][t];
-                s[b] = Lane::xor3(carry[b], c, cy);
-                cy = Lane::maj(carry[b], c, cy);
-            }
-            s[P] = cy;
-            V low = Lane::zero();
-            for (int b = 0; b < P; ++b)
-                low = Lane::borrow(s[b], m[b], low);
-            low = Lane::borrow(s[P], Lane::zero(), low);
-            V below_g = Lane::zero();
-            for (int b = 0; b <= P; ++b)
-                below_g = Lane::borrow(s[b], g[b], below_g);
-            V t_bits[P];
-            cy = low;
-            for (int b = 0; b < P; ++b) {
-                t_bits[b] = Lane::xor3(s[b], nh[b], cy);
-                cy = Lane::maj(s[b], nh[b], cy);
-            }
-            const V nonneg = Lane::bitOr(s[P], cy); // bit P of ~H is 1
-            for (int b = 0; b < P; ++b)
-                carry[b] = Lane::select(
-                    below_g, Lane::bitAnd(nonneg, t_bits[b]), m[b]);
-            out[t] = Lane::bitNot(low);
-        }
+        for (std::size_t t = 0; t < cycles; ++t)
+            out[t] = step(state, count, t);
         for (std::size_t t = cycles; t < 64; ++t)
             out[t] = Lane::zero();
         transpose64<Lane>(out);
@@ -193,17 +314,19 @@ feedbackGroup(const FeedbackTile &tile, std::size_t r0)
             lane.scatter(dst + i * tile.outStride, 64 * tile.outStride,
                          lanesOf(i), out[i]);
     }
-    for (int b = 0; b < P; ++b)
-        lane.store(tile.carry + b * tile.sliceStride + slice0, carry[b]);
+    for (int b = 0; b < S; ++b)
+        lane.store(tile.state + b * tile.sliceStride + slice0, state[b]);
 }
 
-template <typename Lane, std::size_t... Is>
+/** feedbackGroup of recurrence @p Step at every count-plane count. */
+template <typename Lane, template <typename, int> class Step,
+          std::size_t... Is>
 constexpr auto
 feedbackGroups(std::index_sequence<Is...>)
 {
     return std::array<void (*)(const FeedbackTile &, std::size_t),
                       sizeof...(Is)>{
-        &feedbackGroup<Lane, static_cast<int>(Is) + 1>...};
+        &feedbackGroup<Lane, Step<Lane, static_cast<int>(Is) + 1>>...};
 }
 
 /** Drive tile rows [r0, tile.rows) in groups of 64 x Lane::kWidth. */
@@ -211,9 +334,13 @@ template <typename Lane>
 inline void
 feedbackRows(const FeedbackTile &tile, std::size_t r0)
 {
-    static constexpr auto kGroups = feedbackGroups<Lane>(
-        std::make_index_sequence<kMaxFeedbackPlanes>{});
-    const auto group = kGroups[static_cast<std::size_t>(tile.planeCount) - 1];
+    using Planes = std::make_index_sequence<kMaxFeedbackPlanes>;
+    static constexpr auto kSorter =
+        feedbackGroups<Lane, SorterMajorityStep>(Planes{});
+    static constexpr auto kBtanh = feedbackGroups<Lane, BtanhStep>(Planes{});
+    const auto &groups =
+        tile.recurrence == FeedbackRecurrence::Btanh ? kBtanh : kSorter;
+    const auto group = groups[static_cast<std::size_t>(tile.planeCount) - 1];
     for (; r0 < tile.rows; r0 += 64 * Lane::kWidth)
         group(tile, r0);
 }

@@ -43,7 +43,12 @@
 
 namespace aqfpsc::sc::simd::detail {
 
-/** Register-resident planes of one lane group plus its row operands. */
+/**
+ * Register-resident planes of one lane group plus its row operands.
+ * Its steps are forced inline: an out-of-line step would take the
+ * planes by reference and keep them in memory, and GCC stops inlining
+ * once a kernel TU has grown past its unit-growth limit.
+ */
 template <typename Lane>
 struct RowAccumulator
 {
@@ -56,7 +61,7 @@ struct RowAccumulator
     int planes;
     V p[kMaxRowPlanes];
 
-    V
+    [[gnu::always_inline]] V
     product(std::size_t i) const
     {
         return Lane::xnor(lane.load(xs[i] + wi), lane.load(ws[i] + wi));
@@ -64,7 +69,7 @@ struct RowAccumulator
 
     /** Add @p carry, of weight 2^From, into planes [From, planes). */
     template <int From>
-    void
+    [[gnu::always_inline]] void
     ripple(V carry)
     {
 #pragma GCC unroll 16
@@ -80,7 +85,7 @@ struct RowAccumulator
     /** Sum products [i, i + 2^Log) into planes [0, Log); returns the
      *  carry of weight 2^Log. */
     template <int Log>
-    V
+    [[gnu::always_inline]] V
     block(std::size_t i)
     {
         V high;

@@ -4,10 +4,12 @@
  *
  * Three loops dominate stream execution: the carry-save accumulation
  * of an output row's XNOR products (ColumnCounts::addXnorRow), the
- * AQFP sorter feedback recurrence that turns a tile of rows' counts
- * into output streams (Algorithm 1, feedback_kernel.h) and the SNG
- * threshold fill (StreamMatrix::fillBipolar*).  This layer supplies
- * their vector kernels and picks one implementation per process:
+ * feedback recurrence that turns a tile of rows' counts into output
+ * streams (the AQFP sorter's Algorithm 1 or the CMOS Btanh counter,
+ * feedback_kernel.h) and the threshold compare of the SNG fill
+ * (StreamMatrix::fillBipolar*) and of the CMOS MUX pool's selects.
+ * This layer supplies their vector kernels and picks one
+ * implementation per process:
  *
  *  - kernels() returns a per-kernel function-pointer table resolved
  *    once at static init from cpuid feature detection (scalar, AVX2 or
@@ -22,11 +24,11 @@
  *    how the additions are grouped, so the row kernel's adder tree
  *    (row_kernel.h) stores the same planes as one ripple per product
  *    (kernels_scalar.h); the feedback kernel runs the integer
- *    recurrence of blocks::FeatureFeedbackUnit with bit-sliced adders
- *    and comparators, one row per bit lane; the threshold fill performs
- *    the same unsigned compare per RNG word.  tests/test_simd_kernels.cc
- *    pins this on every tier, and the golden score hashes pin it end to
- *    end.
+ *    recurrence of blocks::FeatureFeedbackUnit or of btanhStep with
+ *    bit-sliced adders and comparators, one row per bit lane; the
+ *    threshold compare performs the same unsigned compare per RNG
+ *    word.  tests/test_simd_kernels.cc pins this on every tier, and the
+ *    golden score hashes pin it end to end.
  *
  * setActiveLevel() exists for tests and benches that need to compare
  * variants in-process; it swaps an atomic table pointer, so it must not
@@ -83,24 +85,37 @@ using AddXnorRowFn = void (*)(const PlaneSpan &span,
 inline constexpr std::size_t kFeedbackTileRows = 512;
 
 /** Most count planes the feedback kernel's bit-sliced arithmetic
- *  handles (sorter input counts < 4096); wider counters take the
- *  per-row blocks::FeatureFeedbackUnit drive. */
+ *  handles (column counts < 4096); wider counters take the stages'
+ *  per-row drive. */
 inline constexpr int kMaxFeedbackPlanes = 12;
 
+/** The per-row recurrence a FeedbackTile runs (feedback_kernel.h). */
+enum class FeedbackRecurrence
+{
+    /** Algorithm 1, counter form (blocks::FeatureFeedbackUnit): m is
+     *  the odd sorter input count M, the state the feedback count in
+     *  [0, M], planeCount planes. */
+    SorterMajority,
+    /** SC-DCNN Btanh (baseline::ApcFeatureExtraction::btanhStep with
+     *  s_max = 2m): m is the product count, the state the counter in
+     *  [0, 2m), planeCount + 1 planes. */
+    Btanh,
+};
+
 /**
- * A tile of sorter feedback rows (Algorithm 1, counter form) for the
- * feedback kernel.  Row t of the tile has
+ * A tile of feedback rows for the feedback kernel.  Row t of the tile
+ * has
  *
  *  - count plane k, word w at planes[t * rowStride + k * planeStride + w]
  *    (bit b of that word is bit k of the cycle 64w + b column count, as
- *    in ColumnCounts);
- *  - its sorter input count M (odd, < 2^planeCount) and its feedback
- *    count, bit-sliced: bit t % 64 of m[k * sliceStride + t / 64] is bit
- *    k of M, and likewise for carry;
+ *    in ColumnCounts; counts never exceed the row's m);
+ *  - its m (>= 1, < 2^planeCount) and its recurrence state, bit-sliced:
+ *    bit t % 64 of m[k * sliceStride + t / 64] is bit k of m, and
+ *    likewise for state;
  *  - its output stream at out[t * outStride + w].
  *
- * m and carry hold kFeedbackTileRows / 64 words per plane (whole
- * registers); the carry bits of rows past @c rows are unspecified
+ * m and state hold kFeedbackTileRows / 64 words per plane (whole
+ * registers); the state bits of rows past @c rows are unspecified
  * afterwards.
  */
 struct FeedbackTile
@@ -111,17 +126,18 @@ struct FeedbackTile
     int planeCount; ///< [1, kMaxFeedbackPlanes]
     std::size_t rows; ///< [1, kFeedbackTileRows]
     const std::uint64_t *m;
-    std::uint64_t *carry; ///< in/out, each row's in [0, M]
+    std::uint64_t *state; ///< in/out (see FeedbackRecurrence)
     std::size_t sliceStride;
     std::uint64_t *out;
     std::size_t outStride;
     std::size_t cycles; ///< drives words [0, ceil(cycles / 64))
+    FeedbackRecurrence recurrence = FeedbackRecurrence::SorterMajority;
 };
 
 /**
- * Step every row of @p tile through @c cycles cycles of
- * blocks::FeatureFeedbackUnit from its carry, writing the output bits
- * (tail bits of the last word zero) and the final carries.
+ * Step every row of @p tile through @c cycles cycles of its recurrence
+ * from its state, writing the output bits (tail bits of the last word
+ * zero) and the final states.
  */
 using FeatureFeedbackFn = void (*)(const FeedbackTile &tile);
 

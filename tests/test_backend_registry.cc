@@ -103,6 +103,126 @@ TEST(BackendRegistry, CompilerRejectsUnmappablePatterns)
     }
 }
 
+TEST(BackendRegistry, CompilerRejectsLayerShapesThatDoNotChain)
+{
+    using nn::AvgPool2;
+    using nn::Conv2D;
+    using nn::Dense;
+    using nn::MajorityChainDense;
+    using nn::SorterTanh;
+    struct Case
+    {
+        const char *what;
+        nn::Network (*build)();
+        const char *message;
+    };
+    const Case cases[] = {
+        {"conv channel count",
+         [] {
+             nn::Network net;
+             net.add(std::make_unique<Conv2D>(1, 2, 3, 1));
+             net.add(std::make_unique<SorterTanh>());
+             net.add(std::make_unique<Conv2D>(64, 2, 3, 2));
+             net.add(std::make_unique<SorterTanh>());
+             net.add(std::make_unique<MajorityChainDense>(1568, 10, 3));
+             return net;
+         },
+         "layer 2 (Conv3x3x2) expects 64 input channels of HxW "
+         "features, but its input has 2x28x28 features"},
+        {"dense fan-in",
+         [] {
+             nn::Network net;
+             net.add(std::make_unique<Conv2D>(1, 2, 3, 1));
+             net.add(std::make_unique<SorterTanh>());
+             net.add(std::make_unique<Dense>(50000, 4, 2));
+             return net;
+         },
+         "layer 2 (FC4) expects 50000 input features, but its "
+         "input has 2x28x28 features"},
+        {"output fan-in after a dense",
+         [] {
+             nn::Network net;
+             net.add(std::make_unique<Dense>(784, 20, 1));
+             net.add(std::make_unique<SorterTanh>());
+             net.add(std::make_unique<MajorityChainDense>(21, 10, 2));
+             return net;
+         },
+         "expects 21 input features, but its input has 20 flat features"},
+        {"odd pool",
+         [] {
+             nn::Network net;
+             net.add(std::make_unique<Conv2D>(1, 2, 3, 1));
+             net.add(std::make_unique<SorterTanh>());
+             for (int i = 0; i < 3; ++i)
+                 net.add(std::make_unique<AvgPool2>());
+             net.add(std::make_unique<MajorityChainDense>(2 * 7 * 7, 10, 2));
+             return net;
+         },
+         "layer 4 (AvgPool2) expects CxHxW features of even H and W, but "
+         "its input has 2x7x7 features"},
+        {"pool without a spatial input",
+         [] {
+             nn::Network net;
+             net.add(std::make_unique<AvgPool2>());
+             net.add(std::make_unique<MajorityChainDense>(196, 10, 2));
+             return net;
+         },
+         "layer 0 (AvgPool2) expects CxHxW features of even H and W, but "
+         "its input has no input shape"},
+        {"conv after a dense",
+         [] {
+             nn::Network net;
+             net.add(std::make_unique<Dense>(784, 784, 1));
+             net.add(std::make_unique<SorterTanh>());
+             net.add(std::make_unique<Conv2D>(1, 2, 3, 2));
+             net.add(std::make_unique<SorterTanh>());
+             net.add(std::make_unique<MajorityChainDense>(1568, 10, 3));
+             return net;
+         },
+         "but its input has 784 flat features"},
+        {"channel-less conv after a dense",
+         [] {
+             nn::Network net;
+             net.add(std::make_unique<Dense>(784, 20, 1));
+             net.add(std::make_unique<SorterTanh>());
+             net.add(std::make_unique<Conv2D>(0, 2, 3, 2));
+             net.add(std::make_unique<SorterTanh>());
+             net.add(std::make_unique<MajorityChainDense>(20, 10, 3));
+             return net;
+         },
+         "expects 0 input channels of HxW features, but its input has 20 "
+         "flat features"},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.what);
+        for (const char *backend : {"aqfp-sorter", "cmos-apc", "float-ref"}) {
+            SCOPED_TRACE(backend);
+            ScEngineConfig cfg;
+            cfg.backendName = backend;
+            cfg.streamLen = 64;
+            try {
+                ScNetworkEngine engine(c.build(), cfg);
+                FAIL() << "expected std::invalid_argument";
+            } catch (const std::invalid_argument &e) {
+                EXPECT_TRUE(contains(e.what(), c.message)) << e.what();
+            }
+        }
+    }
+
+    // Every zoo model still chains on every backend.
+    for (const std::string &name : modelNames()) {
+        SCOPED_TRACE(name);
+        for (const char *backend : {"aqfp-sorter", "cmos-apc", "float-ref"}) {
+            ScEngineConfig cfg;
+            cfg.backendName = backend;
+            cfg.streamLen = 64;
+            EXPECT_NO_THROW({
+                const ScNetworkEngine engine(buildModel(name, 1), cfg);
+            }) << backend;
+        }
+    }
+}
+
 /**
  * The acceptance demonstration: a complete backend registered from this
  * TU — no edits to stage_compiler.cc (or any core file).  The backend

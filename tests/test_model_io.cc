@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -299,6 +300,33 @@ TEST(ModelIo, InflatedLayerSizesAreRejectedBeforeAllocation)
             EXPECT_EQ(e.status().code, core::StatusCode::ModelCorrupted);
             EXPECT_TRUE(contains(e.what(), "payload bytes left"))
                 << e.what();
+        }
+    }
+}
+
+TEST(ModelIo, NonFiniteParametersAreRejected)
+{
+    // A NaN or Inf weight survives save (the checksum covers the bytes,
+    // not their meaning) but must not load: float-ref would score it and
+    // the SC backends would quantize it to an arbitrary code.
+    for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity()}) {
+        SCOPED_TRACE(std::to_string(bad));
+        nn::Network net = core::buildTinyCnn(5);
+        // Layer 4 is the hidden FC64; parameter block 1 is its bias.
+        (*net.layer(4).params()[1])[7] = bad;
+        TempFile file("nonfinite.model");
+        ASSERT_TRUE(net.saveModel(file.path()));
+        try {
+            nn::Network::loadModel(file.path());
+            FAIL() << "expected StatusError";
+        } catch (const core::StatusError &e) {
+            EXPECT_EQ(e.status().code, core::StatusCode::ModelCorrupted);
+            EXPECT_TRUE(contains(e.what(), "layer 4 (FC64)")) << e.what();
+            EXPECT_TRUE(contains(e.what(), "non-finite parameter"))
+                << e.what();
+            EXPECT_TRUE(contains(e.what(), "at index 7")) << e.what();
         }
     }
 }

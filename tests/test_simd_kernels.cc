@@ -17,10 +17,14 @@
  *    stride is wider than the words added (the words past them must
  *    stay untouched);
  *  - the feedback kernel of every tier against one FeatureFeedbackUnit
- *    per row: every odd M up to 63 and five wide ones, mixed M within a
- *    tile, tiles of 1 to 512 rows, resumed spans and a partial last
- *    word; and the sorter dense stage on both of its paths (tile kernel
- *    and the per-row drive of counters wider than the kernel);
+ *    per row (every odd M up to 63 and five wide ones) and one
+ *    btanhStep per row (every m up to 64 and five wide ones): mixed m
+ *    within a tile, tiles of 1 to 512 rows, states pinned at both
+ *    rails, resumed spans and a partial last word; the sorter dense
+ *    stage and the CMOS conv and dense stages on each of their paths
+ *    (tile kernel, the per-row drive of counters wider than the
+ *    kernel, the CMOS approximate counter); and the CMOS word-wide MUX
+ *    pool against per-cycle nextBits(2) selects;
  *  - SNG threshold fill (fillBipolar) forced-scalar vs dispatched
  *    across values (incl. the all-ones special case), code widths and
  *    lengths, plus a direct kernel unit sweep over n in [1, 64];
@@ -38,15 +42,20 @@
 #include <iterator>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "baseline/sc_dcnn.h"
 #include "blocks/feedback_unit.h"
 #include "core/model_zoo.h"
 #include "core/session.h"
 #include "core/stages/aqfp_dense_stage.h"
+#include "core/stages/cmos_conv_stage.h"
+#include "core/stages/cmos_dense_stage.h"
+#include "core/stages/cmos_pool_stage.h"
 #include "data/digits.h"
 #include "sc/apc.h"
 #include "sc/rng.h"
@@ -171,16 +180,52 @@ TEST(SimdKernels, RowKernelMatchesRippleReferenceOnEveryTier)
     }
 }
 
+/** Algorithm 1's feedback unit as the feedback-kernel cases drive it. */
+struct SorterRecurrence
+{
+    static constexpr auto kKind =
+        sc::simd::FeedbackRecurrence::SorterMajority;
+    static constexpr int kExtraStatePlanes = 0;
+    static bool validM(int m) { return m % 2 == 1; }
+    static int maxState(int m) { return m; }
+    static bool
+    step(int &state, int count, int m)
+    {
+        blocks::FeatureFeedbackUnit unit(m);
+        unit.restore(m, state);
+        const bool out = unit.step(count);
+        state = unit.carry();
+        return out;
+    }
+};
+
+/** SC-DCNN's Btanh counter (s_max = 2m) as the feedback-kernel cases
+ *  drive it. */
+struct BtanhRecurrence
+{
+    static constexpr auto kKind = sc::simd::FeedbackRecurrence::Btanh;
+    static constexpr int kExtraStatePlanes = 1;
+    static bool validM(int m) { return m >= 1; }
+    static int maxState(int m) { return 2 * m - 1; }
+    static bool
+    step(int &state, int count, int m)
+    {
+        return baseline::ApcFeatureExtraction::btanhStep(state, count, m,
+                                                         2 * m);
+    }
+};
+
 /**
  * One feedback-kernel differential case: @p rows rows with @p planes
- * count planes and sorter input counts M = m_of_row(r), driven through
- * spans of @p spans cycles (each resuming the carries the previous one
- * left), on every runnable tier, against one FeatureFeedbackUnit per row
- * stepped through all the cycles in one pass.
+ * count planes and m = m_of_row(r), driven through spans of @p spans
+ * cycles (each resuming the states the previous one left), on every
+ * runnable tier, against Recurrence::step per row stepped through all
+ * the cycles in one pass.  The counts pin the states at both of their
+ * rails, which the reference must reach.
  */
-template <typename MOfRow>
+template <typename Recurrence, typename MOfRow>
 void
-expectFeedbackKernelMatchesUnits(std::size_t rows, int planes,
+expectFeedbackKernelMatchesSteps(std::size_t rows, int planes,
                                  MOfRow &&m_of_row,
                                  const std::vector<std::size_t> &spans,
                                  sc::Xoshiro256StarStar &rng)
@@ -190,17 +235,19 @@ expectFeedbackKernelMatchesUnits(std::size_t rows, int planes,
         total += s;
     const std::size_t words = (total + 63) / 64;
     const auto p = static_cast<std::size_t>(planes);
+    const std::size_t state_planes = p + Recurrence::kExtraStatePlanes;
 
-    // Per-row M, start carry and counts.  Each 64-cycle block draws its
-    // counts uniformly, pinned at 0 or M (driving the carry into its
-    // clamps), or around the operating point.
+    // Per-row m, start state and counts.  Each 64-cycle block draws its
+    // counts uniformly, pinned at 0 or m (driving the state into its
+    // rails), or around the operating point.
     std::vector<int> ms(rows), start(rows);
     std::vector<std::vector<int>> counts(rows, std::vector<int>(total));
     for (std::size_t r = 0; r < rows; ++r) {
         const int m = m_of_row(r);
-        ASSERT_TRUE(m >= 1 && m % 2 == 1 && m < (1 << planes));
+        ASSERT_TRUE(Recurrence::validM(m) && m < (1 << planes));
         ms[r] = m;
-        start[r] = static_cast<int>(rng.nextWord() % (m + 1U));
+        start[r] = static_cast<int>(
+            rng.nextWord() % (Recurrence::maxState(m) + 1U));
         for (std::size_t t = 0; t < total; ++t) {
             const std::uint64_t x = rng.nextWord();
             switch ((t / 64 + r) % 4) {
@@ -220,44 +267,49 @@ expectFeedbackKernelMatchesUnits(std::size_t rows, int planes,
         }
     }
 
-    // Reference: one unit per row, all cycles in one pass; the carry
-    // after each span.
+    // Reference: one recurrence per row, all cycles in one pass; the
+    // state after each span.
     std::vector<std::uint64_t> ref_out(rows * words, 0);
-    std::vector<std::vector<int>> ref_carry(spans.size(),
+    std::vector<std::vector<int>> ref_state(spans.size(),
                                             std::vector<int>(rows));
+    bool low_rail = false, high_rail = false;
     for (std::size_t r = 0; r < rows; ++r) {
-        blocks::FeatureFeedbackUnit unit(ms[r]);
-        unit.restore(ms[r], start[r]);
+        int state = start[r];
         std::size_t t = 0;
         for (std::size_t si = 0; si < spans.size(); ++si) {
-            for (const std::size_t e = t + spans[si]; t < e; ++t)
-                if (unit.step(counts[r][t]))
+            for (const std::size_t e = t + spans[si]; t < e; ++t) {
+                if (Recurrence::step(state, counts[r][t], ms[r]))
                     ref_out[r * words + t / 64] |= 1ULL << (t % 64);
-            ref_carry[si][r] = unit.carry();
+                low_rail = low_rail || state == 0;
+                high_rail = high_rail || state == Recurrence::maxState(ms[r]);
+            }
+            ref_state[si][r] = state;
         }
     }
+    EXPECT_TRUE(low_rail && high_rail);
 
-    // Bit-sliced per-row M (rows past the tile hold garbage) and the
-    // starting carries.
+    // Bit-sliced per-row m (rows past the tile hold garbage) and the
+    // starting states.
     constexpr std::size_t kSliceWords = sc::simd::kFeedbackTileRows / 64;
     const std::size_t slice_stride = kSliceWords + 1;
     std::vector<std::uint64_t> m_bits(p * slice_stride);
     rng.nextWords(m_bits.data(), m_bits.size());
-    std::vector<std::uint64_t> carry0(p * slice_stride, 0);
+    std::vector<std::uint64_t> state0(state_planes * slice_stride, 0);
     for (std::size_t r = 0; r < rows; ++r) {
         for (std::size_t k = 0; k < p; ++k) {
             std::uint64_t &mw = m_bits[k * slice_stride + r / 64];
             mw = (mw & ~(1ULL << (r % 64))) |
                  (static_cast<std::uint64_t>((ms[r] >> k) & 1) << (r % 64));
-            carry0[k * slice_stride + r / 64] |=
-                static_cast<std::uint64_t>((start[r] >> k) & 1) << (r % 64);
         }
+        for (std::size_t k = 0; k < state_planes; ++k)
+            state0[k * slice_stride + r / 64] |=
+                static_cast<std::uint64_t>((start[r] >> k) & 1) << (r % 64);
     }
 
     constexpr std::uint64_t kSentinel = 0xA5A5A5A5A5A5A5A5ULL;
     for (const Level level : runnableLevels()) {
         SCOPED_TRACE(sc::simd::levelName(level));
-        std::vector<std::uint64_t> carry = carry0;
+        std::vector<std::uint64_t> state = state0;
         const std::size_t out_stride = words + 2;
         std::vector<std::uint64_t> out(rows * out_stride, kSentinel);
         std::size_t begin = 0;
@@ -282,18 +334,27 @@ expectFeedbackKernelMatchesUnits(std::size_t rows, int planes,
                 }
             }
             const sc::simd::FeedbackTile tile{
-                tile_planes.data(), row_stride, plane_stride, planes, rows,
-                m_bits.data(),      carry.data(), slice_stride,
-                out.data() + begin / 64, out_stride, spans[si]};
+                tile_planes.data(),
+                row_stride,
+                plane_stride,
+                planes,
+                rows,
+                m_bits.data(),
+                state.data(),
+                slice_stride,
+                out.data() + begin / 64,
+                out_stride,
+                spans[si],
+                Recurrence::kKind};
             tableOf(level).featureFeedback(tile);
             for (std::size_t r = 0; r < rows; ++r) {
                 int got = 0;
-                for (std::size_t k = 0; k < p; ++k)
+                for (std::size_t k = 0; k < state_planes; ++k)
                     got |= static_cast<int>(
-                               (carry[k * slice_stride + r / 64] >> (r % 64)) &
+                               (state[k * slice_stride + r / 64] >> (r % 64)) &
                                1)
                            << k;
-                ASSERT_EQ(got, ref_carry[si][r]) << "row " << r;
+                ASSERT_EQ(got, ref_state[si][r]) << "row " << r;
             }
             begin += spans[si];
         }
@@ -323,7 +384,7 @@ TEST(SimdKernels, FeedbackKernelMatchesFeatureFeedbackUnitOnEveryTier)
         ms.push_back(m);
     for (const int m : ms) {
         SCOPED_TRACE("M=" + std::to_string(m));
-        expectFeedbackKernelMatchesUnits(
+        expectFeedbackKernelMatchesSteps<SorterRecurrence>(
             65, std::bit_width(static_cast<unsigned>(m)),
             [m](std::size_t) { return m; }, {64, 128, 100}, rng);
     }
@@ -336,19 +397,309 @@ TEST(SimdKernels, FeedbackKernelMatchesFeatureFeedbackUnitOnEveryTier)
                                    std::size_t{200}, std::size_t{300},
                                    sc::simd::kFeedbackTileRows}) {
         SCOPED_TRACE("rows=" + std::to_string(rows));
-        expectFeedbackKernelMatchesUnits(
+        expectFeedbackKernelMatchesSteps<SorterRecurrence>(
             rows, 4,
             [&](std::size_t) {
                 const int border[] = {5, 7, 11};
                 return border[rng.nextWord() % 3];
             },
             spans, rng);
-        expectFeedbackKernelMatchesUnits(
+        expectFeedbackKernelMatchesSteps<SorterRecurrence>(
             rows, 6,
             [&](std::size_t) {
                 return static_cast<int>(2 * (rng.nextWord() % 32) + 1);
             },
             spans, rng);
+    }
+}
+
+TEST(SimdKernels, FeedbackKernelMatchesBtanhStepOnEveryTier)
+{
+    sc::Xoshiro256StarStar rng(20261018);
+    const std::vector<std::size_t> spans = {64, 128, 1024, 100};
+
+    // Every m up to 64 (either parity) and snn's wide fan-ins, each at
+    // its narrowest plane count (T = s + 2c then fills planes + 2 bits).
+    std::vector<int> ms;
+    for (int m = 1; m <= 64; ++m)
+        ms.push_back(m);
+    for (const int m : {129, 193, 289, 501, 1569})
+        ms.push_back(m);
+    for (const int m : ms) {
+        SCOPED_TRACE("m=" + std::to_string(m));
+        expectFeedbackKernelMatchesSteps<BtanhRecurrence>(
+            65, std::bit_width(static_cast<unsigned>(m)),
+            [m](std::size_t) { return m; }, {64, 128, 100}, rng);
+    }
+
+    // Mixed m within one tile: snn Conv1's border windows (5/7/10 at 4
+    // planes) and every m up to 63 at 6 planes.
+    for (const std::size_t rows : {std::size_t{1}, std::size_t{63},
+                                   std::size_t{64}, std::size_t{65},
+                                   std::size_t{200}, std::size_t{300},
+                                   sc::simd::kFeedbackTileRows}) {
+        SCOPED_TRACE("rows=" + std::to_string(rows));
+        expectFeedbackKernelMatchesSteps<BtanhRecurrence>(
+            rows, 4,
+            [&](std::size_t) {
+                const int border[] = {5, 7, 10};
+                return border[rng.nextWord() % 3];
+            },
+            spans, rng);
+        expectFeedbackKernelMatchesSteps<BtanhRecurrence>(
+            rows, 6,
+            [&](std::size_t) {
+                return static_cast<int>(rng.nextWord() % 63 + 1);
+            },
+            spans, rng);
+    }
+}
+
+/** Random bipolar streams of @p len cycles, one per row. */
+sc::StreamMatrix
+randomStreams(std::size_t rows, std::size_t len, sc::Xoshiro256StarStar &rng)
+{
+    sc::StreamMatrix m(rows, len);
+    for (std::size_t r = 0; r < rows; ++r)
+        m.fillBipolar(r, static_cast<double>(rng.nextBits(10)) / 512.0 - 1.0,
+                      10, rng);
+    return m;
+}
+
+/** The bit of cycle @p t of a packed stream row. */
+bool
+streamBit(const std::uint64_t *row, std::size_t t)
+{
+    return (row[t / 64] >> (t % 64) & 1) != 0;
+}
+
+/**
+ * One output row of a CMOS SC-DCNN linear stage, one cycle at a time:
+ * the column count of the XNOR products and the bias, plus with
+ * @p approx the OR-pair overcount (products paired in visit order, the
+ * bias unpaired), capped at m = products + 1, drives btanhStep from
+ * s_max / 2 = m.
+ */
+void
+cmosReferenceRow(
+    const std::vector<std::pair<const std::uint64_t *, const std::uint64_t *>>
+        &products,
+    const std::uint64_t *bias, std::size_t len, bool approx,
+    std::uint64_t *out)
+{
+    const int m = static_cast<int>(products.size()) + 1;
+    int state = m;
+    for (std::size_t t = 0; t < len; ++t) {
+        int c = streamBit(bias, t) ? 1 : 0;
+        bool prev = false;
+        for (std::size_t j = 0; j < products.size(); ++j) {
+            const bool bit = streamBit(products[j].first, t) ==
+                             streamBit(products[j].second, t);
+            c += bit ? 1 : 0;
+            if (approx && j % 2 == 1 && prev && bit)
+                ++c;
+            prev = bit;
+        }
+        if (baseline::ApcFeatureExtraction::btanhStep(state, std::min(c, m),
+                                                      m, 2 * m))
+            out[t / 64] |= 1ULL << (t % 64);
+    }
+}
+
+/** Run @p stage on every tier through three resumed spans of a
+ *  300-cycle stream and compare every output row with @p expect. */
+void
+expectStageMatches(const core::ScStage &stage, const sc::StreamMatrix &x,
+                   const sc::StreamMatrix &expect)
+{
+    const std::size_t spans[][2] = {{0, 64}, {64, 192}, {192, 300}};
+    for (const Level level : runnableLevels()) {
+        SCOPED_TRACE(sc::simd::levelName(level));
+        const LevelGuard guard(level);
+        sc::StreamMatrix got;
+        core::StageContext ctx;
+        const std::unique_ptr<core::StageScratch> scratch =
+            stage.makeScratch();
+        const core::CohortSlot slot{&x, &got, &ctx, scratch.get()};
+        for (const auto &[begin, end] : spans)
+            stage.runCohortSpan(&slot, 1, begin, end);
+        ASSERT_EQ(got.rows(), expect.rows());
+        for (std::size_t r = 0; r < expect.rows(); ++r)
+            ASSERT_TRUE(std::equal(expect.row(r),
+                                   expect.row(r) + expect.wordsPerRow(),
+                                   got.row(r)))
+                << "row " << r;
+    }
+}
+
+/** Parameter streams of a weighted stage: @p weights x @p biases rows. */
+std::shared_ptr<core::stages::StageShared>
+randomShared(std::size_t weights, std::size_t biases, std::size_t len,
+             sc::Xoshiro256StarStar &rng)
+{
+    auto shared = std::make_shared<core::stages::StageShared>();
+    shared->streams.weights = randomStreams(weights, len, rng);
+    shared->streams.biases = randomStreams(biases, len, rng);
+    shared->streams.neutral = sc::StreamMatrix(1, len);
+    shared->streams.neutral.fillNeutral(0);
+    return shared;
+}
+
+/**
+ * The CMOS SC-DCNN linear stages, on every tier, against
+ * cmosReferenceRow per output row.  Dense fan-ins 9 (513 rows: a full
+ * 512-row tile plus a one-row tile) and 392 (70 rows), and a 3x3 conv
+ * over 2 x 12 x 12 inputs (4 x 144 rows mixing m = 9/13/19 in a tile)
+ * take the feedback kernel; fan-in 4100 needs 13 count planes, more
+ * than the kernel's 12, and takes the per-row drive; and with the
+ * approximate counter on, every row takes the per-row drive with the
+ * OR-pair overcount.  The stages run in three resumed spans, the last
+ * one partial.
+ */
+TEST(SimdKernels, CmosLinearStagesMatchPerRowBtanh)
+{
+    const std::size_t len = 300;
+    sc::Xoshiro256StarStar rng(72);
+    for (const auto &[in, out, approx] :
+         {std::tuple{9, 513, false}, std::tuple{392, 70, false},
+          std::tuple{4100, 3, false}, std::tuple{9, 513, true},
+          std::tuple{392, 70, true}}) {
+        SCOPED_TRACE("dense fan-in " + std::to_string(in) +
+                     (approx ? " approx" : ""));
+        const auto in_rows = static_cast<std::size_t>(in);
+        const auto out_rows = static_cast<std::size_t>(out);
+        const auto shared =
+            randomShared(out_rows * in_rows, out_rows, len, rng);
+        const core::stages::FeatureStreams &fs = shared->streams;
+        const sc::StreamMatrix x = randomStreams(in_rows, len, rng);
+        sc::StreamMatrix expect(out_rows, len);
+        for (std::size_t r = 0; r < out_rows; ++r) {
+            std::vector<std::pair<const std::uint64_t *, const std::uint64_t *>>
+                products;
+            for (std::size_t j = 0; j < in_rows; ++j)
+                products.emplace_back(x.row(j),
+                                      fs.weights.row(r * in_rows + j));
+            cmosReferenceRow(products, fs.biases.row(r), len, approx,
+                             expect.row(r));
+        }
+        expectStageMatches(
+            core::stages::CmosDenseStage({in, out}, shared, approx), x,
+            expect);
+    }
+
+    for (const bool approx : {false, true}) {
+        SCOPED_TRACE(approx ? "conv approx" : "conv");
+        core::stages::ConvGeometry g;
+        g.inC = 2;
+        g.inH = g.inW = g.outH = g.outW = 12;
+        g.outC = 4;
+        g.kernel = 3;
+        const std::size_t plane = 12 * 12;
+        const auto shared = randomShared(
+            static_cast<std::size_t>(g.outC * g.inC * 9), 4, len, rng);
+        const core::stages::FeatureStreams &fs = shared->streams;
+        const sc::StreamMatrix x = randomStreams(2 * plane, len, rng);
+        sc::StreamMatrix expect(4 * plane, len);
+        for (std::size_t r = 0; r < 4 * plane; ++r) {
+            const int oc = static_cast<int>(r / plane);
+            const int y = static_cast<int>(r % plane) / 12;
+            const int xx = static_cast<int>(r % plane) % 12;
+            std::vector<std::pair<const std::uint64_t *, const std::uint64_t *>>
+                products;
+            for (int ic = 0; ic < 2; ++ic)
+                for (int ky = 0; ky < 3; ++ky)
+                    for (int kx = 0; kx < 3; ++kx) {
+                        const int sy = y + ky - 1;
+                        const int sx = xx + kx - 1;
+                        if (sy < 0 || sy >= 12 || sx < 0 || sx >= 12)
+                            continue;
+                        products.emplace_back(
+                            x.row(static_cast<std::size_t>(
+                                (ic * 12 + sy) * 12 + sx)),
+                            fs.weights.row(static_cast<std::size_t>(
+                                ((oc * 2 + ic) * 3 + ky) * 3 + kx)));
+                    }
+            cmosReferenceRow(products,
+                             fs.biases.row(static_cast<std::size_t>(oc)), len,
+                             approx, expect.row(r));
+        }
+        expectStageMatches(core::stages::CmosConvStage(g, shared, approx), x,
+                           expect);
+    }
+}
+
+/**
+ * The CMOS MUX pool, on every tier, against a per-cycle reference that
+ * draws nextBits(2) for each cycle's select: pixel-major from one
+ * per-image generator, or with per-pixel substreams for a
+ * non-deterministic span run.  The inputs carry 64 more cycles than
+ * the stage reads, so bits past the stream's end must be masked.
+ */
+TEST(SimdKernels, CmosPoolWordMuxMatchesPerCycleSelects)
+{
+    core::stages::PoolGeometry g;
+    g.channels = 3;
+    g.inH = 6;
+    g.inW = 8;
+    g.outH = 3;
+    g.outW = 4;
+    const std::uint64_t image_seed = 0xC0FFEE;
+    sc::Xoshiro256StarStar rng(73);
+    for (const std::size_t len : {std::size_t{100}, std::size_t{192},
+                                  std::size_t{256}}) {
+        const sc::StreamMatrix x = randomStreams(3 * 6 * 8, len + 64, rng);
+        const auto reference = [&](bool substreams) {
+            sc::StreamMatrix out(3 * 3 * 4, len);
+            sc::Xoshiro256StarStar master(image_seed ^ 0x9E3779B9ULL);
+            for (std::size_t p = 0; p < out.rows(); ++p) {
+                sc::Xoshiro256StarStar own(sc::deriveStreamSeed(
+                    image_seed ^ 0x9E3779B9ULL, p + 1));
+                sc::Xoshiro256StarStar &sel_rng = substreams ? own : master;
+                const std::size_t c = p / 12, y = p % 12 / 4, xx = p % 4;
+                const std::size_t top = (c * 6 + 2 * y) * 8 + 2 * xx;
+                const std::size_t window[] = {top, top + 1, top + 8, top + 9};
+                for (std::size_t t = 0; t < len; ++t)
+                    if (streamBit(x.row(window[sel_rng.nextBits(2)]), t))
+                        out.row(p)[t / 64] |= 1ULL << (t % 64);
+            }
+            return out;
+        };
+        const sc::StreamMatrix one_pass = reference(false);
+        const sc::StreamMatrix substreams = reference(true);
+
+        std::vector<std::pair<std::size_t, std::size_t>> word_spans;
+        for (std::size_t b = 0; b < len; b += 64)
+            word_spans.emplace_back(b, std::min(len, b + 64));
+        const core::stages::CmosPoolStage stage(g, len);
+        for (const Level level : runnableLevels()) {
+            for (const auto &[deterministic, spans] :
+                 {std::pair{true, std::vector<std::pair<std::size_t,
+                                                        std::size_t>>{
+                                      {0, len}}},
+                  std::pair{true, word_spans}, std::pair{false, word_spans}}) {
+                SCOPED_TRACE(std::string(sc::simd::levelName(level)) +
+                             " N=" + std::to_string(len) + " spans=" +
+                             std::to_string(spans.size()) +
+                             (deterministic ? "" : " non-deterministic"));
+                const LevelGuard guard(level);
+                sc::StreamMatrix got;
+                core::StageContext ctx;
+                ctx.imageSeed = image_seed;
+                ctx.deterministicSpans = deterministic;
+                const std::unique_ptr<core::StageScratch> scratch =
+                    stage.makeScratch();
+                const core::CohortSlot slot{&x, &got, &ctx, scratch.get()};
+                for (const auto &[begin, end] : spans)
+                    stage.runCohortSpan(&slot, 1, begin, end);
+                const sc::StreamMatrix &expect =
+                    deterministic || spans.size() == 1 ? one_pass : substreams;
+                for (std::size_t r = 0; r < expect.rows(); ++r)
+                    ASSERT_TRUE(std::equal(expect.row(r),
+                                           expect.row(r) + expect.wordsPerRow(),
+                                           got.row(r)))
+                        << "pixel " << r;
+            }
+        }
     }
 }
 
@@ -364,28 +715,16 @@ TEST(SimdKernels, FeedbackKernelMatchesFeatureFeedbackUnitOnEveryTier)
 TEST(SimdKernels, SorterDenseStageMatchesPerRowUnits)
 {
     const std::size_t len = 300;
-    const std::size_t spans[][2] = {{0, 64}, {64, 192}, {192, 300}};
     sc::Xoshiro256StarStar rng(71);
-    const auto random_streams = [&](std::size_t rows) {
-        sc::StreamMatrix m(rows, len);
-        for (std::size_t r = 0; r < rows; ++r)
-            m.fillBipolar(r, static_cast<double>(rng.nextBits(10)) / 512.0 -
-                                 1.0,
-                          10, rng);
-        return m;
-    };
     for (const auto &[in, out] : {std::pair{9, 513}, std::pair{392, 70},
                                   std::pair{4100, 3}}) {
         SCOPED_TRACE("fan-in " + std::to_string(in));
         const auto in_rows = static_cast<std::size_t>(in);
         const auto out_rows = static_cast<std::size_t>(out);
-        auto shared = std::make_shared<core::stages::StageShared>();
-        core::stages::FeatureStreams &fs = shared->streams;
-        fs.weights = random_streams(out_rows * in_rows);
-        fs.biases = random_streams(out_rows);
-        fs.neutral = sc::StreamMatrix(1, len);
-        fs.neutral.fillNeutral(0);
-        const sc::StreamMatrix x = random_streams(in_rows);
+        const auto shared =
+            randomShared(out_rows * in_rows, out_rows, len, rng);
+        const core::stages::FeatureStreams &fs = shared->streams;
+        const sc::StreamMatrix x = randomStreams(in_rows, len, rng);
 
         const int eff_m = (in + 1) | 1; // bias, then the odd pad
         sc::StreamMatrix expect(out_rows, len);
@@ -400,24 +739,8 @@ TEST(SimdKernels, SorterDenseStageMatchesPerRowUnits)
             blocks::FeatureFeedbackUnit unit(eff_m);
             counts.drive([&](int c) { return unit.step(c); }, expect.row(r));
         }
-
-        const core::stages::AqfpDenseStage stage({in, out}, shared);
-        for (const Level level : runnableLevels()) {
-            SCOPED_TRACE(sc::simd::levelName(level));
-            const LevelGuard guard(level);
-            sc::StreamMatrix got;
-            core::StageContext ctx;
-            const std::unique_ptr<core::StageScratch> scratch =
-                stage.makeScratch();
-            const core::CohortSlot slot{&x, &got, &ctx, scratch.get()};
-            for (const auto &[begin, end] : spans)
-                stage.runCohortSpan(&slot, 1, begin, end);
-            for (std::size_t r = 0; r < out_rows; ++r)
-                ASSERT_TRUE(std::equal(expect.row(r),
-                                       expect.row(r) + x.wordsPerRow(),
-                                       got.row(r)))
-                    << "row " << r;
-        }
+        expectStageMatches(core::stages::AqfpDenseStage({in, out}, shared),
+                           x, expect);
     }
 }
 
