@@ -2,7 +2,7 @@
  * @file
  * Adaptive early-exit serving: the accuracy-vs-average-stream-length
  * trade-off the paper's stream-length evaluation is built around, plus
- * serving latency through the micro-batching InferenceServer.
+ * serving latency through a one-tenant serving::ServingFrontend.
  *
  * A tiny-zoo model is trained on the synthetic digit task, then
  * evaluated (1) non-adaptively at the full stream length — the
@@ -10,8 +10,9 @@
  * row reporting the mean consumed cycles (the hardware would simply
  * stop clocking the SC pipeline there), the cycle-reduction factor vs.
  * the full length, and the accuracy delta.  Finally the default-margin
- * policy is served through core::InferenceServer to measure end-to-end
- * request latency percentiles (queue + service) under micro-batching.
+ * policy is served through one adaptive frontend tenant to measure
+ * end-to-end request latency percentiles (queue + service) under
+ * micro-batching.
  *
  * Results go to BENCH_adaptive_serving.json (build-stamped via
  * bench_util.h); the committed reference lives in reports/.  The
@@ -42,9 +43,9 @@
 
 #include "bench_util.h"
 #include "core/model_zoo.h"
-#include "core/server.h"
 #include "core/session.h"
 #include "data/digits.h"
+#include "serving/frontend.h"
 
 namespace {
 
@@ -128,7 +129,13 @@ main(int argc, char **argv)
     opts.streamLen = static_cast<std::size_t>(stream_len);
     opts.adaptive.checkpointCycles =
         static_cast<std::size_t>(checkpoint);
-    const core::InferenceSession session(std::move(net), opts);
+    // The frontend owns the trained network: the baseline and the sweep
+    // run on its session, and serving later runs on the same compiled
+    // engine.  Its workers start only when serving does.
+    serving::ServingFrontend frontend(
+        {.workers = workers, .startPaused = true});
+    frontend.addModel("tiny", std::move(net), opts);
+    const core::InferenceSession &session = frontend.model("tiny");
 
     // ---- Baseline: full-length non-adaptive inference. ----
     session.evaluate(test, {.limit = 1}); // compile + warm
@@ -169,32 +176,35 @@ main(int argc, char **argv)
                        .set("images_per_sec", a.stats.imagesPerSec));
     }
 
-    // ---- Serving latency through the micro-batching server. ----
-    core::ServerOptions sopts;
-    sopts.workers = workers;
-    sopts.adaptive = true;
-    sopts.policy.checkpointCycles =
-        static_cast<std::size_t>(checkpoint);
-    sopts.policy.minCycles = static_cast<std::size_t>(min_cycles);
-    sopts.policy.exitMargin = 0.125;
-    sopts.backend = backend;
+    // ---- Serving latency through one adaptive frontend tenant. ----
+    // A queue as deep as the test set admits every request at once.
+    serving::TenantConfig tenant;
+    tenant.name = "bench";
+    tenant.model = "tiny";
+    tenant.queueCapacity = test.size();
+    tenant.adaptive = true;
+    tenant.policy.checkpointCycles = static_cast<std::size_t>(checkpoint);
+    tenant.policy.minCycles = static_cast<std::size_t>(min_cycles);
+    tenant.policy.exitMargin = 0.125;
+    frontend.addTenant(tenant);
     bench::WallTimer serve_timer;
+    frontend.start();
+    std::vector<std::future<serving::ServedResult>> futures;
+    futures.reserve(test.size());
+    for (const auto &s : test)
+        futures.push_back(frontend.submit(tenant.name, s.image));
     std::vector<double> latencies_ms;
-    core::ServerStats sstats;
-    {
-        core::InferenceServer server(session, sopts);
-        std::vector<std::future<core::ServedPrediction>> futures;
-        futures.reserve(test.size());
-        for (const auto &s : test)
-            futures.push_back(server.submit(s.image));
-        for (auto &f : futures) {
-            const core::ServedPrediction r = f.get();
-            latencies_ms.push_back(
-                (r.queueSeconds + r.serviceSeconds) * 1000.0);
-        }
-        sstats = server.stats();
+    for (auto &f : futures) {
+        const serving::ServedResult r = f.get();
+        latencies_ms.push_back((r.queueSeconds + r.serviceSeconds) * 1000.0);
     }
+    frontend.shutdown();
     const double serve_wall = serve_timer.seconds();
+    const serving::TenantStats sstats = frontend.tenantStats(tenant.name);
+    const double avg_batch =
+        sstats.batches == 0 ? 0.0
+                            : static_cast<double>(sstats.completed) /
+                                  static_cast<double>(sstats.batches);
     const double p50 = percentile(latencies_ms, 0.50);
     const double p90 = percentile(latencies_ms, 0.90);
     const double p99 = percentile(latencies_ms, 0.99);
@@ -203,7 +213,7 @@ main(int argc, char **argv)
                 "avg batch %.2f, %.0f avg cycles\n",
                 workers, p50, p90, p99,
                 static_cast<double>(latencies_ms.size()) / serve_wall,
-                sstats.avgBatchSize, sstats.avgConsumedCycles);
+                avg_batch, sstats.avgConsumedCycles);
 
     bench::Json results =
         bench::Json::object()
@@ -221,7 +231,7 @@ main(int argc, char **argv)
             .set("serving",
                  bench::Json::object()
                      .set("workers", workers)
-                     .set("exit_margin", sopts.policy.exitMargin)
+                     .set("exit_margin", tenant.policy.exitMargin)
                      .set("min_cycles", min_cycles)
                      .set("latency_ms_p50", p50)
                      .set("latency_ms_p90", p90)
@@ -229,7 +239,7 @@ main(int argc, char **argv)
                      .set("images_per_sec",
                           static_cast<double>(latencies_ms.size()) /
                               serve_wall)
-                     .set("avg_batch_size", sstats.avgBatchSize)
+                     .set("avg_batch_size", avg_batch)
                      .set("avg_consumed_cycles",
                           sstats.avgConsumedCycles)
                      .set("early_exit_fraction",

@@ -32,8 +32,9 @@
  *       Load an artifact and print one image's per-class scores.
  *   serve  --model-file <file> [--workers W] [--queue-cap Q]
  *          [--max-batch B] [--adaptive ...] [--images N]
- *       Spin up the async micro-batching InferenceServer, push the test
- *       set through it, and report latency percentiles + server stats
+ *       Serve one tenant through serving::ServingFrontend, push the
+ *       test set through it (waiting for the oldest request whenever
+ *       the queue is full), and report latency percentiles + stats
  *       (queue-depth high-water mark, queue/service latency histograms).
  *   serve-multi  (--model-file <file> | --model <zoo>)
  *          [--policy fifo|priority|edf|fair] [--workers W]
@@ -71,7 +72,6 @@
 #include "core/hardware_report.h"
 #include "core/model_zoo.h"
 #include "core/precision_tuner.h"
-#include "core/server.h"
 #include "core/session.h"
 #include "data/digits.h"
 #include "serving/frontend.h"
@@ -105,7 +105,8 @@ struct Args
     std::size_t minStageLen = 64; ///< shortest per-stage length tried
     int passes = 8;               ///< coordinate-descent pass cap
     bool adaptive = false; ///< eval/serve: early-exit mode
-    core::ServerOptions server; ///< serve: worker/queue/batch knobs
+    serving::FrontendOptions frontend; ///< --workers, --max-batch
+    std::size_t queueCap = 256;        ///< serve: the tenant's queue bound
 
     // serve / serve-multi robustness knobs
     double timeoutMs = 0.0; ///< hard per-request budget (0 = none)
@@ -242,12 +243,12 @@ parse(int argc, char **argv, Args &args)
         else if (flag == "--nondet")
             args.engine.adaptive.deterministic = false;
         else if (flag == "--workers")
-            args.server.workers = std::atoi(next());
+            args.frontend.workers = std::atoi(next());
         else if (flag == "--queue-cap")
-            args.server.queueCapacity =
+            args.queueCap =
                 static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
         else if (flag == "--max-batch")
-            args.server.maxBatch = std::atoi(next());
+            args.frontend.maxBatch = std::atoi(next());
         else if (flag == "--timeout-ms")
             args.timeoutMs = std::atof(next());
         else if (flag == "--retries")
@@ -425,26 +426,39 @@ cmdServe(const Args &args)
         std::fprintf(stderr, "error: serve needs --images >= 1\n");
         return 2;
     }
-    const core::InferenceSession session =
-        core::InferenceSession::fromFile(args.modelFile, args.engine);
-    core::ServerOptions sopts = args.server;
-    sopts.adaptive = args.adaptive;
-    sopts.policy = args.engine.adaptive;
-    sopts.timeoutSeconds = args.timeoutMs * 1e-3;
-    core::InferenceServer server(session, sopts);
+    serving::ServingFrontend frontend(args.frontend);
+    frontend.addModelFromFile("m", args.modelFile, args.engine);
+    serving::TenantConfig cfg;
+    cfg.name = "serve";
+    cfg.model = "m";
+    cfg.queueCapacity = args.queueCap;
+    cfg.adaptive = args.adaptive;
+    cfg.policy = args.engine.adaptive;
+    cfg.timeoutSeconds = args.timeoutMs * 1e-3;
+    frontend.addTenant(cfg);
+    frontend.start();
+    const core::InferenceSession &session = frontend.model("m");
     std::printf("serving %s on %s: %d worker(s), queue %zu, "
                 "micro-batch %d%s\n",
                 args.modelFile.c_str(), session.options().backend.c_str(),
-                server.workers(), sopts.queueCapacity, sopts.maxBatch,
-                sopts.adaptive ? ", adaptive early exit" : "");
+                frontend.workers(), cfg.queueCapacity,
+                args.frontend.maxBatch,
+                cfg.adaptive ? ", adaptive early exit" : "");
 
     const auto test = data::generateDigits(kTestImages, kTestDataSeed);
     const int n = std::min<int>(args.images, kTestImages);
-    std::vector<std::future<core::ServedPrediction>> futures;
+    std::vector<std::future<serving::ServedResult>> futures;
     futures.reserve(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i)
-        futures.push_back(
-            server.submit(test[static_cast<std::size_t>(i)].image));
+    // Every image is served: while the queue is full, wait for the
+    // oldest outstanding request, then try again.
+    std::size_t oldest = 0;
+    for (int i = 0; i < n; ++i) {
+        const nn::Tensor &image = test[static_cast<std::size_t>(i)].image;
+        auto f = frontend.trySubmit(cfg.name, image);
+        for (; !f; f = frontend.trySubmit(cfg.name, image))
+            futures[oldest++].wait();
+        futures.push_back(std::move(*f));
+    }
 
     std::vector<double> latency_ms;
     latency_ms.reserve(futures.size());
@@ -452,7 +466,7 @@ cmdServe(const Args &args)
     std::size_t served = 0;
     for (int i = 0; i < n; ++i) {
         try {
-            const core::ServedPrediction r =
+            const serving::ServedResult r =
                 futures[static_cast<std::size_t>(i)].get();
             latency_ms.push_back((r.queueSeconds + r.serviceSeconds) * 1e3);
             if (r.prediction.label ==
@@ -466,7 +480,7 @@ cmdServe(const Args &args)
                          e.what());
         }
     }
-    server.shutdown();
+    frontend.shutdown();
 
     std::sort(latency_ms.begin(), latency_ms.end());
     auto pct = [&](double q) {
@@ -476,7 +490,7 @@ cmdServe(const Args &args)
             q * static_cast<double>(latency_ms.size() - 1));
         return latency_ms[i];
     };
-    const core::ServerStats stats = server.stats();
+    const serving::TenantStats stats = frontend.tenantStats(cfg.name);
     std::printf("served %llu requests: accuracy %.4f, p50 %.1f ms, "
                 "p90 %.1f ms, p99 %.1f ms\n",
                 static_cast<unsigned long long>(stats.completed),
@@ -492,11 +506,15 @@ cmdServe(const Args &args)
                 args.timeoutMs > 0.0 ? budget : "none");
     std::printf("avg micro-batch %.2f, avg consumed cycles %.0f/%zu, "
                 "early exits %llu\n",
-                stats.avgBatchSize, stats.avgConsumedCycles,
+                stats.batches == 0
+                    ? 0.0
+                    : static_cast<double>(stats.completed + stats.failed) /
+                          static_cast<double>(stats.batches),
+                stats.avgConsumedCycles,
                 session.options().streamLen,
                 static_cast<unsigned long long>(stats.earlyExits));
     std::printf("queue depth high-water %zu/%zu\n",
-                stats.queueDepthHighWater, sopts.queueCapacity);
+                stats.queueDepthHighWater, cfg.queueCapacity);
     std::printf("queue latency   %s\n",
                 stats.queueHistogram.summary().c_str());
     std::printf("service latency %s\n",
@@ -599,9 +617,7 @@ cmdServeMulti(const Args &args)
         return 2;
     }
 
-    serving::FrontendOptions fopts;
-    fopts.workers = args.server.workers;
-    fopts.maxBatch = args.server.maxBatch;
+    serving::FrontendOptions fopts = args.frontend;
     fopts.policy = *policy;
     serving::ServingFrontend frontend(fopts);
     if (!args.modelFile.empty())

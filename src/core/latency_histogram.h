@@ -1,10 +1,10 @@
 /**
  * @file
- * Fixed-bucket latency histogram shared by the serving layers.
+ * Fixed-bucket latency histogram of the serving layer.
  *
- * Both core::InferenceServer and serving::ServingFrontend record queue
- * and service latencies into one of these: 16 logarithmic buckets with
- * upper bounds 0.25 ms * 2^i (i = 0..14) plus a final overflow bucket,
+ * serving::ServingFrontend records each tenant's queue and service
+ * latencies into one of these: 16 logarithmic buckets with upper
+ * bounds 0.25 ms * 2^i (i = 0..14) plus a final overflow bucket,
  * covering 0.25 ms .. 4.096 s — the whole useful range of this
  * framework's request latencies at a fixed, schema-stable bucket
  * layout, so histograms recorded by different PRs (and committed in

@@ -81,8 +81,8 @@ struct EngineOptions
     int cohort = 1;
     bool approximateApc = false;         ///< cmos-apc: OR-pair first layer
     /** Early-exit policy of the session's adaptive entry points
-     *  (inferAdaptive/evaluateAdaptive, core::InferenceServer);
-     *  non-adaptive calls ignore it.  Validated with the rest. */
+     *  (inferAdaptive/evaluateAdaptive); non-adaptive calls ignore it.
+     *  Validated with the rest. */
     AdaptivePolicy adaptive;
 
     /** Hard bounds validate() enforces. */

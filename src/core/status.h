@@ -14,10 +14,9 @@
  *  - **StatusError** is the exception form.  It derives from
  *    std::runtime_error, so legacy call sites that catch runtime_error
  *    keep working, while new call sites catch StatusError and branch on
- *    status().code.  Every exception that reaches an
- *    InferenceServer/ServingFrontend future is wrapped into a
- *    StatusError (Status::fromCurrentException maps foreign exception
- *    types into the taxonomy).
+ *    status().code.  Every exception that reaches a ServingFrontend
+ *    future is wrapped into a StatusError (Status::fromCurrentException
+ *    maps foreign exception types into the taxonomy).
  *  - **RunControl** is the cooperative cancellation primitive: a worker
  *    arms it with the request deadline before dispatching into the
  *    engine, the engine polls it between the checkpoint blocks of its

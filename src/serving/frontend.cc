@@ -28,6 +28,8 @@ constexpr double kFailLoadHalfLifeSeconds = 0.5;
  *  failures saturate the shed load signal. */
 constexpr double kFailLoadPerEvent = 0.25;
 
+/** @p base + @p seconds; validated configs keep @p seconds within
+ *  TenantConfig::kMaxBudgetSeconds, so the conversion cannot overflow. */
 std::chrono::steady_clock::time_point
 addSeconds(std::chrono::steady_clock::time_point base, double seconds)
 {
@@ -57,6 +59,16 @@ resolveWorkerCount(int requested)
         requested = hw == 0 ? 1 : static_cast<int>(hw);
     }
     return std::clamp(requested, 1, 256);
+}
+
+/** The range every time budget must lie in, for validation messages. */
+std::string
+budgetRange()
+{
+    return "[0, " +
+           std::to_string(
+               static_cast<long long>(TenantConfig::kMaxBudgetSeconds)) +
+           "] s";
 }
 
 void
@@ -122,13 +134,13 @@ TenantConfig::validate() const
             "]: pending requests own their image tensors, so the bound "
             "is the admission-control backstop");
     }
-    if (std::isnan(deadlineSeconds) || deadlineSeconds < 0.0) {
-        errors.push_back("deadlineSeconds must be >= 0 (0 = no budget)");
+    if (!(deadlineSeconds >= 0.0 && deadlineSeconds <= kMaxBudgetSeconds)) {
+        errors.push_back("deadlineSeconds must lie in " + budgetRange() +
+                         " (0 = no budget)");
     }
-    if (!std::isfinite(timeoutSeconds) || timeoutSeconds < 0.0) {
-        errors.push_back(
-            "timeoutSeconds must be a finite value >= 0 (0 = no hard "
-            "per-request timeout)");
+    if (!(timeoutSeconds >= 0.0 && timeoutSeconds <= kMaxBudgetSeconds)) {
+        errors.push_back("timeoutSeconds must lie in " + budgetRange() +
+                         " (0 = no hard per-request timeout)");
     }
     if (maxRetries < 0 || maxRetries > 16) {
         errors.push_back(
@@ -140,6 +152,12 @@ TenantConfig::validate() const
         errors.push_back(
             "retryBackoffSeconds must be a finite value >= 0 (attempt k "
             "waits retryBackoffSeconds * 2^(k-1))");
+    } else if (maxRetries >= 1 &&
+               retryBackoffSeconds * std::exp2(maxRetries - 1) >
+                   kMaxBudgetSeconds) {
+        errors.push_back(
+            "the last retry's backoff, retryBackoffSeconds * "
+            "2^(maxRetries-1), must lie in " + budgetRange());
     }
     if (adaptive) {
         for (const std::string &e : policy.validate())
@@ -186,13 +204,16 @@ FrontendOptions::validate() const
     if (maxBatch < 1 || static_cast<std::size_t>(maxBatch) >
                             TenantConfig::kMaxQueueCapacity) {
         errors.push_back(
-            "maxBatch " + std::to_string(maxBatch) +
-            " must be >= 1: it is the number of requests drained from "
-            "one tenant per scheduler pick");
+            "maxBatch " + std::to_string(maxBatch) + " out of [1, " +
+            std::to_string(TenantConfig::kMaxQueueCapacity) +
+            "]: it is the number of requests drained from one tenant per "
+            "scheduler pick");
     }
-    if (!std::isfinite(watchdogSeconds) || watchdogSeconds <= 0.0) {
+    if (!(watchdogSeconds > 0.0 &&
+          watchdogSeconds <= TenantConfig::kMaxBudgetSeconds)) {
         errors.push_back(
-            "watchdogSeconds must be a positive finite supervision tick");
+            "watchdogSeconds must be a positive supervision tick within " +
+            budgetRange());
     }
     if (!std::isfinite(stallSeconds) || stallSeconds <= 0.0) {
         errors.push_back(
@@ -630,6 +651,7 @@ ServingFrontend::popBatchLocked(std::chrono::steady_clock::time_point now)
         t.queue.pop_front();
         --totalQueued_;
     }
+    ++t.batches; // the picked tenant's head is always drained
     inFlight_ += batch.requests.size() + batch.expired.size();
     if (opts_.policy == SchedPolicy::WeightedFair &&
         !batch.requests.empty()) {
@@ -1047,6 +1069,7 @@ ServingFrontend::tenantStats(const std::string &tenant) const
     s.earlyExits = t.earlyExits;
     s.shedServed = t.shedServed;
     s.deadlineMissed = t.deadlineMissed;
+    s.batches = t.batches;
     s.avgConsumedCycles =
         t.completed == 0 ? 0.0
                          : static_cast<double>(t.consumedCycles) /

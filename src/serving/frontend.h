@@ -1,15 +1,16 @@
 /**
  * @file
- * ServingFrontend: the multi-tenant, multi-model serving front end.
+ * ServingFrontend: the library's one serving front end.
  *
- * core::InferenceServer turns ONE session backend into an async
- * service; this subsystem is the production-shaped layer above it: many
- * named models (lazy per-backend engine compile through their
- * InferenceSessions), many tenants with per-tenant bounded queues and
- * admission control, a pluggable scheduler over one shared worker pool,
- * and graceful overload degradation — under load the front end sheds
- * *cycles* (slightly lower SC precision via a tightened early-exit
- * margin) before it sheds *requests*:
+ * It turns compiled engines into an async service: named models (lazy
+ * per-backend engine compile through their InferenceSessions), tenants
+ * with per-tenant bounded queues and admission control, a pluggable
+ * scheduler over one shared worker pool, and graceful overload
+ * degradation — under load the front end sheds *cycles* (slightly lower
+ * SC precision via a tightened early-exit margin) before it sheds
+ * *requests*.  One tenant on one model is a plain async
+ * micro-batching server (aqfpsc_cli serve, bench_adaptive_serving);
+ * more tenants add QoS:
  *
  *   serving::ServingFrontend fe({.workers = 2, .policy =
  *                                serving::SchedPolicy::WeightedFair});
@@ -42,7 +43,9 @@
  *
  * A worker pick drains up to maxBatch requests from ONE tenant and
  * serves them as a stage-major execution cohort on that tenant's
- * engine (same amortization as core::InferenceServer).
+ * engine: the queue lock is taken once per pick, and each stage's
+ * weight streams are traversed once per cohort instead of once per
+ * request.
  *
  * Shed-before-reject (ShedConfig): each pick computes the tenant's load
  * signal — max(queue depth / queueCapacity, head-of-line wait /
@@ -207,8 +210,13 @@ struct TenantConfig
     double retryBackoffSeconds = 0.002;
 
     /** Hard bound on queueCapacity (pending requests own their image
-     *  tensors), matching core::ServerOptions::kMaxQueueCapacity. */
+     *  tensors). */
     static constexpr std::size_t kMaxQueueCapacity = std::size_t{1} << 20;
+    /** Ceiling on every time budget: timeoutSeconds, deadlineSeconds,
+     *  the last retry's backoff and FrontendOptions::watchdogSeconds.
+     *  Budgets become steady_clock nanoseconds, which overflow int64
+     *  above about 9.2e9 s. */
+    static constexpr double kMaxBudgetSeconds = 1e6;
 
     /** All configuration errors, each actionable; empty means valid. */
     std::vector<std::string> validate() const;
@@ -278,6 +286,10 @@ struct TenantStats
     std::uint64_t earlyExits = 0;     ///< completed with exitedEarly
     std::uint64_t shedServed = 0;     ///< completed under a tightened policy
     std::uint64_t deadlineMissed = 0; ///< completed past the budget
+    /** Worker picks that drained at least one request from the tenant
+     *  (images per pick = (completed + failed) / batches when nothing
+     *  was retried or rejected as malformed). */
+    std::uint64_t batches = 0;
     double avgConsumedCycles = 0.0;   ///< mean cycles over completed
     std::size_t queueDepth = 0;       ///< pending right now
     std::size_t queueDepthHighWater = 0;
@@ -447,6 +459,7 @@ class ServingFrontend
         std::uint64_t earlyExits = 0;
         std::uint64_t shedServed = 0;
         std::uint64_t deadlineMissed = 0;
+        std::uint64_t batches = 0;
         std::uint64_t consumedCycles = 0;
         std::size_t queueDepthHighWater = 0;
         core::LatencyHistogram queueHist;

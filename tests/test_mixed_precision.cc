@@ -20,8 +20,8 @@
  *    monotonicity, stage-count mismatch);
  *  - PrecisionTuner: returns a valid non-increasing word-aligned vector
  *    within the evaluation budget;
- *  - serving: non-adaptive ServedPrediction::consumedCycles reports the
- *    plan's cycle total, not the scalar config fallback.
+ *  - serving: a non-adaptive tenant's ServedResult::consumedCycles
+ *    reports the plan's cycle total, not the scalar config fallback.
  */
 
 #include <cstdio>
@@ -34,10 +34,10 @@
 #include "core/model_zoo.h"
 #include "core/plan_cache.h"
 #include "core/precision_tuner.h"
-#include "core/server.h"
 #include "core/session.h"
 #include "core/stages/stage_compiler.h"
 #include "data/digits.h"
+#include "serving/frontend.h"
 
 namespace aqfpsc::core {
 namespace {
@@ -325,14 +325,16 @@ TEST(MixedPrecision, ServerReportsPlanCyclesNotScalarConfig)
     // count: the fallback bug this pins down reported streamLen.
     opts.streamLen = 128;
     opts.stageStreamLens = lens;
-    const InferenceSession session(buildTinyCnn(3), opts);
-
-    ServerOptions sopts;
-    sopts.workers = 1;
-    InferenceServer server(session, sopts);
-    std::future<ServedPrediction> f = server.submit(samples[0].image);
-    const ServedPrediction r = f.get();
-    EXPECT_EQ(r.consumedCycles, session.engine().plan().fullRunCycles());
+    serving::ServingFrontend frontend;
+    frontend.addModel("m", buildTinyCnn(3), opts);
+    serving::TenantConfig tenant;
+    tenant.name = "t";
+    tenant.model = "m";
+    frontend.addTenant(tenant);
+    const serving::ServedResult r =
+        frontend.submit("t", samples[0].image).get();
+    EXPECT_EQ(r.consumedCycles,
+              frontend.model("m").engine().plan().fullRunCycles());
     EXPECT_EQ(r.consumedCycles, 128u);
 }
 

@@ -4,9 +4,10 @@
  * served results against the engine entry points for the *effective*
  * (possibly shed) policy, scheduling-order guarantees (weighted-fair
  * anti-starvation, strict priority, EDF), shed-before-reject overload
- * degradation, admission control via trySubmit, per-tenant stats
- * accounting, multi-model serving, and a concurrent submit/shutdown
- * fuzz (run under ASan/UBSan in CI, in both SIMD dispatch modes).
+ * degradation, admission control via trySubmit, cohort-aware per-tenant
+ * stats accounting, multi-model serving, and a concurrent
+ * submit/shutdown fuzz (run under ASan/UBSan in CI, in both SIMD
+ * dispatch modes).
  *
  * Scheduling-order tests use FrontendOptions::startPaused: the backlog
  * is enqueued while no worker runs, so the pick sequence after start()
@@ -22,6 +23,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -96,6 +98,37 @@ TEST(TenantConfigValidate, RejectsBadConfigs)
     badDeadline.deadlineSeconds = -1.0;
     EXPECT_FALSE(badDeadline.validate().empty());
 
+    // Budgets become steady_clock nanoseconds, which overflow int64
+    // above about 9.2e9 s: every budget stops at kMaxBudgetSeconds.
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const double huge : {1e10, inf}) {
+        TenantConfig hugeDeadline = tenant("t");
+        hugeDeadline.deadlineSeconds = huge;
+        EXPECT_FALSE(hugeDeadline.validate().empty());
+        TenantConfig hugeTimeout = tenant("t");
+        hugeTimeout.timeoutSeconds = huge;
+        EXPECT_FALSE(hugeTimeout.validate().empty());
+    }
+    TenantConfig atCeiling = tenant("t");
+    atCeiling.deadlineSeconds = TenantConfig::kMaxBudgetSeconds;
+    atCeiling.timeoutSeconds = TenantConfig::kMaxBudgetSeconds;
+    EXPECT_TRUE(atCeiling.validate().empty());
+
+    // The last retry waits retryBackoffSeconds * 2^(maxRetries-1).
+    TenantConfig hugeBackoff = tenant("t");
+    hugeBackoff.retryBackoffSeconds = 100.0;
+    hugeBackoff.maxRetries = 16; // 100 * 2^15 s
+    EXPECT_FALSE(hugeBackoff.validate().empty());
+    hugeBackoff.maxRetries = 1; // 100 s
+    EXPECT_TRUE(hugeBackoff.validate().empty());
+
+    TenantConfig badPolicy = tenant("t");
+    badPolicy.adaptive = true;
+    badPolicy.policy.checkpointCycles = 63; // not word-aligned
+    EXPECT_FALSE(badPolicy.validate().empty());
+    badPolicy.policy.checkpointCycles = 128;
+    EXPECT_TRUE(badPolicy.validate().empty());
+
     // Shedding requires the adaptive path (there is no margin to
     // tighten otherwise), and the floors must actually be floors.
     TenantConfig shedNoAdaptive = tenant("t");
@@ -119,6 +152,28 @@ TEST(TenantConfigValidate, RejectsBadConfigs)
     shedOk.adaptive = true;
     shedOk.shed.enabled = true;
     EXPECT_TRUE(shedOk.validate().empty());
+}
+
+TEST(FrontendOptionsValidate, RejectsBadOptions)
+{
+    EXPECT_TRUE(FrontendOptions{}.validate().empty());
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const FrontendOptions bad[] = {
+        {.workers = -1},
+        {.workers = 257},
+        {.maxBatch = 0},
+        {.maxBatch = static_cast<int>(TenantConfig::kMaxQueueCapacity) + 1},
+        {.watchdogSeconds = 0.0},
+        {.watchdogSeconds = inf},
+        {.watchdogSeconds = 2 * TenantConfig::kMaxBudgetSeconds},
+        {.stallSeconds = 0.0},
+        {.stallSeconds = nan},
+    };
+    for (const FrontendOptions &opts : bad) {
+        EXPECT_FALSE(opts.validate().empty());
+        EXPECT_THROW(ServingFrontend fe(opts), std::invalid_argument);
+    }
 }
 
 TEST(ServingFrontendRegistration, ErrorsAreActionable)
@@ -155,16 +210,20 @@ TEST(ServingFrontendRegistration, ErrorsAreActionable)
  * effective policy): for every result, recomputing through the engine
  * entry points with the *reported* effective policy reproduces the
  * scores bit for bit — across scheduling policies, worker counts,
- * adaptive/non-adaptive tenants and a non-resumable (float-ref) tenant.
+ * cohorts of one and of three, adaptive/non-adaptive tenants and a
+ * non-resumable (float-ref) tenant.
  */
 TEST(ServingFrontend, ResultsMatchEngineBitwise)
 {
     const auto samples = testImages(8);
+    // (workers, maxBatch): one or two workers, cohorts of one or three.
+    const std::pair<int, int> shapes[] = {{1, 1}, {1, 3}, {2, 1}, {2, 3}};
     for (const SchedPolicy policy :
          {SchedPolicy::Fifo, SchedPolicy::WeightedFair}) {
-        for (const int workers : {1, 2}) {
-            ServingFrontend fe(
-                {.workers = workers, .maxBatch = 3, .policy = policy});
+        for (const auto &[workers, maxBatch] : shapes) {
+            ServingFrontend fe({.workers = workers,
+                                .maxBatch = maxBatch,
+                                .policy = policy});
             addTinyModel(fe);
             TenantConfig plain = tenant("plain");
             TenantConfig adaptive = tenant("adaptive");
@@ -194,6 +253,7 @@ TEST(ServingFrontend, ResultsMatchEngineBitwise)
                 SCOPED_TRACE("policy=" +
                              std::string(schedPolicyName(policy)) +
                              " workers=" + std::to_string(workers) +
+                             " maxBatch=" + std::to_string(maxBatch) +
                              " i=" + std::to_string(i));
                 if (r.adaptive) {
                     const core::AdaptivePrediction ref =
@@ -533,6 +593,78 @@ TEST(ServingFrontend, AdmissionControlRejectsWhenFull)
     EXPECT_EQ(stats.queueHistogram.total(), 3u);
     EXPECT_EQ(stats.serviceHistogram.total(), 3u);
     EXPECT_DOUBLE_EQ(stats.avgConsumedCycles, 64.0);
+}
+
+/**
+ * Cohort-aware stats on one tenant: a pick is served as one stage-major
+ * cohort, but completed counts requests and avgConsumedCycles averages
+ * per-request cycles, never per pick or per cohort; batches counts the
+ * picks.
+ */
+TEST(ServingFrontend, CohortAwareStatsAccounting)
+{
+    const auto samples = testImages(10);
+
+    // Non-adaptive: every request consumes exactly the full stream, so
+    // a per-pick accounting bug would move the mean off 128.
+    {
+        ServingFrontend fe({.workers = 1, .maxBatch = 4});
+        addTinyModel(fe, 128);
+        fe.addTenant(tenant("t"));
+        std::vector<std::future<ServedResult>> futures;
+        for (const auto &s : samples)
+            futures.push_back(fe.submit("t", s.image));
+        for (auto &f : futures)
+            f.get();
+        fe.shutdown();
+
+        const TenantStats stats = fe.tenantStats("t");
+        EXPECT_EQ(stats.submitted, samples.size());
+        EXPECT_EQ(stats.completed, samples.size());
+        EXPECT_EQ(stats.failed, 0u);
+        EXPECT_DOUBLE_EQ(stats.avgConsumedCycles, 128.0);
+        EXPECT_GE(stats.batches, 3u); // a pick drains at most maxBatch
+        EXPECT_LE(stats.batches, stats.completed);
+        // The summary renders something human-shaped, not empty.
+        EXPECT_NE(stats.serviceHistogram.summary().find("p99"),
+                  std::string::npos);
+    }
+
+    // Adaptive: deterministic early exit makes each request's consumed
+    // cycles a function of its id, so the served means equal the
+    // engine-side means exactly, whichever worker served what.
+    {
+        ServingFrontend fe({.workers = 2, .maxBatch = 4});
+        addTinyModel(fe, 512);
+        TenantConfig cfg = tenant("t");
+        cfg.adaptive = true;
+        cfg.policy.checkpointCycles = 128;
+        cfg.policy.exitMargin = 0.1;
+        cfg.policy.minCycles = 128;
+        fe.addTenant(cfg);
+        std::vector<std::future<ServedResult>> futures;
+        for (const auto &s : samples)
+            futures.push_back(fe.submit("t", s.image));
+        for (auto &f : futures)
+            f.get();
+        fe.shutdown();
+
+        const core::ScNetworkEngine &engine = fe.model("m").engine();
+        std::uint64_t expectCycles = 0;
+        std::uint64_t expectExits = 0;
+        for (std::size_t i = 0; i < samples.size(); ++i) {
+            const core::AdaptivePrediction ref =
+                engine.inferAdaptive(samples[i].image, i, cfg.policy);
+            expectCycles += ref.consumedCycles;
+            expectExits += ref.exitedEarly ? 1 : 0;
+        }
+        const TenantStats stats = fe.tenantStats("t");
+        EXPECT_EQ(stats.completed, samples.size());
+        EXPECT_EQ(stats.earlyExits, expectExits);
+        EXPECT_DOUBLE_EQ(stats.avgConsumedCycles,
+                         static_cast<double>(expectCycles) /
+                             static_cast<double>(samples.size()));
+    }
 }
 
 /** shutdown() on a paused, never-started front end still drains every
