@@ -20,6 +20,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdlib>
 #include <vector>
@@ -552,6 +553,24 @@ BM_PoolWindowClosedForm(benchmark::State &state)
 }
 BENCHMARK(BM_PoolWindowClosedForm)->Arg(1024);
 
+/** Load @p rng's state into lane @p l of @p gen. */
+void
+loadLane(sc::simd::XoshiroLanes &gen, std::size_t l,
+         const sc::Xoshiro256StarStar &rng)
+{
+    const std::array<std::uint64_t, 4> s = rng.state();
+    for (std::size_t k = 0; k < 4; ++k)
+        gen.s[k][l] = s[k];
+}
+
+/** Store lane @p l of @p gen into @p rng. */
+void
+storeLane(const sc::simd::XoshiroLanes &gen, std::size_t l,
+          sc::Xoshiro256StarStar &rng)
+{
+    rng.setState({gen.s[0][l], gen.s[1][l], gen.s[2][l], gen.s[3][l]});
+}
+
 /** One CMOS MUX pooling window: four streams, the select generator and
  *  the output row. */
 struct MuxBenchWindow
@@ -583,10 +602,18 @@ struct MuxBenchWindow
             out[len / 64] = word;
     }
 
+    /** The word-wide MUX on the lane kernel, one lane. */
     void
     runWordMux()
     {
-        core::stages::muxPoolWindow(rows, rng, 0, len, out.data());
+        const std::uint64_t *const lane_rows[1][4] = {
+            {rows[0], rows[1], rows[2], rows[3]}};
+        std::uint64_t *const dst[1] = {out.data()};
+        sc::simd::XoshiroLanes gen;
+        gen.lanes = 1;
+        loadLane(gen, 0, rng);
+        core::stages::muxPoolLanes(lane_rows, gen, 0, len, dst);
+        storeLane(gen, 0, rng);
     }
 
     std::size_t len;
@@ -623,6 +650,198 @@ BM_CmosPoolWordMux(benchmark::State &state)
                             static_cast<long>(win.len));
 }
 BENCHMARK(BM_CmosPoolWordMux)->Arg(256)->Arg(1024);
+
+// ---------------------------------------------------------------------
+// Lane-parallel xoshiro generators per tier: a cohort's input SNGs
+// (sc::fillBipolarLanes) and a pool pixel's MUX selects for every image
+// (core::stages::muxPoolLanes), each image's generator in its own lane,
+// against the serial path they replaced (per image: nextWords, then the
+// tier's thresholdPack).  tests/test_simd_kernels.cc asserts both draw
+// bit-identical words; these cases isolate their speed.
+// ---------------------------------------------------------------------
+
+/** A cohort of @c lanes small images (kRows pixels) to encode. */
+struct LaneSngBench
+{
+    LaneSngBench(std::size_t lanes, std::size_t len)
+        : lanes(lanes), len(len), images(lanes, sc::StreamMatrix(kRows, len)),
+          values(lanes, std::vector<float>(kRows))
+    {
+        for (std::size_t l = 0; l < lanes; ++l) {
+            for (std::size_t i = 0; i < kRows; ++i)
+                values[l][i] =
+                    static_cast<float>((i * 37 + l * 11) % 201) / 100.0f -
+                    1.0f;
+            rngs.emplace_back(l + 1);
+        }
+    }
+
+    /** One sc::fillBipolarLanes call over the cohort. */
+    void
+    runLanes()
+    {
+        sc::StreamMatrix *out[sc::simd::kXoshiroLanes];
+        const float *vals[sc::simd::kXoshiroLanes];
+        sc::Xoshiro256StarStar *rng[sc::simd::kXoshiroLanes];
+        for (std::size_t l = 0; l < lanes; ++l) {
+            out[l] = &images[l];
+            vals[l] = values[l].data();
+            rng[l] = &rngs[l];
+        }
+        sc::fillBipolarLanes(out, vals, rng, lanes, 10, 0, len);
+    }
+
+    /** The serial path: image by image, row by row through fillBipolar. */
+    void
+    runSerial()
+    {
+        for (std::size_t l = 0; l < lanes; ++l)
+            for (std::size_t i = 0; i < kRows; ++i)
+                images[l].fillBipolar(i, values[l][i], 10, rngs[l]);
+    }
+
+    double draws() const { return static_cast<double>(lanes * kRows * len); }
+
+    static constexpr std::size_t kRows = 64;
+    std::size_t lanes;
+    std::size_t len;
+    std::vector<sc::StreamMatrix> images;
+    std::vector<std::vector<float>> values;
+    std::vector<sc::Xoshiro256StarStar> rngs;
+};
+
+/** One pooling window per image of a cohort of @c lanes. */
+struct LaneMuxBench
+{
+    LaneMuxBench(std::size_t lanes, std::size_t len)
+        : lanes(lanes), len(len), in(4 * lanes, len),
+          out(lanes, std::vector<std::uint64_t>((len + 63) / 64))
+    {
+        sc::Xoshiro256StarStar fill(8);
+        for (std::size_t j = 0; j < 4 * lanes; ++j)
+            in.fillBipolar(j, 0.3 - 0.1 * static_cast<double>(j % 7), 10,
+                           fill);
+        for (std::size_t l = 0; l < lanes; ++l) {
+            for (std::size_t j = 0; j < 4; ++j)
+                rows[l][j] = in.row(4 * l + j);
+            dst[l] = out[l].data();
+            rngs.emplace_back(l + 9);
+        }
+    }
+
+    /** One muxPoolLanes call: every image's window at once. */
+    void
+    runLanes()
+    {
+        sc::simd::XoshiroLanes gen;
+        gen.lanes = lanes;
+        for (std::size_t l = 0; l < lanes; ++l)
+            loadLane(gen, l, rngs[l]);
+        core::stages::muxPoolLanes(rows, gen, 0, len, dst);
+        for (std::size_t l = 0; l < lanes; ++l)
+            storeLane(gen, l, rngs[l]);
+    }
+
+    /** The serial path, image by image: each word's 64 selects drawn
+     *  with nextWords and turned into sel < 1, 2, 3 masks by the tier's
+     *  thresholdPack, then a 4:1 word MUX. */
+    void
+    runSerial()
+    {
+        const sc::simd::ThresholdPackFn pack =
+            sc::simd::kernels().thresholdPack;
+        std::uint64_t draws[64];
+        for (std::size_t l = 0; l < lanes; ++l) {
+            const std::uint64_t *const *r = rows[l];
+            for (std::size_t i = 0; i < len; i += 64) {
+                const std::size_t n = std::min<std::size_t>(64, len - i);
+                rngs[l].nextWords(draws, n);
+                const std::uint64_t below1 = pack(draws, n, 1ULL << 62);
+                const std::uint64_t below2 = pack(draws, n, 2ULL << 62);
+                const std::uint64_t below3 = pack(draws, n, 3ULL << 62);
+                const std::size_t w = i / 64;
+                const std::uint64_t top =
+                    (below1 & r[0][w]) | (~below1 & r[1][w]);
+                const std::uint64_t bottom =
+                    (below3 & r[2][w]) | (~below3 & r[3][w]);
+                dst[l][w] = (below2 & top) | (~below2 & bottom);
+            }
+        }
+    }
+
+    double draws() const { return static_cast<double>(lanes * len); }
+
+    std::size_t lanes;
+    std::size_t len;
+    sc::StreamMatrix in;
+    std::vector<std::vector<std::uint64_t>> out;
+    const std::uint64_t *rows[sc::simd::kXoshiroLanes][4] = {};
+    std::uint64_t *dst[sc::simd::kXoshiroLanes] = {};
+    std::vector<sc::Xoshiro256StarStar> rngs;
+};
+
+/** Run @p Bench's lane or serial path: args (tier, lanes, N). */
+template <typename Bench>
+void
+runLaneBench(benchmark::State &state, bool lanes_path)
+{
+    const sc::simd::Level tier =
+        kTiers[static_cast<std::size_t>(state.range(0))];
+    if (static_cast<int>(tier) >
+        static_cast<int>(sc::simd::detectedLevel())) {
+        state.SkipWithError("tier not available on this host");
+        return;
+    }
+    Bench bench(static_cast<std::size_t>(state.range(1)),
+                static_cast<std::size_t>(state.range(2)));
+    const BenchLevelGuard guard(tier);
+    for (auto _ : state) {
+        if (lanes_path)
+            bench.runLanes();
+        else
+            bench.runSerial();
+        benchmark::ClobberMemory();
+    }
+    state.SetLabel(sc::simd::levelName(tier));
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<long>(bench.draws()));
+}
+
+void
+BM_SngFillLanes(benchmark::State &state)
+{
+    runLaneBench<LaneSngBench>(state, true);
+}
+BENCHMARK(BM_SngFillLanes)
+    ->ArgNames({"tier", "lanes", "N"})
+    ->ArgsProduct({{0, 1, 2}, {1, 4, 8}, {256, 1024}});
+
+void
+BM_SngFillSerial(benchmark::State &state)
+{
+    runLaneBench<LaneSngBench>(state, false);
+}
+BENCHMARK(BM_SngFillSerial)
+    ->ArgNames({"tier", "lanes", "N"})
+    ->ArgsProduct({{0, 1, 2}, {1, 4, 8}, {256, 1024}});
+
+void
+BM_CmosPoolLanes(benchmark::State &state)
+{
+    runLaneBench<LaneMuxBench>(state, true);
+}
+BENCHMARK(BM_CmosPoolLanes)
+    ->ArgNames({"tier", "lanes", "N"})
+    ->ArgsProduct({{0, 1, 2}, {1, 4, 8}, {256, 1024}});
+
+void
+BM_CmosPoolSerial(benchmark::State &state)
+{
+    runLaneBench<LaneMuxBench>(state, false);
+}
+BENCHMARK(BM_CmosPoolSerial)
+    ->ArgNames({"tier", "lanes", "N"})
+    ->ArgsProduct({{0, 1, 2}, {1, 4, 8}, {256, 1024}});
 
 void
 BM_FeatureBlockRun(benchmark::State &state)
@@ -857,6 +1076,42 @@ writeFusedKernelReport()
                            word_mux / static_cast<double>(n) * 1e9)
                       .set("speedup", per_cycle / word_mux));
     }
+    // Lane-parallel generators per tier against the serial path, per
+    // draw: a cohort's input SNGs, then a pool pixel's MUX selects.
+    const auto laneRows = [&](const char *kernel, auto make) {
+        for (const sc::simd::Level tier : kTiers) {
+            if (static_cast<int>(tier) > static_cast<int>(vec))
+                break;
+            const BenchLevelGuard guard(tier);
+            for (const std::size_t lanes :
+                 {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
+                for (const std::size_t n :
+                     {std::size_t{256}, std::size_t{1024}}) {
+                    auto work = make(lanes, n);
+                    const double lane_sec =
+                        secondsPerPass([&] { work.runLanes(); }, target);
+                    const double serial_sec =
+                        secondsPerPass([&] { work.runSerial(); }, target);
+                    rows.push(bench::Json::object()
+                                  .set("kernel", kernel)
+                                  .set("simd_level", sc::simd::levelName(tier))
+                                  .set("lanes", lanes)
+                                  .set("stream_len", n)
+                                  .set("lane_ns_per_draw",
+                                       lane_sec / work.draws() * 1e9)
+                                  .set("serial_ns_per_draw",
+                                       serial_sec / work.draws() * 1e9)
+                                  .set("speedup", serial_sec / lane_sec));
+                }
+            }
+        }
+    };
+    laneRows("sng_fill_lanes", [](std::size_t lanes, std::size_t n) {
+        return LaneSngBench(lanes, n);
+    });
+    laneRows("cmos_pool_lanes", [](std::size_t lanes, std::size_t n) {
+        return LaneMuxBench(lanes, n);
+    });
     {
         sc::Xoshiro256StarStar rng(9);
         sc::StreamMatrix m(1, len);

@@ -18,8 +18,8 @@
  * btanhStep is the reference for the rows-as-lanes feedback kernel's
  * Btanh form (src/sc/simd/feedback_kernel.h), which the approximate
  * counter and counters wider than the kernel still step per row; the
- * MUX pool stage draws its 2-bit selects 64 at a time
- * (core::stages::muxPoolWindow).
+ * MUX pool stage draws its 2-bit selects 64 at a time, one image's
+ * generator per SIMD lane (core::stages::muxPoolLanes).
  */
 
 #ifndef AQFPSC_BASELINE_SC_DCNN_H

@@ -47,18 +47,23 @@ armContext(StageContext &ctx, std::uint64_t engine_seed, std::size_t index,
     ctx.deterministicSpans = deterministic_spans;
 }
 
-/** Per-image input SNGs; a fresh substream keeps images independent.
- *  @p len is the plan's input length (stageStreamLens[0]) — with mixed
- *  per-stage lengths the encoding runs at the first stage's length. */
-void
-fillInputStreams(sc::StreamMatrix &input, const nn::Tensor &image,
-                 const ScEngineConfig &cfg, std::size_t len,
-                 std::uint64_t image_seed)
+/** The input SNG generator of a deterministic run: one per image, over
+ *  the whole stream, so any exit point is a bit-exact prefix. */
+std::uint64_t
+inputSeed(std::uint64_t image_seed)
 {
-    input.reset(image.size(), len);
-    sc::Xoshiro256StarStar rng(image_seed ^ 0xABCDEF12345ULL);
-    for (std::size_t i = 0; i < image.size(); ++i)
-        input.fillBipolar(i, image[i], cfg.rngBits, rng);
+    return image_seed ^ 0xABCDEF12345ULL;
+}
+
+/** The input SNG generator of a lazy (non-deterministic) run's block
+ *  starting at cycle @p begin.  The block index is spread by the
+ *  golden-ratio constant so no two (image, block) pairs share a seed in
+ *  practice. */
+std::uint64_t
+blockInputSeed(std::uint64_t image_seed, std::size_t begin)
+{
+    return image_seed ^
+           (0xB10C5EEDULL + (begin / 64) * 0x9E3779B97F4A7C15ULL);
 }
 
 } // namespace
@@ -292,20 +297,39 @@ ScNetworkEngine::inferAdaptiveCohort(const nn::Tensor *const images[],
                    policy.deterministic);
         // Value-domain backends (traits.wantsInputStreams == false) read
         // the image through the context instead and get an empty matrix.
-        if (encodeInputStreams_) {
-            // Deterministic: the full-length up-front SNG fill, so any
-            // exit point is a bit-exact prefix of the full run.
-            if (policy.deterministic)
-                fillInputStreams(slot.input, *images[c], cfg_, len,
-                                 slot.ctx.imageSeed);
-            else
-                slot.input.reset(images[c]->size(), len);
-        } else {
+        // The input runs at the first stage's length (stageStreamLens[0]).
+        if (encodeInputStreams_)
+            slot.input.reset(images[c]->size(), len);
+        else
             slot.input.reset(0, 0);
-        }
         out[c] = AdaptivePrediction{};
         ws.active_.push_back(c);
     }
+
+    // The input SNGs of the active slots over cycles [begin, end), each
+    // image from its own generator: one call steps the cohort's
+    // generators side by side.
+    const auto encodeInputs = [&](std::size_t begin, std::size_t end,
+                                  auto seed_of) {
+        sc::StreamMatrix *inputs[kMaxCohortImages];
+        const float *values[kMaxCohortImages];
+        sc::Xoshiro256StarStar rngs[kMaxCohortImages];
+        sc::Xoshiro256StarStar *rng_of[kMaxCohortImages];
+        const std::size_t lanes = ws.active_.size();
+        for (std::size_t k = 0; k < lanes; ++k) {
+            CohortWorkspace::Slot &slot = ws.slots_[ws.active_[k]];
+            inputs[k] = &slot.input;
+            values[k] = slot.ctx.image->data();
+            rngs[k] = sc::Xoshiro256StarStar(seed_of(slot.ctx.imageSeed));
+            rng_of[k] = &rngs[k];
+        }
+        sc::fillBipolarLanes(inputs, values, rng_of, lanes, cfg_.rngBits,
+                             begin, end);
+    };
+    // Deterministic: the full-length up-front SNG fill, so any exit
+    // point is a bit-exact prefix of the full run.
+    if (encodeInputStreams_ && policy.deterministic)
+        encodeInputs(0, len, inputSeed);
 
     // The cohort advances through checkpoint blocks together, one stage
     // dispatch per stage and block, so weight streams are traversed once
@@ -321,19 +345,10 @@ ScNetworkEngine::inferAdaptiveCohort(const nn::Tensor *const images[],
         const std::size_t end = std::min(begin + block, len);
         if (encodeInputStreams_ && !policy.deterministic) {
             // Lazy SNG: this block's input cycles from an own substream —
-            // cycles past an early exit are never generated.  The block
-            // index is spread by the golden-ratio constant so no two
-            // (image, block) pairs share a seed in practice.
-            for (const std::size_t c : ws.active_) {
-                CohortWorkspace::Slot &slot = ws.slots_[c];
-                sc::Xoshiro256StarStar rng(
-                    slot.ctx.imageSeed ^
-                    (0xB10C5EEDULL + (begin / 64) * 0x9E3779B97F4A7C15ULL));
-                for (std::size_t i = 0; i < images[c]->size(); ++i)
-                    slot.input.fillBipolarSpan(i, (*images[c])[i],
-                                               cfg_.rngBits, rng, begin,
-                                               end);
-            }
+            // cycles past an early exit are never generated.
+            encodeInputs(begin, end, [begin](std::uint64_t image_seed) {
+                return blockInputSeed(image_seed, begin);
+            });
         }
 
         // Ping-pong the activation buffers: stage s reads what stage s-1

@@ -1,6 +1,7 @@
 #include "cmos_pool_stage.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <span>
 
@@ -34,47 +35,82 @@ struct CmosPoolScratch final : StageScratch
     std::vector<sc::Xoshiro256StarStar> rngs;
 };
 
-/**
- * The 2-bit MUX select of a cycle is its draw's top two bits, sel =
- * word >> 62 (RandomSource::nextBits(2)), so sel < k exactly when the
- * draw is below k * 2^62: three threshold masks per 64 draws pick each
- * cycle's window row.
- */
-constexpr std::uint64_t kSelectBelow1 = 1ULL << 62;
-constexpr std::uint64_t kSelectBelow2 = 2ULL << 62;
-constexpr std::uint64_t kSelectBelow3 = 3ULL << 62;
+/** Words of select draws per kernel call: a stack buffer of 2 x
+ *  kXoshiroLanes x 16 words covers 1024 cycles a call. */
+constexpr std::size_t kSelectWords = 16;
 
-/** Advance @p rng past @p n draws. */
+/**
+ * Draw @p cycles MUX selects from every lane of @p gen, kSelectWords
+ * words a kernel call, handing each call's select words to
+ * @p consume(first_word, cycles, high, low): bit b of high[l][j] and
+ * low[l][j] is the select of lane l's cycle 64 * (first_word + j) + b
+ * relative to the first draw.
+ */
+template <typename Consume>
 void
-skipDraws(sc::Xoshiro256StarStar &rng, std::size_t n)
+drawSelects(sc::simd::XoshiroLanes &gen, std::size_t cycles,
+            Consume &&consume)
 {
-    std::uint64_t draws[64];
-    for (; n > 0; n -= std::min<std::size_t>(64, n))
-        rng.nextWords(draws, std::min<std::size_t>(64, n));
+    const sc::simd::LaneMuxSelectsFn draw =
+        sc::simd::kernels().laneMuxSelects;
+    std::uint64_t high[sc::simd::kXoshiroLanes][kSelectWords];
+    std::uint64_t low[sc::simd::kXoshiroLanes][kSelectWords];
+    std::uint64_t *highs[sc::simd::kXoshiroLanes];
+    std::uint64_t *lows[sc::simd::kXoshiroLanes];
+    for (std::size_t l = 0; l < sc::simd::kXoshiroLanes; ++l) {
+        highs[l] = high[l];
+        lows[l] = low[l];
+    }
+    for (std::size_t done = 0; done < cycles; done += kSelectWords * 64) {
+        const std::size_t n = std::min(kSelectWords * 64, cycles - done);
+        draw(gen, highs, lows, n);
+        consume(done / 64, n, high, low);
+    }
+}
+
+/** Store lane @p l of @p gen into @p rng. */
+void
+storeLane(const sc::simd::XoshiroLanes &gen, std::size_t l,
+          sc::Xoshiro256StarStar &rng)
+{
+    rng.setState({gen.s[0][l], gen.s[1][l], gen.s[2][l], gen.s[3][l]});
+}
+
+/** Load @p rng's state into lane @p l of @p gen. */
+void
+setLane(sc::simd::XoshiroLanes &gen, std::size_t l,
+        const sc::Xoshiro256StarStar &rng)
+{
+    const std::array<std::uint64_t, 4> s = rng.state();
+    for (std::size_t k = 0; k < 4; ++k)
+        gen.s[k][l] = s[k];
 }
 
 } // namespace
 
 void
-muxPoolWindow(const std::uint64_t *const rows[4],
-              sc::Xoshiro256StarStar &rng, std::size_t begin,
-              std::size_t end, std::uint64_t *dst)
+muxPoolLanes(const std::uint64_t *const rows[][4],
+             sc::simd::XoshiroLanes &gen, std::size_t begin,
+             std::size_t end, std::uint64_t *const dst[])
 {
-    const sc::simd::ThresholdPackFn pack = sc::simd::kernels().thresholdPack;
-    std::uint64_t draws[64];
-    for (std::size_t i = begin; i < end; i += 64) {
-        const std::size_t n = std::min<std::size_t>(64, end - i);
-        rng.nextWords(draws, n);
-        const std::uint64_t below1 = pack(draws, n, kSelectBelow1);
-        const std::uint64_t below2 = pack(draws, n, kSelectBelow2);
-        const std::uint64_t below3 = pack(draws, n, kSelectBelow3);
-        const std::size_t w = i / 64;
-        const std::uint64_t low =
-            (below1 & rows[0][w]) | (~below1 & rows[1][w]);
-        const std::uint64_t high =
-            (below3 & rows[2][w]) | (~below3 & rows[3][w]);
-        dst[w] = ((below2 & low) | (~below2 & high)) & lastWordMask(n);
-    }
+    assert(begin % 64 == 0 && begin <= end);
+    drawSelects(gen, end - begin, [&](std::size_t first_word, std::size_t n,
+                                      auto high, auto low) {
+        for (std::size_t l = 0; l < gen.lanes; ++l) {
+            const std::uint64_t *const *r = rows[l];
+            for (std::size_t j = 0; j * 64 < n; ++j) {
+                const std::size_t w = begin / 64 + first_word + j;
+                // sel = 2 * high + low picks rows[sel].
+                const std::uint64_t lo = low[l][j];
+                const std::uint64_t hi = high[l][j];
+                const std::uint64_t top = (lo & r[1][w]) | (~lo & r[0][w]);
+                const std::uint64_t bottom =
+                    (lo & r[3][w]) | (~lo & r[2][w]);
+                dst[l][w] = ((hi & bottom) | (~hi & top)) &
+                            lastWordMask(std::min<std::size_t>(n - 64 * j, 64));
+            }
+        }
+    });
 }
 
 std::string
@@ -107,18 +143,36 @@ CmosPoolStage::runCohortSpan(const CohortSlot *slots, std::size_t count,
     assert(begin % 64 == 0 && begin < end && end <= len);
     const bool firstSpan = begin == 0;
     const bool fullSpan = firstSpan && end == len;
-
     for (const CohortSlot &slot : std::span(slots, count)) {
-        const sc::StreamMatrix &in = *slot.in;
-        assert(in.streamLen() >= len);
-        sc::StreamMatrix &out = *slot.out;
-        out.reset(footprint().outputRows, len);
-        const StageContext &ctx = *slot.ctx;
-        auto &ws = *static_cast<CmosPoolScratch *>(slot.scratch);
+        assert(slot.in->streamLen() >= len);
+        // The output buffer is reused across images, so every covered
+        // word (tail bits included) is fully rewritten below.
+        slot.out->reset(footprint().outputRows, len);
+    }
+
+    // The slots' select generators step side by side, kXoshiroLanes
+    // images at a time: one kernel call draws a pixel's selects for
+    // every image of the group.
+    for (std::size_t first = 0; first < count;
+         first += sc::simd::kXoshiroLanes) {
+        const CohortSlot *group = slots + first;
         // The MUX select lines are per-image randomness: derive them from
         // the image seed so batched execution stays schedule-independent.
-        sc::Xoshiro256StarStar master(ctx.imageSeed ^ 0x9E3779B9ULL);
+        sc::simd::XoshiroLanes master;
+        master.lanes = std::min(sc::simd::kXoshiroLanes, count - first);
+        bool anyDeterministic = false;
+        for (std::size_t l = 0; l < master.lanes; ++l) {
+            setLane(master, l,
+                    sc::Xoshiro256StarStar(group[l].ctx->imageSeed ^
+                                           0x9E3779B9ULL));
+            anyDeterministic |= group[l].ctx->deterministicSpans;
+        }
+        const auto scratch = [&](std::size_t l) -> CmosPoolScratch & {
+            return *static_cast<CmosPoolScratch *>(group[l].scratch);
+        };
 
+        const std::uint64_t *rows[sc::simd::kXoshiroLanes][4];
+        std::uint64_t *dst[sc::simd::kXoshiroLanes];
         for (int c = 0; c < geom_.channels; ++c) {
             for (int y = 0; y < geom_.outH; ++y) {
                 for (int x = 0; x < geom_.outW; ++x) {
@@ -131,36 +185,40 @@ CmosPoolStage::runCohortSpan(const CohortSlot *slots, std::size_t count,
                         (static_cast<std::size_t>(c) * geom_.inH + 2 * y) *
                             geom_.inW +
                         2 * x;
-                    const std::uint64_t *rows[4];
-                    for (int dy = 0; dy < 2; ++dy)
-                        for (int dx = 0; dx < 2; ++dx)
-                            rows[2 * dy + dx] =
-                                in.row(in_row + dy * geom_.inW + dx);
-                    // Position this pixel's select generator.  Full
-                    // span: draw from the master directly — identical
-                    // cost and draws to the one-pass loop.
-                    sc::Xoshiro256StarStar *rng = &master;
-                    if (!fullSpan) {
-                        if (firstSpan && !ctx.deterministicSpans)
-                            ws.rngs[out_row] = sc::Xoshiro256StarStar(
-                                sc::deriveStreamSeed(
-                                    ctx.imageSeed ^ 0x9E3779B9ULL,
-                                    out_row + 1));
-                        else if (firstSpan)
-                            ws.rngs[out_row] = master; // offset p*N
-                        rng = &ws.rngs[out_row];
+                    // Position each lane's select generator.  Full span
+                    // and deterministic first span: the master, at this
+                    // pixel's one-pass offset p*N.
+                    sc::simd::XoshiroLanes gen = master;
+                    for (std::size_t l = 0; l < gen.lanes; ++l) {
+                        const CohortSlot &slot = group[l];
+                        for (int k = 0; k < 4; ++k)
+                            rows[l][k] = slot.in->row(
+                                in_row + (k / 2) * geom_.inW + k % 2);
+                        dst[l] = slot.out->row(out_row);
+                        if (!firstSpan)
+                            setLane(gen, l, scratch(l).rngs[out_row]);
+                        else if (!fullSpan && !slot.ctx->deterministicSpans)
+                            setLane(gen, l,
+                                    sc::Xoshiro256StarStar(
+                                        sc::deriveStreamSeed(
+                                            slot.ctx->imageSeed ^
+                                                0x9E3779B9ULL,
+                                            out_row + 1)));
                     }
-                    // The output buffer is reused across images, so
-                    // every covered word (tail bits included) is fully
-                    // rewritten.
-                    muxPoolWindow(rows, *rng, begin, end, out.row(out_row));
+                    muxPoolLanes(rows, gen, begin, end, dst);
+                    if (fullSpan) {
+                        master = gen;
+                        continue;
+                    }
+                    for (std::size_t l = 0; l < gen.lanes; ++l)
+                        storeLane(gen, l, scratch(l).rngs[out_row]);
                     // Deterministic partial first span: skip the master
                     // past the draws this pixel would have consumed to
-                    // the end of the stream, so the next pixel's snapshot
-                    // lands at its one-pass offset.
-                    if (firstSpan && !fullSpan && ctx.deterministicSpans) {
-                        master = ws.rngs[out_row];
-                        skipDraws(master, len - end);
+                    // the end of the stream, so the next pixel's
+                    // snapshot lands at its one-pass offset.
+                    if (firstSpan && anyDeterministic) {
+                        master = gen;
+                        drawSelects(master, len - end, [](auto &&...) {});
                     }
                 }
             }

@@ -2,6 +2,11 @@
  * @file
  * 2x2 average pooling on the CMOS SC-DCNN baseline: a 4-to-1 MUX selects
  * a random pooled input every cycle.
+ *
+ * Each image draws its selects from its own generator, so a cohort's
+ * generators are independent: the stage steps them side by side, one
+ * image per SIMD lane (sc::simd::KernelTable::laneMuxSelects), and turns
+ * each word's 64 select pairs into a word-wide 4:1 MUX.
  */
 
 #ifndef AQFPSC_CORE_STAGES_CMOS_POOL_STAGE_H
@@ -10,23 +15,25 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "sc/rng.h"
+#include "sc/simd/simd.h"
 #include "stage.h"
 #include "stage_common.h"
 
 namespace aqfpsc::core::stages {
 
 /**
- * MUX cycles [begin, end) (begin word-aligned) of one pooling window's
- * four input rows into @p dst, drawing each cycle's select from @p rng:
- * the draws per-cycle nextBits(2) calls would consume, in the same
- * order, taken 64 at a time with nextWords and turned into select masks
- * by the dispatched threshold compare.  Every covered word is fully
- * rewritten, its bits past @p end zero.
+ * MUX cycles [begin, end) (begin word-aligned) of one pooling window
+ * per lane of @p gen: lane l's four input rows rows[l] into dst[l].
+ * Each cycle's select is the top two bits of lane l's next draw, the
+ * draws per-cycle nextBits(2) calls would consume in the same order.
+ * The lanes' generators step side by side
+ * (sc::simd::KernelTable::laneMuxSelects) and are left after their last
+ * draw.  Every covered word is fully rewritten, its bits past @p end
+ * zero.
  */
-void muxPoolWindow(const std::uint64_t *const rows[4],
-                   sc::Xoshiro256StarStar &rng, std::size_t begin,
-                   std::size_t end, std::uint64_t *dst);
+void muxPoolLanes(const std::uint64_t *const rows[][4],
+                  sc::simd::XoshiroLanes &gen, std::size_t begin,
+                  std::size_t end, std::uint64_t *const dst[]);
 
 /** Random-select MUX 2x2 average pooling. */
 class CmosPoolStage final : public ScStage

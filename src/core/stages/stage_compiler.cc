@@ -144,61 +144,16 @@ makePlanSpec(const nn::Network &net, const ScEngineConfig &cfg,
     return p;
 }
 
-/**
- * The feature shape one stage hands the next: C x H x W after a conv or
- * a pool, a flat vector of outFeatures after a dense.  The first layer
- * fixes it (a conv reads inChannels x 28 x 28); every later layer must
- * read exactly what its predecessor writes, or the engine would read
- * past the previous stage's output rows.
- */
-struct FeatureShape
+/** nn::chainLayer, its mismatch message prefixed as the compiler's. */
+nn::LayerShapes
+chainStage(std::size_t li, const nn::Layer &l, const nn::FeatureShape &prev)
 {
-    int c = 0, h = 0, w = 0;  ///< h == 0: a flat vector
-    std::size_t elements = 0; ///< 0: before the first layer
-
-    static FeatureShape
-    spatial(int c, int h, int w)
-    {
-        return {c, h, w, static_cast<std::size_t>(c) * h * w};
+    try {
+        return nn::chainLayer(li, l, prev);
+    } catch (const std::invalid_argument &e) {
+        throw std::invalid_argument(std::string("ScNetworkEngine: ") +
+                                    e.what());
     }
-
-    static FeatureShape
-    flat(int features)
-    {
-        return {0, 0, 0, static_cast<std::size_t>(features)};
-    }
-
-    std::string
-    describe() const
-    {
-        if (elements == 0)
-            return "no input shape (it is the first layer)";
-        if (h == 0)
-            return std::to_string(elements) + " flat features";
-        return std::to_string(c) + "x" + std::to_string(h) + "x" +
-               std::to_string(w) + " features";
-    }
-};
-
-[[noreturn]] void
-throwShapeMismatch(std::size_t li, const nn::Layer &l,
-                   const std::string &expects, const FeatureShape &shape)
-{
-    throw std::invalid_argument(
-        "ScNetworkEngine: layer " + std::to_string(li) + " (" + l.name() +
-        ") expects " + expects + ", but its input has " + shape.describe());
-}
-
-/** Reject a fully connected layer whose fan-in is not the input size. */
-void
-checkFanIn(std::size_t li, const nn::Layer &l, int in_features,
-           const FeatureShape &shape)
-{
-    if (shape.elements != 0 &&
-        static_cast<std::size_t>(in_features) != shape.elements)
-        throwShapeMismatch(li, l,
-                           std::to_string(in_features) + " input features",
-                           shape);
 }
 
 [[noreturn]] void
@@ -321,8 +276,9 @@ compileNetworkUncached(const nn::Network &net, const ScEngineConfig &cfg)
 
     sc::Xoshiro256StarStar rng(cfg.seed);
 
-    // Walk the float network and fuse (Conv|Dense) + activation pairs.
-    FeatureShape shape;
+    // Walk the float network and fuse (Conv|Dense) + activation pairs;
+    // nn::chainLayer checks that each layer reads what the last wrote.
+    nn::FeatureShape shape;
     std::size_t input_elements = 0; // what the first stage reads
 
     const std::size_t n_layers = net.layerCount();
@@ -334,23 +290,16 @@ compileNetworkUncached(const nn::Network &net, const ScEngineConfig &cfg)
                 throw std::invalid_argument(
                     "ScNetworkEngine: Conv2D needs a following activation");
             }
-            if (shape.elements == 0) {
-                // First layer fixes the input geometry to 28x28.
-                shape = FeatureShape::spatial(conv->inChannels(), 28, 28);
-                input_elements = shape.elements;
-            }
-            if (shape.h == 0 || conv->inChannels() != shape.c)
-                throwShapeMismatch(li, l,
-                                   std::to_string(conv->inChannels()) +
-                                       " input channels of HxW features",
-                                   shape);
+            const nn::LayerShapes io = chainStage(li, l, shape);
+            if (stages.empty())
+                input_elements = io.in.elements;
             ConvGeometry g;
             g.inC = conv->inChannels();
-            g.inH = shape.h;
-            g.inW = shape.w;
+            g.inH = io.in.h;
+            g.inW = io.in.w;
             g.outC = conv->outChannels();
-            g.outH = g.inH;
-            g.outW = g.inW;
+            g.outH = io.out.h;
+            g.outW = io.out.w;
             g.kernel = conv->kernel();
             if (!factories.conv)
                 throwIncomplete(backend, "conv");
@@ -366,25 +315,23 @@ compileNetworkUncached(const nn::Network &net, const ScEngineConfig &cfg)
                            conv->biases(), want_streams),
                        conv->weights(), conv->biases(),
                        activationKind(net.layer(li + 1)), false, scfg}));
-            shape = FeatureShape::spatial(g.outC, g.outH, g.outW);
+            shape = io.out;
             ++li; // consume the activation
             continue;
         }
 
         if (dynamic_cast<const nn::AvgPool2 *>(&l) != nullptr) {
-            if (shape.h == 0 || shape.h % 2 != 0 || shape.w % 2 != 0)
-                throwShapeMismatch(li, l, "CxHxW features of even H and W",
-                                   shape);
+            const nn::LayerShapes io = chainStage(li, l, shape);
             PoolGeometry g;
-            g.channels = shape.c;
-            g.inH = shape.h;
-            g.inW = shape.w;
-            g.outH = g.inH / 2;
-            g.outW = g.inW / 2;
+            g.channels = io.in.c;
+            g.inH = io.in.h;
+            g.inW = io.in.w;
+            g.outH = io.out.h;
+            g.outW = io.out.w;
             if (!factories.pool)
                 throwIncomplete(backend, "pool");
             stages.push_back(factories.pool(g, stageCfg()));
-            shape = FeatureShape::spatial(g.channels, g.outH, g.outW);
+            shape = io.out;
             continue;
         }
 
@@ -396,9 +343,9 @@ compileNetworkUncached(const nn::Network &net, const ScEngineConfig &cfg)
             DenseGeometry g;
             g.inFeatures = chain->inFeatures();
             g.outFeatures = chain->outFeatures();
-            checkFanIn(li, l, g.inFeatures, shape);
+            const nn::LayerShapes io = chainStage(li, l, shape);
             if (stages.empty())
-                input_elements = static_cast<std::size_t>(g.inFeatures);
+                input_elements = io.in.elements;
             if (!factories.output)
                 throwIncomplete(backend, "output");
             const ScEngineConfig scfg = stageCfg();
@@ -421,10 +368,10 @@ compileNetworkUncached(const nn::Network &net, const ScEngineConfig &cfg)
             DenseGeometry g;
             g.inFeatures = fc->inFeatures();
             g.outFeatures = fc->outFeatures();
-            checkFanIn(li, l, g.inFeatures, shape);
+            const nn::LayerShapes io = chainStage(li, l, shape);
             if (stages.empty())
-                input_elements = static_cast<std::size_t>(g.inFeatures);
-            shape = FeatureShape::flat(g.outFeatures);
+                input_elements = io.in.elements;
+            shape = io.out;
             const FusedActivation act =
                 has_act ? activationKind(net.layer(li + 1))
                         : FusedActivation::None;

@@ -423,6 +423,7 @@ Network::loadModel(const std::string &path)
     // the sizes a spec declares are checked against the payload first:
     // the parameters of every layer so far must fit in the bytes left.
     std::uint64_t declared = 0;
+    FeatureShape shape;
     for (std::uint32_t i = 0; i < n_layers; ++i) {
         LayerSpec spec;
         spec.kind =
@@ -448,6 +449,14 @@ Network::loadModel(const std::string &path)
             throw StatusError(StatusCode::ModelCorrupted,
                               "loadModel: '" + path + "' layer " +
                                   std::to_string(i) + ": " + e.what());
+        }
+        // A network whose shapes do not chain would fail only when an
+        // engine compiles it, at first use.
+        try {
+            shape = chainLayer(i, net.layer(i), shape).out;
+        } catch (const std::invalid_argument &e) {
+            throw StatusError(StatusCode::ModelCorrupted,
+                              "loadModel: '" + path + "' " + e.what());
         }
     }
     for (std::size_t i = 0; i < net.layers_.size(); ++i) {
@@ -478,6 +487,88 @@ Network::loadModel(const std::string &path)
         }
     }
     return net;
+}
+
+FeatureShape
+FeatureShape::spatial(int c, int h, int w)
+{
+    return {c, h, w, static_cast<std::size_t>(c) * h * w};
+}
+
+FeatureShape
+FeatureShape::flat(int features)
+{
+    return {0, 0, 0, static_cast<std::size_t>(features)};
+}
+
+std::string
+FeatureShape::describe() const
+{
+    if (elements == 0)
+        return "no input shape (it is the first layer)";
+    if (h == 0)
+        return std::to_string(elements) + " flat features";
+    return std::to_string(c) + "x" + std::to_string(h) + "x" +
+           std::to_string(w) + " features";
+}
+
+namespace {
+
+[[noreturn]] void
+throwShapeMismatch(std::size_t index, const Layer &layer,
+                   const std::string &expects, const FeatureShape &shape)
+{
+    throw std::invalid_argument("layer " + std::to_string(index) + " (" +
+                                layer.name() + ") expects " + expects +
+                                ", but its input has " + shape.describe());
+}
+
+/** A fully connected layer's input: its fan-in, which must be the
+ *  previous layer's output size. */
+FeatureShape
+fanInShape(std::size_t index, const Layer &layer, int in_features,
+           const FeatureShape &prev)
+{
+    if (prev.elements == 0)
+        return FeatureShape::flat(in_features);
+    if (static_cast<std::size_t>(in_features) != prev.elements)
+        throwShapeMismatch(index, layer,
+                           std::to_string(in_features) + " input features",
+                           prev);
+    return prev;
+}
+
+} // namespace
+
+LayerShapes
+chainLayer(std::size_t index, const Layer &layer, const FeatureShape &prev)
+{
+    if (const auto *conv = dynamic_cast<const Conv2D *>(&layer)) {
+        // The first layer fixes the input geometry to 28x28.
+        const FeatureShape in =
+            prev.elements == 0
+                ? FeatureShape::spatial(conv->inChannels(), 28, 28)
+                : prev;
+        if (in.h == 0 || conv->inChannels() != in.c)
+            throwShapeMismatch(index, layer,
+                               std::to_string(conv->inChannels()) +
+                                   " input channels of HxW features",
+                               in);
+        return {in, FeatureShape::spatial(conv->outChannels(), in.h, in.w)};
+    }
+    if (dynamic_cast<const AvgPool2 *>(&layer) != nullptr) {
+        if (prev.h == 0 || prev.h % 2 != 0 || prev.w % 2 != 0)
+            throwShapeMismatch(index, layer, "CxHxW features of even H and W",
+                               prev);
+        return {prev, FeatureShape::spatial(prev.c, prev.h / 2, prev.w / 2)};
+    }
+    if (const auto *fc = dynamic_cast<const Dense *>(&layer))
+        return {fanInShape(index, layer, fc->inFeatures(), prev),
+                FeatureShape::flat(fc->outFeatures())};
+    if (const auto *chain = dynamic_cast<const MajorityChainDense *>(&layer))
+        return {fanInShape(index, layer, chain->inFeatures(), prev),
+                FeatureShape::flat(chain->outFeatures())};
+    return {prev, prev};
 }
 
 std::string

@@ -100,7 +100,8 @@ class Network
      *         actionable message; the status code distinguishes
      *         IoError (missing/unreadable), ModelTruncated (footer
      *         missing: partial write), ModelCorrupted (bad magic,
-     *         checksum mismatch: bit rot, or a NaN/Inf parameter) and
+     *         checksum mismatch: bit rot, a NaN/Inf parameter, or layer
+     *         shapes that do not chain, see chainLayer) and
      *         InvalidArgument (version/architecture mismatch).
      */
     static Network loadModel(const std::string &path);
@@ -120,6 +121,49 @@ class Network
     std::vector<std::unique_ptr<Layer>> layers_;
     int quantBits_ = 0;
 };
+
+/**
+ * The feature shape one layer hands the next: C x H x W after a conv or
+ * a pool, a flat vector of outFeatures after a dense.
+ */
+struct FeatureShape
+{
+    int c = 0, h = 0, w = 0;  ///< h == 0: a flat vector
+    std::size_t elements = 0; ///< 0: before the first layer
+
+    static FeatureShape spatial(int c, int h, int w);
+    static FeatureShape flat(int features);
+
+    /** "2x28x28 features", "20 flat features" or "no input shape ...". */
+    std::string describe() const;
+};
+
+/** What one layer reads and writes. */
+struct LayerShapes
+{
+    FeatureShape in;
+    FeatureShape out;
+};
+
+/**
+ * The shapes layer @p index of a network reads and writes, given the
+ * shape @p prev its predecessor writes.  The first layer
+ * (prev.elements == 0) fixes the network input: a conv reads
+ * inChannels x 28 x 28 and a fully connected layer its fan-in.
+ * Activations pass their input through.
+ *
+ * Every later layer must read exactly what its predecessor writes, or
+ * an engine would read past the previous stage's output rows: a conv
+ * needs its channel count of spatial features, AvgPool2 spatial
+ * features of even height and width, a fully connected layer its
+ * fan-in.  Both the model loader and the stage compiler walk a network
+ * through this function.
+ *
+ * @throws std::invalid_argument "layer <index> (<name>) expects <what>,
+ *         but its input has <prev.describe()>"
+ */
+LayerShapes chainLayer(std::size_t index, const Layer &layer,
+                       const FeatureShape &prev);
 
 /** Numerically stable softmax over a score tensor. */
 std::vector<double> softmax(const Tensor &scores);

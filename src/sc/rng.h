@@ -56,13 +56,15 @@ class RandomSource
     /**
      * Fill @p dst with the next @p n words — the exact sequence n
      * nextWord() calls would produce.  Concrete generators override this
-     * to batch the state updates (no virtual dispatch per word), which
-     * is what makes word-parallel SNG stream fill and the CMOS MUX
-     * pool's select draws fast.  Generation itself stays scalar even
-     * under SIMD dispatch — the xoshiro recurrence is serial — so
-     * StreamMatrix::fillBipolar and core::stages::muxPoolWindow
-     * vectorize only the downstream threshold compare+pack (sc::simd),
-     * which consumes these words unchanged.
+     * to batch the state updates (no virtual dispatch per word).  One
+     * generator's recurrence is serial, so StreamMatrix::fillBipolar
+     * draws its words here and vectorizes only the threshold
+     * compare+pack (sc::simd).  Where several independent
+     * Xoshiro256StarStar generators draw at once (a cohort's input SNGs,
+     * sc::fillBipolarLanes; a pool pixel's MUX selects for every image,
+     * core::stages::muxPoolLanes), the lane-parallel kernels
+     * (sc/simd/xoshiro_kernel.h) step them side by side in SIMD lanes,
+     * each lane drawing exactly this sequence.
      */
     virtual void
     nextWords(std::uint64_t *dst, std::size_t n)

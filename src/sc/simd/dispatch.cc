@@ -14,6 +14,7 @@
 #include "feedback_kernel.h"
 #include "kernels_scalar.h"
 #include "row_kernel.h"
+#include "xoshiro_kernel.h"
 
 namespace aqfpsc::sc::simd {
 
@@ -96,11 +97,44 @@ scalarThresholdPack(const std::uint64_t *rnd, std::size_t n,
     return detail::thresholdPackBits(rnd, 0, n, threshold);
 }
 
+/** Scalar generators interleave in pairs: two independent recurrences
+ *  fill the issue slots one leaves idle. */
+void
+scalarLaneSngFill(XoshiroLanes &gen, const std::uint64_t threshold[],
+                  const std::uint64_t ones[], std::uint64_t *const dst[],
+                  std::size_t cycles)
+{
+    using detail::GprLane;
+    std::size_t first = 0;
+    for (; gen.lanes - first >= 2; first += 2)
+        detail::laneSngFillGroups<GprLane, 2>(gen, threshold, ones, dst,
+                                              cycles, first);
+    if (first < gen.lanes)
+        detail::laneSngFillGroups<GprLane, 1>(gen, threshold, ones, dst,
+                                              cycles, first);
+}
+
+void
+scalarLaneMuxSelects(XoshiroLanes &gen, std::uint64_t *const high[],
+                     std::uint64_t *const low[], std::size_t cycles)
+{
+    using detail::GprLane;
+    std::size_t first = 0;
+    for (; gen.lanes - first >= 2; first += 2)
+        detail::laneMuxSelectsGroups<GprLane, 2>(gen, high, low, cycles,
+                                                 first);
+    if (first < gen.lanes)
+        detail::laneMuxSelectsGroups<GprLane, 1>(gen, high, low, cycles,
+                                                 first);
+}
+
 constexpr KernelTable kScalarTable = {
     "scalar",
     scalarAddXnorRow,
     scalarFeatureFeedback,
     scalarThresholdPack,
+    scalarLaneSngFill,
+    scalarLaneMuxSelects,
 };
 
 // Constant-initialized, so kernels() is safe from any other TU's static

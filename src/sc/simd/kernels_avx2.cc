@@ -6,7 +6,10 @@
  * (feedback_kernel.h) drives 4 x 64 rows per ymm group, gathering the
  * count planes with vpgatherqq; a tile of 64 rows or fewer takes the
  * scalar table's kernel.  AVX2 has no ternary logic, so each
- * carry-save adder is five AND/OR/XOR ops.
+ * carry-save adder is five AND/OR/XOR ops.  The xoshiro lane kernels
+ * (xoshiro_kernel.h) step 2-4 generators in one ymm group and 5-8 in
+ * two, rotating with shift pairs; a lone generator takes the serial
+ * one-lane path.
  *
  * Compiled with -mavx2 via a per-file CMake property; when the compiler
  * lacks the flag (non-x86), the TU degrades to a nullptr stub and
@@ -17,6 +20,7 @@
 #include "kernels_scalar.h"
 #include "row_kernel.h"
 #include "simd.h"
+#include "xoshiro_kernel.h"
 
 #if defined(__AVX2__)
 
@@ -102,6 +106,36 @@ struct YmmLane
     shiftRight(V a)
     {
         return _mm256_srli_epi64(a, S);
+    }
+    // Xoshiro kernel operations (xoshiro_kernel.h).
+    static V add(V a, V b) { return _mm256_add_epi64(a, b); }
+    template <int K>
+    static V
+    rotateLeft(V a)
+    {
+        return _mm256_or_si256(_mm256_slli_epi64(a, K),
+                               _mm256_srli_epi64(a, 64 - K));
+    }
+    static V
+    shiftInTop(V acc, V x)
+    {
+        return _mm256_or_si256(_mm256_srli_epi64(acc, 1),
+                               _mm256_and_si256(x, topBit()));
+    }
+    // No unsigned 64-bit compare: flip the sign bit of both sides so
+    // signed greater-than computes the unsigned relation.
+    static V prepareThreshold(V t) { return _mm256_xor_si256(t, topBit()); }
+    static V
+    shiftInBelow(V acc, V r, V t)
+    {
+        const V lt = _mm256_cmpgt_epi64(t, _mm256_xor_si256(r, topBit()));
+        return _mm256_or_si256(_mm256_srli_epi64(acc, 1),
+                               _mm256_slli_epi64(lt, 63));
+    }
+    static V
+    topBit()
+    {
+        return _mm256_set1_epi64x(static_cast<long long>(1ULL << 63));
     }
     V
     gather(const std::uint64_t *p, std::size_t stride,
@@ -194,11 +228,41 @@ thresholdPack(const std::uint64_t *rnd, std::size_t n,
     return word | detail::thresholdPackBits(rnd, b, n, threshold);
 }
 
+void
+laneSngFill(XoshiroLanes &gen, const std::uint64_t threshold[],
+            const std::uint64_t ones[], std::uint64_t *const dst[],
+            std::size_t cycles)
+{
+    if (gen.lanes > 4)
+        detail::laneSngFillGroups<YmmLane, 2>(gen, threshold, ones, dst,
+                                              cycles, 0);
+    else if (gen.lanes > 1)
+        detail::laneSngFillGroups<YmmLane, 1>(gen, threshold, ones, dst,
+                                              cycles, 0);
+    else
+        detail::serialSngFill(gen, threshold, ones, dst, cycles,
+                              thresholdPack);
+}
+
+void
+laneMuxSelects(XoshiroLanes &gen, std::uint64_t *const high[],
+               std::uint64_t *const low[], std::size_t cycles)
+{
+    if (gen.lanes > 4)
+        detail::laneMuxSelectsGroups<YmmLane, 2>(gen, high, low, cycles, 0);
+    else if (gen.lanes > 1)
+        detail::laneMuxSelectsGroups<YmmLane, 1>(gen, high, low, cycles, 0);
+    else
+        detail::serialMuxSelects(gen, high, low, cycles, thresholdPack);
+}
+
 constexpr KernelTable kAvx2Table = {
     "avx2",
     addXnorRow,
     featureFeedback,
     thresholdPack,
+    laneSngFill,
+    laneMuxSelects,
 };
 
 } // namespace

@@ -12,7 +12,11 @@
  * planes and output words, and every adder, comparator and select is
  * one or two ternary-logic ops.  The mask registers also give the
  * threshold compare its packed result for free
- * (_mm512_cmplt_epu64_mask yields the 8 stream bits directly).
+ * (_mm512_cmplt_epu64_mask yields the 8 stream bits directly).  The
+ * xoshiro lane kernels (xoshiro_kernel.h) step 5-8 generators in one
+ * zmm and 2-4 in one ymm (vprolq rotates, vpternlogq XORs, and the SNG
+ * compare's mask ORs each draw's bit in); a lone generator takes the
+ * serial one-lane path.
  * Compiled with -mavx512f/bw/dq/vl via a per-file CMake property;
  * degrades to a nullptr stub without it.
  */
@@ -21,6 +25,7 @@
 #include "kernels_scalar.h"
 #include "row_kernel.h"
 #include "simd.h"
+#include "xoshiro_kernel.h"
 
 #if defined(__AVX512F__)
 
@@ -36,6 +41,9 @@ constexpr int kXor3 = 0x96;      // a ^ b ^ c
 constexpr int kBorrow = 0x8E;    // majority of ~a, b, c
 constexpr int kSelect = 0xCA;    // a ? b : c
 constexpr int kNotA = 0x0F;      // ~a
+constexpr int kOrAnd = 0xF8;     // a | (b & c)
+
+constexpr long long kTopBit = static_cast<long long>(1ULL << 63);
 
 /** Full 8-word lane group. */
 struct ZmmLane
@@ -102,6 +110,31 @@ struct ZmmLane
     shiftRight(V a)
     {
         return reinterpret_cast<V>(reinterpret_cast<__v8du>(a) >> S);
+    }
+    // Xoshiro kernel operations (xoshiro_kernel.h).
+    static V add(V a, V b) { return _mm512_add_epi64(a, b); }
+    template <int K>
+    static V
+    rotateLeft(V a)
+    {
+        // Vector extensions again (GCC emits vprolq): _mm512_rol_epi64
+        // has the same undefined operand.
+        const __v8du u = reinterpret_cast<__v8du>(a);
+        return reinterpret_cast<V>((u << K) | (u >> (64 - K)));
+    }
+    static V
+    shiftInTop(V acc, V x)
+    {
+        return _mm512_ternarylogic_epi64(shiftRight<1>(acc), x,
+                                         _mm512_set1_epi64(kTopBit), kOrAnd);
+    }
+    static V prepareThreshold(V t) { return t; }
+    static V
+    shiftInBelow(V acc, V r, V t)
+    {
+        const V down = shiftRight<1>(acc);
+        return _mm512_mask_or_epi64(down, _mm512_cmplt_epu64_mask(r, t),
+                                    down, _mm512_set1_epi64(kTopBit));
     }
     static __m512i
     laneOffsets(std::size_t stride)
@@ -213,6 +246,29 @@ struct YmmLane
     {
         return _mm256_srli_epi64(a, S);
     }
+    // Xoshiro kernel operations (xoshiro_kernel.h).
+    static V add(V a, V b) { return _mm256_add_epi64(a, b); }
+    template <int K>
+    static V
+    rotateLeft(V a)
+    {
+        return _mm256_rol_epi64(a, K);
+    }
+    static V
+    shiftInTop(V acc, V x)
+    {
+        return _mm256_ternarylogic_epi64(shiftRight<1>(acc), x,
+                                         _mm256_set1_epi64x(kTopBit),
+                                         kOrAnd);
+    }
+    static V prepareThreshold(V t) { return t; }
+    static V
+    shiftInBelow(V acc, V r, V t)
+    {
+        const V down = shiftRight<1>(acc);
+        return _mm256_mask_or_epi64(down, _mm256_cmplt_epu64_mask(r, t),
+                                    down, _mm256_set1_epi64x(kTopBit));
+    }
     static __m256i
     laneOffsets(std::size_t stride)
     {
@@ -299,11 +355,41 @@ thresholdPack(const std::uint64_t *rnd, std::size_t n,
     return word | detail::thresholdPackBits(rnd, b, n, threshold);
 }
 
+void
+laneSngFill(XoshiroLanes &gen, const std::uint64_t threshold[],
+            const std::uint64_t ones[], std::uint64_t *const dst[],
+            std::size_t cycles)
+{
+    if (gen.lanes > 4)
+        detail::laneSngFillGroups<ZmmLane, 1>(gen, threshold, ones, dst,
+                                              cycles, 0);
+    else if (gen.lanes > 1)
+        detail::laneSngFillGroups<YmmLane, 1>(gen, threshold, ones, dst,
+                                              cycles, 0);
+    else
+        detail::serialSngFill(gen, threshold, ones, dst, cycles,
+                              thresholdPack);
+}
+
+void
+laneMuxSelects(XoshiroLanes &gen, std::uint64_t *const high[],
+               std::uint64_t *const low[], std::size_t cycles)
+{
+    if (gen.lanes > 4)
+        detail::laneMuxSelectsGroups<ZmmLane, 1>(gen, high, low, cycles, 0);
+    else if (gen.lanes > 1)
+        detail::laneMuxSelectsGroups<YmmLane, 1>(gen, high, low, cycles, 0);
+    else
+        detail::serialMuxSelects(gen, high, low, cycles, thresholdPack);
+}
+
 constexpr KernelTable kAvx512Table = {
     "avx512",
     addXnorRow,
     featureFeedback,
     thresholdPack,
+    laneSngFill,
+    laneMuxSelects,
 };
 
 } // namespace

@@ -2,14 +2,19 @@
  * @file
  * Runtime ISA dispatch for the SC kernel hot loops.
  *
- * Three loops dominate stream execution: the carry-save accumulation
+ * Four loops dominate stream execution: the carry-save accumulation
  * of an output row's XNOR products (ColumnCounts::addXnorRow), the
  * feedback recurrence that turns a tile of rows' counts into output
  * streams (the AQFP sorter's Algorithm 1 or the CMOS Btanh counter,
- * feedback_kernel.h) and the threshold compare of the SNG fill
- * (StreamMatrix::fillBipolar*) and of the CMOS MUX pool's selects.
- * This layer supplies their vector kernels and picks one
- * implementation per process:
+ * feedback_kernel.h), the threshold compare of the SNG fill
+ * (StreamMatrix::fillBipolar) and the xoshiro256** generators
+ * themselves.  One generator's recurrence is serial, but a cohort's
+ * input SNGs and a pool pixel's MUX selects use independent ones, so
+ * the lane kernels (xoshiro_kernel.h) step up to kXoshiroLanes of them
+ * side by side, one per 64-bit lane, with the SNG compare or the MUX
+ * select extraction fused in (sc::fillBipolarLanes,
+ * core::stages::muxPoolLanes).  This layer supplies their vector
+ * kernels and picks one implementation per process:
  *
  *  - kernels() returns a per-kernel function-pointer table resolved
  *    once at static init from cpuid feature detection (scalar, AVX2 or
@@ -27,8 +32,11 @@
  *    recurrence of blocks::FeatureFeedbackUnit or of btanhStep with
  *    bit-sliced adders and comparators, one row per bit lane; the
  *    threshold compare performs the same unsigned compare per RNG
- *    word.  tests/test_simd_kernels.cc pins this on every tier, and the
- *    golden score hashes pin it end to end.
+ *    word; the lane kernels apply the same xoshiro256** step to each
+ *    lane's own state, so each generator draws the same words in the
+ *    same order as Xoshiro256StarStar::nextWords (only different
+ *    generators interleave).  tests/test_simd_kernels.cc pins this on
+ *    every tier, and the golden score hashes pin it end to end.
  *
  * setActiveLevel() exists for tests and benches that need to compare
  * variants in-process; it swaps an atomic table pointer, so it must not
@@ -146,6 +154,47 @@ using ThresholdPackFn = std::uint64_t (*)(const std::uint64_t *rnd,
                                           std::size_t n,
                                           std::uint64_t threshold);
 
+/** Generators one lane-parallel xoshiro kernel call steps: one per
+ *  64-bit lane of the widest (AVX-512) register. */
+inline constexpr std::size_t kXoshiroLanes = 8;
+
+/**
+ * Up to kXoshiroLanes independent xoshiro256** generators for the
+ * lane-parallel kernels (xoshiro_kernel.h): lane l's state is
+ * (s[0][l], s[1][l], s[2][l], s[3][l]), in Xoshiro256StarStar::state()
+ * order.  A kernel call steps every lane once per cycle and leaves each
+ * lane's final state here.  The lanes past @c lanes are stepped too, so
+ * keep them initialized (the value-initialized zero state is fine).
+ */
+struct XoshiroLanes
+{
+    std::uint64_t s[4][kXoshiroLanes] = {};
+    std::size_t lanes = 0; ///< [1, kXoshiroLanes]
+};
+
+/**
+ * The SNG fill of one row per lane, with the compare+pack fused into
+ * generation: lane l draws @p cycles words and writes words
+ * [0, ceil(cycles / 64)) of dst[l], bit b of word w being
+ * (draw 64w + b < threshold[l]) | bit b of ones[l] (tail bits zero).
+ * threshold and ones hold kXoshiroLanes entries.
+ */
+using LaneSngFillFn = void (*)(XoshiroLanes &gen,
+                               const std::uint64_t threshold[],
+                               const std::uint64_t ones[],
+                               std::uint64_t *const dst[],
+                               std::size_t cycles);
+
+/**
+ * The CMOS MUX pool's select draws: lane l draws @p cycles words, and
+ * bit b of word w of high[l] (low[l]) is bit 63 (62) of draw 64w + b,
+ * the select's high (low) bit (tail bits zero).
+ */
+using LaneMuxSelectsFn = void (*)(XoshiroLanes &gen,
+                                  std::uint64_t *const high[],
+                                  std::uint64_t *const low[],
+                                  std::size_t cycles);
+
 /** The per-kernel dispatch table (one per implementation tier). */
 struct KernelTable
 {
@@ -153,12 +202,15 @@ struct KernelTable
     AddXnorRowFn addXnorRow;
     FeatureFeedbackFn featureFeedback;
     ThresholdPackFn thresholdPack;
+    LaneSngFillFn laneSngFill;
+    LaneMuxSelectsFn laneMuxSelects;
 };
 
 /** KernelTable's kernels in field order: the names variantSummary()
  *  stamps.  Keep in step with the struct (the size check below). */
 inline constexpr const char *kKernelNames[] = {
-    "addXnorRow", "featureFeedback", "thresholdPack"};
+    "addXnorRow", "featureFeedback", "thresholdPack", "laneSngFill",
+    "laneMuxSelects"};
 static_assert(sizeof(KernelTable) ==
                   sizeof(const char *) +
                       sizeof(kKernelNames) / sizeof(kKernelNames[0]) *

@@ -1,5 +1,7 @@
 #include "stream_matrix.h"
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cassert>
 
@@ -43,47 +45,13 @@ StreamMatrix::fillBipolar(std::size_t r, double value, int bits,
                                     << shift;
     std::uint64_t rnd[64];
     std::uint64_t *dst = row(r);
-    // RNG word generation stays scalar (the xoshiro recurrence is
-    // serial); the compare+pack dispatches to the SIMD kernel table.
+    // One generator's recurrence is serial, so its words are drawn one
+    // at a time; the compare+pack dispatches to the SIMD kernel table.
+    // fillBipolarLanes steps several generators side by side instead.
     const simd::KernelTable &kt = simd::kernels();
     for (std::size_t w = 0; w < wpr_; ++w) {
         const std::size_t hi =
             len_ - w * 64 < 64 ? len_ - w * 64 : 64;
-        rng.nextWords(rnd, hi);
-        std::uint64_t word;
-        if (all_ones)
-            word = hi == 64 ? ~0ULL : (1ULL << hi) - 1;
-        else
-            word = kt.thresholdPack(rnd, hi, threshold);
-        dst[w] = word;
-    }
-}
-
-void
-StreamMatrix::fillBipolarSpan(std::size_t r, double value, int bits,
-                              RandomSource &rng, std::size_t begin_cycle,
-                              std::size_t end_cycle)
-{
-    assert(r < rows_);
-    assert(begin_cycle % 64 == 0);
-    if (end_cycle > len_)
-        end_cycle = len_;
-    if (begin_cycle >= end_cycle)
-        return;
-    // Same word-batched threshold compare as fillBipolar (see there for
-    // the bit-serial equivalence argument), over a word sub-range.
-    const std::uint32_t code = quantizeBipolar(value, bits);
-    const int shift = 64 - bits;
-    const bool all_ones = (code >> bits) != 0;
-    const std::uint64_t threshold = static_cast<std::uint64_t>(code)
-                                    << shift;
-    std::uint64_t rnd[64];
-    std::uint64_t *dst = row(r);
-    const simd::KernelTable &kt = simd::kernels();
-    const std::size_t w_end = (end_cycle + 63) / 64;
-    for (std::size_t w = begin_cycle / 64; w < w_end; ++w) {
-        const std::size_t hi =
-            end_cycle - w * 64 < 64 ? end_cycle - w * 64 : 64;
         rng.nextWords(rnd, hi);
         std::uint64_t word;
         if (all_ones)
@@ -133,6 +101,51 @@ StreamMatrix::bipolarValue(std::size_t r) const
     return 2.0 * static_cast<double>(countOnes(r)) /
                static_cast<double>(len_) -
            1.0;
+}
+
+void
+fillBipolarLanes(StreamMatrix *const out[], const float *const values[],
+                 Xoshiro256StarStar *const rng[], std::size_t lanes,
+                 int bits, std::size_t begin, std::size_t end)
+{
+    if (lanes == 0)
+        return;
+    const std::size_t rows = out[0]->rows();
+    assert(begin % 64 == 0 && end <= out[0]->streamLen());
+    if (begin >= end)
+        return;
+    // The threshold and all-ones forms of fillBipolar's compare.
+    const int shift = 64 - bits;
+    const simd::LaneSngFillFn fill = simd::kernels().laneSngFill;
+    for (std::size_t first = 0; first < lanes;
+         first += simd::kXoshiroLanes) {
+        simd::XoshiroLanes gen;
+        gen.lanes = std::min(simd::kXoshiroLanes, lanes - first);
+        for (std::size_t l = 0; l < gen.lanes; ++l) {
+            assert(out[first + l]->rows() == rows);
+            const std::array<std::uint64_t, 4> s = rng[first + l]->state();
+            for (std::size_t k = 0; k < 4; ++k)
+                gen.s[k][l] = s[k];
+        }
+        std::uint64_t threshold[simd::kXoshiroLanes] = {};
+        std::uint64_t ones[simd::kXoshiroLanes] = {};
+        std::uint64_t *dst[simd::kXoshiroLanes];
+        for (std::size_t i = 0; i < rows; ++i) {
+            for (std::size_t l = 0; l < gen.lanes; ++l) {
+                const std::uint32_t code =
+                    quantizeBipolar(values[first + l][i], bits);
+                const bool all_ones = (code >> bits) != 0;
+                threshold[l] =
+                    all_ones ? 0 : static_cast<std::uint64_t>(code) << shift;
+                ones[l] = all_ones ? ~0ULL : 0;
+                dst[l] = out[first + l]->row(i) + begin / 64;
+            }
+            fill(gen, threshold, ones, dst, end - begin);
+        }
+        for (std::size_t l = 0; l < gen.lanes; ++l)
+            rng[first + l]->setState(
+                {gen.s[0][l], gen.s[1][l], gen.s[2][l], gen.s[3][l]});
+    }
 }
 
 } // namespace aqfpsc::sc

@@ -32,8 +32,8 @@ class StreamMatrix
      * Re-shape in place, reusing the existing word buffer (it only grows,
      * never shrinks — the workspace-arena contract).  Row contents are
      * unspecified afterwards: every row must be fully overwritten by a
-     * whole-word writer (fillBipolar, fillNeutral, ColumnCounts::drive)
-     * before it is read.  Steady-state inference therefore performs no
+     * whole-word writer (fillBipolar, fillBipolarLanes, fillNeutral,
+     * ColumnCounts::drive) before it is read.  Steady-state inference therefore performs no
      * allocation here once the buffer has reached its high-water size.
      */
     void reset(std::size_t rows, std::size_t len);
@@ -61,23 +61,6 @@ class StreamMatrix
     void fillBipolar(std::size_t r, double value, int bits,
                      RandomSource &rng);
 
-    /**
-     * fillBipolar() restricted to cycles [@p begin_cycle, @p end_cycle):
-     * only the covered words of row @p r are written (tail bits beyond
-     * streamLen() stay zero) and only that many RNG draws are consumed.
-     * @p begin_cycle must be 64-aligned; @p end_cycle is clamped to
-     * streamLen().
-     *
-     * This is the lazy-SNG path of non-deterministic adaptive inference:
-     * each checkpoint block draws from its own RNG substream, so blocks
-     * beyond an early exit are never generated at all.  The draws differ
-     * from one uninterrupted fillBipolar() pass — use full fills when
-     * bit-identity with the non-adaptive path matters.
-     */
-    void fillBipolarSpan(std::size_t r, double value, int bits,
-                         RandomSource &rng, std::size_t begin_cycle,
-                         std::size_t end_cycle);
-
     /** Fill row @p r with the neutral 0101... stream (bipolar value 0). */
     void fillNeutral(std::size_t r);
 
@@ -96,6 +79,24 @@ class StreamMatrix
     std::size_t wpr_ = 0;
     std::vector<std::uint64_t> words_;
 };
+
+/**
+ * Encode @p lanes images at once: every row i of *out[l] gets the SNG
+ * stream of values[l][i] (quantized to @p bits) over cycles
+ * [@p begin, @p end), drawn from rng[l].  Lane l draws exactly what
+ * fillBipolar restricted to those cycles would draw from rng[l], row by
+ * row, so its words are bit-identical; rng[l] is left where those
+ * draws leave it.
+ *
+ * The matrices share one shape; @p begin must be 64-aligned and @p end
+ * at most their streamLen().  Only the covered words of each row are
+ * written, tail bits beyond @p end zero.  The generators step side by
+ * side in SIMD lanes, kXoshiroLanes at a time, with the threshold
+ * compare+pack fused into generation (simd::KernelTable::laneSngFill).
+ */
+void fillBipolarLanes(StreamMatrix *const out[], const float *const values[],
+                      Xoshiro256StarStar *const rng[], std::size_t lanes,
+                      int bits, std::size_t begin, std::size_t end);
 
 } // namespace aqfpsc::sc
 

@@ -10,7 +10,7 @@
  * per-image path — whose own outputs are pinned by the PR3 golden dump
  * (tests/test_fused_kernels.cc).  Coverage:
  *
- *  - full-stream predictions at cohort sizes 1/2/4/8 on all three
+ *  - full-stream predictions at cohort sizes 1/2/3/4/5/8/9 on all three
  *    registered backends (plus the approximate-APC path), against the
  *    per-image inferIndexed() reference, via a golden score hash;
  *  - adaptive early-exit cohorts (in-place compaction) against
@@ -101,7 +101,9 @@ TEST(Cohort, BitIdenticalAcrossCohortSizesOnEveryBackend)
             reference.push_back(engine.inferIndexed(samples[i].image, i));
         const std::uint64_t golden = scoreHash(reference);
 
-        for (const int cohort : {1, 2, 4, 8}) {
+        // 3, 5 and 9 leave partial lane groups in the SNG and MUX
+        // generator kernels (4 lanes per ymm, 8 per zmm); 9 needs two.
+        for (const int cohort : {1, 2, 3, 4, 5, 8, 9}) {
             SCOPED_TRACE("cohort=" + std::to_string(cohort));
             EvalOptions opts;
             opts.cohort = cohort;
@@ -167,7 +169,7 @@ TEST(Cohort, AdaptiveMatchesPerImageInBothModes)
                     engine.inferAdaptive(samples[i].image, i, policy));
 
             for (const int threads : {1, 2}) {
-                for (const int cohort : {2, 8}) {
+                for (const int cohort : {2, 5, 8, 9}) {
                     SCOPED_TRACE("threads=" + std::to_string(threads) +
                                  " cohort=" + std::to_string(cohort));
                     const std::vector<AdaptivePrediction> got =

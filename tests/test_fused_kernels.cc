@@ -663,6 +663,45 @@ TEST(StageWorkspace, SteadyStateInferenceDoesNotAllocate)
         // traffic allowed is the returned prediction's score vector.
         EXPECT_LE(after - before, 2u) << backend;
         EXPECT_EQ(p.scores.size(), 10u);
+
+        // Cohorts through one CohortWorkspace: four images at once (the
+        // lane-parallel SNG fill and MUX draws), then a lazy adaptive
+        // cohort, whose SNG fills run per 64-cycle checkpoint block.
+        cfg.streamLen = 192;
+        const core::ScNetworkEngine long_engine(core::buildModel("tiny", 2),
+                                                cfg);
+        core::CohortWorkspace cohort_ws(long_engine, 4);
+        const nn::Tensor *images[4];
+        std::size_t indices[4];
+        for (std::size_t c = 0; c < 4; ++c) {
+            images[c] = &samples[c % 2].image;
+            indices[c] = c;
+        }
+        core::AdaptivePolicy lazy;
+        lazy.checkpointCycles = 64;
+        lazy.exitMargin = 0.0;
+        lazy.minCycles = 128;
+        lazy.deterministic = false;
+        core::ScPrediction preds[4];
+        core::AdaptivePrediction adaptive[4];
+        const auto runBoth = [&] {
+            long_engine.inferCohort(images, indices, 4, cohort_ws, preds);
+            long_engine.inferAdaptiveCohort(images, indices, 4, cohort_ws,
+                                            lazy, adaptive);
+        };
+        runBoth();
+        runBoth();
+        const std::size_t cohort_before =
+            g_allocations.load(std::memory_order_relaxed);
+        runBoth();
+        const std::size_t cohort_after =
+            g_allocations.load(std::memory_order_relaxed);
+        // Again only the returned score vectors: one per image and call.
+        EXPECT_LE(cohort_after - cohort_before, 8u) << backend;
+        for (std::size_t c = 0; c < 4; ++c) {
+            EXPECT_EQ(preds[c].scores.size(), 10u);
+            EXPECT_EQ(adaptive[c].consumedCycles, 128u);
+        }
     }
 }
 

@@ -331,6 +331,52 @@ TEST(ModelIo, NonFiniteParametersAreRejected)
     }
 }
 
+TEST(ModelIo, LayerShapesThatDoNotChainAreRejected)
+{
+    // tiny's second AvgPool2 (layer 3) rewritten as a SorterTanh: every
+    // parameter block still matches its layer, but FC64 (layer 4) would
+    // read 8x14x14 features where its fan-in is 7x7x8 = 392.  The footer
+    // is recomputed, so only the shape check can reject the artifact.
+    constexpr std::size_t kLayer3Kind = 8 + 4 + 4 + 4 + 3 * 13;
+    TempFile good("chain_good.model");
+    ASSERT_TRUE(core::buildTinyCnn(5).saveModel(good.path()));
+    std::string bytes;
+    {
+        std::ifstream in(good.path(), std::ios::binary);
+        bytes.assign((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    }
+    ASSERT_EQ(bytes[kLayer3Kind],
+              static_cast<char>(nn::LayerSpec::Kind::AvgPool2));
+    bytes[kLayer3Kind] = static_cast<char>(nn::LayerSpec::Kind::SorterTanh);
+    refreshChecksum(bytes);
+    TempFile file("chain.model");
+    {
+        std::ofstream out(file.path(), std::ios::binary);
+        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    try {
+        nn::Network::loadModel(file.path());
+        FAIL() << "expected StatusError";
+    } catch (const core::StatusError &e) {
+        EXPECT_EQ(e.status().code, core::StatusCode::ModelCorrupted);
+        EXPECT_TRUE(contains(e.what(),
+                             "layer 4 (FC64) expects 392 input features, "
+                             "but its input has 8x14x14 features"))
+            << e.what();
+    }
+
+    // Every zoo model chains, so each still round-trips.
+    for (const std::string &name : core::modelNames()) {
+        SCOPED_TRACE(name);
+        const nn::Network net = core::buildModel(name, 3);
+        TempFile zoo("chain_zoo.model");
+        ASSERT_TRUE(net.saveModel(zoo.path()));
+        EXPECT_EQ(nn::Network::loadModel(zoo.path()).describe(),
+                  net.describe());
+    }
+}
+
 TEST(ModelIo, WeightsOnlyFilesAreRejectedWithGuidance)
 {
     TempFile weights("weights.bin");

@@ -28,6 +28,10 @@
  *  - SNG threshold fill (fillBipolar) forced-scalar vs dispatched
  *    across values (incl. the all-ones special case), code widths and
  *    lengths, plus a direct kernel unit sweep over n in [1, 64];
+ *  - the lane-parallel xoshiro kernels of every tier (the cohort SNG
+ *    fill, directly and through sc::fillBipolarLanes, and the MUX
+ *    select draws) against one serial generator per lane, over 1-8, 9
+ *    and 12 lanes and resumed spans, final states included;
  *  - dispatch-layer invariants (level ordering, env-override policy,
  *    the kernel list variantSummary() stamps);
  *  - end-to-end golden score hashes equal on every tier: tiny on all
@@ -36,6 +40,7 @@
  */
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
@@ -61,6 +66,7 @@
 #include "sc/rng.h"
 #include "sc/simd/kernels_scalar.h"
 #include "sc/simd/simd.h"
+#include "sc/sng.h"
 #include "sc/stream_matrix.h"
 
 namespace aqfpsc {
@@ -744,6 +750,298 @@ TEST(SimdKernels, SorterDenseStageMatchesPerRowUnits)
     }
 }
 
+/**
+ * Spans of @p len cycles resumed one after another: the first word
+ * alone, then up to cycle 192, then the rest (each non-empty).
+ */
+std::vector<std::pair<std::size_t, std::size_t>>
+resumedSpans(std::size_t len)
+{
+    std::vector<std::pair<std::size_t, std::size_t>> spans;
+    std::size_t begin = 0;
+    for (const std::size_t cut : {std::size_t{64}, std::size_t{192}, len}) {
+        const std::size_t end = std::min(cut, len);
+        if (end > begin)
+            spans.emplace_back(begin, end);
+        begin = std::max(begin, end);
+    }
+    return spans;
+}
+
+/** One SNG word from @p n draws of @p rng: the per-row fillBipolar
+ *  compare, all ones for the code 2^bits. */
+std::uint64_t
+serialSngWord(sc::Xoshiro256StarStar &rng, std::size_t n, std::uint32_t code,
+              int bits)
+{
+    std::uint64_t draws[64];
+    rng.nextWords(draws, n);
+    if ((code >> bits) != 0)
+        return ~0ULL >> (64 - n);
+    return sc::simd::detail::thresholdPackBits(
+        draws, 0, n, static_cast<std::uint64_t>(code) << (64 - bits));
+}
+
+/** Lane @p l of @p gen as a generator state. */
+std::array<std::uint64_t, 4>
+laneState(const sc::simd::XoshiroLanes &gen, std::size_t l)
+{
+    return {gen.s[0][l], gen.s[1][l], gen.s[2][l], gen.s[3][l]};
+}
+
+/**
+ * The lane-parallel SNG fill, on every tier, against one
+ * Xoshiro256StarStar per lane drawing through nextWords and the scalar
+ * thresholdPackBits: the dispatched kernel for 1-8 lanes, one row per
+ * call, and sc::fillBipolarLanes for 1-8, 9 and 12 images of six rows.
+ * Lanes carry codes 0 and 2^bits (all ones, still one draw per cycle)
+ * next to random ones; stream lengths 64, 100, 192 and 1024 run in
+ * spans resumed from the states the previous span left, so partial
+ * last words (tail bits zero) and every lane group width occur.  The
+ * final states must equal the reference generators'.
+ */
+TEST(SimdKernels, LaneSngFillMatchesSerialGeneratorsOnEveryTier)
+{
+    sc::Xoshiro256StarStar pick(81);
+    for (const Level level : runnableLevels()) {
+        const sc::simd::KernelTable &table = tableOf(level);
+        for (const int bits : {1, 10, 20}) {
+            for (const std::size_t len :
+                 {std::size_t{64}, std::size_t{100}, std::size_t{192},
+                  std::size_t{1024}}) {
+                const std::size_t words = (len + 63) / 64;
+                for (std::size_t lanes = 1; lanes <= 8; ++lanes) {
+                    SCOPED_TRACE(std::string(sc::simd::levelName(level)) +
+                                 " kernel bits=" + std::to_string(bits) +
+                                 " N=" + std::to_string(len) +
+                                 " lanes=" + std::to_string(lanes));
+                    sc::simd::XoshiroLanes gen;
+                    gen.lanes = lanes;
+                    std::vector<sc::Xoshiro256StarStar> ref;
+                    std::uint64_t threshold[sc::simd::kXoshiroLanes] = {};
+                    std::uint64_t ones[sc::simd::kXoshiroLanes] = {};
+                    std::uint32_t codes[sc::simd::kXoshiroLanes] = {};
+                    std::vector<std::vector<std::uint64_t>> out(
+                        lanes, std::vector<std::uint64_t>(words + 1, 0));
+                    std::uint64_t *dst[sc::simd::kXoshiroLanes];
+                    for (std::size_t l = 0; l < lanes; ++l) {
+                        ref.emplace_back(900 + l);
+                        const std::array<std::uint64_t, 4> st =
+                            ref[l].state();
+                        for (std::size_t k = 0; k < 4; ++k)
+                            gen.s[k][l] = st[k];
+                        // Lane 0 code 0, lane 1 code 2^bits, then random.
+                        codes[l] =
+                            l == 0   ? 0
+                            : l == 1 ? 1u << bits
+                                     : static_cast<std::uint32_t>(
+                                           pick.nextBits(bits));
+                        const bool all_ones = (codes[l] >> bits) != 0;
+                        threshold[l] = all_ones
+                                           ? 0
+                                           : static_cast<std::uint64_t>(
+                                                 codes[l])
+                                                 << (64 - bits);
+                        ones[l] = all_ones ? ~0ULL : 0;
+                        out[l][words] = 0x5EED;
+                    }
+                    for (const auto &[begin, end] : resumedSpans(len)) {
+                        for (std::size_t l = 0; l < lanes; ++l)
+                            dst[l] = out[l].data() + begin / 64;
+                        table.laneSngFill(gen, threshold, ones, dst,
+                                          end - begin);
+                    }
+                    for (std::size_t l = 0; l < lanes; ++l) {
+                        for (const auto &[begin, end] : resumedSpans(len)) {
+                            for (std::size_t c = begin; c < end; c += 64) {
+                                const std::size_t n =
+                                    std::min<std::size_t>(64, end - c);
+                                ASSERT_EQ(out[l][c / 64],
+                                          serialSngWord(ref[l], n, codes[l],
+                                                        bits))
+                                    << "lane " << l << " word " << c / 64;
+                            }
+                        }
+                        EXPECT_EQ(out[l][words], 0x5EEDu) << "lane " << l;
+                        EXPECT_EQ(laneState(gen, l), ref[l].state())
+                            << "lane " << l;
+                    }
+                }
+
+                // The cohort encoder, 9 and 12 lanes included.
+                for (const std::size_t lanes :
+                     {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                      std::size_t{4}, std::size_t{5}, std::size_t{6},
+                      std::size_t{7}, std::size_t{8}, std::size_t{9},
+                      std::size_t{12}}) {
+                    SCOPED_TRACE(std::string(sc::simd::levelName(level)) +
+                                 " fillBipolarLanes bits=" +
+                                 std::to_string(bits) + " N=" +
+                                 std::to_string(len) +
+                                 " lanes=" + std::to_string(lanes));
+                    const LevelGuard guard(level);
+                    constexpr std::size_t kRows = 6;
+                    std::vector<std::vector<float>> values(
+                        lanes, std::vector<float>(kRows));
+                    std::vector<sc::StreamMatrix> images(
+                        lanes, sc::StreamMatrix(kRows, len));
+                    std::vector<sc::Xoshiro256StarStar> rngs, ref;
+                    std::vector<sc::StreamMatrix *> outs;
+                    std::vector<const float *> vals;
+                    std::vector<sc::Xoshiro256StarStar *> rng_of;
+                    for (std::size_t l = 0; l < lanes; ++l) {
+                        // Row 0 code 0, row 1 code 2^bits, then random.
+                        values[l] = {-1.0f, 1.0f};
+                        while (values[l].size() < kRows)
+                            values[l].push_back(
+                                static_cast<float>(pick.nextDouble()) * 2.0f -
+                                1.0f);
+                        rngs.emplace_back(700 + l);
+                        ref.emplace_back(700 + l);
+                    }
+                    for (std::size_t l = 0; l < lanes; ++l) {
+                        outs.push_back(&images[l]);
+                        vals.push_back(values[l].data());
+                        rng_of.push_back(&rngs[l]);
+                    }
+                    for (const auto &[begin, end] : resumedSpans(len))
+                        sc::fillBipolarLanes(outs.data(), vals.data(),
+                                             rng_of.data(), lanes, bits,
+                                             begin, end);
+                    for (std::size_t l = 0; l < lanes; ++l) {
+                        for (const auto &[begin, end] : resumedSpans(len)) {
+                            for (std::size_t i = 0; i < kRows; ++i) {
+                                const std::uint32_t code =
+                                    sc::quantizeBipolar(values[l][i], bits);
+                                for (std::size_t c = begin; c < end;
+                                     c += 64) {
+                                    const std::size_t n =
+                                        std::min<std::size_t>(64, end - c);
+                                    ASSERT_EQ(images[l].row(i)[c / 64],
+                                              serialSngWord(ref[l], n, code,
+                                                            bits))
+                                        << "lane " << l << " row " << i
+                                        << " word " << c / 64;
+                                }
+                            }
+                        }
+                        EXPECT_EQ(rngs[l].state(), ref[l].state())
+                            << "lane " << l;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/**
+ * The lane SNG compare is strict: a draw equal to its lane's threshold
+ * packs a 0, as in thresholdPackBits.  Random draws almost never hit a
+ * threshold, so each lane's state is set to draw exactly its threshold
+ * first (the output function rotl(s1 * 5, 7) * 9 is invertible: 5 and
+ * 9 are odd), on every tier and register group width.
+ */
+TEST(SimdKernels, LaneSngFillDrawEqualToThresholdPacksZero)
+{
+    const auto rotateRight = [](std::uint64_t x, int k) {
+        return (x >> k) | (x << (64 - k));
+    };
+    constexpr std::uint64_t kInverse5 = 0xCCCCCCCCCCCCCCCDULL;
+    constexpr std::uint64_t kInverse9 = 0x8E38E38E38E38E39ULL;
+    for (const Level level : runnableLevels()) {
+        for (const std::size_t lanes :
+             {std::size_t{1}, std::size_t{2}, std::size_t{4},
+              std::size_t{5}, std::size_t{8}}) {
+            SCOPED_TRACE(std::string(sc::simd::levelName(level)) +
+                         " lanes=" + std::to_string(lanes));
+            sc::simd::XoshiroLanes gen;
+            gen.lanes = lanes;
+            std::uint64_t threshold[sc::simd::kXoshiroLanes] = {};
+            std::uint64_t ones[sc::simd::kXoshiroLanes] = {};
+            std::uint64_t out[sc::simd::kXoshiroLanes] = {};
+            std::uint64_t *dst[sc::simd::kXoshiroLanes];
+            for (std::size_t l = 0; l < lanes; ++l) {
+                threshold[l] = static_cast<std::uint64_t>(777 + l) << 54;
+                gen.s[0][l] = 1;
+                gen.s[1][l] =
+                    rotateRight(threshold[l] * kInverse9, 7) * kInverse5;
+                sc::Xoshiro256StarStar ref;
+                ref.setState(laneState(gen, l));
+                ASSERT_EQ(ref.nextWord(), threshold[l]);
+                out[l] = ~0ULL;
+                dst[l] = &out[l];
+            }
+            tableOf(level).laneSngFill(gen, threshold, ones, dst, 1);
+            for (std::size_t l = 0; l < lanes; ++l)
+                EXPECT_EQ(out[l], 0u) << "lane " << l;
+        }
+    }
+}
+
+/**
+ * The lane-parallel MUX select draws, on every tier, against one
+ * Xoshiro256StarStar per lane: bit b of a select word is bit 63 (high)
+ * or 62 (low) of that lane's draw, nextBits(2)'s two bits.  1-8 lanes,
+ * the same lengths and resumed spans as the SNG fill; the words past a
+ * span stay untouched and the final states match.
+ */
+TEST(SimdKernels, LaneMuxSelectsMatchSerialDrawsOnEveryTier)
+{
+    for (const Level level : runnableLevels()) {
+        const sc::simd::KernelTable &table = tableOf(level);
+        for (const std::size_t len :
+             {std::size_t{64}, std::size_t{100}, std::size_t{192},
+              std::size_t{1024}}) {
+            const std::size_t words = (len + 63) / 64;
+            for (std::size_t lanes = 1; lanes <= 8; ++lanes) {
+                SCOPED_TRACE(std::string(sc::simd::levelName(level)) +
+                             " N=" + std::to_string(len) +
+                             " lanes=" + std::to_string(lanes));
+                sc::simd::XoshiroLanes gen;
+                gen.lanes = lanes;
+                std::vector<sc::Xoshiro256StarStar> ref;
+                std::vector<std::vector<std::uint64_t>> high(
+                    lanes, std::vector<std::uint64_t>(words + 1, 0x5EED));
+                std::vector<std::vector<std::uint64_t>> low = high;
+                std::uint64_t *highs[sc::simd::kXoshiroLanes];
+                std::uint64_t *lows[sc::simd::kXoshiroLanes];
+                for (std::size_t l = 0; l < lanes; ++l) {
+                    ref.emplace_back(sc::deriveStreamSeed(0x9E3779B9ULL, l));
+                    const std::array<std::uint64_t, 4> st = ref[l].state();
+                    for (std::size_t k = 0; k < 4; ++k)
+                        gen.s[k][l] = st[k];
+                }
+                for (const auto &[begin, end] : resumedSpans(len)) {
+                    for (std::size_t l = 0; l < lanes; ++l) {
+                        highs[l] = high[l].data() + begin / 64;
+                        lows[l] = low[l].data() + begin / 64;
+                    }
+                    table.laneMuxSelects(gen, highs, lows, end - begin);
+                }
+                for (std::size_t l = 0; l < lanes; ++l) {
+                    std::vector<std::uint64_t> want_high(words, 0);
+                    std::vector<std::uint64_t> want_low(words, 0);
+                    for (std::size_t t = 0; t < len; ++t) {
+                        const std::uint64_t sel = ref[l].nextBits(2);
+                        want_high[t / 64] |= (sel >> 1) << (t % 64);
+                        want_low[t / 64] |= (sel & 1) << (t % 64);
+                    }
+                    for (std::size_t w = 0; w < words; ++w) {
+                        ASSERT_EQ(high[l][w], want_high[w])
+                            << "lane " << l << " word " << w;
+                        ASSERT_EQ(low[l][w], want_low[w])
+                            << "lane " << l << " word " << w;
+                    }
+                    EXPECT_EQ(high[l][words], 0x5EEDu) << "lane " << l;
+                    EXPECT_EQ(low[l][words], 0x5EEDu) << "lane " << l;
+                    EXPECT_EQ(laneState(gen, l), ref[l].state())
+                        << "lane " << l;
+                }
+            }
+        }
+    }
+}
+
 TEST(SimdKernels, ThresholdPackKernelSweepsAllLengths)
 {
     sc::Xoshiro256StarStar rng(42);
@@ -833,7 +1131,8 @@ TEST(SimdKernels, DispatchInvariants)
     const std::string tier = sc::simd::kernels().name;
     EXPECT_EQ(sc::simd::variantSummary(),
               "addXnorRow=" + tier + " featureFeedback=" + tier +
-                  " thresholdPack=" + tier);
+                  " thresholdPack=" + tier + " laneSngFill=" + tier +
+                  " laneMuxSelects=" + tier);
 }
 
 /** FNV-1a step over a string (the test_cohort golden-hash pattern). */
