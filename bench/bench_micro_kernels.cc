@@ -4,8 +4,9 @@
  * XNOR multiply, column counting (unfused reference vs fused
  * XNOR+carry-save kernels), count extraction vs the fused feedback
  * drive, SNG stream generation (bit-serial vs word-batched), the
- * feedback kernel (AQFP sorter feedback and CMOS Btanh) and the
- * closed-form and word-wide MUX pools against their per-cycle drives,
+ * feedback kernel (AQFP sorter feedback and CMOS Btanh), a linear
+ * stage's span at checkpoint-block widths, and the closed-form and
+ * word-wide MUX pools against their per-cycle drives,
  * sorting-network application and netlist legalization.
  * These guard the performance of the whole-network SC engine (which
  * executes millions of block steps per image).
@@ -23,6 +24,7 @@
 #include <array>
 #include <bit>
 #include <cstdlib>
+#include <memory>
 #include <vector>
 
 #include "aqfp/passes.h"
@@ -31,6 +33,8 @@
 #include "blocks/avg_pooling.h"
 #include "blocks/feature_extraction.h"
 #include "blocks/feedback_unit.h"
+#include "core/stages/aqfp_conv_stage.h"
+#include "core/stages/aqfp_dense_stage.h"
 #include "core/stages/cmos_pool_stage.h"
 #include "core/stages/stage_common.h"
 #include "sc/apc.h"
@@ -87,24 +91,58 @@ BENCHMARK(BM_ColumnCounts)->Arg(9)->Arg(121)->Arg(1569);
 // materialized count array that the fused kernels eliminate.
 // ---------------------------------------------------------------------
 
+/** One neuron's operands: m products (x row j against w row j) plus
+ *  a bias, and the neutral pad an even count takes. */
 struct KernelInputs
 {
     KernelInputs(int m, std::size_t len)
         : x(static_cast<std::size_t>(m), len),
-          w(static_cast<std::size_t>(m), len)
+          w(static_cast<std::size_t>(m), len), bias(1, len), neutral(1, len),
+          first{0, static_cast<std::uint32_t>(m)}
     {
         sc::Xoshiro256StarStar rng(3);
         for (std::size_t j = 0; j < static_cast<std::size_t>(m); ++j) {
             x.fillBipolar(j, 0.1, 10, rng);
             w.fillBipolar(j, -0.2, 10, rng);
-            xs.push_back(x.row(j));
-            ws.push_back(w.row(j));
+            rows.push_back(static_cast<std::uint32_t>(j));
         }
+        bias.fillBipolar(0, 0.05, 10, rng);
+        neutral.fillNeutral(0);
     }
 
-    sc::StreamMatrix x, w;
-    /** Row pointers of x and w: the operands of ColumnCounts::addXnorRow. */
-    std::vector<const std::uint64_t *> xs, ws;
+    /** The bias, the pad and the products, as the sorter counts them. */
+    int effM() const { return static_cast<int>(x.rows() + 1) | 1; }
+
+    /** Store the neuron's counts into @p counts with one one-row call
+     *  of the tile kernel (the linear stages' per-row drive). */
+    void
+    sumInto(sc::ColumnCounts &counts) const
+    {
+        const std::uint64_t *const inputs[] = {x.row(0)};
+        std::uint64_t *const planes[] = {counts.overwritePlanes()};
+        sc::simd::kernels().addXnorTile(
+            {{first.data(), rows.data(), rows.data(), &run, 1, x.rows()},
+             0,
+             1,
+             true,
+             w.row(0),
+             bias.row(0),
+             neutral.row(0),
+             w.wordsPerRow(),
+             inputs,
+             x.wordsPerRow(),
+             planes,
+             0,
+             counts.wordCount(),
+             1,
+             x.wordsPerRow(),
+             counts.planeCount()});
+    }
+
+    sc::StreamMatrix x, w, bias, neutral;
+    /** The tile kernel's one-row operand lists. */
+    std::vector<std::uint32_t> first, rows;
+    std::uint8_t run = 1;
 };
 
 /** Reference path: XNOR into a product buffer, addWords, extract, step. */
@@ -123,25 +161,24 @@ runUnfusedNeuron(const KernelInputs &in, sc::ColumnCounts &counts,
                                   wpr);
         counts.addWords(prod.data(), wpr);
     }
+    counts.addWords(in.bias.row(0), wpr);
+    if (in.effM() != m + 1)
+        counts.addWords(in.neutral.row(0), wpr);
     counts.extract(col);
-    const int eff_m = m % 2 == 1 ? m : m + 1;
-    blocks::FeatureFeedbackUnit unit(eff_m);
+    blocks::FeatureFeedbackUnit unit(in.effM());
     for (std::size_t i = 0; i < in.x.streamLen(); ++i) {
         if (unit.step(col[i]))
             core::stages::setStreamBit(dst, i);
     }
 }
 
-/** Fused path: one addXnorRow + lazy clear + drive, no intermediates. */
+/** Fused path: one tile kernel call + drive, no intermediates. */
 void
 runFusedNeuron(const KernelInputs &in, sc::ColumnCounts &counts,
                blocks::FeatureFeedbackUnit &unit, std::uint64_t *dst)
 {
-    const int m = static_cast<int>(in.x.rows());
-    counts.clear();
-    counts.addXnorRow(in.xs.data(), in.ws.data(), in.xs.size(),
-                      in.x.wordsPerRow());
-    unit.reset(m % 2 == 1 ? m : m + 1);
+    in.sumInto(counts);
+    unit.reset(in.effM());
     counts.drive([&](int c) { return unit.step(c); }, dst);
 }
 
@@ -235,11 +272,12 @@ BM_SngFillWordBatched(benchmark::State &state)
 BENCHMARK(BM_SngFillWordBatched)->Arg(1024);
 
 // ---------------------------------------------------------------------
-// Carry-save row kernel per dispatch tier: one output row's XNOR
-// products summed by ColumnCounts::addXnorRow, at the stream lengths of
-// the paper's sweep and the fan-ins of tiny Conv1 (9 + bias), snn Conv2
-// (288 + bias) and snn FC1 (1568 + bias).  tests/test_simd_kernels.cc
-// asserts the tiers are bit-identical; these cases isolate their speed.
+// Carry-save tile kernel per dispatch tier, one row at a time: one
+// output row's XNOR products and bias summed by a one-row
+// KernelTable::addXnorTile call, at the stream lengths of the paper's
+// sweep and the fan-ins of tiny Conv1 (9 + bias), snn Conv2 (288 +
+// bias) and snn FC1 (1568 + bias).  tests/test_simd_kernels.cc asserts
+// the tiers are bit-identical; these cases isolate their speed.
 // ---------------------------------------------------------------------
 
 constexpr sc::simd::Level kTiers[] = {sc::simd::Level::Scalar,
@@ -258,13 +296,11 @@ struct BenchLevelGuard
     sc::simd::Level prev;
 };
 
-/** One output row: clear the counter, add every product. */
+/** One output row's counts, stored over the counter's planes. */
 void
 runRowKernel(const KernelInputs &in, sc::ColumnCounts &counts)
 {
-    counts.clear();
-    counts.addXnorRow(in.xs.data(), in.ws.data(), in.xs.size(),
-                      in.x.wordsPerRow());
+    in.sumInto(counts);
 }
 
 void
@@ -280,7 +316,7 @@ BM_ColumnCountsRowKernel(benchmark::State &state)
         return;
     }
     const KernelInputs in(fan_in, len);
-    sc::ColumnCounts counts(len, fan_in);
+    sc::ColumnCounts counts(len, fan_in + 2);
     const BenchLevelGuard guard(tier);
     for (auto _ : state) {
         runRowKernel(in, counts);
@@ -294,6 +330,100 @@ BM_ColumnCountsRowKernel(benchmark::State &state)
 BENCHMARK(BM_ColumnCountsRowKernel)
     ->ArgNames({"tier", "N", "fanin"})
     ->ArgsProduct({{0, 1, 2}, {64, 256, 1024}, {10, 289, 1569}});
+
+// ---------------------------------------------------------------------
+// Linear stage spans: an AQFP sorter stage's runCohortSpan over an
+// N = 1024 stream cut into spans of 1, 2, 4, 8 or 16 words (the
+// checkpoint blocks of 64 to 1024 cycles), one image.  Conv1-shaped is
+// tiny's Conv1 (8 x 28 x 28 = 6272 rows, up to 11 products with bias
+// and pad), FC1-shaped tiny's FC1 (64 rows of 394).  A span sums its
+// tile with one tile kernel call and drives it through the feedback
+// kernel, so ns per row-word should not grow as spans shrink.
+// ---------------------------------------------------------------------
+
+struct LinearSpanBench
+{
+    static constexpr std::size_t kLen = 1024;
+
+    explicit LinearSpanBench(bool conv)
+    {
+        sc::Xoshiro256StarStar rng(8);
+        const auto random = [&rng](std::size_t rows) {
+            sc::StreamMatrix m(rows, kLen);
+            for (std::size_t r = 0; r < rows; ++r)
+                m.fillBipolar(r,
+                              static_cast<double>(rng.nextBits(10)) / 512.0 -
+                                  1.0,
+                              10, rng);
+            return m;
+        };
+        auto shared = std::make_shared<core::stages::StageShared>();
+        if (conv) {
+            const core::stages::ConvGeometry g{1, 28, 28, 8, 28, 28, 3};
+            shared->plan = core::stages::compileOperandPlan(
+                core::stages::ConvWindowGather{g});
+            shared->streams.weights = random(8 * 9);
+            shared->streams.biases = random(8);
+            x = random(28 * 28);
+            shared->streams.neutral = sc::StreamMatrix(1, kLen);
+            shared->streams.neutral.fillNeutral(0);
+            stage = std::make_unique<core::stages::AqfpConvStage>(
+                g, std::move(shared));
+        } else {
+            const core::stages::DenseGeometry g{392, 64};
+            shared->plan = core::stages::compileOperandPlan(
+                core::stages::DenseGather{g});
+            shared->streams.weights = random(392 * 64);
+            shared->streams.biases = random(64);
+            x = random(392);
+            shared->streams.neutral = sc::StreamMatrix(1, kLen);
+            shared->streams.neutral.fillNeutral(0);
+            stage = std::make_unique<core::stages::AqfpDenseStage>(
+                g, std::move(shared));
+        }
+        scratch = stage->makeScratch();
+    }
+
+    /** The whole stream, in spans of @p words words. */
+    void
+    run(std::size_t words)
+    {
+        const core::CohortSlot slot{&x, &out, &ctx, scratch.get()};
+        for (std::size_t b = 0; b < kLen; b += 64 * words)
+            stage->runCohortSpan(&slot, 1, b, std::min(kLen, b + 64 * words));
+    }
+
+    double
+    rowWords() const
+    {
+        return static_cast<double>(stage->footprint().outputRows * kLen / 64);
+    }
+
+    std::unique_ptr<core::ScStage> stage;
+    std::unique_ptr<core::StageScratch> scratch;
+    sc::StreamMatrix x, out;
+    core::StageContext ctx;
+};
+
+/** Args (shape: 0 = Conv1, 1 = FC1; span words). */
+void
+BM_LinearSpan(benchmark::State &state)
+{
+    LinearSpanBench bench(state.range(0) == 0);
+    const auto words = static_cast<std::size_t>(state.range(1));
+    for (auto _ : state) {
+        bench.run(words);
+        benchmark::DoNotOptimize(bench.out.row(0));
+        benchmark::ClobberMemory();
+    }
+    // Items are row-words; the report rows give ns per row-word.
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<long>(bench.rowWords()));
+    state.SetLabel(state.range(0) == 0 ? "conv1" : "fc1");
+}
+BENCHMARK(BM_LinearSpan)
+    ->ArgNames({"shape", "words"})
+    ->ArgsProduct({{0, 1}, {1, 2, 4, 8, 16}});
 
 // ---------------------------------------------------------------------
 // Feedback recurrences: the rows-as-lanes feedback kernel per tier
@@ -970,7 +1100,7 @@ writeFusedKernelReport()
                       .set("speedup", serial / batched));
     }
 
-    // Row kernel per tier.  Every tier runs the same addXnorRow call;
+    // Row kernel per tier.  Every tier runs the same addXnorTile call;
     // only the dispatch table differs, so the speedup over the scalar
     // tier is the vector lanes' (the outputs are bit-identical — see
     // tests/test_simd_kernels.cc).
@@ -980,7 +1110,7 @@ writeFusedKernelReport()
                                 std::size_t{1024}}) {
         for (const int fan_in : {10, 289, 1569}) {
             const KernelInputs in(fan_in, n);
-            sc::ColumnCounts counts(n, fan_in);
+            sc::ColumnCounts counts(n, fan_in + 2);
             double scalar_sec = 0.0;
             for (const sc::simd::Level tier : kTiers) {
                 if (static_cast<int>(tier) > static_cast<int>(vec))
@@ -1045,6 +1175,26 @@ writeFusedKernelReport()
                             .set("speedup_vs_per_row", per_row / sec));
                 }
             }
+        }
+    }
+    // Linear stage spans on the detected tier, ns per row-word.
+    for (const bool conv : {true, false}) {
+        LinearSpanBench bench(conv);
+        for (const std::size_t words :
+             {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8},
+              std::size_t{16}}) {
+            const double sec =
+                secondsPerPass([&] { bench.run(words); }, target);
+            rows.push(bench::Json::object()
+                          .set("kernel", "linear_span")
+                          .set("shape", conv ? "conv1" : "fc1")
+                          .set("rows", bench.stage->footprint().outputRows)
+                          .set("products", conv ? 11 : 394)
+                          .set("simd_level", vec_name)
+                          .set("stream_len", LinearSpanBench::kLen)
+                          .set("span_words", words)
+                          .set("ns_per_row_word",
+                               sec / bench.rowWords() * 1e9));
         }
     }
     {

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdio>
 #include <exception>
+#include <memory>
 #include <mutex>
 #include <thread>
 
@@ -25,6 +26,27 @@ resolveThreadCount(int requested)
     return std::clamp(requested, 1, 256);
 }
 
+/** A workspace checked out of the engine's idle pool for one worker's
+ *  call and returned when the worker leaves, by return or by throw
+ *  (the engine leaves an aborted workspace reusable). */
+class PooledWorkspace
+{
+  public:
+    PooledWorkspace(const ScNetworkEngine &engine, std::size_t capacity)
+        : engine_(engine), workspace_(engine.acquireWorkspace(capacity))
+    {
+    }
+    ~PooledWorkspace() { engine_.releaseWorkspace(std::move(workspace_)); }
+    PooledWorkspace(const PooledWorkspace &) = delete;
+    PooledWorkspace &operator=(const PooledWorkspace &) = delete;
+
+    CohortWorkspace &operator*() const { return *workspace_; }
+
+  private:
+    const ScNetworkEngine &engine_;
+    std::unique_ptr<CohortWorkspace> workspace_;
+};
+
 } // namespace
 
 BatchRunner::BatchRunner(const ScNetworkEngine &engine, int threads,
@@ -35,11 +57,9 @@ BatchRunner::BatchRunner(const ScNetworkEngine &engine, int threads,
 {
 }
 
+template <typename Fn>
 void
-BatchRunner::forEachCohort(
-    std::size_t n, bool progress,
-    const std::function<void(CohortWorkspace &, std::size_t, std::size_t)>
-        &fn) const
+BatchRunner::forEachCohort(std::size_t n, bool progress, const Fn &fn) const
 {
     if (n == 0)
         return;
@@ -57,10 +77,13 @@ BatchRunner::forEachCohort(
     // caller after the join, matching single-thread semantics.
     auto worker = [&]() {
         try {
-            // One arena per worker: scratch + stream buffers are built
-            // once here, so the per-cohort loop below never allocates
-            // inside the stage pipeline.
-            CohortWorkspace workspace(engine_, cohort);
+            // One arena per worker, checked out of the engine's idle
+            // pool and returned after the loop: scratch and stream
+            // buffers are built once per worker over all calls, and the
+            // per-cohort loop below never allocates inside the stage
+            // pipeline.
+            const PooledWorkspace held(engine_, cohort);
+            CohortWorkspace &workspace = *held;
             for (;;) {
                 const std::size_t base =
                     next.fetch_add(cohort, std::memory_order_relaxed);

@@ -16,7 +16,6 @@
 #ifndef AQFPSC_CORE_BATCH_RUNNER_H
 #define AQFPSC_CORE_BATCH_RUNNER_H
 
-#include <functional>
 #include <vector>
 
 #include "core/sc_engine.h"
@@ -86,15 +85,15 @@ class BatchRunner
 
   private:
     /**
-     * The shared worker pool: one CohortWorkspace per worker, cohorts of
-     * consecutive image indices pulled from an atomic index, first
-     * exception captured and rethrown after the join.  @p fn runs once
-     * per cohort with [base, base + count) image indices.
+     * The shared worker pool: one CohortWorkspace per worker, checked out
+     * of the engine's idle pool (ScNetworkEngine::acquireWorkspace) and
+     * returned after the call, cohorts of consecutive image indices
+     * pulled from an atomic index, first exception captured and rethrown
+     * after the join.  fn(workspace, base, count) runs once per cohort
+     * with [base, base + count) image indices.
      */
-    void forEachCohort(
-        std::size_t n, bool progress,
-        const std::function<void(CohortWorkspace &, std::size_t,
-                                 std::size_t)> &fn) const;
+    template <typename Fn>
+    void forEachCohort(std::size_t n, bool progress, const Fn &fn) const;
 
     const ScNetworkEngine &engine_;
     int threads_;

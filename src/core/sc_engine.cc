@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <thread>
 
 #include "core/backend_registry.h"
 #include "core/batch_runner.h"
@@ -407,6 +408,45 @@ ScNetworkEngine::inferAdaptiveCohort(const nn::Tensor *const images[],
         if (!ws.active_.empty())
             pollControl(control, begin);
     }
+}
+
+std::unique_ptr<CohortWorkspace>
+ScNetworkEngine::acquireWorkspace(std::size_t capacity) const
+{
+    capacity = std::clamp<std::size_t>(capacity, 1, kMaxCohortImages);
+    {
+        const std::lock_guard<std::mutex> lock(idleMutex_);
+        const auto fits = std::find_if(
+            idle_.begin(), idle_.end(),
+            [capacity](const std::unique_ptr<CohortWorkspace> &ws) {
+                return ws->capacity() >= capacity;
+            });
+        if (fits != idle_.end()) {
+            std::unique_ptr<CohortWorkspace> ws = std::move(*fits);
+            idle_.erase(fits);
+            return ws;
+        }
+        // Too small for this call: replaced, so the pool stays at one
+        // workspace per worker.
+        if (!idle_.empty())
+            idle_.pop_back();
+    }
+    return std::make_unique<CohortWorkspace>(*this, capacity);
+}
+
+void
+ScNetworkEngine::releaseWorkspace(
+    std::unique_ptr<CohortWorkspace> workspace) const
+{
+    if (workspace == nullptr || &workspace->engine() != this)
+        return;
+    // One idle workspace per hardware thread at most: a call that ran
+    // more workers than that frees the surplus here (after the unlock).
+    static const std::size_t kMaxIdle =
+        std::max(1u, std::thread::hardware_concurrency());
+    const std::lock_guard<std::mutex> lock(idleMutex_);
+    if (idle_.size() < kMaxIdle)
+        idle_.push_back(std::move(workspace));
 }
 
 ScEvalStats

@@ -38,6 +38,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -406,11 +407,33 @@ class ScNetworkEngine
      */
     std::string imageError(const nn::Tensor &image) const;
 
+    /**
+     * Check out a workspace of at least @p capacity slots for one
+     * worker's call: an idle one that an earlier call returned
+     * (releaseWorkspace()), or a new one.  BatchRunner's workers take
+     * one per predict()/evaluate() call, so a steady stream of calls
+     * builds no workspace after the first.  Thread-safe.
+     */
+    std::unique_ptr<CohortWorkspace>
+    acquireWorkspace(std::size_t capacity) const;
+
+    /**
+     * Return a workspace from acquireWorkspace() to the idle pool.  The
+     * pool holds at most one workspace per concurrent worker and per
+     * hardware thread (std::thread::hardware_concurrency()); a surplus
+     * one is freed.  Idle workspaces, stream buffers and stage scratch
+     * included, live until the engine does.  Thread-safe.
+     */
+    void releaseWorkspace(std::unique_ptr<CohortWorkspace> workspace) const;
+
   private:
     ScEngineConfig cfg_;
     std::string backendName_;
     bool encodeInputStreams_ = true; ///< from the backend's traits
     std::shared_ptr<const stages::ExecutionPlan> plan_;
+    /** Idle workspaces (acquireWorkspace()). */
+    mutable std::mutex idleMutex_;
+    mutable std::vector<std::unique_ptr<CohortWorkspace>> idle_;
 };
 
 } // namespace aqfpsc::core

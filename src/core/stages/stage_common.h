@@ -13,20 +13,21 @@
  *    pairs — DenseGather walks the flat weight matrix, ConvWindowGather
  *    expresses conv as dense-with-window-gather in the canonical
  *    (ic, ky, kx) in-bounds order (part of the deterministic contract:
- *    the CMOS approximate counter pairs products in visit order);
+ *    the CMOS approximate counter pairs products in visit order).  The
+ *    stage compiler walks it once into the stage's OperandPlan, which
+ *    the kernels read; nothing walks a Gather at run time;
  *  - the Policy supplies the activation — sorter-majority feedback
  *    (AQFP) or APC + Btanh (CMOS) — together with its resumable per-row
  *    scratch state.
  *
  * The core has exactly one kernel path, the stage-major cohort span: a
- * single image is a cohort of one, and a cohort of C images gathers each
- * output row's operands once and sums them into every image's
- * carry-save planes with one row-kernel call per image
- * (sc::simd::KernelTable::addXnorRow), then drives each image.  Both
- * policies drive a tile of rows at once through the feedback kernel
- * (LinearScratch); wide counters and the CMOS approximate counter
- * drive each row as it is summed.  Results are bit-identical at every
- * cohort size by construction.
+ * single image is a cohort of one.  Both policies sum a tile of up to
+ * sc::simd::kFeedbackTileRows rows for the whole cohort in one
+ * dispatched call (sc::simd::KernelTable::addXnorTile) into a
+ * span-compact tile per image, then drive each image's tile through the
+ * feedback kernel; wide counters and the CMOS approximate counter sum
+ * one row per call and drive each row as it is summed.  Results are
+ * bit-identical at every cohort size and span by construction.
  */
 
 #ifndef AQFPSC_CORE_STAGES_STAGE_COMMON_H
@@ -34,6 +35,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <memory>
@@ -91,15 +93,134 @@ featureStreamBytes(const FeatureStreams &fs)
 }
 
 /**
+ * The operand plan of a linear stage: every output row's (input row,
+ * weight row) product pairs, its bias row, m and eff_m, compiled once
+ * from the stage's Gather (compileOperandPlan) and read by the tile
+ * kernel through view().
+ *
+ * Rows that differ only by group — the output channel of a conv, the
+ * neuron of a dense layer — gather the same input rows against the
+ * same offsets into their group's weight rows, so they share one
+ * product list: row r is in group r / lists and reads list r % lists,
+ * whose entries i in [first[l], first[l + 1]) are the pairs
+ * (xrow[i], group * groupStride + wrow[i]), in the Gather's visit
+ * order.  A conv stage keeps one list per output pixel, a dense stage
+ * one list of inFeatures.  Bias row = group; m = products + 1 (the
+ * bias); eff_m pads m to odd for a stage that pads.
+ */
+struct OperandPlan
+{
+    std::size_t groups = 0;
+    std::size_t lists = 0;
+    std::size_t groupStride = 0; ///< weight rows per group
+    std::vector<std::uint32_t> first; ///< lists + 1 offsets
+    std::vector<std::uint32_t> xrow;
+    std::vector<std::uint32_t> wrow;
+    /** Per list: sc::simd::OperandLists::run, capped at 255. */
+    std::vector<std::uint8_t> run;
+
+    std::size_t rows() const { return groups * lists; }
+    std::size_t biasRow(std::size_t r) const { return r / lists; }
+
+    /** Entries [begin(r), end(r)) of xrow/wrow are row @p r's products. */
+    std::size_t begin(std::size_t r) const { return first[r % lists]; }
+    std::size_t end(std::size_t r) const { return first[r % lists + 1]; }
+
+    /** Weight row of row @p r's product entry @p i. */
+    std::size_t
+    weightRow(std::size_t r, std::size_t i) const
+    {
+        return biasRow(r) * groupStride + wrow[i];
+    }
+
+    /** Products plus the bias. */
+    int
+    m(std::size_t r) const
+    {
+        return static_cast<int>(end(r) - begin(r)) + 1;
+    }
+
+    /** m, plus the neutral pad when @p pad_to_odd and m is even. */
+    int
+    effM(std::size_t r, bool pad_to_odd) const
+    {
+        const int mr = m(r);
+        return pad_to_odd && mr % 2 == 0 ? mr + 1 : mr;
+    }
+
+    /** Fill @ref run from the lists. */
+    void
+    findRuns()
+    {
+        // List l + 1 is list l one input row on: run[l] = run[l + 1] + 1.
+        const auto shifted = [this](std::size_t a) {
+            const std::uint32_t n = first[a + 1] - first[a];
+            if (first[a + 2] - first[a + 1] != n)
+                return false;
+            for (std::uint32_t i = 0; i < n; ++i) {
+                const std::uint32_t ia = first[a] + i;
+                const std::uint32_t ib = first[a + 1] + i;
+                if (wrow[ib] != wrow[ia] || xrow[ib] != xrow[ia] + 1)
+                    return false;
+            }
+            return true;
+        };
+        run.assign(lists, 1);
+        for (std::size_t l = lists; l-- > 1;)
+            if (shifted(l - 1))
+                run[l - 1] = static_cast<std::uint8_t>(
+                    std::min(255, run[l] + 1));
+    }
+
+    sc::simd::OperandLists
+    view() const
+    {
+        return {first.data(), xrow.data(), wrow.data(), run.data(), lists,
+                groupStride};
+    }
+
+    std::size_t
+    bytes() const
+    {
+        return (first.size() + xrow.size() + wrow.size()) *
+                   sizeof(std::uint32_t) +
+               run.size();
+    }
+};
+
+/** Walk @p gather once into its OperandPlan: group 0's rows give every
+ *  list (see OperandPlan). */
+template <typename Gather>
+OperandPlan
+compileOperandPlan(const Gather &gather)
+{
+    OperandPlan plan;
+    plan.groups = gather.groups();
+    plan.lists = gather.rowsPerGroup();
+    plan.groupStride = gather.groupStride();
+    plan.first.reserve(plan.lists + 1);
+    plan.first.push_back(0);
+    for (std::size_t l = 0; l < plan.lists; ++l) {
+        gather.forEachProduct(l, [&](std::size_t xr, std::size_t wr) {
+            plan.xrow.push_back(static_cast<std::uint32_t>(xr));
+            plan.wrow.push_back(static_cast<std::uint32_t>(wr));
+        });
+        plan.first.push_back(static_cast<std::uint32_t>(plan.xrow.size()));
+    }
+    plan.findRuns();
+    return plan;
+}
+
+/**
  * Immutable per-stage compile product, shared across engines.
  *
  * Everything a weighted stage derives once at compile time and only ever
  * reads afterwards lives here: the parameter bit-streams (weight
- * bit-plane layout, bias rows, neutral pad row).  The plan cache interns
- * StageShared objects by spec so identical layers across engines,
- * sessions, and serving tenants reference one copy; mutable run state
- * stays in StageScratch / CohortWorkspace, which remain strictly
- * per-engine-invocation.
+ * bit-plane layout, bias rows, neutral pad row) and, for a linear
+ * stage, its operand plan.  The plan cache interns StageShared objects
+ * by spec so identical layers across engines, sessions, and serving
+ * tenants reference one copy; mutable run state stays in StageScratch /
+ * CohortWorkspace, which remain strictly per-engine-invocation.
  *
  * rngStateAfter records the compiler RNG state immediately after the
  * streams were generated.  On a cache hit the compiler restores it so
@@ -110,9 +231,12 @@ featureStreamBytes(const FeatureStreams &fs)
 struct StageShared
 {
     FeatureStreams streams;
+    /** Linear (conv and hidden dense) stages only. */
+    OperandPlan plan;
     /** Compiler RNG state right after generating @ref streams. */
     std::array<std::uint64_t, 4> rngStateAfter{};
-    /** Resident payload size (packed stream words), for cache stats. */
+    /** Resident payload size (packed stream words and the plan), for
+     *  cache stats. */
     std::size_t bytes = 0;
 };
 
@@ -133,17 +257,21 @@ struct DenseGather
 {
     DenseGeometry g;
 
+    /** Largest product count any output row gathers. */
+    int maxProducts() const { return g.inFeatures; }
+
+    /** OperandPlan layout: one group per neuron, of one row. */
     std::size_t
-    rows() const
+    groups() const
     {
         return static_cast<std::size_t>(g.outFeatures);
     }
-
-    /** Bias stream row of output row @p r. */
-    std::size_t biasRow(std::size_t r) const { return r; }
-
-    /** Largest product count any output row gathers. */
-    int maxProducts() const { return g.inFeatures; }
+    std::size_t rowsPerGroup() const { return 1; }
+    std::size_t
+    groupStride() const
+    {
+        return static_cast<std::size_t>(g.inFeatures);
+    }
 
     /** Invoke fn(input_row, weight_row) per product; returns the count. */
     template <typename Fn>
@@ -170,21 +298,22 @@ struct ConvWindowGather
 {
     ConvGeometry g;
 
-    std::size_t
-    rows() const
-    {
-        return static_cast<std::size_t>(g.outC) * g.outH * g.outW;
-    }
-
-    /** Bias stream row (= output channel) of output row @p r. */
-    std::size_t
-    biasRow(std::size_t r) const
-    {
-        return r / (static_cast<std::size_t>(g.outH) * g.outW);
-    }
-
     /** Interior window product count (border rows gather fewer). */
     int maxProducts() const { return g.inC * g.kernel * g.kernel; }
+
+    /** OperandPlan layout: one group per output channel, of one row
+     *  per output pixel. */
+    std::size_t groups() const { return static_cast<std::size_t>(g.outC); }
+    std::size_t
+    rowsPerGroup() const
+    {
+        return static_cast<std::size_t>(g.outH) * g.outW;
+    }
+    std::size_t
+    groupStride() const
+    {
+        return static_cast<std::size_t>(maxProducts());
+    }
 
     template <typename Fn>
     int
@@ -342,129 +471,29 @@ struct OnesScratch final : StageScratch
 };
 
 /**
- * Per-slot state every linear stage shares: the operands of the current
- * row's products, and the tile machinery of the rows-as-lanes feedback
- * kernel (src/sc/simd/feedback_kernel.h).  Rows are summed a tile of
- * sc::simd::kFeedbackTileRows at a time into one plane buffer; each
- * row's m and recurrence state are kept bit-sliced, the state resumed
- * across spans; and the tile's last row drives the whole tile.  A
- * scratch built untiled (counters wider than the kernel's
- * sc::simd::kMaxFeedbackPlanes planes, or a policy that opts out) sums
- * each row into @ref counts for the policy's per-row drive instead.
+ * Per-slot state every linear stage shares.  A tiled stage (counts of
+ * at most sc::simd::kMaxFeedbackPlanes planes, a policy that wants the
+ * feedback kernel) keeps the span-compact plane buffer the tile kernel
+ * fills for a tile of sc::simd::kFeedbackTileRows rows, and every row's
+ * bit-sliced recurrence state, resumed across spans (the stage holds
+ * the rows' m, which no image changes).  An untiled stage sums each row
+ * into @ref counts for the policy's per-row drive instead.
  */
 struct LinearScratch : StageScratch
 {
-    LinearScratch(std::size_t len, int max_count, std::size_t rows,
-                  sc::simd::FeedbackRecurrence recurrence, bool tile_wanted)
-        : counts(len, max_count),
-          xrows(static_cast<std::size_t>(max_count)),
-          wrows(static_cast<std::size_t>(max_count)),
-          ones((len + 63) / 64, ~0ULL), rows(rows), words((len + 63) / 64),
-          planes(counts.planeCount()), recurrence(recurrence)
+    LinearScratch(std::size_t len, int max_count, std::size_t tile_words,
+                  std::size_t state_words)
+        : counts(len, max_count), tile(tile_words, 0),
+          stateBits(state_words, 0)
     {
-        if (!tile_wanted || planes > sc::simd::kMaxFeedbackPlanes)
-            return;
-        // Whole registers of rows for every tile (FeedbackTile).
-        constexpr std::size_t kTileWords = sc::simd::kFeedbackTileRows / 64;
-        sliceStride = (rows + sc::simd::kFeedbackTileRows - 1) /
-                      sc::simd::kFeedbackTileRows * kTileWords;
-        tile.assign(std::min(rows, sc::simd::kFeedbackTileRows) * rowStride(),
-                    0);
-        mBits.assign(static_cast<std::size_t>(planes) * sliceStride, 0);
-        stateBits.assign(static_cast<std::size_t>(statePlanes()) *
-                             sliceStride,
-                         0);
-    }
-
-    bool tiled() const { return !mBits.empty(); }
-
-    /** Sum row @p r's @p n products (weight side @p weights) over the
-     *  span's @p sw words: into its tile slot, or into counts. */
-    void
-    sumRow(std::size_t r, const std::uint64_t *const weights[],
-           std::size_t n, std::size_t sw)
-    {
-        if (!tiled()) {
-            counts.clear();
-            counts.addXnorRow(xrows.data(), weights, n, sw);
-            return;
-        }
-        std::uint64_t *const p =
-            tile.data() + r % sc::simd::kFeedbackTileRows * rowStride();
-        for (int k = 0; k < planes; ++k)
-            std::fill_n(p + static_cast<std::size_t>(k) * words, sw, 0);
-        sc::simd::kernels().addXnorRow({p, words, planes}, xrows.data(),
-                                       weights, n, sw);
-    }
-
-    /** Tile path: set row @p r's bit-sliced m and recurrence state. */
-    void
-    armRow(std::size_t r, int m, int state)
-    {
-        const std::uint64_t bit = 1ULL << (r % 64);
-        const auto set = [&](std::vector<std::uint64_t> &bits, int value,
-                             int count) {
-            for (int k = 0; k < count; ++k) {
-                std::uint64_t &w =
-                    bits[static_cast<std::size_t>(k) * sliceStride + r / 64];
-                w = (value >> k & 1) != 0 ? w | bit : w & ~bit;
-            }
-        };
-        set(mBits, m, planes);
-        set(stateBits, state, statePlanes());
-    }
-
-    /** Tile path: when row @p r is the last of its tile, drive the
-     *  tile through the span [begin, end). */
-    void
-    driveTileAt(std::size_t r, std::size_t begin, std::size_t end,
-                sc::StreamMatrix &out)
-    {
-        const std::size_t t = r % sc::simd::kFeedbackTileRows;
-        if (t + 1 != sc::simd::kFeedbackTileRows && r + 1 != rows)
-            return;
-        const std::size_t r0 = r - t;
-        sc::simd::kernels().featureFeedback(
-            {tile.data(), rowStride(), words, planes, t + 1,
-             mBits.data() + r0 / 64, stateBits.data() + r0 / 64,
-             sliceStride, out.row(r0) + begin / 64, out.wordsPerRow(),
-             end - begin, recurrence});
     }
 
     /** Per-row path: the current row's column counts. */
     sc::ColumnCounts counts;
-    /** Input-side operand of each product of the current row. */
-    std::vector<const std::uint64_t *> xrows;
-    /** Weight-side operands; the cohort shares slot 0's. */
-    std::vector<const std::uint64_t *> wrows;
-    /** The constant +1 input stream: the bias and the neutral pad enter
-     *  the sum as products with it (XNOR with all ones is identity). */
-    std::vector<std::uint64_t> ones;
-
-  private:
-    std::size_t
-    rowStride() const
-    {
-        return static_cast<std::size_t>(planes) * words;
-    }
-    int
-    statePlanes() const
-    {
-        return recurrence == sc::simd::FeedbackRecurrence::Btanh ? planes + 1
-                                                                 : planes;
-    }
-
-    std::size_t rows;
-    std::size_t words;
-    int planes;
-    sc::simd::FeedbackRecurrence recurrence;
-    /** Tile path: each tile row's count planes. */
+    /** Tile path: each tile row's count planes over the span. */
     std::vector<std::uint64_t> tile;
-    /** Tile path: bit-sliced m of every row. */
-    std::vector<std::uint64_t> mBits;
-    /** Tile path: bit-sliced recurrence state, resumed across spans. */
+    /** Tile path: bit-sliced recurrence state of every row. */
     std::vector<std::uint64_t> stateBits;
-    std::size_t sliceStride = 0;
 };
 
 /**
@@ -472,9 +501,9 @@ struct LinearScratch : StageScratch
  * column counts drive the sorter + feedback unit (Algorithm 1, counter
  * form).  The sorter needs an odd input count, so even rows are padded
  * with the neutral stream; the feedback carry is the per-row resumable
- * state.
+ * state, armed at the operating point (M - 1) / 2.
  *
- * The feedback kernel drives each tile of rows (LinearScratch).
+ * The feedback kernel drives each tile of rows (LinearScStage).
  * Counters wider than its sc::simd::kMaxFeedbackPlanes planes step a
  * blocks::FeatureFeedbackUnit through each row's counts instead; both
  * paths compute the unit's recurrence exactly.
@@ -486,17 +515,17 @@ class SorterMajorityPolicy
     static constexpr bool kApproxCapable = false;
     /** Pad even product counts to odd with the neutral stream. */
     static constexpr bool kPadToOdd = true;
+    static constexpr auto kRecurrence =
+        sc::simd::FeedbackRecurrence::SorterMajority;
 
     struct Scratch final : LinearScratch
     {
         Scratch(std::size_t len, int max_count, std::size_t rows,
-                const SorterMajorityPolicy & /*policy*/)
-            : LinearScratch(len, max_count, rows,
-                            sc::simd::FeedbackRecurrence::SorterMajority,
-                            true),
+                std::size_t tile_words, std::size_t state_words)
+            : LinearScratch(len, max_count, tile_words, state_words),
               unit(1)
         {
-            if (!tiled())
+            if (state_words == 0)
                 carries.assign(rows, 0);
         }
 
@@ -508,35 +537,35 @@ class SorterMajorityPolicy
     /** Interior window + bias + possible neutral pad bounds the counts. */
     static int maxCount(int max_products) { return max_products + 2; }
 
+    bool wantsTile() const { return true; }
+
+    /** The feedback kernel's m and initial state of a row. */
+    static int tileM(int /*m*/, int eff_m) { return eff_m; }
+    static int initialState(int /*m*/, int eff_m) { return (eff_m - 1) / 2; }
+
+    /** Per-row path: drive row @p r's counts through [begin, end). */
     void
     drive(Scratch &ws, std::size_t r, int /*m*/, int eff_m,
           std::size_t begin, std::size_t end, sc::StreamMatrix &out) const
     {
-        if (!ws.tiled()) {
-            if (begin == 0)
-                ws.unit.reset(eff_m);
-            else
-                ws.unit.restore(eff_m, ws.carries[r]);
-            ws.counts.drivePrefix(end - begin,
-                                  [&](int c) { return ws.unit.step(c); },
-                                  out.row(r) + begin / 64);
-            ws.carries[r] = ws.unit.carry();
-            return;
-        }
-        // Re-arm the carry at the operating point (M - 1) / 2.
         if (begin == 0)
-            ws.armRow(r, eff_m, (eff_m - 1) / 2);
-        ws.driveTileAt(r, begin, end, out);
+            ws.unit.reset(eff_m);
+        else
+            ws.unit.restore(eff_m, ws.carries[r]);
+        ws.counts.drivePrefix(end - begin,
+                              [&](int c) { return ws.unit.step(c); },
+                              out.row(r) + begin / 64);
+        ws.carries[r] = ws.unit.carry();
     }
 };
 
 /**
  * Accumulation policy of the CMOS SC-DCNN linear stages: (approximate)
  * APC column counts drive the Btanh activation counter, whose state is
- * the per-row resumable state.
+ * the per-row resumable state, starting at s_max / 2 with s_max = 2m.
  *
- * The feedback kernel drives each tile of rows (LinearScratch)
- * with the Btanh recurrence.  Two cases keep the per-row drive of
+ * The feedback kernel drives each tile of rows (LinearScStage) with the
+ * Btanh recurrence.  Two cases keep the per-row drive of
  * baseline::ApcFeatureExtraction::btanhStep: counters wider than the
  * kernel's planes, and @ref approx, where the OR-pair overcount model
  * rides along (ApproxPairOvercount), folded into the drive.
@@ -546,6 +575,7 @@ class ApcBtanhPolicy
   public:
     static constexpr bool kApproxCapable = true;
     static constexpr bool kPadToOdd = false;
+    static constexpr auto kRecurrence = sc::simd::FeedbackRecurrence::Btanh;
 
     /** Model the SC-DCNN first-layer OR-pair approximate counter. */
     bool approx = false;
@@ -553,13 +583,11 @@ class ApcBtanhPolicy
     struct Scratch final : LinearScratch
     {
         Scratch(std::size_t len, int max_count, std::size_t rows,
-                const ApcBtanhPolicy &policy)
-            : LinearScratch(len, max_count, rows,
-                            sc::simd::FeedbackRecurrence::Btanh,
-                            !policy.approx),
+                std::size_t tile_words, std::size_t state_words)
+            : LinearScratch(len, max_count, tile_words, state_words),
               over(len, max_count / 2 + 1)
         {
-            if (!tiled())
+            if (state_words == 0)
                 states.assign(rows, 0);
         }
 
@@ -571,17 +599,16 @@ class ApcBtanhPolicy
 
     static int maxCount(int max_products) { return max_products + 2; }
 
+    bool wantsTile() const { return !approx; }
+
+    static int tileM(int m, int /*eff_m*/) { return m; }
+    static int initialState(int m, int /*eff_m*/) { return m; }
+
+    /** Per-row path: drive row @p r's counts through [begin, end). */
     void
     drive(Scratch &ws, std::size_t r, int m, int /*eff_m*/,
           std::size_t begin, std::size_t end, sc::StreamMatrix &out) const
     {
-        // The counter starts at s_max / 2 with s_max = 2m.
-        if (ws.tiled()) {
-            if (begin == 0)
-                ws.armRow(r, m, m);
-            ws.driveTileAt(r, begin, end, out);
-            return;
-        }
         int state = begin == 0 ? m : ws.states[r];
         auto step = [&](int c) {
             return baseline::ApcFeatureExtraction::btanhStep(state, c, m,
@@ -598,12 +625,13 @@ class ApcBtanhPolicy
 };
 
 /**
- * The shared linear stage: Gather names the products of each output
- * row, Policy accumulates and activates them.  There is exactly one
- * kernel path — the stage-major cohort span — and bit-identity across
- * cohort sizes holds by construction: per-image state (counters,
- * feedback/Btanh resume values, output rows) is fully per-slot, and each
- * image's counter sums the same products whatever the cohort.
+ * The shared linear stage: the OperandPlan (compiled from Gather) names
+ * the products of each output row, Policy accumulates and activates
+ * them.  There is exactly one kernel path — the stage-major cohort
+ * span — and bit-identity across cohort sizes holds by construction:
+ * per-image state (counters, feedback/Btanh resume values, output rows)
+ * is fully per-slot, and each image's counter sums the same products
+ * whatever the cohort.
  *
  * Concrete stages only add name() and a registry entry.
  */
@@ -614,24 +642,59 @@ class LinearScStage : public ScStage
     LinearScStage(Gather gather, std::shared_ptr<const StageShared> shared,
                   Policy policy)
         : gather_(std::move(gather)), shared_(std::move(shared)),
-          policy_(std::move(policy))
+          policy_(std::move(policy)),
+          maxCount_(Policy::maxCount(gather_.maxProducts())),
+          planes_(std::bit_width(static_cast<unsigned>(maxCount_)))
     {
         assert(shared_ != nullptr);
+        assert(plan().rows() == static_cast<std::size_t>(
+                                    gather_.groups() * gather_.rowsPerGroup()));
+        if (!policy_.wantsTile() || planes_ > sc::simd::kMaxFeedbackPlanes)
+            return;
+        // Every row's m and initial state, bit-sliced in whole registers
+        // of rows per tile (FeedbackTile).
+        constexpr std::size_t kTileWords = sc::simd::kFeedbackTileRows / 64;
+        const std::size_t rows = plan().rows();
+        sliceStride_ = (rows + sc::simd::kFeedbackTileRows - 1) /
+                       sc::simd::kFeedbackTileRows * kTileWords;
+        mBits_.assign(static_cast<std::size_t>(planes_) * sliceStride_, 0);
+        initialState_.assign(
+            static_cast<std::size_t>(statePlanes()) * sliceStride_, 0);
+        const auto set = [this](std::vector<std::uint64_t> &bits,
+                                std::size_t r, int value) {
+            for (std::size_t k = 0; value >> k != 0; ++k)
+                if ((value >> k & 1) != 0)
+                    bits[k * sliceStride_ + r / 64] |= 1ULL << (r % 64);
+        };
+        for (std::size_t r = 0; r < rows; ++r) {
+            const int m = plan().m(r);
+            const int eff_m = plan().effM(r, Policy::kPadToOdd);
+            set(mBits_, r, Policy::tileM(m, eff_m));
+            set(initialState_, r, Policy::initialState(m, eff_m));
+        }
     }
 
-    StageFootprint footprint() const override { return {gather_.rows()}; }
+    StageFootprint footprint() const override { return {plan().rows()}; }
 
     const StageShared *sharedState() const override
     {
         return shared_.get();
     }
 
+    /** The Gather the plan was compiled from. */
+    const Gather &gather() const { return gather_; }
+
     std::unique_ptr<StageScratch>
     makeScratch() const override
     {
+        const std::size_t len = streams().weights.streamLen();
+        const std::size_t rows = plan().rows();
+        std::size_t tile_words = 0;
+        if (tiled())
+            tile_words = std::min(rows, sc::simd::kFeedbackTileRows) *
+                         static_cast<std::size_t>(planes_) * ((len + 63) / 64);
         return std::make_unique<typename Policy::Scratch>(
-            streams().weights.streamLen(),
-            Policy::maxCount(gather_.maxProducts()), gather_.rows(), policy_);
+            len, maxCount_, rows, tile_words, initialState_.size());
     }
 
     bool resumable() const override { return true; }
@@ -643,62 +706,80 @@ class LinearScStage : public ScStage
         const std::size_t len = streams().weights.streamLen();
         assert(count >= 1 && count <= kMaxCohortImages);
         assert(begin % 64 == 0 && begin < end && end <= len);
-        // Spans accumulate at plane offset 0 of each scratch counter and
-        // drive through the incremental kernel entry points, so a span
-        // costs exactly its share of the full-stream work.
+        // A span sums and drives only its own words, into a tile laid
+        // out for its width, so it costs exactly its share of the
+        // full-stream work.
         const std::size_t w0 = begin / 64;
         const std::size_t sw = (end - begin + 63) / 64;
-        const std::size_t rows = gather_.rows();
+        const std::size_t rows = plan().rows();
 
         typename Policy::Scratch *ws[kMaxCohortImages];
-        const sc::StreamMatrix *in[kMaxCohortImages];
+        const std::uint64_t *inputs[kMaxCohortImages];
+        std::uint64_t *planes[kMaxCohortImages];
         for (std::size_t c = 0; c < count; ++c) {
             ws[c] = static_cast<typename Policy::Scratch *>(
                 slots[c].scratch);
-            in[c] = slots[c].in;
             // Prefix consumption: the input may carry a longer upstream
             // stream; this stage reads only its own len cycles of it.
-            assert(in[c]->streamLen() >= len);
+            assert(slots[c].in->streamLen() >= len);
+            assert(slots[c].in->wordsPerRow() ==
+                   slots[0].in->wordsPerRow());
+            inputs[c] = slots[c].in->row(0) + w0;
             slots[c].out->reset(rows, len);
         }
-        const std::uint64_t *const neutral = streams().neutral.row(0) + w0;
-        const std::uint64_t *const ones = ws[0]->ones.data();
-        const std::uint64_t **const wrows = ws[0]->wrows.data();
+        const FeatureStreams &fs = streams();
+        sc::simd::XnorTile tile{plan().view(),
+                                0,
+                                0,
+                                Policy::kPadToOdd,
+                                fs.weights.row(0) + w0,
+                                fs.biases.row(0) + w0,
+                                fs.neutral.row(0) + w0,
+                                fs.weights.wordsPerRow(),
+                                inputs,
+                                slots[0].in->wordsPerRow(),
+                                planes,
+                                0,
+                                0,
+                                count,
+                                sw,
+                                planes_};
 
-        for (std::size_t r = 0; r < rows; ++r) {
-            // Gather the row's operands once for the cohort: the weight
-            // side is shared, the input side is per image.
-            std::size_t n = 0;
-            const auto push = [&](const std::uint64_t *w, std::size_t xr) {
-                wrows[n] = w;
-                for (std::size_t c = 0; c < count; ++c)
-                    ws[c]->xrows[n] = in[c]->row(xr) + w0;
-                ++n;
-            };
-            const auto pushConstant = [&](const std::uint64_t *w) {
-                wrows[n] = w;
-                for (std::size_t c = 0; c < count; ++c)
-                    ws[c]->xrows[n] = ones;
-                ++n;
-            };
-            int m = gather_.forEachProduct(
-                r, [&](std::size_t xr, std::size_t wr) {
-                    push(streams().weights.row(wr) + w0, xr);
-                });
-            const std::size_t products = n;
-            // Bias enters the sum as one more product stream of fixed
-            // value (its "input" is the constant 1 stream).
-            pushConstant(streams().biases.row(gather_.biasRow(r)) + w0);
-            ++m;
-            int eff_m = m;
-            if constexpr (Policy::kPadToOdd) {
-                if (m % 2 == 0) {
-                    pushConstant(neutral);
-                    eff_m = m + 1;
+        if (tiled()) {
+            for (std::size_t c = 0; c < count; ++c) {
+                if (begin == 0)
+                    std::copy(initialState_.begin(), initialState_.end(),
+                              ws[c]->stateBits.begin());
+                planes[c] = ws[c]->tile.data();
+            }
+            tile.rowStride = static_cast<std::size_t>(planes_) * sw;
+            tile.planeStride = sw;
+            for (std::size_t r0 = 0; r0 < rows;
+                 r0 += sc::simd::kFeedbackTileRows) {
+                tile.row0 = r0;
+                tile.rows = std::min(rows - r0, sc::simd::kFeedbackTileRows);
+                sc::simd::kernels().addXnorTile(tile);
+                for (std::size_t c = 0; c < count; ++c) {
+                    sc::StreamMatrix &out = *slots[c].out;
+                    sc::simd::kernels().featureFeedback(
+                        {planes[c], tile.rowStride, sw, planes_, tile.rows,
+                         mBits_.data() + r0 / 64,
+                         ws[c]->stateBits.data() + r0 / 64, sliceStride_,
+                         out.row(r0) + w0, out.wordsPerRow(), end - begin,
+                         Policy::kRecurrence});
                 }
             }
+            return;
+        }
+
+        // Per-row drive: one-row tiles into each image's counter.
+        tile.rows = 1;
+        tile.planeStride = ws[0]->counts.wordCount();
+        for (std::size_t r = 0; r < rows; ++r) {
             for (std::size_t c = 0; c < count; ++c)
-                ws[c]->sumRow(r, wrows, n, sw);
+                planes[c] = ws[c]->counts.overwritePlanes();
+            tile.row0 = r;
+            sc::simd::kernels().addXnorTile(tile);
             if constexpr (Policy::kApproxCapable) {
                 if (policy_.approx) {
                     // The OR-pair overcount model pairs the products (not
@@ -706,11 +787,17 @@ class LinearScStage : public ScStage
                     for (std::size_t c = 0; c < count; ++c) {
                         ApproxPairOvercount &over = ws[c]->over;
                         over.reset();
-                        for (std::size_t p = 0; p < products; ++p)
-                            over.observeXnor(ws[c]->xrows[p], wrows[p], sw);
+                        for (std::size_t i = plan().begin(r);
+                             i < plan().end(r); ++i)
+                            over.observeXnor(
+                                inputs[c] + plan().xrow[i] * tile.inputStride,
+                                fs.weights.row(plan().weightRow(r, i)) + w0,
+                                sw);
                     }
                 }
             }
+            const int m = plan().m(r);
+            const int eff_m = plan().effM(r, Policy::kPadToOdd);
             for (std::size_t c = 0; c < count; ++c)
                 policy_.drive(*ws[c], r, m, eff_m, begin, end,
                               *slots[c].out);
@@ -720,10 +807,28 @@ class LinearScStage : public ScStage
   protected:
     /** The interned read-only compile product (possibly shared). */
     const FeatureStreams &streams() const { return shared_->streams; }
+    const OperandPlan &plan() const { return shared_->plan; }
 
     Gather gather_;
     std::shared_ptr<const StageShared> shared_;
     Policy policy_;
+
+  private:
+    bool tiled() const { return !mBits_.empty(); }
+    int
+    statePlanes() const
+    {
+        return Policy::kRecurrence == sc::simd::FeedbackRecurrence::Btanh
+                   ? planes_ + 1
+                   : planes_;
+    }
+
+    int maxCount_;
+    int planes_;
+    /** Tile path: bit-sliced m and initial state of every row. */
+    std::vector<std::uint64_t> mBits_;
+    std::vector<std::uint64_t> initialState_;
+    std::size_t sliceStride_ = 0;
 };
 
 } // namespace aqfpsc::core::stages

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <functional>
 #include <stdexcept>
 #include <string>
 
@@ -55,10 +56,11 @@ makeStreams(const std::vector<float> &weights,
 }
 
 /**
- * Produce (or intern) one weighted stage's immutable compile product.
- * Backends whose traits opt out of parameter streams get nullptr (the
- * whole graph is one backend, so the skipped draws cannot desynchronize
- * anything).
+ * Produce (or intern) one weighted stage's immutable compile product:
+ * its parameter streams and, for a linear stage, the operand plan
+ * @p make_plan compiles from its Gather.  Backends whose traits opt out
+ * of parameter streams get nullptr (the whole graph is one backend, so
+ * the skipped draws cannot desynchronize anything).
  *
  * The spec keys on the RNG state before generation; on a cache hit the
  * build never runs and the compiler RNG is fast-forwarded to the
@@ -71,7 +73,8 @@ internStageState(StageKind kind, const std::array<int, 7> &dims,
                  const std::string &backend, const ScEngineConfig &cfg,
                  sc::Xoshiro256StarStar &rng,
                  const std::vector<float> &weights,
-                 const std::vector<float> &biases, bool wanted)
+                 const std::vector<float> &biases, bool wanted,
+                 const std::function<OperandPlan()> &make_plan)
 {
     if (!wanted)
         return nullptr;
@@ -91,7 +94,9 @@ internStageState(StageKind kind, const std::array<int, 7> &dims,
         auto s = std::make_shared<StageShared>();
         s->streams = makeStreams(weights, biases, cfg, rng);
         s->rngStateAfter = rng.state();
-        s->bytes = featureStreamBytes(s->streams);
+        if (make_plan)
+            s->plan = make_plan();
+        s->bytes = featureStreamBytes(s->streams) + s->plan.bytes();
         return s;
     });
     rng.setState(shared->rngStateAfter);
@@ -312,7 +317,11 @@ compileNetworkUncached(const nn::Network &net, const ScEngineConfig &cfg)
                             g.kernel},
                            activationKind(net.layer(li + 1)), false,
                            backend, scfg, rng, conv->weights(),
-                           conv->biases(), want_streams),
+                           conv->biases(), want_streams,
+                           [&g] {
+                               return compileOperandPlan(
+                                   ConvWindowGather{g});
+                           }),
                        conv->weights(), conv->biases(),
                        activationKind(net.layer(li + 1)), false, scfg}));
             shape = io.out;
@@ -356,7 +365,7 @@ compileNetworkUncached(const nn::Network &net, const ScEngineConfig &cfg)
                            {g.inFeatures, g.outFeatures, 0, 0, 0, 0, 0},
                            FusedActivation::None, true, backend, scfg,
                            rng, chain->weights(), chain->biases(),
-                           want_streams),
+                           want_streams, nullptr),
                        chain->weights(), chain->biases(),
                        FusedActivation::None, true, scfg}));
             continue;
@@ -380,7 +389,11 @@ compileNetworkUncached(const nn::Network &net, const ScEngineConfig &cfg)
                 has_act ? StageKind::Dense : StageKind::Output,
                 {g.inFeatures, g.outFeatures, 0, 0, 0, 0, 0}, act, false,
                 backend, scfg, rng, fc->weights(), fc->biases(),
-                want_streams);
+                want_streams, [&g, has_act]() -> OperandPlan {
+                    if (!has_act)
+                        return {};
+                    return compileOperandPlan(DenseGather{g});
+                });
             if (has_act) {
                 if (!factories.dense)
                     throwIncomplete(backend, "dense");

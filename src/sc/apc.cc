@@ -5,9 +5,6 @@
 #include <cassert>
 #include <cmath>
 
-#include "simd/kernels_scalar.h"
-#include "simd/simd.h"
-
 namespace aqfpsc::sc {
 
 int
@@ -122,20 +119,11 @@ ColumnCounts::addXnor(const std::uint64_t *x, const std::uint64_t *w,
     }
 }
 
-void
-ColumnCounts::addXnorRow(const std::uint64_t *const xs[],
-                         const std::uint64_t *const ws[],
-                         std::size_t products, std::size_t word_count)
+std::uint64_t *
+ColumnCounts::overwritePlanes()
 {
-    // Spans (drivePrefix) may add fewer words than the full stream.
-    assert(word_count <= wordCount_);
-    assert(products <= static_cast<std::size_t>(maxCount_ - added_));
-    added_ += static_cast<int>(products);
-    const simd::PlaneSpan span{planes_.data(), wordCount_, planeCount_};
-    if (planeCount_ > simd::kMaxRowPlanes)
-        simd::detail::addXnorRowRipple(span, xs, ws, products, word_count);
-    else
-        simd::kernels().addXnorRow(span, xs, ws, products, word_count);
+    added_ = maxCount_;
+    return planes_.data();
 }
 
 int

@@ -76,7 +76,7 @@ class ApproximateParallelCounter
  *  - Reference path: addWords() every (pre-XNORed) product, then
  *    extract() the per-cycle counts into a std::vector<int>.  This is
  *    the golden implementation the fused kernels are tested against.
- *  - Fused path: addXnor()/addXnorRow() fold the bipolar XNOR multiply
+ *  - Fused path: addXnor() folds the bipolar XNOR multiply
  *    directly into the carry-save add (no product buffer), and
  *    drive()/forEachCount() walk the planes word-by-word to feed a
  *    bit-serial step function without materializing the count array.
@@ -112,19 +112,14 @@ class ColumnCounts
                  std::size_t word_count);
 
     /**
-     * Fused multiply-accumulate of a whole output row: add the XNOR
-     * products of rows xs[p] and ws[p], p in [0, @p products), over the
-     * first @p word_count words.  This is the inference hot path.  It
-     * runs one dispatched sc::simd row kernel per call, which sums the
-     * products through a carry-save adder tree with the planes held in
-     * registers (src/sc/simd/row_kernel.h); counters wider than
-     * sc::simd::kMaxRowPlanes planes take the scalar ripple instead.
-     * The planes hold exact binary counts, so the result is
-     * bit-identical to one addXnor() per product.
+     * The planes (plane k at planes + k * wordCount()), for a kernel
+     * that stores exact counts over a word prefix of every plane: the
+     * linear stages' per-row drive sums a row with
+     * sc::simd::KernelTable::addXnorTile into a one-row tile here.  The
+     * counter then reads those counts over that prefix (drivePrefix());
+     * every plane counts as written until the next clear().
      */
-    void addXnorRow(const std::uint64_t *const xs[],
-                    const std::uint64_t *const ws[], std::size_t products,
-                    std::size_t word_count);
+    std::uint64_t *overwritePlanes();
 
     /** Extract the count at cycle @p i. */
     int count(std::size_t i) const;

@@ -20,45 +20,22 @@ namespace aqfpsc::sc::simd {
 
 namespace {
 
-/** One packed word per lane: the row and feedback kernels in
- *  general-purpose registers. */
-struct WordLane
+/** One packed word per lane: the feedback kernel in a general-purpose
+ *  register. */
+struct WordLane : detail::GprLane
 {
-    using V = std::uint64_t;
-    static constexpr std::size_t kWidth = 1;
-
-    V load(const std::uint64_t *p) const { return *p; }
-    void store(std::uint64_t *p, V v) const { *p = v; }
-    static V zero() { return 0; }
     static V ones() { return ~0ULL; }
     static V broadcast(std::uint64_t x) { return x; }
-    static V xnor(V a, V b) { return ~(a ^ b); }
     static V bitNot(V a) { return ~a; }
-    static V bitAnd(V a, V b) { return a & b; }
     static V bitOr(V a, V b) { return a | b; }
-    static V bitXor(V a, V b) { return a ^ b; }
-    static V xor3(V a, V b, V c) { return a ^ b ^ c; }
     static V maj(V a, V b, V c) { return (a & b) | (c & (a | b)); }
     static V borrow(V a, V b, V c) { return maj(~a, b, c); }
     static V select(V m, V a, V b) { return (m & a) | (~m & b); }
     template <int S>
     static V
-    shiftLeft(V a)
-    {
-        return a << S;
-    }
-    template <int S>
-    static V
     shiftRight(V a)
     {
         return a >> S;
-    }
-    static void
-    csa(V &high, V &low, V b, V c)
-    {
-        const V u = low ^ b;
-        high = (low & b) | (u & c);
-        low = u ^ c;
     }
     V
     gather(const std::uint64_t *p, std::size_t /*stride*/,
@@ -75,13 +52,24 @@ struct WordLane
     }
 };
 
-void
-scalarAddXnorRow(const PlaneSpan &span, const std::uint64_t *const xs[],
-                 const std::uint64_t *const ws[], std::size_t products,
-                 std::size_t words)
+/** The tile kernel one word at a time. */
+template <int P>
+struct ScalarTile
 {
-    for (std::size_t wi = 0; wi < words; ++wi)
-        detail::addXnorRowGroup(WordLane{}, span, xs, ws, products, wi);
+    static void
+    run(const XnorTile &t)
+    {
+        detail::xnorTileRows<P, void>(t, [&t](auto &&sum) {
+            for (std::size_t wi = 0; wi < t.words; ++wi)
+                sum(detail::GprLane{}, wi);
+        });
+    }
+};
+
+void
+scalarAddXnorTile(const XnorTile &tile)
+{
+    detail::addXnorTileWith<ScalarTile>(tile, detail::addXnorTileRipple);
 }
 
 void
@@ -130,7 +118,7 @@ scalarLaneMuxSelects(XoshiroLanes &gen, std::uint64_t *const high[],
 
 constexpr KernelTable kScalarTable = {
     "scalar",
-    scalarAddXnorRow,
+    scalarAddXnorTile,
     scalarFeatureFeedback,
     scalarThresholdPack,
     scalarLaneSngFill,

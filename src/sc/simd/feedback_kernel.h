@@ -35,7 +35,7 @@
  * whatever the lane width: the kernel is bit-identical to the per-row
  * drive on every tier (tests/test_simd_kernels.cc).
  *
- * Beyond the row kernel's Lane operations (row_kernel.h), a Lane
+ * Beyond the tile kernel's Lane operations (row_kernel.h), a Lane
  * provides:
  *
  *   static constexpr std::size_t kWidth;           64-bit lanes per V

@@ -1,8 +1,10 @@
 /**
  * @file
- * AVX2 kernel table.  The row kernel (row_kernel.h) runs on 4-word
+ * AVX2 kernel table.  The tile kernel (row_kernel.h) runs on 4-word
  * (256-cycle) ymm lane groups; the 1-3 words left after the last full
- * group take one group masked with vpmaskmovq.  The feedback kernel
+ * group take general-purpose registers, one word at a time.  A span of
+ * 1-3 words sums 4 rows per ymm instead (vpgatherqq), and a lone row
+ * takes general-purpose registers.  The feedback kernel
  * (feedback_kernel.h) drives 4 x 64 rows per ymm group, gathering the
  * count planes with vpgatherqq; a tile of 64 rows or fewer takes the
  * scalar table's kernel.  AVX2 has no ternary logic, so each
@@ -159,40 +161,63 @@ struct YmmLane
         for (std::size_t j = 0; j < lanes; ++j)
             p[j * stride] = w[j];
     }
+    // Row lanes of the tile kernel (row_kernel.h).
+    struct Strided
+    {
+        Strided(std::size_t stride, std::size_t lanes)
+            : stride(stride), lanes(lanes),
+              offsets(_mm256_setr_epi64x(
+                  0, static_cast<long long>(stride),
+                  static_cast<long long>(2 * stride),
+                  static_cast<long long>(3 * stride))),
+              mask(_mm256_cmpgt_epi64(
+                  _mm256_set1_epi64x(static_cast<long long>(lanes)),
+                  _mm256_setr_epi64x(0, 1, 2, 3)))
+        {
+        }
+        V
+        gather(const std::uint64_t *p) const
+        {
+            return _mm256_mask_i64gather_epi64(
+                _mm256_setzero_si256(), reinterpret_cast<const long long *>(p),
+                offsets, mask, 8);
+        }
+        void
+        scatter(std::uint64_t *p, V v) const
+        {
+            YmmLane{}.scatter(p, stride, lanes, v);
+        }
+
+        std::size_t stride;
+        std::size_t lanes;
+        __m256i offsets;
+        __m256i mask;
+    };
 };
 
-/** The first 1-3 words of a ymm group, masked. */
-struct YmmPartLane : YmmLane
+/** The tile kernel on 4-word ymm groups; the 1-3 words left take
+ *  general-purpose registers.  Spans of 1-3 words sum up to 4 rows side
+ *  by side in a ymm (row lanes) instead. */
+template <int P>
+struct Avx2Tile
 {
-    __m256i mask; ///< all-ones in the lanes to load and store
-
-    V load(const std::uint64_t *p) const
+    static void
+    run(const XnorTile &t)
     {
-        return _mm256_maskload_epi64(reinterpret_cast<const long long *>(p),
-                                     mask);
-    }
-    void store(std::uint64_t *p, V v) const
-    {
-        _mm256_maskstore_epi64(reinterpret_cast<long long *>(p), mask, v);
+        detail::xnorTileRows<P, YmmLane>(t, [&t](auto &&sum) {
+            std::size_t wi = 0;
+            for (; t.words - wi >= 4; wi += 4)
+                sum(YmmLane{}, wi);
+            for (; wi < t.words; ++wi)
+                sum(detail::GprLane{}, wi);
+        });
     }
 };
 
 void
-addXnorRow(const PlaneSpan &span, const std::uint64_t *const xs[],
-           const std::uint64_t *const ws[], std::size_t products,
-           std::size_t words)
+addXnorTile(const XnorTile &tile)
 {
-    std::size_t wi = 0;
-    for (; words - wi >= 4; wi += 4)
-        detail::addXnorRowGroup(YmmLane{}, span, xs, ws, products, wi);
-    const std::size_t rest = words - wi;
-    if (rest > 0) {
-        const __m256i mask = _mm256_cmpgt_epi64(
-            _mm256_set1_epi64x(static_cast<long long>(rest)),
-            _mm256_setr_epi64x(0, 1, 2, 3));
-        detail::addXnorRowGroup(YmmPartLane{{}, mask}, span, xs, ws,
-                                products, wi);
-    }
+    detail::addXnorTileWith<Avx2Tile>(tile, scalarKernels()->addXnorTile);
 }
 
 void
@@ -258,7 +283,7 @@ laneMuxSelects(XoshiroLanes &gen, std::uint64_t *const high[],
 
 constexpr KernelTable kAvx2Table = {
     "avx2",
-    addXnorRow,
+    addXnorTile,
     featureFeedback,
     thresholdPack,
     laneSngFill,

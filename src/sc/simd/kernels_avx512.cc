@@ -1,11 +1,13 @@
 /**
  * @file
- * AVX-512 kernel table.  The row kernel (row_kernel.h) runs on 8-word
+ * AVX-512 kernel table.  The tile kernel (row_kernel.h) runs on 8-word
  * (512-cycle) zmm lane groups; the words left after the last full group
- * take one narrower or masked group: a plain ymm group for exactly 4
- * words (the whole row at N = 256), a masked ymm group for 1-3 and a
- * masked zmm group for 5-7.  Each carry-save adder is two ternary-logic
- * ops (majority and three-way XOR).  The feedback kernel
+ * take a plain ymm group for exactly 4 words (the whole row at
+ * N = 256), a masked zmm group for 5-7 and general-purpose registers
+ * for 1-3.  A span of only 1-3 words (a 64-cycle checkpoint block) sums
+ * 8 rows per zmm instead, with masked gathers and scatters, and a lone
+ * row takes general-purpose registers.  Each carry-save adder is two
+ * ternary-logic ops (majority and three-way XOR).  The feedback kernel
  * (feedback_kernel.h) drives up to 8 x 64 rows per zmm group, a tile of
  * at most 256 rows per ymm group and a tile of 64 rows or fewer through
  * the scalar table's kernel; masked gathers and scatters move the count
@@ -159,6 +161,29 @@ struct ZmmLane
                                      static_cast<__mmask8>((1u << lanes) - 1),
                                      laneOffsets(stride), v, 8);
     }
+    // Row lanes of the tile kernel (row_kernel.h).
+    struct Strided
+    {
+        Strided(std::size_t stride, std::size_t lanes)
+            : offsets(laneOffsets(stride)),
+              mask(static_cast<__mmask8>((1u << lanes) - 1))
+        {
+        }
+        V
+        gather(const std::uint64_t *p) const
+        {
+            return _mm512_mask_i64gather_epi64(_mm512_setzero_si512(), mask,
+                                               offsets, p, 8);
+        }
+        void
+        scatter(std::uint64_t *p, V v) const
+        {
+            _mm512_mask_i64scatter_epi64(p, mask, offsets, v, 8);
+        }
+
+        __m512i offsets;
+        __mmask8 mask;
+    };
 };
 
 /** The first 5-7 words of a zmm group, masked. */
@@ -293,39 +318,39 @@ struct YmmLane
     }
 };
 
-/** The first 1-3 words of a ymm group, masked. */
-struct YmmPartLane : YmmLane
+/** The tile kernel on 8-word zmm groups; the words left take a plain
+ *  ymm group (4), a masked zmm group (5-7) or general-purpose registers
+ *  (1-3).  Spans of only 1-3 words sum up to 8 rows side by side in a
+ *  zmm (row lanes), and a row that shares no list with its neighbours
+ *  takes general-purpose registers. */
+template <int P>
+struct Avx512Tile
 {
-    __mmask8 mask;
-
-    V load(const std::uint64_t *p) const
+    static void
+    run(const XnorTile &t)
     {
-        return _mm256_maskz_loadu_epi64(mask, p);
-    }
-    void store(std::uint64_t *p, V v) const
-    {
-        _mm256_mask_storeu_epi64(p, mask, v);
+        detail::xnorTileRows<P, ZmmLane>(t, [&t](auto &&sum) {
+            std::size_t wi = 0;
+            for (; t.words - wi >= 8; wi += 8)
+                sum(ZmmLane{}, wi);
+            const std::size_t rest = t.words - wi;
+            if (rest > 4) {
+                sum(ZmmPartLane{{}, static_cast<__mmask8>((1u << rest) - 1)},
+                    wi);
+            } else if (rest == 4) {
+                sum(YmmLane{}, wi);
+            } else {
+                for (; wi < t.words; ++wi)
+                    sum(detail::GprLane{}, wi);
+            }
+        });
     }
 };
 
 void
-addXnorRow(const PlaneSpan &span, const std::uint64_t *const xs[],
-           const std::uint64_t *const ws[], std::size_t products,
-           std::size_t words)
+addXnorTile(const XnorTile &tile)
 {
-    std::size_t wi = 0;
-    for (; words - wi >= 8; wi += 8)
-        detail::addXnorRowGroup(ZmmLane{}, span, xs, ws, products, wi);
-    const std::size_t rest = words - wi;
-    const auto mask = static_cast<__mmask8>((1u << rest) - 1);
-    if (rest > 4)
-        detail::addXnorRowGroup(ZmmPartLane{{}, mask}, span, xs, ws,
-                                products, wi);
-    else if (rest == 4)
-        detail::addXnorRowGroup(YmmLane{}, span, xs, ws, products, wi);
-    else if (rest > 0)
-        detail::addXnorRowGroup(YmmPartLane{{}, mask}, span, xs, ws,
-                                products, wi);
+    detail::addXnorTileWith<Avx512Tile>(tile, scalarKernels()->addXnorTile);
 }
 
 void
@@ -385,7 +410,7 @@ laneMuxSelects(XoshiroLanes &gen, std::uint64_t *const high[],
 
 constexpr KernelTable kAvx512Table = {
     "avx512",
-    addXnorRow,
+    addXnorTile,
     featureFeedback,
     thresholdPack,
     laneSngFill,

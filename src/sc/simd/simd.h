@@ -3,10 +3,11 @@
  * Runtime ISA dispatch for the SC kernel hot loops.
  *
  * Four loops dominate stream execution: the carry-save accumulation
- * of an output row's XNOR products (ColumnCounts::addXnorRow), the
- * feedback recurrence that turns a tile of rows' counts into output
- * streams (the AQFP sorter's Algorithm 1 or the CMOS Btanh counter,
- * feedback_kernel.h), the threshold compare of the SNG fill
+ * of a linear stage's XNOR products, a tile of rows for a whole cohort
+ * at a time (XnorTile), the feedback recurrence that turns a tile of
+ * rows' counts into output streams (the AQFP sorter's Algorithm 1 or
+ * the CMOS Btanh counter, feedback_kernel.h), the threshold compare of
+ * the SNG fill
  * (StreamMatrix::fillBipolar) and the xoshiro256** generators
  * themselves.  One generator's recurrence is serial, but a cohort's
  * input SNGs and a pool pixel's MUX selects use independent ones, so
@@ -26,15 +27,15 @@
  *    unless the running CPU advertises the feature.
  *  - Every kernel is bit-identical to the scalar reference: the
  *    carry-save planes hold exact binary counts, which do not depend on
- *    how the additions are grouped, so the row kernel's adder tree
- *    (row_kernel.h) stores the same planes as one ripple per product
- *    (kernels_scalar.h); the feedback kernel runs the integer
- *    recurrence of blocks::FeatureFeedbackUnit or of btanhStep with
- *    bit-sliced adders and comparators, one row per bit lane; the
- *    threshold compare performs the same unsigned compare per RNG
- *    word; the lane kernels apply the same xoshiro256** step to each
- *    lane's own state, so each generator draws the same words in the
- *    same order as Xoshiro256StarStar::nextWords (only different
+ *    how the additions are grouped or laid out in lanes, so the tile
+ *    kernel's adder tree (row_kernel.h) stores the same planes as one
+ *    ripple per product (kernels_scalar.h); the feedback kernel runs
+ *    the integer recurrence of blocks::FeatureFeedbackUnit or of
+ *    btanhStep with bit-sliced adders and comparators, one row per bit
+ *    lane; the threshold compare performs the same unsigned compare per
+ *    RNG word; the lane kernels apply the same xoshiro256** step to
+ *    each lane's own state, so each generator draws the same words in
+ *    the same order as Xoshiro256StarStar::nextWords (only different
  *    generators interleave).  tests/test_simd_kernels.cc pins this on
  *    every tier, and the golden score hashes pin it end to end.
  *
@@ -74,19 +75,73 @@ struct PlaneSpan
     int planeCount;
 };
 
-/** Most planes the row kernel keeps in registers (counts < 65536);
- *  ColumnCounts routes wider counters to the scalar ripple. */
+/** Most planes the tile kernel keeps in registers (counts < 65536);
+ *  wider counters take the scalar ripple (kernels_scalar.h). */
 inline constexpr int kMaxRowPlanes = 16;
 
 /**
- * Add the XNOR products ~(xs[p] ^ ws[p]), p in [0, products), into the
- * planes over words [0, words).  The planes must hold every resulting
- * count; span.planeCount is in [1, kMaxRowPlanes].
+ * The operand lists of a linear stage's rows, as the tile kernel reads
+ * them (a view of core::stages::OperandPlan).  Rows that differ only by
+ * group (output channel or neuron) share one list: row r is in group
+ * g = r / lists and reads list l = r % lists, whose products are the
+ * entries i in [first[l], first[l + 1]) of
+ *
+ *     ~(input row xrow[i] ^ weight row g * groupStride + wrow[i]).
+ *
+ * Each row then adds two constant products whose input is the all-ones
+ * stream, so they enter the count as they are: bias row g and, for a
+ * padded stage whose row count m = products + 1 is even, the neutral
+ * pad row.
+ *
+ * run[l] (>= 1) counts the lists from l on, up to the group's last,
+ * that are list l with every input row shifted by their distance from
+ * l (same weight rows): a run of conv pixels along an output row, which
+ * the kernel sums side by side.
  */
-using AddXnorRowFn = void (*)(const PlaneSpan &span,
-                              const std::uint64_t *const xs[],
-                              const std::uint64_t *const ws[],
-                              std::size_t products, std::size_t words);
+struct OperandLists
+{
+    const std::uint32_t *first; ///< lists + 1 offsets
+    const std::uint32_t *xrow;
+    const std::uint32_t *wrow;
+    const std::uint8_t *run;
+    std::size_t lists;
+    std::size_t groupStride;
+};
+
+/**
+ * Rows [row0, row0 + rows) of a linear stage, summed for each image of
+ * a cohort over one span of @c words words (words [0, words) of every
+ * operand pointer below, which the caller offsets to the span's first
+ * word).  Weight row i is at weights + i * paramStride, bias row g at
+ * bias + g * paramStride; image c's input row i at
+ * inputs[c] + i * inputStride.  Tile row t of image c gets count plane k,
+ * word w at planes[c][t * rowStride + k * planeStride + w]: the exact
+ * per-cycle count of its products, stored over whatever the planes
+ * held (rowStride = planeCount * words, planeStride = words is the
+ * span-compact FeedbackTile layout).
+ */
+struct XnorTile
+{
+    OperandLists ops;
+    std::size_t row0;
+    std::size_t rows;
+    bool padToOdd; ///< add the neutral row to rows of even m
+    const std::uint64_t *weights;
+    const std::uint64_t *bias;
+    const std::uint64_t *neutral;
+    std::size_t paramStride;
+    const std::uint64_t *const *inputs; ///< one per image
+    std::size_t inputStride;
+    std::uint64_t *const *planes; ///< one per image
+    std::size_t rowStride;
+    std::size_t planeStride;
+    std::size_t images;
+    std::size_t words;
+    int planeCount; ///< holds every row's count (any width)
+};
+
+/** Sum every row of @p tile for every image (see XnorTile). */
+using AddXnorTileFn = void (*)(const XnorTile &tile);
 
 /** Rows one feedback kernel call drives: 64 bit lanes times the 8
  *  words of the widest (AVX-512) register. */
@@ -199,7 +254,7 @@ using LaneMuxSelectsFn = void (*)(XoshiroLanes &gen,
 struct KernelTable
 {
     const char *name; ///< levelName() of the implementing tier.
-    AddXnorRowFn addXnorRow;
+    AddXnorTileFn addXnorTile;
     FeatureFeedbackFn featureFeedback;
     ThresholdPackFn thresholdPack;
     LaneSngFillFn laneSngFill;
@@ -209,7 +264,7 @@ struct KernelTable
 /** KernelTable's kernels in field order: the names variantSummary()
  *  stamps.  Keep in step with the struct (the size check below). */
 inline constexpr const char *kKernelNames[] = {
-    "addXnorRow", "featureFeedback", "thresholdPack", "laneSngFill",
+    "addXnorTile", "featureFeedback", "thresholdPack", "laneSngFill",
     "laneMuxSelects"};
 static_assert(sizeof(KernelTable) ==
                   sizeof(const char *) +

@@ -30,7 +30,7 @@
  * per ymm, and the scalar tier interleaves general-purpose registers
  * (GprLane below) in pairs.  Each tier instantiates the templates with
  * lane types of its own TU, so the instantiations carry only that TU's
- * arch flags (row_kernel.h).  Beyond the row kernel's load, store and
+ * arch flags (row_kernel.h).  Beyond the tile kernel's load, store and
  * zero, a Lane provides, per 64-bit lane:
  *
  *   static constexpr std::size_t kWidth;           64-bit lanes per V
@@ -242,8 +242,9 @@ laneMuxSelectsGroups(XoshiroLanes &gen, std::uint64_t *const high[],
     xoshiroGroups<Lane, G>(gen, first, cycles, sink);
 }
 
-/** One generator in a general-purpose register: the scalar tier's lane
- *  type and the vector tiers' one-lane path. */
+/** One word in a general-purpose register: the scalar tier's lane
+ *  type, the vector tiers' one-lane generator path and every tier's
+ *  tile kernel (row_kernel.h) on spans of 1-3 words. */
 struct GprLane
 {
     using V = std::uint64_t;
@@ -253,7 +254,16 @@ struct GprLane
     void store(std::uint64_t *p, V v) const { *p = v; }
     static V zero() { return 0; }
     static V add(V a, V b) { return a + b; }
+    static V xnor(V a, V b) { return ~(a ^ b); }
+    static V bitAnd(V a, V b) { return a & b; }
     static V bitXor(V a, V b) { return a ^ b; }
+    static void
+    csa(V &high, V &low, V b, V c)
+    {
+        const V u = low ^ b;
+        high = (low & b) | (u & c);
+        low = u ^ c;
+    }
     static V xor3(V a, V b, V c) { return a ^ b ^ c; }
     template <int S>
     static V

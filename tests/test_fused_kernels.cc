@@ -702,6 +702,27 @@ TEST(StageWorkspace, SteadyStateInferenceDoesNotAllocate)
             EXPECT_EQ(preds[c].scores.size(), 10u);
             EXPECT_EQ(adaptive[c].consumedCycles, 128u);
         }
+
+        // Batched predict() reuses its workers' workspaces across calls:
+        // a second call of the same size allocates only its results, the
+        // prediction vector and one score vector per image.
+        const std::vector<nn::Sample> batch = data::generateDigits(8, 9);
+        core::EvalOptions eval;
+        eval.threads = 1;
+        eval.cohort = 4;
+        const std::vector<core::ScPrediction> first =
+            long_engine.predict(batch, eval);
+        const std::size_t predict_before =
+            g_allocations.load(std::memory_order_relaxed);
+        const std::vector<core::ScPrediction> second =
+            long_engine.predict(batch, eval);
+        const std::size_t predict_after =
+            g_allocations.load(std::memory_order_relaxed);
+        EXPECT_LE(predict_after - predict_before, 1 + batch.size())
+            << backend;
+        ASSERT_EQ(second.size(), batch.size());
+        for (std::size_t i = 0; i < batch.size(); ++i)
+            EXPECT_EQ(second[i].scores, first[i].scores) << "image " << i;
     }
 }
 

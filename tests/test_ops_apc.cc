@@ -12,7 +12,10 @@
 
 #include "sc/apc.h"
 #include "sc/ops.h"
+#include "sc/rng.h"
+#include "sc/simd/simd.h"
 #include "sc/sng.h"
+#include "sc/stream_matrix.h"
 
 namespace aqfpsc::sc {
 namespace {
@@ -274,50 +277,71 @@ TEST(ColumnCounts, LazyClearHighWaterAcrossAlternatingReuses)
 }
 
 /**
- * The row entry point adds the same counts as one single-stream addXnor
- * per product, on top of what the counter already holds: a row whose
- * count crosses every Harley-Seal block size, added after an earlier
- * stream, over a ragged tail.  A counter too wide for the row kernel's
- * registers takes the scalar ripple and must agree too.
+ * A one-row tile of the dispatched tile kernel, stored into the
+ * counter's planes (the linear stages' per-row drive), reads back the
+ * same counts as one single-stream add per product: 31 products (every
+ * Harley-Seal block size), the bias and, for a padded row (m = 32 is
+ * even), the neutral row, over a ragged tail.  A counter too wide for
+ * the tile kernel's registers takes the scalar ripple and must agree
+ * too.
  */
-TEST(ColumnCounts, AddXnorRowMatchesSingleStreamForms)
+TEST(ColumnCounts, OneRowTileMatchesSingleStreamForms)
 {
     const std::size_t len = 130; // ragged tail
-    const std::size_t words = (len + 63) / 64;
+    const std::size_t products = 31; // 16 + 8 + 4 + 2 + 1
     Xoshiro256StarStar rng(99);
-
-    auto randomRow = [&] {
-        std::vector<std::uint64_t> r(words);
-        for (auto &w : r)
-            w = rng.nextWord();
-        return r;
+    auto randomMatrix = [&](std::size_t rows) {
+        StreamMatrix m(rows, len);
+        for (std::size_t r = 0; r < rows; ++r)
+            rng.nextWords(m.row(r), m.wordsPerRow());
+        return m;
     };
+    const StreamMatrix x = randomMatrix(products);
+    const StreamMatrix w = randomMatrix(products);
+    const StreamMatrix bias = randomMatrix(1);
+    const StreamMatrix neutral = randomMatrix(1);
+    const std::size_t words = x.wordsPerRow();
+    const std::uint32_t first[] = {0, static_cast<std::uint32_t>(products)};
+    const std::uint8_t run[] = {1};
+    std::vector<std::uint32_t> rows(products);
+    for (std::size_t p = 0; p < products; ++p)
+        rows[p] = static_cast<std::uint32_t>(p);
+
     for (const int max_count : {40, 70000}) {
-        SCOPED_TRACE("max_count=" + std::to_string(max_count));
-        const std::size_t products = 31; // 16 + 8 + 4 + 2 + 1
-        std::vector<std::vector<std::uint64_t>> xrows, wrows;
-        std::vector<const std::uint64_t *> xs, ws;
-        for (std::size_t p = 0; p < products; ++p) {
-            xrows.push_back(randomRow());
-            wrows.push_back(randomRow());
-        }
-        for (std::size_t p = 0; p < products; ++p) {
-            xs.push_back(xrows[p].data());
-            ws.push_back(wrows[p].data());
-        }
-        const std::vector<std::uint64_t> first = randomRow();
+        for (const bool pad : {false, true}) {
+            SCOPED_TRACE("max_count=" + std::to_string(max_count) +
+                         (pad ? " padded" : ""));
+            ColumnCounts single(len, max_count);
+            single.addWords(bias.row(0), words);
+            if (pad)
+                single.addWords(neutral.row(0), words);
+            for (std::size_t p = 0; p < products; ++p)
+                single.addXnor(x.row(p), w.row(p), words);
 
-        ColumnCounts row(len, max_count);
-        ColumnCounts single(len, max_count);
-        row.addWords(first.data(), words);
-        single.addWords(first.data(), words);
-        row.addXnorRow(xs.data(), ws.data(), products, words);
-        for (std::size_t p = 0; p < products; ++p)
-            single.addXnor(xs[p], ws[p], words);
-
-        EXPECT_EQ(row.added(), single.added());
-        for (std::size_t i = 0; i < len; ++i)
-            ASSERT_EQ(row.count(i), single.count(i)) << "cycle " << i;
+            ColumnCounts row(len, max_count);
+            row.addWords(x.row(0), words); // overwritten, not added to
+            const std::uint64_t *const inputs[] = {x.row(0)};
+            std::uint64_t *const planes[] = {row.overwritePlanes()};
+            simd::kernels().addXnorTile(
+                {{first, rows.data(), rows.data(), run, 1, products},
+                 0,
+                 1,
+                 pad,
+                 w.row(0),
+                 bias.row(0),
+                 neutral.row(0),
+                 words,
+                 inputs,
+                 words,
+                 planes,
+                 0,
+                 row.wordCount(),
+                 1,
+                 words,
+                 row.planeCount()});
+            for (std::size_t i = 0; i < len; ++i)
+                ASSERT_EQ(row.count(i), single.count(i)) << "cycle " << i;
+        }
     }
 }
 

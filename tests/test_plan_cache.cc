@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -26,6 +27,10 @@
 #include "core/model_zoo.h"
 #include "core/plan_cache.h"
 #include "core/session.h"
+#include "core/stages/aqfp_conv_stage.h"
+#include "core/stages/aqfp_dense_stage.h"
+#include "core/stages/cmos_conv_stage.h"
+#include "core/stages/cmos_dense_stage.h"
 #include "core/stages/stage.h"
 #include "core/stages/stage_compiler.h"
 #include "data/digits.h"
@@ -324,6 +329,128 @@ TEST(PlanCacheSharing, ModelsSharingALayerShareOneStageState)
 
     // Bit-identity survived the prefix hit.
     EXPECT_EQ(scoreHash(b.predict(samples)), golden_b);
+}
+
+/**
+ * Expect @p plan to list, for every row of @p gather, exactly the
+ * (input row, weight row) pairs gather.forEachProduct visits, in its
+ * order, with m = products + 1 and the bias row @p bias_row_of(r).
+ */
+template <typename Gather, typename BiasRowOf>
+void
+expectPlanListsGatherPairs(const stages::OperandPlan &plan,
+                           const Gather &gather, BiasRowOf bias_row_of)
+{
+    ASSERT_EQ(plan.rows(), gather.groups() * gather.rowsPerGroup());
+    std::vector<std::pair<std::size_t, std::size_t>> pairs;
+    for (std::size_t r = 0; r < plan.rows(); ++r) {
+        pairs.clear();
+        const int n = gather.forEachProduct(
+            r, [&](std::size_t xr, std::size_t wr) {
+                pairs.emplace_back(xr, wr);
+            });
+        ASSERT_EQ(plan.m(r), n + 1) << "row " << r;
+        ASSERT_EQ(plan.end(r) - plan.begin(r), pairs.size()) << "row " << r;
+        for (std::size_t i = plan.begin(r); i < plan.end(r); ++i) {
+            const auto &[xr, wr] = pairs[i - plan.begin(r)];
+            ASSERT_EQ(plan.xrow[i], xr) << "row " << r << " entry " << i;
+            ASSERT_EQ(plan.weightRow(r, i), wr)
+                << "row " << r << " entry " << i;
+        }
+        ASSERT_EQ(plan.biasRow(r), bias_row_of(r)) << "row " << r;
+    }
+}
+
+/**
+ * Every linear stage of every zoo model, on both sorter and APC
+ * backends, carries an operand plan that lists exactly the product
+ * pairs its Gather visits, in visit order (the order the CMOS
+ * approximate counter pairs them in), and the plan is counted in the
+ * stage's resident bytes.
+ */
+TEST(OperandPlan, ZooStagePlansListTheGatherPairsInOrder)
+{
+    for (const std::string &model : modelNames()) {
+        for (const char *backend : {"aqfp-sorter", "cmos-apc"}) {
+            SCOPED_TRACE(model + " " + backend);
+            ScEngineConfig cfg;
+            cfg.backendName = backend;
+            cfg.streamLen = 64;
+            const ScNetworkEngine engine(buildModel(model, 3), cfg);
+            std::size_t linear = 0;
+            for (std::size_t s = 0; s < engine.plan().stageCount(); ++s) {
+                const ScStage &stage = engine.plan().stage(s);
+                SCOPED_TRACE(stage.name());
+                const auto conv = [&](const auto *st) {
+                    const stages::ConvGeometry &g = st->gather().g;
+                    expectPlanListsGatherPairs(
+                        st->sharedState()->plan, st->gather(),
+                        [&g](std::size_t r) {
+                            return r / (static_cast<std::size_t>(g.outH) *
+                                        g.outW);
+                        });
+                };
+                const auto dense = [&](const auto *st) {
+                    expectPlanListsGatherPairs(st->sharedState()->plan,
+                                               st->gather(),
+                                               [](std::size_t r) { return r; });
+                };
+                if (const auto *st =
+                        dynamic_cast<const stages::AqfpConvStage *>(&stage))
+                    conv(st);
+                else if (const auto *st = dynamic_cast<
+                             const stages::CmosConvStage *>(&stage))
+                    conv(st);
+                else if (const auto *st = dynamic_cast<
+                             const stages::AqfpDenseStage *>(&stage))
+                    dense(st);
+                else if (const auto *st = dynamic_cast<
+                             const stages::CmosDenseStage *>(&stage))
+                    dense(st);
+                else
+                    continue;
+                ++linear;
+                const stages::StageShared &shared = *stage.sharedState();
+                EXPECT_EQ(shared.bytes,
+                          stages::featureStreamBytes(shared.streams) +
+                              shared.plan.bytes());
+                if (HasFatalFailure())
+                    return;
+            }
+            EXPECT_GT(linear, 0u);
+        }
+    }
+}
+
+/** A plan-level hit and a stage-level hit both hand back the operand
+ *  plan of the first compile, not a copy. */
+TEST(PlanCacheSharing, HitsShareTheOperandPlan)
+{
+    if (!PlanCache::instance().enabled())
+        GTEST_SKIP() << "plan cache disabled via environment";
+    CacheGuard guard;
+    const EngineOptions opts = makeOptions("aqfp-sorter", 128);
+    const InferenceSession a(buildTinyCnn(3), opts);
+    const InferenceSession b(buildTinyCnn(3), opts);
+    nn::Network perturbed = buildTinyCnn(3);
+    (*perturbed.layer(perturbed.layerCount() - 1).params()[0])[0] += 0.25f;
+    const InferenceSession c(std::move(perturbed), opts);
+    EXPECT_EQ(&a.engine().plan(), &b.engine().plan());
+    EXPECT_NE(&a.engine().plan(), &c.engine().plan());
+    std::size_t plans = 0;
+    for (std::size_t s = 0; s < a.engine().plan().stageCount(); ++s) {
+        const stages::StageShared *shared =
+            a.engine().plan().stage(s).sharedState();
+        if (shared == nullptr || shared->plan.rows() == 0)
+            continue;
+        ++plans;
+        EXPECT_EQ(shared->plan.rows(),
+                  a.engine().plan().stage(s).footprint().outputRows);
+        EXPECT_EQ(&c.engine().plan().stage(s).sharedState()->plan,
+                  &shared->plan)
+            << "stage " << s << ": the stage-level hit copied the plan";
+    }
+    EXPECT_EQ(plans, 2u) << "tiny's conv and hidden dense";
 }
 
 /** ServingFrontend regression: identical (model, backend) pairs compile

@@ -9,13 +9,14 @@
  * every tier's kernels must reproduce the scalar references exactly on
  * every input.  Coverage:
  *
- *  - the row kernel of every tier this host can run (not only the
- *    detected one), swept over plane counts 1-12, word counts
- *    {1,2,3,4,5,8,9,16,17} and product counts {0,1,15,16,17,31,33,max}
- *    (max also with all-ones products) against the one-ripple-per-
- *    product reference, on planes that already hold counts and whose
- *    stride is wider than the words added (the words past them must
- *    stay untouched);
+ *  - the tile kernel of every tier this host can run (not only the
+ *    detected one) against the one-ripple-per-product reference:
+ *    plane counts 1-17, spans {1,2,3,4,5,8,9,16} at a nonzero word
+ *    offset, lists of 0 to 70 products, dense and run plans, tiles of
+ *    1 to 512 rows, cohorts of 1-9 and conv border windows; every
+ *    plane count 1-16 at its full capacity (2^P - 1, all-ones and
+ *    random operands), on word lanes and, for 1-12, row lanes; every
+ *    word around the span must keep its sentinel;
  *  - the feedback kernel of every tier against one FeatureFeedbackUnit
  *    per row (every odd M up to 63 and five wide ones) and one
  *    btanhStep per row (every m up to 64 and five wide ones): mixed m
@@ -56,12 +57,17 @@
 #include "baseline/sc_dcnn.h"
 #include "blocks/feedback_unit.h"
 #include "core/model_zoo.h"
+#include "core/sc_engine.h"
 #include "core/session.h"
+#include "core/workspace.h"
 #include "core/stages/aqfp_dense_stage.h"
 #include "core/stages/cmos_conv_stage.h"
 #include "core/stages/cmos_dense_stage.h"
 #include "core/stages/cmos_pool_stage.h"
+#include "core/stages/stage_common.h"
 #include "data/digits.h"
+#include "nn/layers.h"
+#include "nn/network.h"
 #include "sc/apc.h"
 #include "sc/rng.h"
 #include "sc/simd/kernels_scalar.h"
@@ -114,73 +120,340 @@ tableOf(Level level)
     return *sc::simd::scalarKernels();
 }
 
-TEST(SimdKernels, RowKernelMatchesRippleReferenceOnEveryTier)
+/** Operands of the tile kernel cases: per-image inputs, the weight,
+ *  bias and neutral rows, all kTileWords words wide. */
+struct TileOperands
 {
-    constexpr std::size_t kMaxWords = 17;
-    constexpr std::size_t kPool = 4096; // >= the largest product count
-    constexpr std::size_t kPad = 2;     // plane words past the span
+    static constexpr std::size_t kTileWords = 20;
+
+    std::vector<sc::StreamMatrix> inputs;
+    sc::StreamMatrix weights, bias, neutral;
+
+    /** Random rows; with @p saturate every row is all ones, so each
+     *  column counts up to the row's m exactly. */
+    TileOperands(std::size_t images, std::size_t in_rows,
+                 std::size_t weight_rows, std::size_t groups, bool saturate,
+                 sc::Xoshiro256StarStar &rng)
+        : weights(make(weight_rows, saturate, rng)),
+          bias(make(groups, saturate, rng)), neutral(make(1, saturate, rng))
+    {
+        for (std::size_t c = 0; c < images; ++c)
+            inputs.push_back(make(in_rows, saturate, rng));
+    }
+
+    static sc::StreamMatrix
+    make(std::size_t rows, bool saturate, sc::Xoshiro256StarStar &rng)
+    {
+        sc::StreamMatrix m(rows, 64 * kTileWords);
+        for (std::size_t r = 0; r < rows; ++r) {
+            if (saturate)
+                std::fill_n(m.row(r), kTileWords, ~0ULL);
+            else
+                rng.nextWords(m.row(r), kTileWords);
+        }
+        return m;
+    }
+};
+
+/**
+ * Tile rows [row0, row0 + rows) of @p plan for the first @p images
+ * images over @p span words starting at word 3, on every tier, against
+ * one ripple per product (addXnorRowRipple) into zeroed planes.  The
+ * planes are laid out with gaps (plane stride span + 2, row stride one
+ * word more than the planes), and every word outside the span, pre-set
+ * to a sentinel, must survive.
+ */
+void
+expectTileMatchesRipple(const core::stages::OperandPlan &plan, bool pad,
+                        int planes, std::size_t span, std::size_t row0,
+                        std::size_t rows, std::size_t images,
+                        const TileOperands &ops)
+{
+    SCOPED_TRACE("planes=" + std::to_string(planes) + " span=" +
+                 std::to_string(span) + " rows=[" + std::to_string(row0) +
+                 ", " + std::to_string(row0 + rows) + ") images=" +
+                 std::to_string(images) + (pad ? " padded" : ""));
+    constexpr std::size_t kW0 = 3;
     constexpr std::uint64_t kSentinel = 0x5A5A5A5A5A5A5A5AULL;
+    const std::size_t plane_stride = span + 2;
+    const std::size_t row_stride =
+        static_cast<std::size_t>(planes) * plane_stride + 1;
+    const std::vector<std::uint64_t> ones(span, ~0ULL);
+    const std::size_t x_stride = TileOperands::kTileWords;
+
+    std::vector<std::vector<std::uint64_t>> ref(
+        images, std::vector<std::uint64_t>(rows * row_stride, kSentinel));
+    for (std::size_t c = 0; c < images; ++c) {
+        for (std::size_t t = 0; t < rows; ++t) {
+            const std::size_t r = row0 + t;
+            const sc::simd::PlaneSpan dst{&ref[c][t * row_stride],
+                                          plane_stride, planes};
+            for (int k = 0; k < planes; ++k)
+                std::fill_n(dst.planes + static_cast<std::size_t>(k) *
+                                             plane_stride,
+                            span, 0);
+            std::vector<const std::uint64_t *> xs{ones.data()};
+            std::vector<const std::uint64_t *> ws{
+                ops.bias.row(plan.biasRow(r)) + kW0};
+            if (plan.effM(r, pad) != plan.m(r)) {
+                xs.push_back(ones.data());
+                ws.push_back(ops.neutral.row(0) + kW0);
+            }
+            for (std::size_t i = plan.begin(r); i < plan.end(r); ++i) {
+                xs.push_back(ops.inputs[c].row(plan.xrow[i]) + kW0);
+                ws.push_back(ops.weights.row(plan.weightRow(r, i)) + kW0);
+            }
+            sc::simd::detail::addXnorRowRipple(dst, xs.data(), ws.data(),
+                                               xs.size(), span);
+        }
+    }
+
+    const std::uint64_t *inputs[9];
+    for (std::size_t c = 0; c < images; ++c)
+        inputs[c] = ops.inputs[c].row(0) + kW0;
+    for (const Level level : runnableLevels()) {
+        SCOPED_TRACE(sc::simd::levelName(level));
+        std::vector<std::vector<std::uint64_t>> got(
+            images, std::vector<std::uint64_t>(rows * row_stride, kSentinel));
+        std::uint64_t *dst[9];
+        for (std::size_t c = 0; c < images; ++c)
+            dst[c] = got[c].data();
+        tableOf(level).addXnorTile({plan.view(),
+                                    row0,
+                                    rows,
+                                    pad,
+                                    ops.weights.row(0) + kW0,
+                                    ops.bias.row(0) + kW0,
+                                    ops.neutral.row(0) + kW0,
+                                    ops.weights.wordsPerRow(),
+                                    inputs,
+                                    x_stride,
+                                    dst,
+                                    row_stride,
+                                    plane_stride,
+                                    images,
+                                    span,
+                                    planes});
+        for (std::size_t c = 0; c < images; ++c)
+            ASSERT_EQ(got[c], ref[c]) << "image " << c;
+    }
+}
+
+/**
+ * A plan of @p groups groups whose lists gather counts[l] products
+ * each, over random input rows in [0, in_rows - 16) and random weight
+ * rows in [0, group_stride) of the list's group.  A list of as many
+ * products as the one before it is, three times in four, that list one
+ * input row on, so the plan has runs of conv-like pixels; one time in
+ * two of those it keeps the shift but draws its own weight rows, which
+ * breaks the run.
+ */
+core::stages::OperandPlan
+randomPlan(std::size_t groups, const std::vector<std::size_t> &counts,
+           std::size_t in_rows, std::size_t group_stride,
+           sc::Xoshiro256StarStar &rng)
+{
+    core::stages::OperandPlan plan;
+    plan.groups = groups;
+    plan.lists = counts.size();
+    plan.groupStride = group_stride;
+    plan.first.push_back(0);
+    for (std::size_t l = 0; l < counts.size(); ++l) {
+        const std::size_t n = counts[l];
+        const bool shift = l > 0 && counts[l - 1] == n && rng.nextBits(2) != 0;
+        const bool same_weights = shift && rng.nextBits(1) != 0;
+        const std::size_t prev = plan.xrow.size() - (shift ? n : 0);
+        for (std::size_t i = 0; i < n; ++i) {
+            plan.xrow.push_back(
+                shift ? plan.xrow[prev + i] + 1
+                      : static_cast<std::uint32_t>(rng.nextWord() %
+                                                   (in_rows - 16)));
+            plan.wrow.push_back(
+                same_weights ? plan.wrow[prev + i]
+                             : static_cast<std::uint32_t>(rng.nextWord() %
+                                                          group_stride));
+        }
+        plan.first.push_back(static_cast<std::uint32_t>(plan.xrow.size()));
+    }
+    plan.findRuns();
+    return plan;
+}
+
+/**
+ * @p lists lists of @p n random products, each list the one before it
+ * one input row on with the same weight rows: one run of conv pixels
+ * (lists <= 16, so the shifted input rows stay in [0, in_rows)).
+ */
+core::stages::OperandPlan
+runPlan(std::size_t lists, std::size_t n, std::size_t in_rows,
+        std::size_t group_stride, sc::Xoshiro256StarStar &rng)
+{
+    core::stages::OperandPlan plan =
+        randomPlan(1, {n}, in_rows, group_stride, rng);
+    plan.lists = lists;
+    for (std::size_t l = 1; l < lists; ++l) {
+        for (std::size_t i = 0; i < n; ++i) {
+            plan.xrow.push_back(plan.xrow[i] + static_cast<std::uint32_t>(l));
+            plan.wrow.push_back(plan.wrow[i]);
+        }
+        plan.first.push_back(static_cast<std::uint32_t>(plan.xrow.size()));
+    }
+    plan.findRuns();
+    return plan;
+}
+
+/**
+ * The tile kernel of every tier this host can run (not only the
+ * detected one) against the one-ripple-per-product reference:
+ *
+ *  - plane counts 1-12 (the feedback tile), 13-16 (the per-row drive
+ *    of wider counters) and 17 (past the registers: the scalar
+ *    ripple), with lists of 0, 1, 2, 3, 7, 15, 16, 17, 31, 33 and the
+ *    most products the planes hold (bias and pad included) up to 70,
+ *    also with all-ones operands so every column reaches that count,
+ *    padded and not, over spans of 1, 2, 3, 4, 5, 8, 9 and 16 words at
+ *    a nonzero word offset; each as a plan whose lists form runs (row
+ *    lanes of conv pixels on narrow spans) and as a dense plan of 70
+ *    groups of one list (row lanes of neurons, a partial last lane
+ *    group);
+ *  - tiles of 1, 63, 64, 65 and 512 rows for cohorts of 1-9 images;
+ *  - a conv plan, whose border windows mix product counts and break
+ *    the runs of a tile.
+ *
+ * The 70-product cap keeps these many-row plans cheap for the ripple
+ * reference; TileKernelCarriesIntoEveryPlaneOnEveryTier fills every
+ * plane count to its capacity.
+ */
+TEST(SimdKernels, TileKernelMatchesRippleReferenceOnEveryTier)
+{
     sc::Xoshiro256StarStar rng(20261017);
-    std::vector<std::uint64_t> xpool(kPool * kMaxWords);
-    std::vector<std::uint64_t> wpool(kPool * kMaxWords);
-    rng.nextWords(xpool.data(), xpool.size());
-    rng.nextWords(wpool.data(), wpool.size());
+    const std::size_t spans[] = {1, 2, 3, 4, 5, 8, 9, 16};
+    constexpr std::size_t kInRows = 97;
+    constexpr std::size_t kGroupStride = 61;
 
-    const std::size_t word_counts[] = {1, 2, 3, 4, 5, 8, 9, 16, 17};
-    const std::vector<Level> levels = runnableLevels();
-    std::size_t salt = 0;
-    for (int planes = 1; planes <= 12; ++planes) {
-        const std::size_t max = (std::size_t{1} << planes) - 1;
-        // (products, x == w): with x == w every product is all ones, so
-        // every column counts up to max exactly.
-        const std::pair<std::size_t, bool> cases[] = {
-            {0, false},  {1, false},  {15, false},  {16, false}, {17, false},
-            {31, false}, {33, false}, {max, false}, {max, true}};
-        for (const std::size_t words : word_counts) {
-            for (const auto &[n, saturate] : cases) {
-                if (n > max)
-                    continue;
-                SCOPED_TRACE("planes=" + std::to_string(planes) +
-                             " words=" + std::to_string(words) +
-                             " products=" + std::to_string(n) +
-                             (saturate ? " all-ones" : ""));
-                // Operands: rows of the pools, shifted per case.
-                ++salt;
-                std::vector<const std::uint64_t *> xs, ws;
-                for (std::size_t p = 0; p < n; ++p) {
-                    xs.push_back(&xpool[(p + salt) % kPool * kMaxWords]);
-                    ws.push_back(saturate ? xs.back()
-                                          : &wpool[(p * 7 + salt) % kPool *
-                                                   kMaxWords]);
+    for (int planes = 1; planes <= 17; ++planes) {
+        // Bias + pad + products fit the planes; lists stay small enough
+        // for the ripple reference.
+        const std::size_t max_n =
+            planes == 1 ? 0
+                        : std::min<std::size_t>((std::size_t{1} << planes) - 3,
+                                                70);
+        std::vector<std::size_t> counts;
+        for (const std::size_t n : {0, 1, 2, 3, 7, 15, 16, 17, 31, 33})
+            if (n <= max_n)
+                counts.insert(counts.end(), 3, n);
+        counts.insert(counts.end(), 3, max_n);
+        for (const bool saturate : {false, true}) {
+            const core::stages::OperandPlan plan =
+                saturate ? randomPlan(3, counts, kInRows, kGroupStride, rng)
+                         : randomPlan(7, counts, kInRows, kGroupStride, rng);
+            const core::stages::OperandPlan dense =
+                randomPlan(70, {max_n}, kInRows, kGroupStride, rng);
+            const TileOperands ops(3, kInRows, 70 * kGroupStride, 70,
+                                   saturate, rng);
+            for (const std::size_t span : spans) {
+                for (const bool pad : {false, true}) {
+                    expectTileMatchesRipple(plan, pad, planes, span, 2,
+                                            plan.rows() - 2, 3, ops);
+                    expectTileMatchesRipple(dense, pad, planes, span, 1, 69,
+                                            3, ops);
                 }
-                // Planes that already hold counts (up to two streams,
-                // within the capacity) and sentinels past the span.
-                const std::size_t stride = words + kPad;
-                std::vector<std::uint64_t> start(
-                    static_cast<std::size_t>(planes) * stride, kSentinel);
-                for (std::size_t k = 0; k < static_cast<std::size_t>(planes);
-                     ++k)
-                    std::fill_n(&start[k * stride], words, 0);
-                const std::uint64_t *const pre_xs[] = {&xpool[0],
-                                                       &xpool[kMaxWords]};
-                const std::uint64_t *const pre_ws[] = {&wpool[0],
-                                                       &wpool[kMaxWords]};
-                sc::simd::detail::addXnorRowRipple(
-                    {start.data(), stride, planes}, pre_xs, pre_ws,
-                    std::min<std::size_t>(2, max - n), words);
+                if (HasFatalFailure())
+                    return;
+            }
+        }
+    }
 
-                std::vector<std::uint64_t> ref = start;
-                sc::simd::detail::addXnorRowRipple(
-                    {ref.data(), stride, planes}, xs.data(), ws.data(), n,
-                    words);
-                for (const Level level : levels) {
-                    SCOPED_TRACE(sc::simd::levelName(level));
-                    std::vector<std::uint64_t> got = start;
-                    tableOf(level).addXnorRow({got.data(), stride, planes},
-                                              xs.data(), ws.data(), n,
-                                              words);
-                    ASSERT_EQ(got, ref);
+    // Tile sizes and cohorts at 5 planes.
+    {
+        const core::stages::OperandPlan plan = randomPlan(
+            23, {3, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 0, 17, 12, 29, 29,
+                 29, 1, 6, 20, 9},
+            kInRows, kGroupStride, rng);
+        const TileOperands ops(9, kInRows, 23 * kGroupStride, 23, false,
+                               rng);
+        for (const std::size_t rows : {1, 63, 64, 65, 512}) {
+            for (std::size_t images = 1; images <= 9; ++images) {
+                for (const std::size_t span : {1, 9})
+                    expectTileMatchesRipple(plan, true, 5, span,
+                                            plan.rows() - rows, rows,
+                                            images, ops);
+                if (HasFatalFailure())
+                    return;
+            }
+        }
+    }
+
+    // Conv border windows: 3x3 over 2 x 12 x 12 gathers 8 to 18
+    // products per row, the whole 576-row plan in two tiles.
+    core::stages::ConvGeometry g;
+    g.inC = 2;
+    g.inH = g.inW = g.outH = g.outW = 12;
+    g.outC = 4;
+    g.kernel = 3;
+    const core::stages::OperandPlan conv =
+        core::stages::compileOperandPlan(core::stages::ConvWindowGather{g});
+    const TileOperands ops(9, 2 * 144, 4 * 18, 4, false, rng);
+    for (const std::size_t images : {1, 4, 9})
+        for (const std::size_t span : spans)
+            for (const bool pad : {false, true}) {
+                expectTileMatchesRipple(conv, pad, 5, span, 0, 512, images,
+                                        ops);
+                expectTileMatchesRipple(conv, pad, 5, span, 512, 64, images,
+                                        ops);
+            }
+}
+
+/**
+ * Every plane count the registers hold (P = 1-16) at its capacity: rows
+ * of 2^P - 1 counted products, the bias and (in the padded cases) the
+ * neutral pad included, so with all-ones operands every column carries
+ * into every plane; with random ones the high planes take the binomial
+ * counts.  Each P runs a one-row plan over spans of 1, 3, 4, 9 and 16
+ * words (word lanes, and general-purpose registers for a lone row), and
+ * each P a feedback tile can have (1-12) also runs row-lane plans over
+ * spans of 1-3 words: 11 dense groups (a full lane group and a partial
+ * one) and a run of 10 conv pixels.  Two images per tile.
+ */
+TEST(SimdKernels, TileKernelCarriesIntoEveryPlaneOnEveryTier)
+{
+    sc::Xoshiro256StarStar rng(20261018);
+    constexpr std::size_t kInRows = 97;
+    constexpr std::size_t kGroupStride = 61;
+    constexpr std::size_t kDenseGroups = 11;
+
+    for (int planes = 1; planes <= sc::simd::kMaxRowPlanes; ++planes) {
+        const std::size_t capacity = (std::size_t{1} << planes) - 1;
+        for (const bool saturate : {false, true}) {
+            const TileOperands ops(2, kInRows, kDenseGroups * kGroupStride,
+                                   kDenseGroups, saturate, rng);
+            for (const bool pad : {false, true}) {
+                // Unpadded: n = 2^P - 2, so m = n + 1 = 2^P - 1 is odd.
+                // Padded: n = 2^P - 3 is odd, m is even and the pad adds
+                // the last product.  A one-plane row holds the bias
+                // alone.
+                const std::size_t n =
+                    planes == 1 ? 0 : capacity - (pad ? 2 : 1);
+                const core::stages::OperandPlan one =
+                    randomPlan(1, {n}, kInRows, kGroupStride, rng);
+                ASSERT_EQ(one.effM(0, pad), static_cast<int>(capacity));
+                for (const std::size_t span : {1, 3, 4, 9, 16})
+                    expectTileMatchesRipple(one, pad, planes, span, 0, 1, 2,
+                                            ops);
+                if (planes <= sc::simd::kMaxFeedbackPlanes) {
+                    const core::stages::OperandPlan dense = randomPlan(
+                        kDenseGroups, {n}, kInRows, kGroupStride, rng);
+                    const core::stages::OperandPlan run =
+                        runPlan(10, n, kInRows, kGroupStride, rng);
+                    for (const std::size_t span : {1, 2, 3}) {
+                        expectTileMatchesRipple(dense, pad, planes, span, 0,
+                                                dense.rows(), 2, ops);
+                        expectTileMatchesRipple(run, pad, planes, span, 0,
+                                                run.rows(), 2, ops);
+                    }
                 }
+                if (HasFatalFailure())
+                    return;
             }
         }
     }
@@ -538,12 +811,15 @@ expectStageMatches(const core::ScStage &stage, const sc::StreamMatrix &x,
     }
 }
 
-/** Parameter streams of a weighted stage: @p weights x @p biases rows. */
+/** Parameter streams of a weighted stage (@p weights x @p biases rows)
+ *  and the operand plan of @p gather. */
+template <typename Gather>
 std::shared_ptr<core::stages::StageShared>
-randomShared(std::size_t weights, std::size_t biases, std::size_t len,
-             sc::Xoshiro256StarStar &rng)
+randomShared(const Gather &gather, std::size_t weights, std::size_t biases,
+             std::size_t len, sc::Xoshiro256StarStar &rng)
 {
     auto shared = std::make_shared<core::stages::StageShared>();
+    shared->plan = core::stages::compileOperandPlan(gather);
     shared->streams.weights = randomStreams(weights, len, rng);
     shared->streams.biases = randomStreams(biases, len, rng);
     shared->streams.neutral = sc::StreamMatrix(1, len);
@@ -575,7 +851,8 @@ TEST(SimdKernels, CmosLinearStagesMatchPerRowBtanh)
         const auto in_rows = static_cast<std::size_t>(in);
         const auto out_rows = static_cast<std::size_t>(out);
         const auto shared =
-            randomShared(out_rows * in_rows, out_rows, len, rng);
+            randomShared(core::stages::DenseGather{{in, out}},
+                         out_rows * in_rows, out_rows, len, rng);
         const core::stages::FeatureStreams &fs = shared->streams;
         const sc::StreamMatrix x = randomStreams(in_rows, len, rng);
         sc::StreamMatrix expect(out_rows, len);
@@ -601,8 +878,10 @@ TEST(SimdKernels, CmosLinearStagesMatchPerRowBtanh)
         g.outC = 4;
         g.kernel = 3;
         const std::size_t plane = 12 * 12;
-        const auto shared = randomShared(
-            static_cast<std::size_t>(g.outC * g.inC * 9), 4, len, rng);
+        const auto shared =
+            randomShared(core::stages::ConvWindowGather{g},
+                         static_cast<std::size_t>(g.outC * g.inC * 9), 4,
+                         len, rng);
         const core::stages::FeatureStreams &fs = shared->streams;
         const sc::StreamMatrix x = randomStreams(2 * plane, len, rng);
         sc::StreamMatrix expect(4 * plane, len);
@@ -728,7 +1007,8 @@ TEST(SimdKernels, SorterDenseStageMatchesPerRowUnits)
         const auto in_rows = static_cast<std::size_t>(in);
         const auto out_rows = static_cast<std::size_t>(out);
         const auto shared =
-            randomShared(out_rows * in_rows, out_rows, len, rng);
+            randomShared(core::stages::DenseGather{{in, out}},
+                         out_rows * in_rows, out_rows, len, rng);
         const core::stages::FeatureStreams &fs = shared->streams;
         const sc::StreamMatrix x = randomStreams(in_rows, len, rng);
 
@@ -1130,7 +1410,7 @@ TEST(SimdKernels, DispatchInvariants)
     // The report stamp names every table kernel once, as the active tier.
     const std::string tier = sc::simd::kernels().name;
     EXPECT_EQ(sc::simd::variantSummary(),
-              "addXnorRow=" + tier + " featureFeedback=" + tier +
+              "addXnorTile=" + tier + " featureFeedback=" + tier +
                   " thresholdPack=" + tier + " laneSngFill=" + tier +
                   " laneMuxSelects=" + tier);
 }
@@ -1251,6 +1531,87 @@ TEST(SimdKernels, AdaptiveCheckpointSpansHashMatchOnEveryTier)
         }
         return h ^ scoreHash(preds);
     });
+}
+
+/**
+ * Checkpoint blocks of any size are the one-block run, on every tier:
+ * a narrow tiny under neverExit(C) for C in {64, 128, 192, 320} (a
+ * block of one word, of two, of three, and one that ends mid-stream)
+ * equals neverExit() (one block of N cycles) bit for bit, at N = 576 (a
+ * 9-word stream) and N = 100 (a partial second word), for cohorts of 1,
+ * 5 and 9, on aqfp-sorter, cmos-apc and cmos-apc with the approximate
+ * counter (the per-row drive).  The one-block runs agree across tiers
+ * too.
+ */
+TEST(SimdKernels, CheckpointBlocksMatchOneBlockOnEveryTier)
+{
+    const auto samples = data::generateDigits(9, 81);
+    // tiny's layer pattern at a quarter of its width (2 conv channels,
+    // FC16): the same stage kinds, tile shapes and border windows.
+    nn::Network net;
+    net.add(std::make_unique<nn::Conv2D>(1, 2, 3, 14));
+    net.add(std::make_unique<nn::SorterTanh>());
+    net.add(std::make_unique<nn::AvgPool2>());
+    net.add(std::make_unique<nn::AvgPool2>());
+    net.add(std::make_unique<nn::Dense>(7 * 7 * 2, 16, 25));
+    net.add(std::make_unique<nn::SorterTanh>());
+    net.add(std::make_unique<nn::MajorityChainDense>(16, 10, 36));
+    const nn::Tensor *images[9];
+    std::size_t indices[9];
+    for (std::size_t c = 0; c < 9; ++c) {
+        images[c] = &samples[c].image;
+        indices[c] = c;
+    }
+    for (const auto &[backend, approx] :
+         {std::pair{"aqfp-sorter", false}, std::pair{"cmos-apc", false},
+          std::pair{"cmos-apc", true}}) {
+        for (const std::size_t len : {std::size_t{576}, std::size_t{100}}) {
+            SCOPED_TRACE(std::string(backend) + (approx ? " approx" : "") +
+                         " N=" + std::to_string(len));
+            std::vector<std::vector<double>> scalar_scores;
+            for (const Level level : runnableLevels()) {
+                SCOPED_TRACE(sc::simd::levelName(level));
+                const LevelGuard guard(level);
+                core::ScEngineConfig cfg;
+                cfg.backendName = backend;
+                cfg.approximateApc = approx;
+                cfg.streamLen = len;
+                const core::ScNetworkEngine engine(net, cfg);
+                core::CohortWorkspace ws(engine, 9);
+                for (const std::size_t cohort : {1, 5, 9}) {
+                    core::AdaptivePrediction one[9];
+                    engine.inferAdaptiveCohort(
+                        images, indices, cohort, ws,
+                        core::AdaptivePolicy::neverExit(), one);
+                    for (std::size_t c = 0; c < cohort; ++c) {
+                        ASSERT_EQ(one[c].checkpoints, 1u);
+                        if (cohort != 9)
+                            continue;
+                        if (level == Level::Scalar) {
+                            scalar_scores.push_back(one[c].prediction.scores);
+                        } else {
+                            ASSERT_EQ(one[c].prediction.scores,
+                                      scalar_scores[c])
+                                << "image " << c << " differs from scalar";
+                        }
+                    }
+                    for (const std::size_t block : {64, 128, 192, 320}) {
+                        core::AdaptivePrediction got[9];
+                        engine.inferAdaptiveCohort(
+                            images, indices, cohort, ws,
+                            core::AdaptivePolicy::neverExit(block), got);
+                        for (std::size_t c = 0; c < cohort; ++c) {
+                            EXPECT_EQ(got[c].consumedCycles, len);
+                            ASSERT_EQ(got[c].prediction.scores,
+                                      one[c].prediction.scores)
+                                << "block " << block << " cohort " << cohort
+                                << " image " << c;
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 } // namespace
