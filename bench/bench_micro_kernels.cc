@@ -114,7 +114,7 @@ struct KernelInputs
     int effM() const { return static_cast<int>(x.rows() + 1) | 1; }
 
     /** Store the neuron's counts into @p counts with one one-row call
-     *  of the tile kernel (the linear stages' per-row drive). */
+     *  of the tile kernel. */
     void
     sumInto(sc::ColumnCounts &counts) const
     {
@@ -481,7 +481,7 @@ struct FeedbackBenchTile
         return recurrence == sc::simd::FeedbackRecurrence::Btanh;
     }
 
-    /** The stage's per-row drive, from the operating point. */
+    /** The per-row reference drive, from the operating point. */
     void
     runPerRow()
     {

@@ -52,6 +52,11 @@
  *   backends   List the BackendRegistry names.
  *   models     List the model_zoo names.
  *
+ * Exit status: 0 on success; 2 on a usage error (a missing command or
+ * flag value, an unknown flag, or a numeric value that is not a whole
+ * number of its type or lies outside its range, e.g. --threads abc or
+ * --quant-bits 40); 1 on any other failure.
+ *
  * Example round trip (the model file carries everything):
  *   aqfpsc_cli train --model tiny --out m.bin
  *   aqfpsc_cli eval --model-file m.bin --backend cmos-apc
@@ -60,12 +65,16 @@
  */
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <future>
+#include <limits>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 #include "core/backend_registry.h"
@@ -119,6 +128,43 @@ struct Args
     bool shed = false;                ///< default shed-before-reject
 };
 
+/** A malformed command line: main() prints it and exits with status 2. */
+struct UsageError : std::invalid_argument
+{
+    using std::invalid_argument::invalid_argument;
+};
+
+/**
+ * @p text as a T: all of it, base 10 for an integer, which must lie in
+ * [@p lo, @p hi], and std::from_chars' general format for a
+ * floating-point value ("inf" included).
+ * @throws UsageError naming @p what otherwise.
+ */
+template <typename T>
+T
+parseNumber(const std::string &what, std::string_view text,
+            T lo = std::numeric_limits<T>::lowest(),
+            T hi = std::numeric_limits<T>::max())
+{
+    T value{};
+    const char *const end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    const bool parsed = ec == std::errc() && ptr == end;
+    std::string expects = "a number";
+    if constexpr (std::is_integral_v<T>) {
+        if (parsed && value >= lo && value <= hi)
+            return value;
+        expects = std::is_signed_v<T> ? "an integer" : "a non-negative integer";
+        if (parsed || ec == std::errc::result_out_of_range)
+            expects += " in [" + std::to_string(lo) + ", " +
+                       std::to_string(hi) + "]";
+    } else if (parsed) {
+        return value;
+    }
+    throw UsageError(what + " expects " + expects + ", got '" +
+                     std::string(text) + "'");
+}
+
 void
 usage()
 {
@@ -159,13 +205,13 @@ parse(int argc, char **argv, Args &args)
     for (int i = 2; i < argc; ++i) {
         const std::string flag = argv[i];
         auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "error: %s needs a value\n",
-                             flag.c_str());
-                std::exit(2);
-            }
+            if (i + 1 >= argc)
+                throw UsageError(flag + " needs a value");
             return argv[++i];
         };
+        auto integer = [&]() { return parseNumber<int>(flag, next()); };
+        auto count = [&]() { return parseNumber<std::size_t>(flag, next()); };
+        auto number = [&]() { return parseNumber<double>(flag, next()); };
         if (flag == "--model")
             args.model = next();
         else if (flag == "--model-file" || flag == "--out")
@@ -173,92 +219,79 @@ parse(int argc, char **argv, Args &args)
         else if (flag == "--backend")
             args.engine.backend = next();
         else if (flag == "--stream-len")
-            args.engine.streamLen =
-                static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
+            args.engine.streamLen = count();
         else if (flag == "--stage-lens") {
             args.engine.stageStreamLens.clear();
-            const std::string spec = next();
+            const std::string_view spec = next();
             std::size_t start = 0;
             while (start <= spec.size()) {
                 std::size_t comma = spec.find(',', start);
-                if (comma == std::string::npos)
+                if (comma == std::string_view::npos)
                     comma = spec.size();
-                const std::string tok = spec.substr(start, comma - start);
+                args.engine.stageStreamLens.push_back(parseNumber<std::size_t>(
+                    flag, spec.substr(start, comma - start)));
                 start = comma + 1;
-                if (!tok.empty())
-                    args.engine.stageStreamLens.push_back(
-                        static_cast<std::size_t>(
-                            std::strtoull(tok.c_str(), nullptr, 10)));
-            }
-            if (args.engine.stageStreamLens.empty()) {
-                std::fprintf(stderr,
-                             "error: --stage-lens needs a comma-separated "
-                             "list of lengths, e.g. 1024,512,256\n");
-                return false;
             }
             // The first stage runs the full plan; keep the scalar in sync
             // so banners/reports quoting streamLen match the vector.
             args.engine.streamLen = args.engine.stageStreamLens.front();
         } else if (flag == "--max-drop")
-            args.maxDropPt = std::atof(next());
+            args.maxDropPt = number();
         else if (flag == "--min-stage-len")
-            args.minStageLen =
-                static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
+            args.minStageLen = count();
         else if (flag == "--passes")
-            args.passes = std::atoi(next());
+            args.passes = integer();
         else if (flag == "--threads")
-            args.engine.threads = std::atoi(next());
+            args.engine.threads = integer();
         else if (flag == "--cohort")
-            args.engine.cohort = std::atoi(next());
+            args.engine.cohort = integer();
         else if (flag == "--rng-bits")
-            args.engine.rngBits = std::atoi(next());
+            args.engine.rngBits = integer();
         else if (flag == "--seed") {
-            const char *v = next();
-            args.engine.seed = std::strtoull(v, nullptr, 10);
+            args.engine.seed = parseNumber<std::uint64_t>(flag, next());
             args.trainSeed = static_cast<unsigned>(args.engine.seed);
         } else if (flag == "--epochs")
-            args.epochs = std::atoi(next());
+            args.epochs = integer();
         else if (flag == "--samples")
-            args.samples = std::atoi(next());
+            args.samples = integer();
         else if (flag == "--lr")
-            args.lr = static_cast<float>(std::atof(next()));
+            args.lr = parseNumber<float>(flag, next());
         else if (flag == "--quant-bits")
-            args.quantBits = std::atoi(next());
+            args.quantBits =
+                parseNumber<int>(flag, next(), nn::Network::kMinQuantBits,
+                                 nn::Network::kMaxQuantBits);
         else if (flag == "--images")
-            args.images = std::atoi(next());
+            args.images = integer();
         else if (flag == "--index")
-            args.index = std::atoi(next());
+            args.index = integer();
         else if (flag == "--quiet")
             args.progress = false;
         else if (flag == "--adaptive")
             args.adaptive = true;
         else if (flag == "--checkpoint")
-            args.engine.adaptive.checkpointCycles =
-                static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
+            args.engine.adaptive.checkpointCycles = count();
         else if (flag == "--margin")
-            args.engine.adaptive.exitMargin = std::atof(next());
+            args.engine.adaptive.exitMargin = number();
         else if (flag == "--min-cycles")
-            args.engine.adaptive.minCycles =
-                static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
+            args.engine.adaptive.minCycles = count();
         else if (flag == "--nondet")
             args.engine.adaptive.deterministic = false;
         else if (flag == "--workers")
-            args.frontend.workers = std::atoi(next());
+            args.frontend.workers = integer();
         else if (flag == "--queue-cap")
-            args.queueCap =
-                static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
+            args.queueCap = count();
         else if (flag == "--max-batch")
-            args.frontend.maxBatch = std::atoi(next());
+            args.frontend.maxBatch = integer();
         else if (flag == "--timeout-ms")
-            args.timeoutMs = std::atof(next());
+            args.timeoutMs = number();
         else if (flag == "--retries")
-            args.retries = std::atoi(next());
+            args.retries = integer();
         else if (flag == "--tenant")
             args.tenants.push_back(next());
         else if (flag == "--policy")
             args.policy = next();
         else if (flag == "--deadline-ms")
-            args.deadlineMs = std::atof(next());
+            args.deadlineMs = number();
         else if (flag == "--shed")
             args.shed = true;
         else {
@@ -526,7 +559,7 @@ cmdServe(const Args &args)
 /**
  * Parse one --tenant SPEC (comma-separated: name first, then key=value
  * or bare-flag tokens) on top of the defaults in @p cfg.
- * @throws std::invalid_argument on unknown or malformed tokens.
+ * @throws UsageError on unknown or malformed tokens.
  */
 serving::TenantConfig
 parseTenantSpec(const std::string &spec, serving::TenantConfig cfg)
@@ -550,40 +583,39 @@ parseTenantSpec(const std::string &spec, serving::TenantConfig cfg)
         const std::string key = token.substr(0, eq);
         const std::string val =
             eq == std::string::npos ? "" : token.substr(eq + 1);
+        const std::string what = "--tenant '" + spec + "': " + key;
         if (key == "adaptive")
             cfg.adaptive = true;
         else if (key == "shed")
             cfg.shed.enabled = true;
         else if (key == "weight")
-            cfg.weight = std::atof(val.c_str());
+            cfg.weight = parseNumber<double>(what, val);
         else if (key == "priority")
-            cfg.priority = std::atoi(val.c_str());
+            cfg.priority = parseNumber<int>(what, val);
         else if (key == "deadline-ms")
-            cfg.deadlineSeconds = std::atof(val.c_str()) * 1e-3;
+            cfg.deadlineSeconds = parseNumber<double>(what, val) * 1e-3;
         else if (key == "queue-cap")
-            cfg.queueCapacity = static_cast<std::size_t>(
-                std::strtoull(val.c_str(), nullptr, 10));
+            cfg.queueCapacity = parseNumber<std::size_t>(what, val);
         else if (key == "backend")
             cfg.backend = val;
         else if (key == "timeout-ms")
-            cfg.timeoutSeconds = std::atof(val.c_str()) * 1e-3;
+            cfg.timeoutSeconds = parseNumber<double>(what, val) * 1e-3;
         else if (key == "retries")
-            cfg.maxRetries = std::atoi(val.c_str());
+            cfg.maxRetries = parseNumber<int>(what, val);
         else if (key == "margin") {
             cfg.adaptive = true;
-            cfg.policy.exitMargin = std::atof(val.c_str());
+            cfg.policy.exitMargin = parseNumber<double>(what, val);
         } else if (key == "min-cycles") {
             cfg.adaptive = true;
-            cfg.policy.minCycles = static_cast<std::size_t>(
-                std::strtoull(val.c_str(), nullptr, 10));
+            cfg.policy.minCycles = parseNumber<std::size_t>(what, val);
         } else {
-            throw std::invalid_argument("--tenant '" + spec +
-                                        "': unknown token '" + token + "'");
+            throw UsageError("--tenant '" + spec + "': unknown token '" +
+                             token + "'");
         }
     }
     if (cfg.name.empty())
-        throw std::invalid_argument("--tenant '" + spec +
-                                    "' must start with a tenant name");
+        throw UsageError("--tenant '" + spec +
+                         "' must start with a tenant name");
     // Shedding rides the adaptive path; keep hand-typed specs terse by
     // implying it and clamping the floors into the valid range.
     if (cfg.shed.enabled) {
@@ -811,11 +843,11 @@ int
 main(int argc, char **argv)
 {
     Args args;
-    if (!parse(argc, argv, args)) {
-        usage();
-        return 2;
-    }
     try {
+        if (!parse(argc, argv, args)) {
+            usage();
+            return 2;
+        }
         if (args.command == "train")
             return cmdTrain(args);
         if (args.command == "eval")
@@ -832,6 +864,9 @@ main(int argc, char **argv)
             return cmdBackends();
         if (args.command == "models")
             return cmdModels();
+    } catch (const UsageError &e) {
+        std::fprintf(stderr, "error: %s\n", e.what());
+        return 2;
     } catch (const std::exception &e) {
         std::fprintf(stderr, "error: %s\n", e.what());
         return 1;

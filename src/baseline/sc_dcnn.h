@@ -14,12 +14,13 @@
  *    (the inaccuracy the paper's sorter-based pooling eliminates).
  *
  * These are the per-stream reference models.  The engine's cmos-apc
- * stages (src/core/stages) compute the same recurrences word-parallel:
- * btanhStep is the reference for the rows-as-lanes feedback kernel's
- * Btanh form (src/sc/simd/feedback_kernel.h), which the approximate
- * counter and counters wider than the kernel still step per row; the
- * MUX pool stage draws its 2-bit selects 64 at a time, one image's
- * generator per SIMD lane (core::stages::muxPoolLanes).
+ * stages (src/core/stages) compute the same recurrences word-parallel
+ * with the exact counter: btanhStep is the reference for the
+ * rows-as-lanes feedback kernel's Btanh form
+ * (src/sc/simd/feedback_kernel.h); the MUX pool stage draws its 2-bit
+ * selects 64 at a time, one image's generator per SIMD lane
+ * (core::stages::muxPoolLanes).  The OR-pair approximate counter
+ * (approximate_apc) is modelled here only, at component level.
  */
 
 #ifndef AQFPSC_BASELINE_SC_DCNN_H

@@ -65,9 +65,8 @@ PlanCache::StageSpecHash::operator()(const StageSpec &s) const
     h = fnv1a(&kind, sizeof kind, h);
     h = fnv1a(s.dims.data(), s.dims.size() * sizeof(int), h);
     h = fnv1a(&s.activation, sizeof s.activation, h);
-    const std::uint8_t flags = static_cast<std::uint8_t>(
-        (s.majorityChain ? 1 : 0) | (s.approximateApc ? 2 : 0));
-    h = fnv1a(&flags, sizeof flags, h);
+    const std::uint8_t chain = s.majorityChain ? 1 : 0;
+    h = fnv1a(&chain, sizeof chain, h);
     h = fnv1a(&s.streamLen, sizeof s.streamLen, h);
     h = fnv1a(&s.rngBits, sizeof s.rngBits, h);
     h = fnv1a(s.rngState.data(),
@@ -89,8 +88,6 @@ PlanCache::PlanSpecHash::operator()(const PlanSpec &s) const
               s.stageStreamLens.size() * sizeof(std::uint64_t), h);
     h = fnv1a(&s.rngBits, sizeof s.rngBits, h);
     h = fnv1a(&s.seed, sizeof s.seed, h);
-    const std::uint8_t flags = s.approximateApc ? 1 : 0;
-    h = fnv1a(&flags, sizeof flags, h);
     h = hashString(s.architecture, h);
     h = hashFloats(s.params, h);
     return h;

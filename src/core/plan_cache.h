@@ -85,7 +85,6 @@ struct StageSpec
     std::array<int, 7> dims{};
     int activation = 0;         ///< FusedActivation as int
     bool majorityChain = false; ///< output stages: from MajorityChainDense
-    bool approximateApc = false;
     std::uint64_t streamLen = 0;
     int rngBits = 0;
     /** Compiler RNG state immediately before stream generation. */
@@ -111,7 +110,6 @@ struct PlanSpec
     std::vector<std::uint64_t> stageStreamLens;
     int rngBits = 0;
     std::uint64_t seed = 0;
-    bool approximateApc = false;
     /** Canonical layer-spec encoding, quantization grid included. */
     std::string architecture;
     /** All layer parameters, flattened in layer (weights, biases) order. */

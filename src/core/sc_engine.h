@@ -11,10 +11,10 @@
  *    counter form), pooling as the sorter-based average-pooling block
  *    (Algorithm 2), and the output layer as majority-chain categorization
  *    blocks;
- *  - CmosApc backend (prior art, SC-DCNN): Conv / hidden-FC layers use
- *    the approximate parallel counter + Btanh activation, pooling uses
- *    the random-select MUX, and the output layer accumulates exact APC
- *    counts into binary scores.
+ *  - CmosApc backend (prior art, SC-DCNN): Conv / hidden-FC layers feed
+ *    each cycle's exact parallel-counter (APC) count to a Btanh
+ *    activation counter, pooling uses the random-select MUX, and the
+ *    output layer accumulates exact APC counts into binary scores.
  *
  * Weight streams are generated once at engine construction (weights are
  * hardwired on chip and converted through SNGs continuously; re-drawing
@@ -67,15 +67,6 @@ struct ScEngineConfig
      * deprecated ScBackend enum shim was removed.
      */
     std::string backendName = "aqfp-sorter";
-    /**
-     * CmosApc: model the first-layer OR-pair approximate counter.  Off
-     * by default: that approximation overcounts by ~M/8 per cycle, which
-     * at network scale saturates activations (SC-DCNN's actual APC uses
-     * balanced approximate units whose residual error is small); see
-     * baseline::ApproximateParallelCounter for the component-level
-     * study.
-     */
-    bool approximateApc = false;
     /**
      * Worker threads evaluate() fans images across (0 = one per
      * hardware thread).  Results are bit-identical for any value.

@@ -109,7 +109,6 @@ EngineOptions::toConfig(const std::string &backendOverride) const
     cfg.seed = seed;
     cfg.threads = threads;
     cfg.cohort = cohort;
-    cfg.approximateApc = approximateApc;
     cfg.backendName = backendOverride.empty() ? backend : backendOverride;
     return cfg;
 }

@@ -79,7 +79,6 @@ struct EngineOptions
      *  this many images through every stage together, amortizing weight-
      *  stream traversal.  Bit-identical results at any value. */
     int cohort = 1;
-    bool approximateApc = false;         ///< cmos-apc: OR-pair first layer
     /** Early-exit policy of the session's adaptive entry points
      *  (inferAdaptive/evaluateAdaptive); non-adaptive calls ignore it.
      *  Validated with the rest. */

@@ -21,7 +21,7 @@ class AqfpConvStage final
   public:
     AqfpConvStage(const ConvGeometry &geom,
                   std::shared_ptr<const StageShared> shared)
-        : LinearScStage(ConvWindowGather{geom}, std::move(shared), {})
+        : LinearScStage(ConvWindowGather{geom}, std::move(shared))
     {
     }
 

@@ -20,7 +20,7 @@ class AqfpDenseStage final
   public:
     AqfpDenseStage(const DenseGeometry &geom,
                    std::shared_ptr<const StageShared> shared)
-        : LinearScStage(DenseGather{geom}, std::move(shared), {})
+        : LinearScStage(DenseGather{geom}, std::move(shared))
     {
     }
 

@@ -8,8 +8,7 @@ namespace {
 
 const ConvStageRegistration kRegistration{
     "cmos-apc", [](const ConvGeometry &g, WeightedStageInit init) {
-        return std::make_unique<CmosConvStage>(
-            g, std::move(init.shared), init.cfg.approximateApc);
+        return std::make_unique<CmosConvStage>(g, std::move(init.shared));
     }};
 
 } // namespace

@@ -1,9 +1,8 @@
 /**
  * @file
- * Conv stage on the CMOS SC-DCNN baseline: APC column counts feed a
- * Btanh activation counter (optionally modelling the first-layer OR-pair
- * approximate counter).  Thin instantiation of the shared linear kernel
- * core — conv is dense-with-window-gather.
+ * Conv stage on the CMOS SC-DCNN baseline: exact APC column counts feed
+ * a Btanh activation counter.  Thin instantiation of the shared linear
+ * kernel core — conv is dense-with-window-gather.
  */
 
 #ifndef AQFPSC_CORE_STAGES_CMOS_CONV_STAGE_H
@@ -20,10 +19,8 @@ class CmosConvStage final
 {
   public:
     CmosConvStage(const ConvGeometry &geom,
-                  std::shared_ptr<const StageShared> shared,
-                  bool approximate_apc)
-        : LinearScStage(ConvWindowGather{geom}, std::move(shared),
-                        ApcBtanhPolicy{approximate_apc})
+                  std::shared_ptr<const StageShared> shared)
+        : LinearScStage(ConvWindowGather{geom}, std::move(shared))
     {
     }
 

@@ -8,8 +8,7 @@ namespace {
 
 const DenseStageRegistration kRegistration{
     "cmos-apc", [](const DenseGeometry &g, WeightedStageInit init) {
-        return std::make_unique<CmosDenseStage>(
-            g, std::move(init.shared), init.cfg.approximateApc);
+        return std::make_unique<CmosDenseStage>(g, std::move(init.shared));
     }};
 
 } // namespace

@@ -1,7 +1,7 @@
 /**
  * @file
- * Hidden fully-connected stage on the CMOS SC-DCNN baseline: APC column
- * counts feed a Btanh activation counter.  Thin instantiation of the
+ * Hidden fully-connected stage on the CMOS SC-DCNN baseline: exact APC
+ * column counts feed a Btanh activation counter.  Thin instantiation of the
  * shared linear kernel core.
  */
 
@@ -19,10 +19,8 @@ class CmosDenseStage final
 {
   public:
     CmosDenseStage(const DenseGeometry &geom,
-                   std::shared_ptr<const StageShared> shared,
-                   bool approximate_apc)
-        : LinearScStage(DenseGather{geom}, std::move(shared),
-                        ApcBtanhPolicy{approximate_apc})
+                   std::shared_ptr<const StageShared> shared)
+        : LinearScStage(DenseGather{geom}, std::move(shared))
     {
     }
 

@@ -11,23 +11,21 @@
  *
  *  - the Gather names each output row's (input row, weight row) product
  *    pairs — DenseGather walks the flat weight matrix, ConvWindowGather
- *    expresses conv as dense-with-window-gather in the canonical
- *    (ic, ky, kx) in-bounds order (part of the deterministic contract:
- *    the CMOS approximate counter pairs products in visit order).  The
- *    stage compiler walks it once into the stage's OperandPlan, which
- *    the kernels read; nothing walks a Gather at run time;
- *  - the Policy supplies the activation — sorter-majority feedback
- *    (AQFP) or APC + Btanh (CMOS) — together with its resumable per-row
- *    scratch state.
+ *    expresses conv as dense-with-window-gather.  The stage compiler
+ *    walks it once into the stage's OperandPlan, which the kernels
+ *    read; nothing walks a Gather at run time;
+ *  - the Policy names the activation — sorter-majority feedback (AQFP,
+ *    Algorithm 1) or SC-DCNN's exact APC + Btanh (CMOS) — by its
+ *    constants: pad rule, recurrence, and each row's m and initial
+ *    state.
  *
  * The core has exactly one kernel path, the stage-major cohort span: a
- * single image is a cohort of one.  Both policies sum a tile of up to
+ * single image is a cohort of one.  It sums a tile of up to
  * sc::simd::kFeedbackTileRows rows for the whole cohort in one
  * dispatched call (sc::simd::KernelTable::addXnorTile) into a
- * span-compact tile per image, then drive each image's tile through the
- * feedback kernel; wide counters and the CMOS approximate counter sum
- * one row per call and drive each row as it is summed.  Results are
- * bit-identical at every cohort size and span by construction.
+ * span-compact tile per image, then drives each image's tile through
+ * the feedback kernel.  Results are bit-identical at every cohort size
+ * and span by construction.
  */
 
 #ifndef AQFPSC_CORE_STAGES_STAGE_COMMON_H
@@ -39,13 +37,12 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
-#include "baseline/sc_dcnn.h"
-#include "blocks/feedback_unit.h"
 #include "core/stages/stage.h"
-#include "sc/apc.h"
 #include "sc/simd/simd.h"
 #include "sc/stream_matrix.h"
 
@@ -290,9 +287,10 @@ struct DenseGather
 /**
  * Conv expressed as dense-with-window-gather: output row r decomposes to
  * (oc, y, x) and gathers that window's in-bounds products in the
- * canonical (input channel, kernel row, kernel column) order.  The order
- * is part of the deterministic contract: the CMOS approximate counter
- * pairs products in visit order, so both backends must share it.
+ * canonical (input channel, kernel row, kernel column) order.  No count
+ * depends on the order, but it lays out the OperandPlan's lists: the
+ * runs of conv pixels the tile kernel sums side by side
+ * (OperandPlan::findRuns) and the lists the plan tests check.
  */
 struct ConvWindowGather
 {
@@ -352,92 +350,6 @@ struct ConvWindowGather
     }
 };
 
-/**
- * SC-DCNN first-layer OR-pair overcount model.
- *
- * The approximate parallel counter encodes product pairs as
- * (a AND b, a OR b), which overcounts by one exactly when both pair
- * members are 1.  Products are paired in arrival order; an unpaired
- * trailing product is exact.  observe()/observeXnor() every product,
- * then either addOvercount() folds the per-cycle overcounts into the
- * extracted column counts (reference path) or
- * ColumnCounts::driveWithOvercount reads counts() directly (fused
- * path); both saturate at @p cap (the counter cannot exceed its input
- * count).
- */
-class ApproxPairOvercount
-{
-  public:
-    ApproxPairOvercount(std::size_t len, int max_pairs)
-        : over_(len, max_pairs), prev_((len + 63) / 64, 0)
-    {
-    }
-
-    void
-    reset()
-    {
-        over_.clear();
-        havePrev_ = false;
-    }
-
-    /** Reference form: observe a materialized product buffer. */
-    void
-    observe(const std::vector<std::uint64_t> &prod, std::size_t wpr)
-    {
-        if (havePrev_) {
-            for (std::size_t wi = 0; wi < wpr; ++wi)
-                prev_[wi] &= prod[wi];
-            over_.addWords(prev_.data(), wpr);
-            havePrev_ = false;
-        } else {
-            for (std::size_t wi = 0; wi < wpr; ++wi)
-                prev_[wi] = prod[wi];
-            havePrev_ = true;
-        }
-    }
-
-    /**
-     * Fused form: observe the XNOR product of rows @p x and @p w with no
-     * caller-side product buffer — bit-identical to observe() of
-     * xnorProduct(x, w).
-     */
-    void
-    observeXnor(const std::uint64_t *x, const std::uint64_t *w,
-                std::size_t wpr)
-    {
-        if (havePrev_) {
-            for (std::size_t wi = 0; wi < wpr; ++wi)
-                prev_[wi] &= ~(x[wi] ^ w[wi]);
-            over_.addWords(prev_.data(), wpr);
-            havePrev_ = false;
-        } else {
-            for (std::size_t wi = 0; wi < wpr; ++wi)
-                prev_[wi] = ~(x[wi] ^ w[wi]);
-            havePrev_ = true;
-        }
-    }
-
-    void
-    addOvercount(std::vector<int> &col, int cap)
-    {
-        over_.extract(scratch_);
-        for (std::size_t i = 0; i < col.size(); ++i) {
-            col[i] += scratch_[i];
-            if (col[i] > cap)
-                col[i] = cap;
-        }
-    }
-
-    /** The accumulated per-cycle overcounts (fused drive path). */
-    const sc::ColumnCounts &counts() const { return over_; }
-
-  private:
-    sc::ColumnCounts over_;
-    std::vector<std::uint64_t> prev_;
-    std::vector<int> scratch_;
-    bool havePrev_ = false;
-};
-
 /** Set bit @p i of a packed stream row. */
 inline void
 setStreamBit(std::uint64_t *dst, std::size_t i)
@@ -471,167 +383,68 @@ struct OnesScratch final : StageScratch
 };
 
 /**
- * Per-slot state every linear stage shares.  A tiled stage (counts of
- * at most sc::simd::kMaxFeedbackPlanes planes, a policy that wants the
- * feedback kernel) keeps the span-compact plane buffer the tile kernel
- * fills for a tile of sc::simd::kFeedbackTileRows rows, and every row's
- * bit-sliced recurrence state, resumed across spans (the stage holds
- * the rows' m, which no image changes).  An untiled stage sums each row
- * into @ref counts for the policy's per-row drive instead.
+ * Per-slot state of a linear stage: the span-compact plane buffer the
+ * tile kernel fills for a tile of sc::simd::kFeedbackTileRows rows, and
+ * every row's bit-sliced recurrence state, resumed across spans (the
+ * stage holds the rows' m, which no image changes).
  */
-struct LinearScratch : StageScratch
+struct LinearScratch final : StageScratch
 {
-    LinearScratch(std::size_t len, int max_count, std::size_t tile_words,
-                  std::size_t state_words)
-        : counts(len, max_count), tile(tile_words, 0),
-          stateBits(state_words, 0)
+    LinearScratch(std::size_t tile_words, std::size_t state_words)
+        : tile(tile_words, 0), stateBits(state_words, 0)
     {
     }
 
-    /** Per-row path: the current row's column counts. */
-    sc::ColumnCounts counts;
-    /** Tile path: each tile row's count planes over the span. */
+    /** Each tile row's count planes over the span. */
     std::vector<std::uint64_t> tile;
-    /** Tile path: bit-sliced recurrence state of every row. */
+    /** Bit-sliced recurrence state of every row. */
     std::vector<std::uint64_t> stateBits;
 };
 
 /**
- * Accumulation policy of the AQFP sorter-majority linear stages: exact
- * column counts drive the sorter + feedback unit (Algorithm 1, counter
- * form).  The sorter needs an odd input count, so even rows are padded
- * with the neutral stream; the feedback carry is the per-row resumable
- * state, armed at the operating point (M - 1) / 2.
- *
- * The feedback kernel drives each tile of rows (LinearScStage).
- * Counters wider than its sc::simd::kMaxFeedbackPlanes planes step a
- * blocks::FeatureFeedbackUnit through each row's counts instead; both
- * paths compute the unit's recurrence exactly.
+ * Activation of the AQFP sorter-majority linear stages: exact column
+ * counts drive the sorter + feedback unit (Algorithm 1, counter form,
+ * blocks::FeatureFeedbackUnit).  The sorter needs an odd input count, so
+ * even rows are padded with the neutral stream; the feedback carry is
+ * the per-row resumable state, armed at the operating point
+ * (M - 1) / 2.
  */
-class SorterMajorityPolicy
+struct SorterMajorityPolicy
 {
-  public:
-    /** Sorter stages never model the SC-DCNN approximate counter. */
-    static constexpr bool kApproxCapable = false;
     /** Pad even product counts to odd with the neutral stream. */
     static constexpr bool kPadToOdd = true;
     static constexpr auto kRecurrence =
         sc::simd::FeedbackRecurrence::SorterMajority;
 
-    struct Scratch final : LinearScratch
-    {
-        Scratch(std::size_t len, int max_count, std::size_t rows,
-                std::size_t tile_words, std::size_t state_words)
-            : LinearScratch(len, max_count, tile_words, state_words),
-              unit(1)
-        {
-            if (state_words == 0)
-                carries.assign(rows, 0);
-        }
-
-        /** Per-row path: the unit and each row's resumed feedback count. */
-        blocks::FeatureFeedbackUnit unit;
-        std::vector<int> carries;
-    };
-
-    /** Interior window + bias + possible neutral pad bounds the counts. */
-    static int maxCount(int max_products) { return max_products + 2; }
-
-    bool wantsTile() const { return true; }
-
     /** The feedback kernel's m and initial state of a row. */
     static int tileM(int /*m*/, int eff_m) { return eff_m; }
     static int initialState(int /*m*/, int eff_m) { return (eff_m - 1) / 2; }
-
-    /** Per-row path: drive row @p r's counts through [begin, end). */
-    void
-    drive(Scratch &ws, std::size_t r, int /*m*/, int eff_m,
-          std::size_t begin, std::size_t end, sc::StreamMatrix &out) const
-    {
-        if (begin == 0)
-            ws.unit.reset(eff_m);
-        else
-            ws.unit.restore(eff_m, ws.carries[r]);
-        ws.counts.drivePrefix(end - begin,
-                              [&](int c) { return ws.unit.step(c); },
-                              out.row(r) + begin / 64);
-        ws.carries[r] = ws.unit.carry();
-    }
 };
 
 /**
- * Accumulation policy of the CMOS SC-DCNN linear stages: (approximate)
- * APC column counts drive the Btanh activation counter, whose state is
- * the per-row resumable state, starting at s_max / 2 with s_max = 2m.
- *
- * The feedback kernel drives each tile of rows (LinearScStage) with the
- * Btanh recurrence.  Two cases keep the per-row drive of
- * baseline::ApcFeatureExtraction::btanhStep: counters wider than the
- * kernel's planes, and @ref approx, where the OR-pair overcount model
- * rides along (ApproxPairOvercount), folded into the drive.
+ * Activation of the CMOS SC-DCNN linear stages: exact APC column counts
+ * drive the Btanh activation counter
+ * (baseline::ApcFeatureExtraction::btanhStep with s_max = 2m), whose
+ * state is the per-row resumable state, starting at s_max / 2.
  */
-class ApcBtanhPolicy
+struct ApcBtanhPolicy
 {
-  public:
-    static constexpr bool kApproxCapable = true;
     static constexpr bool kPadToOdd = false;
     static constexpr auto kRecurrence = sc::simd::FeedbackRecurrence::Btanh;
 
-    /** Model the SC-DCNN first-layer OR-pair approximate counter. */
-    bool approx = false;
-
-    struct Scratch final : LinearScratch
-    {
-        Scratch(std::size_t len, int max_count, std::size_t rows,
-                std::size_t tile_words, std::size_t state_words)
-            : LinearScratch(len, max_count, tile_words, state_words),
-              over(len, max_count / 2 + 1)
-        {
-            if (state_words == 0)
-                states.assign(rows, 0);
-        }
-
-        ApproxPairOvercount over;
-        /** Per-row path: each row's Btanh counter state, resumed across
-         *  spans. */
-        std::vector<int> states;
-    };
-
-    static int maxCount(int max_products) { return max_products + 2; }
-
-    bool wantsTile() const { return !approx; }
-
     static int tileM(int m, int /*eff_m*/) { return m; }
     static int initialState(int m, int /*eff_m*/) { return m; }
-
-    /** Per-row path: drive row @p r's counts through [begin, end). */
-    void
-    drive(Scratch &ws, std::size_t r, int m, int /*eff_m*/,
-          std::size_t begin, std::size_t end, sc::StreamMatrix &out) const
-    {
-        int state = begin == 0 ? m : ws.states[r];
-        auto step = [&](int c) {
-            return baseline::ApcFeatureExtraction::btanhStep(state, c, m,
-                                                             2 * m);
-        };
-        std::uint64_t *const dst = out.row(r) + begin / 64;
-        if (approx)
-            ws.counts.driveWithOvercountPrefix(ws.over.counts(), m,
-                                               end - begin, step, dst);
-        else
-            ws.counts.drivePrefix(end - begin, step, dst);
-        ws.states[r] = state;
-    }
 };
 
 /**
  * The shared linear stage: the OperandPlan (compiled from Gather) names
- * the products of each output row, Policy accumulates and activates
- * them.  There is exactly one kernel path — the stage-major cohort
- * span — and bit-identity across cohort sizes holds by construction:
- * per-image state (counters, feedback/Btanh resume values, output rows)
- * is fully per-slot, and each image's counter sums the same products
- * whatever the cohort.
+ * the products of each output row, the tile kernel counts them and the
+ * feedback kernel runs Policy's recurrence over the counts.  There is
+ * exactly one kernel path — the stage-major cohort span — and
+ * bit-identity across cohort sizes holds by construction: per-image
+ * state (tile planes, recurrence states, output rows) is fully
+ * per-slot, and each image's rows count the same products whatever the
+ * cohort.
  *
  * Concrete stages only add name() and a registry entry.
  */
@@ -639,18 +452,28 @@ template <typename Policy, typename Gather>
 class LinearScStage : public ScStage
 {
   public:
-    LinearScStage(Gather gather, std::shared_ptr<const StageShared> shared,
-                  Policy policy)
+    /** Most products a row may count: with the bias and a neutral pad,
+     *  its counts must fit the kernels' kMaxFeedbackPlanes planes. */
+    static constexpr int kMaxProducts =
+        (1 << sc::simd::kMaxFeedbackPlanes) - 3;
+
+    /** @throws std::invalid_argument when a row gathers more than
+     *  kMaxProducts products. */
+    LinearScStage(Gather gather, std::shared_ptr<const StageShared> shared)
         : gather_(std::move(gather)), shared_(std::move(shared)),
-          policy_(std::move(policy)),
-          maxCount_(Policy::maxCount(gather_.maxProducts())),
-          planes_(std::bit_width(static_cast<unsigned>(maxCount_)))
+          planes_(std::bit_width(
+              static_cast<unsigned>(gather_.maxProducts() + 2)))
     {
         assert(shared_ != nullptr);
         assert(plan().rows() == static_cast<std::size_t>(
                                     gather_.groups() * gather_.rowsPerGroup()));
-        if (!policy_.wantsTile() || planes_ > sc::simd::kMaxFeedbackPlanes)
-            return;
+        if (gather_.maxProducts() > kMaxProducts)
+            throw std::invalid_argument(
+                "a fan-in of " + std::to_string(gather_.maxProducts()) +
+                " products per row exceeds the " +
+                std::to_string(kMaxProducts) + " that the feedback kernel's " +
+                std::to_string(sc::simd::kMaxFeedbackPlanes) +
+                " count planes hold");
         // Every row's m and initial state, bit-sliced in whole registers
         // of rows per tile (FeedbackTile).
         constexpr std::size_t kTileWords = sc::simd::kFeedbackTileRows / 64;
@@ -688,13 +511,11 @@ class LinearScStage : public ScStage
     makeScratch() const override
     {
         const std::size_t len = streams().weights.streamLen();
-        const std::size_t rows = plan().rows();
-        std::size_t tile_words = 0;
-        if (tiled())
-            tile_words = std::min(rows, sc::simd::kFeedbackTileRows) *
-                         static_cast<std::size_t>(planes_) * ((len + 63) / 64);
-        return std::make_unique<typename Policy::Scratch>(
-            len, maxCount_, rows, tile_words, initialState_.size());
+        const std::size_t tile_words =
+            std::min(plan().rows(), sc::simd::kFeedbackTileRows) *
+            static_cast<std::size_t>(planes_) * ((len + 63) / 64);
+        return std::make_unique<LinearScratch>(tile_words,
+                                               initialState_.size());
     }
 
     bool resumable() const override { return true; }
@@ -713,12 +534,11 @@ class LinearScStage : public ScStage
         const std::size_t sw = (end - begin + 63) / 64;
         const std::size_t rows = plan().rows();
 
-        typename Policy::Scratch *ws[kMaxCohortImages];
+        LinearScratch *ws[kMaxCohortImages];
         const std::uint64_t *inputs[kMaxCohortImages];
         std::uint64_t *planes[kMaxCohortImages];
         for (std::size_t c = 0; c < count; ++c) {
-            ws[c] = static_cast<typename Policy::Scratch *>(
-                slots[c].scratch);
+            ws[c] = static_cast<LinearScratch *>(slots[c].scratch);
             // Prefix consumption: the input may carry a longer upstream
             // stream; this stage reads only its own len cycles of it.
             assert(slots[c].in->streamLen() >= len);
@@ -726,6 +546,10 @@ class LinearScStage : public ScStage
                    slots[0].in->wordsPerRow());
             inputs[c] = slots[c].in->row(0) + w0;
             slots[c].out->reset(rows, len);
+            if (begin == 0)
+                std::copy(initialState_.begin(), initialState_.end(),
+                          ws[c]->stateBits.begin());
+            planes[c] = ws[c]->tile.data();
         }
         const FeatureStreams &fs = streams();
         sc::simd::XnorTile tile{plan().view(),
@@ -739,68 +563,25 @@ class LinearScStage : public ScStage
                                 inputs,
                                 slots[0].in->wordsPerRow(),
                                 planes,
-                                0,
-                                0,
+                                static_cast<std::size_t>(planes_) * sw,
+                                sw,
                                 count,
                                 sw,
                                 planes_};
-
-        if (tiled()) {
-            for (std::size_t c = 0; c < count; ++c) {
-                if (begin == 0)
-                    std::copy(initialState_.begin(), initialState_.end(),
-                              ws[c]->stateBits.begin());
-                planes[c] = ws[c]->tile.data();
-            }
-            tile.rowStride = static_cast<std::size_t>(planes_) * sw;
-            tile.planeStride = sw;
-            for (std::size_t r0 = 0; r0 < rows;
-                 r0 += sc::simd::kFeedbackTileRows) {
-                tile.row0 = r0;
-                tile.rows = std::min(rows - r0, sc::simd::kFeedbackTileRows);
-                sc::simd::kernels().addXnorTile(tile);
-                for (std::size_t c = 0; c < count; ++c) {
-                    sc::StreamMatrix &out = *slots[c].out;
-                    sc::simd::kernels().featureFeedback(
-                        {planes[c], tile.rowStride, sw, planes_, tile.rows,
-                         mBits_.data() + r0 / 64,
-                         ws[c]->stateBits.data() + r0 / 64, sliceStride_,
-                         out.row(r0) + w0, out.wordsPerRow(), end - begin,
-                         Policy::kRecurrence});
-                }
-            }
-            return;
-        }
-
-        // Per-row drive: one-row tiles into each image's counter.
-        tile.rows = 1;
-        tile.planeStride = ws[0]->counts.wordCount();
-        for (std::size_t r = 0; r < rows; ++r) {
-            for (std::size_t c = 0; c < count; ++c)
-                planes[c] = ws[c]->counts.overwritePlanes();
-            tile.row0 = r;
+        for (std::size_t r0 = 0; r0 < rows;
+             r0 += sc::simd::kFeedbackTileRows) {
+            tile.row0 = r0;
+            tile.rows = std::min(rows - r0, sc::simd::kFeedbackTileRows);
             sc::simd::kernels().addXnorTile(tile);
-            if constexpr (Policy::kApproxCapable) {
-                if (policy_.approx) {
-                    // The OR-pair overcount model pairs the products (not
-                    // the bias) in visit order, per image.
-                    for (std::size_t c = 0; c < count; ++c) {
-                        ApproxPairOvercount &over = ws[c]->over;
-                        over.reset();
-                        for (std::size_t i = plan().begin(r);
-                             i < plan().end(r); ++i)
-                            over.observeXnor(
-                                inputs[c] + plan().xrow[i] * tile.inputStride,
-                                fs.weights.row(plan().weightRow(r, i)) + w0,
-                                sw);
-                    }
-                }
+            for (std::size_t c = 0; c < count; ++c) {
+                sc::StreamMatrix &out = *slots[c].out;
+                sc::simd::kernels().featureFeedback(
+                    {planes[c], tile.rowStride, sw, planes_, tile.rows,
+                     mBits_.data() + r0 / 64,
+                     ws[c]->stateBits.data() + r0 / 64, sliceStride_,
+                     out.row(r0) + w0, out.wordsPerRow(), end - begin,
+                     Policy::kRecurrence});
             }
-            const int m = plan().m(r);
-            const int eff_m = plan().effM(r, Policy::kPadToOdd);
-            for (std::size_t c = 0; c < count; ++c)
-                policy_.drive(*ws[c], r, m, eff_m, begin, end,
-                              *slots[c].out);
         }
     }
 
@@ -811,10 +592,8 @@ class LinearScStage : public ScStage
 
     Gather gather_;
     std::shared_ptr<const StageShared> shared_;
-    Policy policy_;
 
   private:
-    bool tiled() const { return !mBits_.empty(); }
     int
     statePlanes() const
     {
@@ -823,9 +602,8 @@ class LinearScStage : public ScStage
                    : planes_;
     }
 
-    int maxCount_;
     int planes_;
-    /** Tile path: bit-sliced m and initial state of every row. */
+    /** Bit-sliced m and initial state of every row. */
     std::vector<std::uint64_t> mBits_;
     std::vector<std::uint64_t> initialState_;
     std::size_t sliceStride_ = 0;

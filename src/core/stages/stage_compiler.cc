@@ -84,7 +84,6 @@ internStageState(StageKind kind, const std::array<int, 7> &dims,
     spec.dims = dims;
     spec.activation = static_cast<int>(act);
     spec.majorityChain = majority_chain;
-    spec.approximateApc = cfg.approximateApc;
     spec.streamLen = cfg.streamLen;
     spec.rngBits = cfg.rngBits;
     spec.rngState = rng.state();
@@ -119,7 +118,6 @@ makePlanSpec(const nn::Network &net, const ScEngineConfig &cfg,
     p.stageStreamLens.assign(lens.begin(), lens.end());
     p.rngBits = cfg.rngBits;
     p.seed = cfg.seed;
-    p.approximateApc = cfg.approximateApc;
     auto append = [&p](const std::vector<float> &v) {
         p.params.insert(p.params.end(), v.begin(), v.end());
     };
@@ -158,6 +156,22 @@ chainStage(std::size_t li, const nn::Layer &l, const nn::FeatureShape &prev)
     } catch (const std::invalid_argument &e) {
         throw std::invalid_argument(std::string("ScNetworkEngine: ") +
                                     e.what());
+    }
+}
+
+/** @p factory's stage for layer @p li, a refusal (std::invalid_argument)
+ *  prefixed with the layer as chainStage prefixes shape errors. */
+template <typename Factory, typename Geometry>
+std::unique_ptr<ScStage>
+makeStage(std::size_t li, const nn::Layer &l, const Factory &factory,
+          const Geometry &g, WeightedStageInit init)
+{
+    try {
+        return factory(g, std::move(init));
+    } catch (const std::invalid_argument &e) {
+        throw std::invalid_argument("ScNetworkEngine: layer " +
+                                    std::to_string(li) + " (" + l.name() +
+                                    "): " + e.what());
     }
 }
 
@@ -309,21 +323,21 @@ compileNetworkUncached(const nn::Network &net, const ScEngineConfig &cfg)
             if (!factories.conv)
                 throwIncomplete(backend, "conv");
             const ScEngineConfig scfg = stageCfg();
-            stages.push_back(factories.conv(
-                g, WeightedStageInit{
-                       internStageState(
-                           StageKind::Conv,
-                           {g.inC, g.inH, g.inW, g.outC, g.outH, g.outW,
-                            g.kernel},
-                           activationKind(net.layer(li + 1)), false,
-                           backend, scfg, rng, conv->weights(),
-                           conv->biases(), want_streams,
-                           [&g] {
-                               return compileOperandPlan(
-                                   ConvWindowGather{g});
-                           }),
-                       conv->weights(), conv->biases(),
-                       activationKind(net.layer(li + 1)), false, scfg}));
+            stages.push_back(makeStage(
+                li, l, factories.conv, g,
+                WeightedStageInit{
+                    internStageState(
+                        StageKind::Conv,
+                        {g.inC, g.inH, g.inW, g.outC, g.outH, g.outW,
+                         g.kernel},
+                        activationKind(net.layer(li + 1)), false, backend,
+                        scfg, rng, conv->weights(), conv->biases(),
+                        want_streams,
+                        [&g] {
+                            return compileOperandPlan(ConvWindowGather{g});
+                        }),
+                    conv->weights(), conv->biases(),
+                    activationKind(net.layer(li + 1)), false, scfg}));
             shape = io.out;
             ++li; // consume the activation
             continue;
@@ -397,9 +411,10 @@ compileNetworkUncached(const nn::Network &net, const ScEngineConfig &cfg)
             if (has_act) {
                 if (!factories.dense)
                     throwIncomplete(backend, "dense");
-                stages.push_back(factories.dense(
-                    g, WeightedStageInit{std::move(shared), fc->weights(),
-                                         fc->biases(), act, false, scfg}));
+                stages.push_back(makeStage(
+                    li, l, factories.dense, g,
+                    WeightedStageInit{std::move(shared), fc->weights(),
+                                      fc->biases(), act, false, scfg}));
                 ++li;
             } else {
                 if (li + 1 != n_layers)

@@ -24,6 +24,10 @@
  *  - "ScNetworkEngine: activation-free Dense must be last"
  *  - "ScNetworkEngine: unmappable layer <name>"
  *  - "ScNetworkEngine: network must end in an output Dense layer"
+ *  - "ScNetworkEngine: layer <i> (<name>): <reason>" when a backend's
+ *    stage refuses the layer, e.g. aqfp-sorter and cmos-apc for a
+ *    fan-in above core::stages::LinearScStage::kMaxProducts (4093)
+ *    products per row
  */
 
 #ifndef AQFPSC_CORE_STAGES_STAGE_COMPILER_H

@@ -124,6 +124,11 @@ Network::train(std::vector<Sample> &samples, const TrainConfig &cfg)
 void
 Network::quantizeParams(int bits)
 {
+    if (bits < kMinQuantBits || bits > kMaxQuantBits)
+        throw std::invalid_argument(
+            "quantizeParams: " + std::to_string(bits) + " bits is outside [" +
+            std::to_string(kMinQuantBits) + ", " +
+            std::to_string(kMaxQuantBits) + "], the SNG code widths");
     quantBits_ = bits;
     for (auto &l : layers_) {
         for (std::vector<float> *p : l->params()) {
@@ -418,6 +423,16 @@ Network::loadModel(const std::string &path)
 
     Network net;
     net.quantBits_ = src.pod<std::int32_t>("quantBits");
+    // 0: never quantized.
+    if (net.quantBits_ != 0 && (net.quantBits_ < kMinQuantBits ||
+                                net.quantBits_ > kMaxQuantBits))
+        throw StatusError(StatusCode::ModelCorrupted,
+                          "loadModel: '" + path + "' records " +
+                              std::to_string(net.quantBits_) +
+                              " quantization bits, outside 0 (never "
+                              "quantized) and [" +
+                              std::to_string(kMinQuantBits) + ", " +
+                              std::to_string(kMaxQuantBits) + "]");
     const auto n_layers = src.pod<std::uint32_t>("layer count");
     // Building a layer allocates its weights, gradients and momenta, so
     // the sizes a spec declares are checked against the payload first:

@@ -62,10 +62,16 @@ class Network
      */
     double train(std::vector<Sample> &samples, const TrainConfig &cfg);
 
+    /** SNG code widths quantizeParams() accepts. */
+    static constexpr int kMinQuantBits = 1;
+    static constexpr int kMaxQuantBits = 20;
+
     /**
      * Snap all parameters to the bipolar SNG code grid (2^bits + 1 codes
      * over [-1, 1]).  Mirrors how weights are hardwired on chip.
      * Records the grid in quantBits() so model files carry it.
+     * @throws std::invalid_argument, before changing any parameter, for
+     *         bits outside [kMinQuantBits, kMaxQuantBits].
      */
     void quantizeParams(int bits);
 
@@ -100,7 +106,8 @@ class Network
      *         actionable message; the status code distinguishes
      *         IoError (missing/unreadable), ModelTruncated (footer
      *         missing: partial write), ModelCorrupted (bad magic,
-     *         checksum mismatch: bit rot, a NaN/Inf parameter, or layer
+     *         checksum mismatch: bit rot, a NaN/Inf parameter, a
+     *         quantization width quantizeParams() would refuse, or layer
      *         shapes that do not chain, see chainLayer) and
      *         InvalidArgument (version/architecture mismatch).
      */

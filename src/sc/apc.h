@@ -113,11 +113,11 @@ class ColumnCounts
 
     /**
      * The planes (plane k at planes + k * wordCount()), for a kernel
-     * that stores exact counts over a word prefix of every plane: the
-     * linear stages' per-row drive sums a row with
-     * sc::simd::KernelTable::addXnorTile into a one-row tile here.  The
-     * counter then reads those counts over that prefix (drivePrefix());
-     * every plane counts as written until the next clear().
+     * that stores exact counts over a word prefix of every plane, such
+     * as a one-row tile of sc::simd::KernelTable::addXnorTile (the
+     * neuron micro-benches and tests sum a row this way).  The counter
+     * then reads those counts over that prefix (drivePrefix()); every
+     * plane counts as written until the next clear().
      */
     std::uint64_t *overwritePlanes();
 
@@ -150,9 +150,10 @@ class ColumnCounts
     /**
      * Fused count-extract + bit-serial drive: call
      * @p step (count) for every cycle in order and pack the returned
-     * bits into @p dst (wordCount() words; tail bits are zeroed).  This
-     * is the inference hot path: one cache-hot pass over the planes, no
-     * std::vector<int> column array, full-word output stores.
+     * bits into @p dst (wordCount() words; tail bits are zeroed), with
+     * no std::vector<int> column array.  This per-row drive of a
+     * feedback unit is the reference the tests and micro-benches hold
+     * the stages' feedback kernel (featureFeedback in sc/simd) to.
      */
     template <typename Step>
     void
@@ -162,14 +163,12 @@ class ColumnCounts
     }
 
     /**
-     * Incremental drive entry point of the fused kernel: drive() limited
-     * to the first @p cycles cycles (first ceil(cycles/64) words of the
-     * planes and of @p dst; tail bits of the last written word are
-     * zeroed).  This is what checkpointable stage execution runs: a
-     * stage accumulates one 64-cycle-aligned block of streams at plane
-     * offset 0 and drives exactly that block, resuming the step
-     * function's state across blocks.  drivePrefix(length(), ...) is
-     * drive() exactly.
+     * drive() limited to the first @p cycles cycles (first
+     * ceil(cycles/64) words of the planes and of @p dst; tail bits of
+     * the last written word are zeroed): counts accumulated for one
+     * 64-cycle-aligned block at plane offset 0 drive exactly that block,
+     * and the step function's state resumes across blocks.
+     * drivePrefix(length(), ...) is drive() exactly.
      */
     template <typename Step>
     void
@@ -185,51 +184,6 @@ class ColumnCounts
             std::uint64_t outw = 0;
             for (std::size_t b = 0; b < hi; ++b) {
                 if (step(static_cast<int>(col[b])))
-                    outw |= 1ULL << b;
-            }
-            dst[w] = outw;
-        }
-    }
-
-    /**
-     * drive() with the SC-DCNN OR-pair overcount folded in: the cycle
-     * count becomes min(count + over.count, @p cap) before @p step sees
-     * it, matching the reference extract() + addOvercount() sequence
-     * bit-for-bit.  @p over must have the same length.
-     */
-    template <typename Step>
-    void
-    driveWithOvercount(const ColumnCounts &over, int cap, Step &&step,
-                       std::uint64_t *dst) const
-    {
-        driveWithOvercountPrefix(over, cap, len_, static_cast<Step &&>(step),
-                                 dst);
-    }
-
-    /** driveWithOvercount() limited to the first @p cycles cycles (see
-     *  drivePrefix()). */
-    template <typename Step>
-    void
-    driveWithOvercountPrefix(const ColumnCounts &over, int cap,
-                             std::size_t cycles, Step &&step,
-                             std::uint64_t *dst) const
-    {
-        assert(over.len_ == len_ && over.wordCount_ == wordCount_);
-        assert(cycles <= len_);
-        const std::size_t words = (cycles + 63) / 64;
-        for (std::size_t w = 0; w < words; ++w) {
-            const std::size_t base = w * 64;
-            const std::size_t hi = cycles - base < 64 ? cycles - base : 64;
-            std::uint32_t col[64];
-            std::uint32_t ocol[64];
-            blockCounts(w, col);
-            over.blockCounts(w, ocol);
-            std::uint64_t outw = 0;
-            for (std::size_t b = 0; b < hi; ++b) {
-                int c = static_cast<int>(col[b] + ocol[b]);
-                if (c > cap)
-                    c = cap;
-                if (step(c))
                     outw |= 1ULL << b;
             }
             dst[w] = outw;

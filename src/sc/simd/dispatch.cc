@@ -69,7 +69,7 @@ struct ScalarTile
 void
 scalarAddXnorTile(const XnorTile &tile)
 {
-    detail::addXnorTileWith<ScalarTile>(tile, detail::addXnorTileRipple);
+    detail::addXnorTileWith<ScalarTile>(tile);
 }
 
 void

@@ -217,7 +217,7 @@ struct Avx2Tile
 void
 addXnorTile(const XnorTile &tile)
 {
-    detail::addXnorTileWith<Avx2Tile>(tile, scalarKernels()->addXnorTile);
+    detail::addXnorTileWith<Avx2Tile>(tile);
 }
 
 void

@@ -350,7 +350,7 @@ struct Avx512Tile
 void
 addXnorTile(const XnorTile &tile)
 {
-    detail::addXnorTileWith<Avx512Tile>(tile, scalarKernels()->addXnorTile);
+    detail::addXnorTileWith<Avx512Tile>(tile);
 }
 
 void

@@ -5,8 +5,8 @@
  * addXnorRowRipple() adds one product at a time through the carry-save
  * planes: the plain ripple every tile kernel tier must reproduce bit
  * for bit (tests/test_simd_kernels.cc).  addXnorTileRipple() is the
- * same ripple over an XnorTile's operand lists, the path every tier
- * takes for counters too wide for the tile kernel's registers.
+ * same ripple over an XnorTile's operand lists, at any plane count: a
+ * reference for tests and benches, which no kernel table calls.
  * thresholdPackBits() is the SNG compare+pack loop; the scalar table
  * wraps it and the vector tables use it for the bits past their last
  * full lane group.

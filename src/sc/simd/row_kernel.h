@@ -21,10 +21,9 @@
  * Either way, per lane group:
  *
  *  - the planes live in P registers, P a compile-time constant (the
- *    tile's plane count up to kMaxFeedbackPlanes; kMaxRowPlanes for any
- *    wider counter that fits the registers), and start at the row's
- *    constant products (the bias, plus the neutral pad of an even row),
- *    not at a load;
+ *    tile's plane count, up to kMaxFeedbackPlanes), and start at the
+ *    row's constant products (the bias, plus the neutral pad of an even
+ *    row), not at a load;
  *  - the products ~(input ^ weight) go through a Harley-Seal carry-save
  *    adder tree: every block of 16 reduces through the ones/twos/fours/
  *    eights planes and hands its "sixteens" carry to plane 4, and the
@@ -234,8 +233,7 @@ struct LaneProducts
 };
 
 /** Store one row's count of @p n products plus its constant products
- *  into plane words [0, lane width) of @p dst: planes [0, @p stored),
- *  stored <= P (the planes past it hold zeros). */
+ *  into plane words [0, lane width) of @p dst. */
 template <typename Lane, int P>
 [[gnu::always_inline]] inline void
 sumRowGroup(const Lane &lane, const std::uint32_t *xrow,
@@ -243,7 +241,7 @@ sumRowGroup(const Lane &lane, const std::uint32_t *xrow,
             std::size_t x_stride, const std::uint64_t *w,
             std::size_t w_stride, const std::uint64_t *bias,
             const std::uint64_t *pad, std::uint64_t *dst,
-            std::size_t plane_stride, int stored)
+            std::size_t plane_stride)
 {
     using V = typename Lane::V;
     const WordProducts<Lane> products{lane, xrow, wrow, x,
@@ -253,9 +251,8 @@ sumRowGroup(const Lane &lane, const std::uint32_t *xrow,
     acc.count(lane.load(bias), pad != nullptr ? &q : nullptr, n);
 #pragma GCC unroll 16
     for (int k = 0; k < P; ++k)
-        if (k < stored)
-            lane.store(dst + static_cast<std::size_t>(k) * plane_stride,
-                       acc.p[k]);
+        lane.store(dst + static_cast<std::size_t>(k) * plane_stride,
+                   acc.p[k]);
 }
 
 /**
@@ -296,22 +293,18 @@ sumRowLanes(std::size_t lanes, const std::uint32_t *xrow,
 }
 
 /**
- * Sum every row of @p t for every image with P planes.  @p groups
- * splits the span into word-lane groups: groups(sum) calls
+ * Sum every row of @p t for every image with P = t.planeCount planes.
+ * @p groups splits the span into word-lane groups: groups(sum) calls
  * sum(lane, first word) once per group.  RowLane, when not void, sums
  * spans of up to kMaxRowLaneWords words in row lanes wherever a lane
- * group of rows reads one list (feedback tiles: P up to
- * kMaxFeedbackPlanes).  P = kMaxRowPlanes serves every wider counter
- * (t.planeCount in (kMaxFeedbackPlanes, kMaxRowPlanes]) and stores only
- * its t.planeCount planes.
+ * group of rows reads one list.
  */
 template <int P, typename RowLane, typename Groups>
 inline void
 xnorTileRows(const XnorTile &t, Groups &&groups)
 {
-    static_assert(P <= kMaxFeedbackPlanes || P == kMaxRowPlanes);
-    const int stored = P <= kMaxFeedbackPlanes ? P : t.planeCount;
-    assert(stored == t.planeCount && stored <= P);
+    static_assert(P >= 1 && P <= kMaxFeedbackPlanes);
+    assert(t.planeCount == P);
     const OperandLists &ops = t.ops;
     const bool dense = ops.lists == 1;
     std::size_t g = t.row0 / ops.lists;
@@ -327,10 +320,7 @@ xnorTileRows(const XnorTile &t, Groups &&groups)
         // m = n + 1 (the bias) is even exactly when n is odd.
         const std::uint64_t *const pad =
             t.padToOdd && n % 2 == 1 ? t.neutral : nullptr;
-        // Only a feedback tile (one row per call otherwise) has rows to
-        // put side by side.
-        constexpr bool kRowLanes =
-            !std::is_void_v<RowLane> && P <= kMaxFeedbackPlanes;
+        constexpr bool kRowLanes = !std::is_void_v<RowLane>;
         std::size_t lanes = 1;
         if constexpr (kRowLanes) {
             if (t.words <= kMaxRowLaneWords)
@@ -365,7 +355,7 @@ xnorTileRows(const XnorTile &t, Groups &&groups)
                 sumRowGroup<std::decay_t<decltype(lane)>, P>(
                     lane, xrow, wrow, n, x + wi, t.inputStride, w + wi,
                     t.paramStride, bias + wi, pad ? pad + wi : nullptr,
-                    dst + wi, t.planeStride, stored);
+                    dst + wi, t.planeStride);
             });
         }
         r += lanes;
@@ -387,25 +377,16 @@ tileEntries(std::index_sequence<Is...>)
         &Entry<static_cast<int>(Is) + 1>::run...};
 }
 
-/**
- * A tier's AddXnorTileFn: its P-plane instantiation Entry<P>::run up to
- * kMaxFeedbackPlanes planes (every feedback tile), one
- * Entry<kMaxRowPlanes>::run for the counters of the per-row drive that
- * still fit the registers, and @p wide (the scalar table's ripple,
- * compiled without the tier's arch flags) past them.
- */
+/** A tier's AddXnorTileFn: its P-plane instantiation Entry<P>::run for
+ *  P = tile.planeCount in [1, kMaxFeedbackPlanes]. */
 template <template <int> class Entry>
 void
-addXnorTileWith(const XnorTile &tile, AddXnorTileFn wide)
+addXnorTileWith(const XnorTile &tile)
 {
     static constexpr auto kEntries =
         tileEntries<Entry>(std::make_index_sequence<kMaxFeedbackPlanes>{});
-    if (tile.planeCount <= kMaxFeedbackPlanes)
-        kEntries[static_cast<std::size_t>(tile.planeCount) - 1](tile);
-    else if (tile.planeCount <= kMaxRowPlanes)
-        Entry<kMaxRowPlanes>::run(tile);
-    else
-        wide(tile);
+    assert(tile.planeCount >= 1 && tile.planeCount <= kMaxFeedbackPlanes);
+    kEntries[static_cast<std::size_t>(tile.planeCount) - 1](tile);
 }
 
 } // namespace aqfpsc::sc::simd::detail

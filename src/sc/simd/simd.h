@@ -75,10 +75,6 @@ struct PlaneSpan
     int planeCount;
 };
 
-/** Most planes the tile kernel keeps in registers (counts < 65536);
- *  wider counters take the scalar ripple (kernels_scalar.h). */
-inline constexpr int kMaxRowPlanes = 16;
-
 /**
  * The operand lists of a linear stage's rows, as the tile kernel reads
  * them (a view of core::stages::OperandPlan).  Rows that differ only by
@@ -137,7 +133,7 @@ struct XnorTile
     std::size_t planeStride;
     std::size_t images;
     std::size_t words;
-    int planeCount; ///< holds every row's count (any width)
+    int planeCount; ///< [1, kMaxFeedbackPlanes], holds every row's count
 };
 
 /** Sum every row of @p tile for every image (see XnorTile). */
@@ -147,9 +143,9 @@ using AddXnorTileFn = void (*)(const XnorTile &tile);
  *  words of the widest (AVX-512) register. */
 inline constexpr std::size_t kFeedbackTileRows = 512;
 
-/** Most count planes the feedback kernel's bit-sliced arithmetic
- *  handles (column counts < 4096); wider counters take the stages'
- *  per-row drive. */
+/** Most count planes the tile and feedback kernels handle (column
+ *  counts < 4096): the linear stages refuse a fan-in whose counts need
+ *  more (core::stages::LinearScStage). */
 inline constexpr int kMaxFeedbackPlanes = 12;
 
 /** The per-row recurrence a FeedbackTile runs (feedback_kernel.h). */

@@ -31,13 +31,11 @@ testImages(int n)
 
 /** Session on the tiny zoo CNN with a given backend/stream length. */
 InferenceSession
-makeSession(const std::string &backend, std::size_t stream_len,
-            bool approximate_apc = false)
+makeSession(const std::string &backend, std::size_t stream_len)
 {
     EngineOptions opts;
     opts.backend = backend;
     opts.streamLen = stream_len;
-    opts.approximateApc = approximate_apc;
     return InferenceSession(buildTinyCnn(3), opts);
 }
 
@@ -81,25 +79,6 @@ TEST(AdaptiveInference, InfiniteMarginMatchesNonAdaptiveBitwise)
                 }
             }
         }
-    }
-}
-
-/** The approximate-APC overcount path must survive resume as well. */
-TEST(AdaptiveInference, ApproximateApcMatchesNonAdaptiveBitwise)
-{
-    const auto samples = testImages(2);
-    const InferenceSession session = makeSession("cmos-apc", 192, true);
-    const ScNetworkEngine &engine = session.engine();
-    StageWorkspace ws(engine);
-    AdaptivePolicy policy;
-    policy.checkpointCycles = 64;
-    policy.exitMargin = kInf;
-    for (std::size_t i = 0; i < samples.size(); ++i) {
-        const ScPrediction ref = engine.inferIndexed(samples[i].image, i);
-        const AdaptivePrediction adaptive =
-            engine.inferAdaptive(samples[i].image, i, ws, policy);
-        EXPECT_EQ(adaptive.prediction.scores, ref.scores);
-        EXPECT_EQ(adaptive.prediction.label, ref.label);
     }
 }
 

@@ -224,6 +224,87 @@ TEST(BackendRegistry, CompilerRejectsLayerShapesThatDoNotChain)
 }
 
 /**
+ * The feedback kernel counts at most 4093 products per row (with the
+ * bias and a neutral pad, 12 count planes).  A wider hidden Dense or
+ * conv window fails to compile on the stream backends, naming the
+ * layer; 4093 products and fewer compile, and float-ref compiles every
+ * width.
+ */
+TEST(BackendRegistry, CompilerRejectsFanInTheFeedbackKernelCannotCount)
+{
+    using nn::Conv2D;
+    using nn::Dense;
+    using nn::MajorityChainDense;
+    using nn::SorterTanh;
+    struct Case
+    {
+        const char *what;
+        nn::Network (*build)();
+        const char *layer; ///< the refused layer, or nullptr: compiles
+    };
+    const Case cases[] = {
+        {"dense of 4094",
+         [] {
+             nn::Network net;
+             net.add(std::make_unique<Dense>(4094, 4, 1));
+             net.add(std::make_unique<SorterTanh>());
+             net.add(std::make_unique<MajorityChainDense>(4, 10, 2));
+             return net;
+         },
+         "layer 0 (FC4): "},
+        {"3x3 conv of 455 channels (4095 products)",
+         [] {
+             nn::Network net;
+             net.add(std::make_unique<Conv2D>(455, 1, 3, 1));
+             net.add(std::make_unique<SorterTanh>());
+             net.add(std::make_unique<MajorityChainDense>(784, 10, 2));
+             return net;
+         },
+         "layer 0 (Conv3x3x1): "},
+        {"dense of 4093",
+         [] {
+             nn::Network net;
+             net.add(std::make_unique<Dense>(4093, 4, 1));
+             net.add(std::make_unique<SorterTanh>());
+             net.add(std::make_unique<MajorityChainDense>(4, 10, 2));
+             return net;
+         },
+         nullptr},
+        {"3x3 conv of 454 channels (4086 products)",
+         [] {
+             nn::Network net;
+             net.add(std::make_unique<Conv2D>(454, 1, 3, 1));
+             net.add(std::make_unique<SorterTanh>());
+             net.add(std::make_unique<MajorityChainDense>(784, 10, 2));
+             return net;
+         },
+         nullptr},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.what);
+        for (const char *backend : {"aqfp-sorter", "cmos-apc", "float-ref"}) {
+            SCOPED_TRACE(backend);
+            ScEngineConfig cfg;
+            cfg.backendName = backend;
+            cfg.streamLen = 64;
+            if (c.layer == nullptr || std::string(backend) == "float-ref") {
+                EXPECT_NO_THROW({
+                    const ScNetworkEngine engine(c.build(), cfg);
+                });
+                continue;
+            }
+            try {
+                ScNetworkEngine engine(c.build(), cfg);
+                FAIL() << "expected std::invalid_argument";
+            } catch (const std::invalid_argument &e) {
+                EXPECT_TRUE(contains(e.what(), c.layer)) << e.what();
+                EXPECT_TRUE(contains(e.what(), "4093")) << e.what();
+            }
+        }
+    }
+}
+
+/**
  * The acceptance demonstration: a complete backend registered from this
  * TU — no edits to stage_compiler.cc (or any core file).  The backend
  * only serves networks that are a single output layer and scores every

@@ -11,8 +11,8 @@
  * (tests/test_fused_kernels.cc).  Coverage:
  *
  *  - full-stream predictions at cohort sizes 1/2/3/4/5/8/9 on all three
- *    registered backends (plus the approximate-APC path), against the
- *    per-image inferIndexed() reference, via a golden score hash;
+ *    registered backends, against the per-image inferIndexed()
+ *    reference, via a golden score hash;
  *  - adaptive early-exit cohorts (in-place compaction) against
  *    per-image inferAdaptive(), in both deterministic and lazy-substream
  *    modes, across thread counts;
@@ -42,13 +42,11 @@ testImages()
 }
 
 InferenceSession
-makeSession(const std::string &backend, std::size_t stream_len,
-            bool approx = false)
+makeSession(const std::string &backend, std::size_t stream_len)
 {
     EngineOptions opts;
     opts.backend = backend;
     opts.streamLen = stream_len;
-    opts.approximateApc = approx;
     return InferenceSession(buildTinyCnn(3), opts);
 }
 
@@ -78,21 +76,17 @@ TEST(Cohort, BitIdenticalAcrossCohortSizesOnEveryBackend)
     {
         const char *backend;
         std::size_t len;
-        bool approx;
     };
     const Case cases[] = {
-        {"aqfp-sorter", 192, false},
-        {"aqfp-sorter", 100, false}, // non-multiple-of-64 tail
-        {"cmos-apc", 192, false},
-        {"cmos-apc", 192, true}, // OR-pair overcount path
-        {"float-ref", 192, false},
+        {"aqfp-sorter", 192},
+        {"aqfp-sorter", 100}, // non-multiple-of-64 tail
+        {"cmos-apc", 192},
+        {"float-ref", 192},
     };
     for (const Case &c : cases) {
         SCOPED_TRACE(std::string(c.backend) +
-                     " len=" + std::to_string(c.len) +
-                     " approx=" + std::to_string(c.approx));
-        const InferenceSession session =
-            makeSession(c.backend, c.len, c.approx);
+                     " len=" + std::to_string(c.len));
+        const InferenceSession session = makeSession(c.backend, c.len);
         const ScNetworkEngine &engine = session.engine();
 
         // The per-image reference path (pinned by the PR3 goldens).

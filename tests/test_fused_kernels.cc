@@ -3,8 +3,8 @@
  * Golden-equivalence suite for the fused zero-allocation inference
  * kernels.
  *
- * The fused paths (ColumnCounts::addXnor / drive / driveWithOvercount,
- * lazy clear, word-batched StreamMatrix::fillBipolar, the per-thread
+ * The fused paths (ColumnCounts::addXnor / drive, lazy clear,
+ * word-batched StreamMatrix::fillBipolar, the per-thread
  * StageWorkspace arena) must be bit-identical to the reference paths
  * they replaced (xnorProduct + addWords + extract + per-use feedback
  * units, bit-serial SNG fill, per-image allocation).  Coverage:
@@ -13,8 +13,8 @@
  *    non-multiple-of-64 tails) and odd/even stream counts;
  *  - an end-to-end golden dump (per-stage stream hashes + hexfloat
  *    scores) captured from the pre-fusion implementation for all three
- *    registered backends, two stream lengths, and the approximate-APC
- *    path — any bit drift in any stage of any backend fails the test;
+ *    registered backends and two stream lengths — any bit drift in any
+ *    stage of any backend fails the test;
  *  - workspace-reuse determinism (results independent of buffer reuse
  *    order) and a heap-allocation count proving the steady-state
  *    inference loop does not allocate inside the stage pipeline.
@@ -218,57 +218,6 @@ TEST(FusedKernels, DriveMatchesExtractPlusFeedbackUnit)
     }
 }
 
-TEST(FusedKernels, DriveWithOvercountMatchesAddOvercount)
-{
-    for (const std::size_t len : {64u, 100u, 192u, 1000u}) {
-        for (const int m : {4, 7, 10}) {
-            const sc::StreamMatrix x =
-                randomStreams(static_cast<std::size_t>(m), len, 500 + len);
-            const sc::StreamMatrix w =
-                randomStreams(static_cast<std::size_t>(m), len, 600 + len);
-            const std::size_t wpr = x.wordsPerRow();
-
-            // Reference: observe() materialized products, addOvercount().
-            sc::ColumnCounts ref_counts(len, m + 1);
-            core::stages::ApproxPairOvercount ref_over(len, m / 2 + 1);
-            std::vector<std::uint64_t> prod(wpr);
-            for (int r = 0; r < m; ++r) {
-                core::stages::xnorProduct(
-                    prod.data(), x.row(static_cast<std::size_t>(r)),
-                    w.row(static_cast<std::size_t>(r)), wpr);
-                ref_counts.addWords(prod.data(), wpr);
-                ref_over.observe(prod, wpr);
-            }
-            std::vector<int> col;
-            ref_counts.extract(col);
-            ref_over.addOvercount(col, m);
-
-            // Fused: observeXnor + driveWithOvercount.
-            sc::ColumnCounts counts(len, m + 1);
-            core::stages::ApproxPairOvercount over(len, m / 2 + 1);
-            for (int r = 0; r < m; ++r) {
-                counts.addXnor(x.row(static_cast<std::size_t>(r)),
-                               w.row(static_cast<std::size_t>(r)), wpr);
-                over.observeXnor(x.row(static_cast<std::size_t>(r)),
-                                 w.row(static_cast<std::size_t>(r)), wpr);
-            }
-            std::vector<int> got;
-            got.reserve(len);
-            std::vector<std::uint64_t> dst(counts.wordCount());
-            counts.driveWithOvercount(over.counts(), m,
-                                      [&](int c) {
-                                          got.push_back(c);
-                                          return (c & 1) != 0;
-                                      },
-                                      dst.data());
-            ASSERT_EQ(got.size(), len);
-            for (std::size_t i = 0; i < len; ++i)
-                EXPECT_EQ(got[i], col[i])
-                    << "len=" << len << " m=" << m << " cycle=" << i;
-        }
-    }
-}
-
 TEST(FusedKernels, LazyClearBehavesLikeFreshCounter)
 {
     const std::size_t len = 200; // non-multiple-of-64 tail
@@ -393,13 +342,12 @@ hashMatrix(const sc::StreamMatrix &m)
  */
 std::string
 dumpConfig(const std::string &backend, std::size_t len, std::uint64_t seed,
-           bool approx, const std::vector<nn::Sample> &samples)
+           const std::vector<nn::Sample> &samples)
 {
     core::EngineOptions opts;
     opts.backend = backend;
     opts.streamLen = len;
     opts.seed = seed;
-    opts.approximateApc = approx;
     core::InferenceSession session(core::buildModel("tiny", 3), opts);
     const core::ScNetworkEngine &engine = session.engine();
     const bool streams =
@@ -421,9 +369,8 @@ dumpConfig(const std::string &backend, std::size_t len, std::uint64_t seed,
                 cur.fillBipolar(i, image[i], opts.rngBits, rng);
         }
         std::snprintf(buf, sizeof(buf), "%s len=%zu seed=%" PRIu64
-                      " approx=%d img=%zu in=%016" PRIx64 "\n",
-                      backend.c_str(), len, seed, approx ? 1 : 0, idx,
-                      hashMatrix(cur));
+                      " img=%zu in=%016" PRIx64 "\n",
+                      backend.c_str(), len, seed, idx, hashMatrix(cur));
         out += buf;
         for (std::size_t s = 0; s < engine.stageCount(); ++s) {
             const core::ScStage &stage = engine.stage(s);
@@ -466,126 +413,105 @@ dumpConfig(const std::string &backend, std::size_t len, std::uint64_t seed,
 
 /** Captured from the pre-fusion implementation (seed of this PR). */
 const char *const kGoldenDump =
-    R"(aqfp-sorter len=192 seed=7 approx=0 img=0 in=463d3e84a8f3ce15
+    R"(aqfp-sorter len=192 seed=7 img=0 in=463d3e84a8f3ce15
   stage0=f9eade94e33a8709
   stage1=d4183d600a0a2353
   stage2=0e0d9fef23b0d0e7
   stage3=0ac2aa9bddb55f0d
   scores -0x1.9555555555554p-3 -0x1.9555555555554p-3 -0x1.aaaaaaaaaaabp-5 -0x1.aaaaaaaaaaabp-5 0x1.aaaaaaaaaaaap-5 0x1.8p-4 -0x1.aaaaaaaaaaabp-5 0x1.aaaaaaaaaaaa8p-3 0x1.eaaaaaaaaaaa8p-3 0x1.8p-4
   label=8
-aqfp-sorter len=192 seed=7 approx=0 img=1 in=ae495ece0feac99e
+aqfp-sorter len=192 seed=7 img=1 in=ae495ece0feac99e
   stage0=52ee7e46b093346c
   stage1=b530dfba1f12c594
   stage2=0a4da2cc15462332
   stage3=1855ab13fdaf6767
   scores 0x1p-5 -0x1.aaaaaaaaaaabp-5 0x1.0aaaaaaaaaaacp-2 0x1.2aaaaaaaaaaa8p-3 -0x1.aaaaaaaaaaaa8p-4 -0x1.555555555554p-7 -0x1.2aaaaaaaaaaacp-3 0x1.1555555555558p-3 0x1.aaaaaaaaaaaap-5 -0x1p-4
   label=2
-aqfp-sorter len=192 seed=7 approx=0 img=2 in=9ac1c47a1daf360f
+aqfp-sorter len=192 seed=7 img=2 in=9ac1c47a1daf360f
   stage0=ec72e72cf3e63d15
   stage1=13e0f6fc4a756c78
   stage2=a354c0bba2ea7603
   stage3=4355e9c7e5ced147
   scores 0x0p+0 -0x1.5555555555554p-3 -0x1.aaaaaaaaaaaa8p-4 -0x1.5555555555554p-3 -0x1.555555555554p-7 0x1p-4 0x1p-2 0x1.9555555555558p-3 0x1.4p-2 0x1.555555555555p-4
   label=8
-aqfp-sorter len=100 seed=11 approx=0 img=0 in=56e81286bb730f62
+aqfp-sorter len=100 seed=11 img=0 in=56e81286bb730f62
   stage0=0f05560263c226ad
   stage1=8f05c316be515ec0
   stage2=31181e994632f66c
   stage3=e51d64af6b7ef0e6
   scores 0x1.1eb851eb851e8p-3 0x1.c28f5c28f5c28p-3 -0x1.c28f5c28f5c28p-3 -0x1.eb851eb851ecp-5 0x1.5c28f5c28f5c4p-2 0x1.1eb851eb851e8p-3 0x1.eb851eb851ecp-5 -0x1.47ae147ae1478p-4 -0x1.70a3d70a3d70cp-3 0x1.47ae147ae148p-4
   label=4
-aqfp-sorter len=100 seed=11 approx=0 img=1 in=276f0a51f2c09109
+aqfp-sorter len=100 seed=11 img=1 in=276f0a51f2c09109
   stage0=e3eb41f2d5cd45ad
   stage1=ae4c0c7f9b8f349f
   stage2=643c5ad67790e33d
   stage3=b3a0ad9dd294952a
   scores -0x1.47ae147ae148p-6 0x1.1eb851eb851ecp-2 -0x1.47ae147ae1478p-4 0x1.47ae147ae1478p-3 -0x1.47ae147ae1478p-4 0x1.9999999999998p-3 -0x1.47ae147ae1478p-4 -0x1.9999999999998p-4 -0x1.851eb851eb852p-2 0x1.eb851eb851ecp-5
   label=1
-aqfp-sorter len=100 seed=11 approx=0 img=2 in=c6c21909957da863
+aqfp-sorter len=100 seed=11 img=2 in=c6c21909957da863
   stage0=78521c0cd895e526
   stage1=767a7fbad34b3bde
   stage2=0a130e8c18c1a8d3
   stage3=55fa32d6e929a570
   scores 0x0p+0 0x1.47ae147ae148p-4 -0x1.47ae147ae147ap-2 0x0p+0 0x1.9999999999998p-3 0x1.9999999999998p-3 0x1.47ae147ae1478p-3 0x1.47ae147ae148p-4 -0x1.47ae147ae1478p-4 0x1.47ae147ae147cp-2
   label=9
-cmos-apc len=192 seed=7 approx=0 img=0 in=463d3e84a8f3ce15
+cmos-apc len=192 seed=7 img=0 in=463d3e84a8f3ce15
   stage0=f90ac267b7d757b4
   stage1=e6337de366c4c912
   stage2=35c106eeef97e9c1
   stage3=859a78d0b73bdd3b
   scores 0x1.8e5p+12 0x1.993p+12 0x1.84dp+12 0x1.898p+12 0x1.8d4p+12 0x1.872p+12 0x1.852p+12 0x1.782p+12 0x1.81cp+12 0x1.7c4p+12
   label=1
-cmos-apc len=192 seed=7 approx=0 img=1 in=ae495ece0feac99e
+cmos-apc len=192 seed=7 img=1 in=ae495ece0feac99e
   stage0=5753dd22f8c070a8
   stage1=30a78dacd9618699
   stage2=b7eaf545113e889f
   stage3=cc166ae042c17f91
   scores 0x1.96ap+12 0x1.8aep+12 0x1.96ap+12 0x1.813p+12 0x1.811p+12 0x1.8c1p+12 0x1.885p+12 0x1.90fp+12 0x1.813p+12 0x1.86fp+12
   label=0
-cmos-apc len=192 seed=7 approx=0 img=2 in=9ac1c47a1daf360f
+cmos-apc len=192 seed=7 img=2 in=9ac1c47a1daf360f
   stage0=86af4de12db38498
   stage1=a92cf5c9d5a2f97e
   stage2=d8efb90e93d7e6c2
   stage3=bebb4f9fc7885141
   scores 0x1.8d7p+12 0x1.97fp+12 0x1.7cdp+12 0x1.87cp+12 0x1.8bp+12 0x1.8fp+12 0x1.8f6p+12 0x1.7e4p+12 0x1.8ep+12 0x1.946p+12
   label=1
-cmos-apc len=100 seed=11 approx=0 img=0 in=56e81286bb730f62
+cmos-apc len=100 seed=11 img=0 in=56e81286bb730f62
   stage0=48cd4e004ab92264
   stage1=1a442d195c64a110
   stage2=c6ba26b741f40ba5
   stage3=60d4e70ba31e4062
   scores 0x1.8ap+11 0x1.988p+11 0x1.afp+11 0x1.9c8p+11 0x1.9ccp+11 0x1.946p+11 0x1.906p+11 0x1.97p+11 0x1.8d2p+11 0x1.9aap+11
   label=2
-cmos-apc len=100 seed=11 approx=0 img=1 in=276f0a51f2c09109
+cmos-apc len=100 seed=11 img=1 in=276f0a51f2c09109
   stage0=bfdf6dc0d4f889ea
   stage1=3dc74ba8f7d4628d
   stage2=8f8972ccf4b850c6
   stage3=81b679f496df2536
   scores 0x1.94ap+11 0x1.85ep+11 0x1.aa2p+11 0x1.90ep+11 0x1.a16p+11 0x1.97cp+11 0x1.a18p+11 0x1.922p+11 0x1.958p+11 0x1.9dcp+11
   label=2
-cmos-apc len=100 seed=11 approx=0 img=2 in=c6c21909957da863
+cmos-apc len=100 seed=11 img=2 in=c6c21909957da863
   stage0=831b12e89a2673ce
   stage1=df44521905be0357
   stage2=e17817f45a4c5012
   stage3=c185e1ef559a606c
   scores 0x1.9a8p+11 0x1.844p+11 0x1.a5cp+11 0x1.ab4p+11 0x1.974p+11 0x1.9bap+11 0x1.8aap+11 0x1.8b4p+11 0x1.986p+11 0x1.836p+11
   label=3
-cmos-apc len=192 seed=7 approx=1 img=0 in=463d3e84a8f3ce15
-  stage0=b7378d77bf964665
-  stage1=fe8a03ff0e87a990
-  stage2=7e16f1a4319de2b0
-  stage3=bece4cbaf1245125
-  scores 0x1.7f3p+12 0x1.685p+12 0x1.9bdp+12 0x1.88p+12 0x1.844p+12 0x1.a2ep+12 0x1.6fcp+12 0x1.728p+12 0x1.896p+12 0x1.776p+12
-  label=5
-cmos-apc len=192 seed=7 approx=1 img=1 in=ae495ece0feac99e
-  stage0=c99b01de67fd6339
-  stage1=33825f65cb658071
-  stage2=ef3026c62bc0cf22
-  stage3=aef6a02224cd0824
-  scores 0x1.7f2p+12 0x1.684p+12 0x1.9bcp+12 0x1.87fp+12 0x1.843p+12 0x1.a2fp+12 0x1.6fdp+12 0x1.729p+12 0x1.895p+12 0x1.777p+12
-  label=5
-cmos-apc len=192 seed=7 approx=1 img=2 in=9ac1c47a1daf360f
-  stage0=fbec7dd4603fcf14
-  stage1=aa186a8b806a82de
-  stage2=2d8fea5a97fac500
-  stage3=bece4cbaf1245125
-  scores 0x1.7f3p+12 0x1.685p+12 0x1.9bdp+12 0x1.88p+12 0x1.844p+12 0x1.a2ep+12 0x1.6fcp+12 0x1.728p+12 0x1.896p+12 0x1.776p+12
-  label=5
-float-ref len=192 seed=7 approx=0 img=0 in=cbf29ce484222325
+float-ref len=192 seed=7 img=0 in=cbf29ce484222325
   stage0=cbf29ce484222325
   stage1=cbf29ce484222325
   stage2=cbf29ce484222325
   stage3=cbf29ce484222325
   scores 0x1.0cb1fp-4 -0x1.b2ed68p-4 0x1.21466ap-6 -0x1.067f1p-4 0x1.c55b9p-5 0x1.4b0e8cp-3 0x1.6a4c7p-3 0x1.78df2p-4 0x1.56127p-3 0x1.4b76ap-4
   label=6
-float-ref len=192 seed=7 approx=0 img=1 in=cbf29ce484222325
+float-ref len=192 seed=7 img=1 in=cbf29ce484222325
   stage0=cbf29ce484222325
   stage1=cbf29ce484222325
   stage2=cbf29ce484222325
   stage3=cbf29ce484222325
   scores -0x1.9da88p-3 -0x1.85827ap-3 0x1.45e348p-4 0x1.64c7c2p-5 -0x1.088f3ep-3 -0x1.029ab4p-5 -0x1.9a9b4cp-4 0x1.0d7638p-2 0x1.7f5654p-4 0x1.58b668p-5
   label=7
-float-ref len=192 seed=7 approx=0 img=2 in=cbf29ce484222325
+float-ref len=192 seed=7 img=2 in=cbf29ce484222325
   stage0=cbf29ce484222325
   stage1=cbf29ce484222325
   stage2=cbf29ce484222325
@@ -598,12 +524,11 @@ TEST(FusedKernels, GoldenEndToEndBitExactAcrossBackends)
 {
     const std::vector<nn::Sample> samples = data::generateDigits(3, 42);
     std::string all;
-    all += dumpConfig("aqfp-sorter", 192, 7, false, samples);
-    all += dumpConfig("aqfp-sorter", 100, 11, false, samples);
-    all += dumpConfig("cmos-apc", 192, 7, false, samples);
-    all += dumpConfig("cmos-apc", 100, 11, false, samples);
-    all += dumpConfig("cmos-apc", 192, 7, true, samples);
-    all += dumpConfig("float-ref", 192, 7, false, samples);
+    all += dumpConfig("aqfp-sorter", 192, 7, samples);
+    all += dumpConfig("aqfp-sorter", 100, 11, samples);
+    all += dumpConfig("cmos-apc", 192, 7, samples);
+    all += dumpConfig("cmos-apc", 100, 11, samples);
+    all += dumpConfig("float-ref", 192, 7, samples);
     EXPECT_EQ(all, kGoldenDump)
         << "fused kernels drifted from the pre-fusion reference";
 }

@@ -304,6 +304,46 @@ TEST(ModelIo, InflatedLayerSizesAreRejectedBeforeAllocation)
     }
 }
 
+TEST(ModelIo, QuantizationWidthsOutsideTheCodeGridAreRejected)
+{
+    // The quantization width sits right after the magic and version.
+    constexpr std::size_t kQuantOffset = 8 + 4;
+    nn::Network net;
+    net.add(std::make_unique<nn::Dense>(2, 3, 0u));
+    TempFile good("quant_good.model");
+    ASSERT_TRUE(net.saveModel(good.path()));
+    std::string bytes;
+    {
+        std::ifstream in(good.path(), std::ios::binary);
+        bytes.assign((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    }
+    for (const std::int32_t bits : {0, 1, 20, -1, 21, 40}) {
+        SCOPED_TRACE(bits);
+        std::string mutated = bytes;
+        std::memcpy(&mutated[kQuantOffset], &bits, sizeof(bits));
+        refreshChecksum(mutated);
+        TempFile file("quant.model");
+        {
+            std::ofstream out(file.path(), std::ios::binary);
+            out.write(mutated.data(),
+                      static_cast<std::streamsize>(mutated.size()));
+        }
+        if (bits == 0 || (bits >= nn::Network::kMinQuantBits &&
+                          bits <= nn::Network::kMaxQuantBits)) {
+            EXPECT_EQ(nn::Network::loadModel(file.path()).quantBits(), bits);
+            continue;
+        }
+        try {
+            nn::Network::loadModel(file.path());
+            FAIL() << "expected StatusError";
+        } catch (const core::StatusError &e) {
+            EXPECT_EQ(e.status().code, core::StatusCode::ModelCorrupted);
+            EXPECT_TRUE(contains(e.what(), "quantization bits")) << e.what();
+        }
+    }
+}
+
 TEST(ModelIo, NonFiniteParametersAreRejected)
 {
     // A NaN or Inf weight survives save (the checksum covers the bytes,

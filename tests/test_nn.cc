@@ -8,6 +8,8 @@
 #include <cmath>
 #include <cstdio>
 #include <memory>
+#include <stdexcept>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -333,6 +335,25 @@ TEST(Network, QuantizeSnapsToGrid)
     for (float w : fc->weights()) {
         const float steps = (w + 1.0f) * 8.0f;
         EXPECT_NEAR(steps, std::round(steps), 1e-4) << w;
+    }
+}
+
+TEST(Network, QuantizeRejectsWidthsOutsideTheCodeGrid)
+{
+    Network net;
+    net.add(std::make_unique<Dense>(4, 4, 31));
+    const auto *fc = dynamic_cast<const Dense *>(&net.layer(0));
+    ASSERT_NE(fc, nullptr);
+    const std::vector<float> before = fc->weights();
+    for (const int bits : {0, -1, 21, 31, 40}) {
+        SCOPED_TRACE(bits);
+        EXPECT_THROW(net.quantizeParams(bits), std::invalid_argument);
+        EXPECT_EQ(fc->weights(), before);
+        EXPECT_EQ(net.quantBits(), 0);
+    }
+    for (const int bits : {Network::kMinQuantBits, Network::kMaxQuantBits}) {
+        net.quantizeParams(bits);
+        EXPECT_EQ(net.quantBits(), bits);
     }
 }
 

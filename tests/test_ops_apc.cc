@@ -13,6 +13,7 @@
 #include "sc/apc.h"
 #include "sc/ops.h"
 #include "sc/rng.h"
+#include "sc/simd/kernels_scalar.h"
 #include "sc/simd/simd.h"
 #include "sc/sng.h"
 #include "sc/stream_matrix.h"
@@ -278,12 +279,11 @@ TEST(ColumnCounts, LazyClearHighWaterAcrossAlternatingReuses)
 
 /**
  * A one-row tile of the dispatched tile kernel, stored into the
- * counter's planes (the linear stages' per-row drive), reads back the
- * same counts as one single-stream add per product: 31 products (every
- * Harley-Seal block size), the bias and, for a padded row (m = 32 is
- * even), the neutral row, over a ragged tail.  A counter too wide for
- * the tile kernel's registers takes the scalar ripple and must agree
- * too.
+ * counter's planes, reads back the same counts as one single-stream add
+ * per product: 31 products (every Harley-Seal block size), the bias
+ * and, for a padded row (m = 32 is even), the neutral row, over a
+ * ragged tail.  So does the ripple reference (addXnorTileRipple) into a
+ * counter wider than the tile kernel's planes.
  */
 TEST(ColumnCounts, OneRowTileMatchesSingleStreamForms)
 {
@@ -322,7 +322,11 @@ TEST(ColumnCounts, OneRowTileMatchesSingleStreamForms)
             row.addWords(x.row(0), words); // overwritten, not added to
             const std::uint64_t *const inputs[] = {x.row(0)};
             std::uint64_t *const planes[] = {row.overwritePlanes()};
-            simd::kernels().addXnorTile(
+            const simd::AddXnorTileFn add =
+                row.planeCount() <= simd::kMaxFeedbackPlanes
+                    ? simd::kernels().addXnorTile
+                    : simd::detail::addXnorTileRipple;
+            add(
                 {{first, rows.data(), rows.data(), run, 1, products},
                  0,
                  1,

@@ -47,13 +47,11 @@ testImages(int count = 6)
 }
 
 EngineOptions
-makeOptions(const std::string &backend, std::size_t stream_len,
-            bool approx = false)
+makeOptions(const std::string &backend, std::size_t stream_len)
 {
     EngineOptions opts;
     opts.backend = backend;
     opts.streamLen = stream_len;
-    opts.approximateApc = approx;
     return opts;
 }
 
@@ -126,21 +124,18 @@ TEST(PlanCacheDifferential, CachedEqualsColdOnAllStreamBackends)
         const char *model;
         const char *backend;
         std::size_t len;
-        bool approx;
     };
     const Case cases[] = {
-        {"tiny", "aqfp-sorter", 192, false},
-        {"tiny", "cmos-apc", 192, false},
-        {"tiny", "cmos-apc", 192, true}, // OR-pair overcount path
-        {"snn", "aqfp-sorter", 64, false},
-        {"snn", "cmos-apc", 64, false},
+        {"tiny", "aqfp-sorter", 192},
+        {"tiny", "cmos-apc", 192},
+        {"snn", "aqfp-sorter", 64},
+        {"snn", "cmos-apc", 64},
     };
     for (const Case &c : cases) {
         SCOPED_TRACE(std::string(c.model) + "/" + c.backend +
-                     " len=" + std::to_string(c.len) +
-                     " approx=" + std::to_string(c.approx));
+                     " len=" + std::to_string(c.len));
         CacheGuard guard;
-        const EngineOptions opts = makeOptions(c.backend, c.len, c.approx);
+        const EngineOptions opts = makeOptions(c.backend, c.len);
 
         // Cold reference: interning off, nothing shared.
         PlanCache::instance().setEnabled(false);
@@ -364,9 +359,8 @@ expectPlanListsGatherPairs(const stages::OperandPlan &plan,
 /**
  * Every linear stage of every zoo model, on both sorter and APC
  * backends, carries an operand plan that lists exactly the product
- * pairs its Gather visits, in visit order (the order the CMOS
- * approximate counter pairs them in), and the plan is counted in the
- * stage's resident bytes.
+ * pairs its Gather visits, in visit order, and the plan is counted in
+ * the stage's resident bytes.
  */
 TEST(OperandPlan, ZooStagePlansListTheGatherPairsInOrder)
 {

@@ -44,7 +44,6 @@ TEST(EngineOptions, ValidateAcceptTable)
     o.streamLen = EngineOptions::kMaxStreamLen;
     o.rngBits = EngineOptions::kMaxRngBits;
     o.threads = EngineOptions::kMaxThreads;
-    o.approximateApc = true;
     EXPECT_TRUE(o.validate().empty());
 
     // Non-multiple-of-64 stream lengths are legal (tail-clean streams).

@@ -11,21 +11,21 @@
  *
  *  - the tile kernel of every tier this host can run (not only the
  *    detected one) against the one-ripple-per-product reference:
- *    plane counts 1-17, spans {1,2,3,4,5,8,9,16} at a nonzero word
+ *    plane counts 1-12, spans {1,2,3,4,5,8,9,16} at a nonzero word
  *    offset, lists of 0 to 70 products, dense and run plans, tiles of
  *    1 to 512 rows, cohorts of 1-9 and conv border windows; every
- *    plane count 1-16 at its full capacity (2^P - 1, all-ones and
- *    random operands), on word lanes and, for 1-12, row lanes; every
- *    word around the span must keep its sentinel;
+ *    plane count at its full capacity (2^P - 1, all-ones and random
+ *    operands), on word lanes and row lanes; every word around the span
+ *    must keep its sentinel;
  *  - the feedback kernel of every tier against one FeatureFeedbackUnit
  *    per row (every odd M up to 63 and five wide ones) and one
  *    btanhStep per row (every m up to 64 and five wide ones): mixed m
  *    within a tile, tiles of 1 to 512 rows, states pinned at both
  *    rails, resumed spans and a partial last word; the sorter dense
- *    stage and the CMOS conv and dense stages on each of their paths
- *    (tile kernel, the per-row drive of counters wider than the
- *    kernel, the CMOS approximate counter); and the CMOS word-wide MUX
- *    pool against per-cycle nextBits(2) selects;
+ *    stage and the CMOS conv and dense stages against per-row
+ *    references, and their refusal of a fan-in too wide for the
+ *    kernels' planes; and the CMOS word-wide MUX pool against
+ *    per-cycle nextBits(2) selects;
  *  - SNG threshold fill (fillBipolar) forced-scalar vs dispatched
  *    across values (incl. the all-ones special case), code widths and
  *    lengths, plus a direct kernel unit sweep over n in [1, 64];
@@ -47,8 +47,8 @@
 #include <cstdio>
 #include <iterator>
 #include <memory>
+#include <stdexcept>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -306,9 +306,8 @@ runPlan(std::size_t lists, std::size_t n, std::size_t in_rows,
  * The tile kernel of every tier this host can run (not only the
  * detected one) against the one-ripple-per-product reference:
  *
- *  - plane counts 1-12 (the feedback tile), 13-16 (the per-row drive
- *    of wider counters) and 17 (past the registers: the scalar
- *    ripple), with lists of 0, 1, 2, 3, 7, 15, 16, 17, 31, 33 and the
+ *  - every plane count the kernel takes (1-12), with lists of 0, 1, 2,
+ *    3, 7, 15, 16, 17, 31, 33 and the
  *    most products the planes hold (bias and pad included) up to 70,
  *    also with all-ones operands so every column reaches that count,
  *    padded and not, over spans of 1, 2, 3, 4, 5, 8, 9 and 16 words at
@@ -331,7 +330,7 @@ TEST(SimdKernels, TileKernelMatchesRippleReferenceOnEveryTier)
     constexpr std::size_t kInRows = 97;
     constexpr std::size_t kGroupStride = 61;
 
-    for (int planes = 1; planes <= 17; ++planes) {
+    for (int planes = 1; planes <= sc::simd::kMaxFeedbackPlanes; ++planes) {
         // Bias + pad + products fit the planes; lists stay small enough
         // for the ripple reference.
         const std::size_t max_n =
@@ -405,15 +404,15 @@ TEST(SimdKernels, TileKernelMatchesRippleReferenceOnEveryTier)
 }
 
 /**
- * Every plane count the registers hold (P = 1-16) at its capacity: rows
+ * Every plane count the kernel takes (P = 1-12) at its capacity: rows
  * of 2^P - 1 counted products, the bias and (in the padded cases) the
  * neutral pad included, so with all-ones operands every column carries
  * into every plane; with random ones the high planes take the binomial
  * counts.  Each P runs a one-row plan over spans of 1, 3, 4, 9 and 16
  * words (word lanes, and general-purpose registers for a lone row), and
- * each P a feedback tile can have (1-12) also runs row-lane plans over
- * spans of 1-3 words: 11 dense groups (a full lane group and a partial
- * one) and a run of 10 conv pixels.  Two images per tile.
+ * row-lane plans over spans of 1-3 words: 11 dense groups (a full lane
+ * group and a partial one) and a run of 10 conv pixels.  Two images per
+ * tile.
  */
 TEST(SimdKernels, TileKernelCarriesIntoEveryPlaneOnEveryTier)
 {
@@ -422,7 +421,7 @@ TEST(SimdKernels, TileKernelCarriesIntoEveryPlaneOnEveryTier)
     constexpr std::size_t kGroupStride = 61;
     constexpr std::size_t kDenseGroups = 11;
 
-    for (int planes = 1; planes <= sc::simd::kMaxRowPlanes; ++planes) {
+    for (int planes = 1; planes <= sc::simd::kMaxFeedbackPlanes; ++planes) {
         const std::size_t capacity = (std::size_t{1} << planes) - 1;
         for (const bool saturate : {false, true}) {
             const TileOperands ops(2, kInRows, kDenseGroups * kGroupStride,
@@ -440,17 +439,15 @@ TEST(SimdKernels, TileKernelCarriesIntoEveryPlaneOnEveryTier)
                 for (const std::size_t span : {1, 3, 4, 9, 16})
                     expectTileMatchesRipple(one, pad, planes, span, 0, 1, 2,
                                             ops);
-                if (planes <= sc::simd::kMaxFeedbackPlanes) {
-                    const core::stages::OperandPlan dense = randomPlan(
-                        kDenseGroups, {n}, kInRows, kGroupStride, rng);
-                    const core::stages::OperandPlan run =
-                        runPlan(10, n, kInRows, kGroupStride, rng);
-                    for (const std::size_t span : {1, 2, 3}) {
-                        expectTileMatchesRipple(dense, pad, planes, span, 0,
-                                                dense.rows(), 2, ops);
-                        expectTileMatchesRipple(run, pad, planes, span, 0,
-                                                run.rows(), 2, ops);
-                    }
+                const core::stages::OperandPlan dense = randomPlan(
+                    kDenseGroups, {n}, kInRows, kGroupStride, rng);
+                const core::stages::OperandPlan run =
+                    runPlan(10, n, kInRows, kGroupStride, rng);
+                for (const std::size_t span : {1, 2, 3}) {
+                    expectTileMatchesRipple(dense, pad, planes, span, 0,
+                                            dense.rows(), 2, ops);
+                    expectTileMatchesRipple(run, pad, planes, span, 0,
+                                            run.rows(), 2, ops);
                 }
                 if (HasFatalFailure())
                     return;
@@ -754,33 +751,22 @@ streamBit(const std::uint64_t *row, std::size_t t)
 
 /**
  * One output row of a CMOS SC-DCNN linear stage, one cycle at a time:
- * the column count of the XNOR products and the bias, plus with
- * @p approx the OR-pair overcount (products paired in visit order, the
- * bias unpaired), capped at m = products + 1, drives btanhStep from
- * s_max / 2 = m.
+ * the column count of the XNOR products and the bias (m = products + 1)
+ * drives btanhStep from s_max / 2 = m.
  */
 void
 cmosReferenceRow(
     const std::vector<std::pair<const std::uint64_t *, const std::uint64_t *>>
         &products,
-    const std::uint64_t *bias, std::size_t len, bool approx,
-    std::uint64_t *out)
+    const std::uint64_t *bias, std::size_t len, std::uint64_t *out)
 {
     const int m = static_cast<int>(products.size()) + 1;
     int state = m;
     for (std::size_t t = 0; t < len; ++t) {
         int c = streamBit(bias, t) ? 1 : 0;
-        bool prev = false;
-        for (std::size_t j = 0; j < products.size(); ++j) {
-            const bool bit = streamBit(products[j].first, t) ==
-                             streamBit(products[j].second, t);
-            c += bit ? 1 : 0;
-            if (approx && j % 2 == 1 && prev && bit)
-                ++c;
-            prev = bit;
-        }
-        if (baseline::ApcFeatureExtraction::btanhStep(state, std::min(c, m),
-                                                      m, 2 * m))
+        for (const auto &[x, w] : products)
+            c += streamBit(x, t) == streamBit(w, t) ? 1 : 0;
+        if (baseline::ApcFeatureExtraction::btanhStep(state, c, m, 2 * m))
             out[t / 64] |= 1ULL << (t % 64);
     }
 }
@@ -829,25 +815,18 @@ randomShared(const Gather &gather, std::size_t weights, std::size_t biases,
 
 /**
  * The CMOS SC-DCNN linear stages, on every tier, against
- * cmosReferenceRow per output row.  Dense fan-ins 9 (513 rows: a full
+ * cmosReferenceRow per output row: dense fan-ins 9 (513 rows: a full
  * 512-row tile plus a one-row tile) and 392 (70 rows), and a 3x3 conv
- * over 2 x 12 x 12 inputs (4 x 144 rows mixing m = 9/13/19 in a tile)
- * take the feedback kernel; fan-in 4100 needs 13 count planes, more
- * than the kernel's 12, and takes the per-row drive; and with the
- * approximate counter on, every row takes the per-row drive with the
- * OR-pair overcount.  The stages run in three resumed spans, the last
- * one partial.
+ * over 2 x 12 x 12 inputs (4 x 144 rows mixing m = 9/13/19 in a tile),
+ * each in three resumed spans, the last one partial.  Fan-in 4100 needs
+ * 13 count planes, more than the kernels' 12, and the stage refuses it.
  */
 TEST(SimdKernels, CmosLinearStagesMatchPerRowBtanh)
 {
     const std::size_t len = 300;
     sc::Xoshiro256StarStar rng(72);
-    for (const auto &[in, out, approx] :
-         {std::tuple{9, 513, false}, std::tuple{392, 70, false},
-          std::tuple{4100, 3, false}, std::tuple{9, 513, true},
-          std::tuple{392, 70, true}}) {
-        SCOPED_TRACE("dense fan-in " + std::to_string(in) +
-                     (approx ? " approx" : ""));
+    for (const auto &[in, out] : {std::pair{9, 513}, std::pair{392, 70}}) {
+        SCOPED_TRACE("dense fan-in " + std::to_string(in));
         const auto in_rows = static_cast<std::size_t>(in);
         const auto out_rows = static_cast<std::size_t>(out);
         const auto shared =
@@ -862,16 +841,18 @@ TEST(SimdKernels, CmosLinearStagesMatchPerRowBtanh)
             for (std::size_t j = 0; j < in_rows; ++j)
                 products.emplace_back(x.row(j),
                                       fs.weights.row(r * in_rows + j));
-            cmosReferenceRow(products, fs.biases.row(r), len, approx,
-                             expect.row(r));
+            cmosReferenceRow(products, fs.biases.row(r), len, expect.row(r));
         }
-        expectStageMatches(
-            core::stages::CmosDenseStage({in, out}, shared, approx), x,
-            expect);
+        expectStageMatches(core::stages::CmosDenseStage({in, out}, shared), x,
+                           expect);
     }
+    const auto wide = randomShared(core::stages::DenseGather{{4100, 3}},
+                                   3 * 4100, 3, len, rng);
+    EXPECT_THROW((void)core::stages::CmosDenseStage({4100, 3}, wide),
+                 std::invalid_argument);
 
-    for (const bool approx : {false, true}) {
-        SCOPED_TRACE(approx ? "conv approx" : "conv");
+    {
+        SCOPED_TRACE("conv");
         core::stages::ConvGeometry g;
         g.inC = 2;
         g.inH = g.inW = g.outH = g.outW = 12;
@@ -906,10 +887,9 @@ TEST(SimdKernels, CmosLinearStagesMatchPerRowBtanh)
                     }
             cmosReferenceRow(products,
                              fs.biases.row(static_cast<std::size_t>(oc)), len,
-                             approx, expect.row(r));
+                             expect.row(r));
         }
-        expectStageMatches(core::stages::CmosConvStage(g, shared, approx), x,
-                           expect);
+        expectStageMatches(core::stages::CmosConvStage(g, shared), x, expect);
     }
 }
 
@@ -991,18 +971,17 @@ TEST(SimdKernels, CmosPoolWordMuxMatchesPerCycleSelects)
 /**
  * The AQFP sorter dense stage, on every tier, against one
  * FeatureFeedbackUnit per output row stepped through the row's exact
- * column counts.  Fan-ins 9 and 392 take the feedback kernel (513 rows:
- * a full 512-row tile plus a one-row tile; 70 rows: one partial tile);
- * fan-in 4100 needs 13 count planes, more than the kernel's 12, and
- * takes the per-row drive.  The stage runs in three spans, each resuming
- * the carries the previous one left, the last one partial.
+ * column counts: fan-ins 9 (513 rows: a full 512-row tile plus a
+ * one-row tile) and 392 (70 rows: one partial tile), in three spans,
+ * each resuming the carries the previous one left, the last one
+ * partial.  Fan-in 4100 needs 13 count planes, more than the kernels'
+ * 12, and the stage refuses it.
  */
 TEST(SimdKernels, SorterDenseStageMatchesPerRowUnits)
 {
     const std::size_t len = 300;
     sc::Xoshiro256StarStar rng(71);
-    for (const auto &[in, out] : {std::pair{9, 513}, std::pair{392, 70},
-                                  std::pair{4100, 3}}) {
+    for (const auto &[in, out] : {std::pair{9, 513}, std::pair{392, 70}}) {
         SCOPED_TRACE("fan-in " + std::to_string(in));
         const auto in_rows = static_cast<std::size_t>(in);
         const auto out_rows = static_cast<std::size_t>(out);
@@ -1028,6 +1007,10 @@ TEST(SimdKernels, SorterDenseStageMatchesPerRowUnits)
         expectStageMatches(core::stages::AqfpDenseStage({in, out}, shared),
                            x, expect);
     }
+    const auto wide = randomShared(core::stages::DenseGather{{4100, 3}},
+                                   3 * 4100, 3, len, rng);
+    EXPECT_THROW((void)core::stages::AqfpDenseStage({4100, 3}, wide),
+                 std::invalid_argument);
 }
 
 /**
@@ -1473,7 +1456,6 @@ TEST(SimdKernels, ForcedScalarAndVectorEndToEndHashesMatch)
         const char *model;
         const char *backend;
         std::size_t len;
-        bool approx;
         std::size_t images;
     };
     // tiny at len 576 = 9 words: full lane groups and a 1-word masked
@@ -1481,21 +1463,18 @@ TEST(SimdKernels, ForcedScalarAndVectorEndToEndHashesMatch)
     // N = 256: 4-word rows, and Conv2/FC1/FC2 sum 290/1570/502 products
     // into 9/11/9 planes (16-product blocks plus every shorter block).
     const Case cases[] = {
-        {"tiny", "aqfp-sorter", 576, false, 8},
-        {"tiny", "aqfp-sorter", 100, false, 8},
-        {"tiny", "cmos-apc", 576, false, 8},
-        {"tiny", "cmos-apc", 576, true, 8}, // OR-pair overcount path
-        {"snn", "cmos-apc", 256, false, 2},
+        {"tiny", "aqfp-sorter", 576, 8},
+        {"tiny", "aqfp-sorter", 100, 8},
+        {"tiny", "cmos-apc", 576, 8},
+        {"snn", "cmos-apc", 256, 2},
     };
     for (const Case &c : cases) {
         SCOPED_TRACE(std::string(c.model) + " " + c.backend + " len=" +
-                     std::to_string(c.len) + " approx=" +
-                     std::to_string(c.approx));
+                     std::to_string(c.len));
         const auto samples = data::generateDigits(c.images, 77);
         core::EngineOptions opts;
         opts.backend = c.backend;
         opts.streamLen = c.len;
-        opts.approximateApc = c.approx;
         core::EvalOptions eval;
         eval.cohort = 4;
         expectSameHashOnEveryTier([&] {
@@ -1539,9 +1518,8 @@ TEST(SimdKernels, AdaptiveCheckpointSpansHashMatchOnEveryTier)
  * block of one word, of two, of three, and one that ends mid-stream)
  * equals neverExit() (one block of N cycles) bit for bit, at N = 576 (a
  * 9-word stream) and N = 100 (a partial second word), for cohorts of 1,
- * 5 and 9, on aqfp-sorter, cmos-apc and cmos-apc with the approximate
- * counter (the per-row drive).  The one-block runs agree across tiers
- * too.
+ * 5 and 9, on aqfp-sorter and cmos-apc.  The one-block runs agree
+ * across tiers too.
  */
 TEST(SimdKernels, CheckpointBlocksMatchOneBlockOnEveryTier)
 {
@@ -1562,19 +1540,15 @@ TEST(SimdKernels, CheckpointBlocksMatchOneBlockOnEveryTier)
         images[c] = &samples[c].image;
         indices[c] = c;
     }
-    for (const auto &[backend, approx] :
-         {std::pair{"aqfp-sorter", false}, std::pair{"cmos-apc", false},
-          std::pair{"cmos-apc", true}}) {
+    for (const char *backend : {"aqfp-sorter", "cmos-apc"}) {
         for (const std::size_t len : {std::size_t{576}, std::size_t{100}}) {
-            SCOPED_TRACE(std::string(backend) + (approx ? " approx" : "") +
-                         " N=" + std::to_string(len));
+            SCOPED_TRACE(std::string(backend) + " N=" + std::to_string(len));
             std::vector<std::vector<double>> scalar_scores;
             for (const Level level : runnableLevels()) {
                 SCOPED_TRACE(sc::simd::levelName(level));
                 const LevelGuard guard(level);
                 core::ScEngineConfig cfg;
                 cfg.backendName = backend;
-                cfg.approximateApc = approx;
                 cfg.streamLen = len;
                 const core::ScNetworkEngine engine(net, cfg);
                 core::CohortWorkspace ws(engine, 9);
