@@ -217,7 +217,7 @@ main(int argc, char **argv)
 
     bench::Json results =
         bench::Json::object()
-            .set("engine", bench::engineJson(opts.toConfig(backend)))
+            .set("engine", bench::engineJson(opts))
             .set("model", "tiny")
             .set("images", static_cast<std::size_t>(test.size()))
             .set("train_epochs", epochs)

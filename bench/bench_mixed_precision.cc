@@ -4,7 +4,7 @@
  * uniform stream lengths and the PrecisionTuner's per-stage vector.
  *
  * Stream length is the SC accuracy/latency knob (error ~ 1/sqrt(N),
- * cycles ~ N); per-stage vectors (ScEngineConfig::stageStreamLens) let
+ * cycles ~ N); per-stage vectors (EngineOptions::stageStreamLens) let
  * early stages run shorter streams than the terminal categorizer.  This
  * bench maps the frontier per backend and model: uniform N in {1024,
  * 512, 256} plus the vector core::PrecisionTuner finds from the
@@ -149,7 +149,7 @@ main(int argc, char **argv)
                                           std::size_t{256}}) {
                 core::EngineOptions opts = base;
                 opts.streamLen = len;
-                const core::ScNetworkEngine engine(net, opts.toConfig());
+                const core::ScNetworkEngine engine(net, opts);
                 engine.evaluate(test, {.limit = 1});
                 const core::ScEvalStats stats = engine.evaluate(test, eval);
                 const std::string lens =
@@ -171,7 +171,7 @@ main(int argc, char **argv)
                 results.push(
                     bench::Json::object()
                         .set("section", "frontier")
-                        .set("engine", bench::engineJson(opts.toConfig()))
+                        .set("engine", bench::engineJson(opts))
                         .set("model", model)
                         .set("config",
                              "uniform-" + std::to_string(len))
@@ -196,7 +196,7 @@ main(int argc, char **argv)
             core::EngineOptions opts = base;
             opts.streamLen = tuned.stageStreamLens.front();
             opts.stageStreamLens = tuned.stageStreamLens;
-            const core::ScNetworkEngine engine(net, opts.toConfig());
+            const core::ScNetworkEngine engine(net, opts);
             engine.evaluate(test, {.limit = 1});
             const core::ScEvalStats stats = engine.evaluate(test, eval);
             const double speedup = uniform1024Ips > 0.0
@@ -215,7 +215,7 @@ main(int argc, char **argv)
             results.push(
                 bench::Json::object()
                     .set("section", "frontier")
-                    .set("engine", bench::engineJson(opts.toConfig()))
+                    .set("engine", bench::engineJson(opts))
                     .set("model", model)
                     .set("config", "tuned")
                     .set("stage_lens", lensSpec(tuned.stageStreamLens))

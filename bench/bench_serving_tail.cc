@@ -471,7 +471,7 @@ main(int argc, char **argv)
 
     bench::Json results =
         bench::Json::object()
-            .set("engine", bench::engineJson(eopts.toConfig(backend)))
+            .set("engine", bench::engineJson(eopts))
             .set("model", "tiny")
             .set("workers", workers)
             .set("duration_seconds", duration)

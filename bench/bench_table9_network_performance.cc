@@ -147,8 +147,8 @@ struct NetResult
     core::ScEvalStats aqfp_t8;  ///< AQFP batch at 8 threads
     core::ScEvalStats cmos;     ///< CMOS baseline batch (8 threads)
     bool deterministic = false; ///< per-image predictions equal at 1 vs 8
-    core::ScEngineConfig aqfpCfg; ///< engine stamps for the JSON report
-    core::ScEngineConfig cmosCfg;
+    core::EngineOptions aqfpCfg; ///< engine stamps for the JSON report
+    core::EngineOptions cmosCfg;
     core::NetworkHardware hw;
 };
 

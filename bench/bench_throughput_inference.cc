@@ -162,7 +162,7 @@ main(int argc, char **argv)
             results.push(
                 bench::Json::object()
                     .set("engine",
-                         bench::engineJson(opts.toConfig(backend)))
+                         bench::engineJson(opts))
                     .set("model", model)
                     .set("cohort", cohort)
                     .set("images", samples.size())
@@ -231,7 +231,7 @@ main(int argc, char **argv)
             results.push(
                 bench::Json::object()
                     .set("section", "plan_cache")
-                    .set("engine", bench::engineJson(opts.toConfig(backend)))
+                    .set("engine", bench::engineJson(opts))
                     .set("model", model)
                     .set("instances", kInstances)
                     .set("cache", cache_on ? "on" : "off")

@@ -260,10 +260,10 @@ class Json
  * the bench source of that revision.
  */
 inline Json
-engineJson(const core::ScEngineConfig &cfg)
+engineJson(const core::EngineOptions &cfg)
 {
     Json j = Json::object()
-                 .set("backend", cfg.resolvedBackend())
+                 .set("backend", cfg.backend)
                  .set("stream_len", cfg.streamLen)
                  .set("threads", cfg.threads);
     if (!cfg.stageStreamLens.empty()) {

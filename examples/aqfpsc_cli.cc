@@ -12,7 +12,7 @@
  *          [--stage-lens N,N,...] [--threads N] [--cohort C]
  *          [--rng-bits N] [--images N] [--seed S]
  *          [--adaptive [--checkpoint C] [--margin F]
- *           [--min-cycles M] [--nondet]]
+ *           [--min-cycles M]]
  *       Load an artifact and evaluate it on any registered backend;
  *       --cohort batches C images through each stage together
  *       (stage-major execution, bit-identical results), --stage-lens
@@ -53,9 +53,11 @@
  *   models     List the model_zoo names.
  *
  * Exit status: 0 on success; 2 on a usage error (a missing command or
- * flag value, an unknown flag, or a numeric value that is not a whole
- * number of its type or lies outside its range, e.g. --threads abc or
- * --quant-bits 40); 1 on any other failure.
+ * flag value, an unknown flag, a numeric value that is not a whole
+ * number of its type or lies outside its range, e.g. --threads abc,
+ * --images 0 or --quant-bits 40, or options that parse but fail their
+ * validate(), e.g. --rng-bits 21, --queue-cap 0, --margin nan or
+ * --timeout-ms 1e13); 1 on any other failure.
  *
  * Example round trip (the model file carries everything):
  *   aqfpsc_cli train --model tiny --out m.bin
@@ -165,6 +167,24 @@ parseNumber(const std::string &what, std::string_view text,
                      std::string(text) + "'");
 }
 
+/**
+ * @p options once its validate() finds no fault: a value that parses
+ * but breaks a bound is a bad command line as well.
+ * @throws UsageError joining validate()'s messages otherwise.
+ */
+template <typename Options>
+const Options &
+validated(const std::string &what, const Options &options)
+{
+    const std::vector<std::string> errors = options.validate();
+    if (errors.empty())
+        return options;
+    std::string msg = "invalid " + what + ": ";
+    for (std::size_t i = 0; i < errors.size(); ++i)
+        msg += (i ? "; " : "") + errors[i];
+    throw UsageError(msg);
+}
+
 void
 usage()
 {
@@ -176,7 +196,7 @@ usage()
         "        [--stage-lens N,N,...] [--threads N] [--cohort C]\n"
         "        [--rng-bits N] [--images N] [--seed S]\n"
         "        [--adaptive [--checkpoint C] [--margin F]\n"
-        "         [--min-cycles M] [--nondet]]\n"
+        "         [--min-cycles M]]\n"
         "  tune  (--model-file <file> | --model <zoo>) [--backend NAME]\n"
         "        [--stream-len N] [--images N] [--max-drop PT]\n"
         "        [--min-stage-len N] [--passes P] [--threads N] [--quiet]\n"
@@ -261,7 +281,8 @@ parse(int argc, char **argv, Args &args)
                 parseNumber<int>(flag, next(), nn::Network::kMinQuantBits,
                                  nn::Network::kMaxQuantBits);
         else if (flag == "--images")
-            args.images = integer();
+            args.images = parseNumber<int>(flag, next(), 1,
+                                           std::numeric_limits<int>::max());
         else if (flag == "--index")
             args.index = integer();
         else if (flag == "--quiet")
@@ -274,8 +295,6 @@ parse(int argc, char **argv, Args &args)
             args.engine.adaptive.exitMargin = number();
         else if (flag == "--min-cycles")
             args.engine.adaptive.minCycles = count();
-        else if (flag == "--nondet")
-            args.engine.adaptive.deterministic = false;
         else if (flag == "--workers")
             args.frontend.workers = integer();
         else if (flag == "--queue-cap")
@@ -367,8 +386,8 @@ cmdEval(const Args &args)
         std::fprintf(stderr, "error: eval needs --model-file <file>\n");
         return 2;
     }
-    const core::InferenceSession session =
-        core::InferenceSession::fromFile(args.modelFile, args.engine);
+    const core::InferenceSession session = core::InferenceSession::fromFile(
+        args.modelFile, validated("EngineOptions", args.engine));
     std::printf("model: %s (quantized to %d bits)\n",
                 session.network().describe().c_str(),
                 session.network().quantBits());
@@ -385,12 +404,9 @@ cmdEval(const Args &args)
     opts.progress = args.progress;
     if (args.adaptive) {
         const core::AdaptivePolicy &policy = args.engine.adaptive;
-        std::printf("adaptive: checkpoint %zu, margin %.3f, floor %zu, "
-                    "%s\n",
+        std::printf("adaptive: checkpoint %zu, margin %.3f, floor %zu\n",
                     policy.checkpointCycles, policy.exitMargin,
-                    policy.minCycles,
-                    policy.deterministic ? "deterministic"
-                                         : "lazy substreams");
+                    policy.minCycles);
         const core::AdaptiveEvalStats stats =
             session.evaluateAdaptive(test, opts);
         std::printf("accuracy %.4f over %zu images (%.2f img/s, avg "
@@ -414,11 +430,12 @@ cmdTune(const Args &args)
                              "--model <zoo>\n");
         return 2;
     }
+    const core::EngineOptions &engine = validated("EngineOptions", args.engine);
     const core::InferenceSession session =
         args.modelFile.empty()
-            ? core::InferenceSession::fromZoo(args.model, args.engine,
+            ? core::InferenceSession::fromZoo(args.model, engine,
                                               args.trainSeed)
-            : core::InferenceSession::fromFile(args.modelFile, args.engine);
+            : core::InferenceSession::fromFile(args.modelFile, engine);
     std::printf("model: %s\n", session.network().describe().c_str());
     std::printf("backend %s, N=%zu, budget %.2fpt, min stage len %zu, "
                 "max %d pass(es)\n",
@@ -455,12 +472,6 @@ cmdServe(const Args &args)
         std::fprintf(stderr, "error: serve needs --model-file <file>\n");
         return 2;
     }
-    if (args.images <= 0) {
-        std::fprintf(stderr, "error: serve needs --images >= 1\n");
-        return 2;
-    }
-    serving::ServingFrontend frontend(args.frontend);
-    frontend.addModelFromFile("m", args.modelFile, args.engine);
     serving::TenantConfig cfg;
     cfg.name = "serve";
     cfg.model = "m";
@@ -468,6 +479,11 @@ cmdServe(const Args &args)
     cfg.adaptive = args.adaptive;
     cfg.policy = args.engine.adaptive;
     cfg.timeoutSeconds = args.timeoutMs * 1e-3;
+    validated("TenantConfig '" + cfg.name + "'", cfg);
+    const core::EngineOptions &engine = validated("EngineOptions", args.engine);
+    serving::ServingFrontend frontend(
+        validated("FrontendOptions", args.frontend));
+    frontend.addModelFromFile("m", args.modelFile, engine);
     frontend.addTenant(cfg);
     frontend.start();
     const core::InferenceSession &session = frontend.model("m");
@@ -636,10 +652,6 @@ cmdServeMulti(const Args &args)
                              "<file> or --model <zoo>\n");
         return 2;
     }
-    if (args.images <= 0) {
-        std::fprintf(stderr, "error: serve-multi needs --images >= 1\n");
-        return 2;
-    }
     const auto policy = serving::parseSchedPolicy(args.policy);
     if (!policy) {
         std::fprintf(stderr,
@@ -648,15 +660,6 @@ cmdServeMulti(const Args &args)
                      args.policy.c_str());
         return 2;
     }
-
-    serving::FrontendOptions fopts = args.frontend;
-    fopts.policy = *policy;
-    serving::ServingFrontend frontend(fopts);
-    if (!args.modelFile.empty())
-        frontend.addModelFromFile("m", args.modelFile, args.engine);
-    else
-        frontend.addModelFromZoo("m", args.model, args.engine,
-                                 args.trainSeed);
 
     // Defaults every SPEC starts from (and may override).
     serving::TenantConfig base;
@@ -674,20 +677,31 @@ cmdServeMulti(const Args &args)
         base.shed.minCyclesFloor =
             std::min(base.shed.minCyclesFloor, base.policy.minCycles);
     }
-    std::vector<std::string> names;
+    std::vector<serving::TenantConfig> tenants;
     if (args.tenants.empty()) {
         for (const char *name : {"a", "b"}) {
-            serving::TenantConfig cfg = base;
-            cfg.name = name;
-            frontend.addTenant(cfg);
-            names.push_back(name);
+            tenants.push_back(base);
+            tenants.back().name = name;
         }
     } else {
-        for (const std::string &spec : args.tenants) {
-            const serving::TenantConfig cfg = parseTenantSpec(spec, base);
-            frontend.addTenant(cfg);
-            names.push_back(cfg.name);
-        }
+        for (const std::string &spec : args.tenants)
+            tenants.push_back(parseTenantSpec(spec, base));
+    }
+    for (const serving::TenantConfig &cfg : tenants)
+        validated("TenantConfig '" + cfg.name + "'", cfg);
+
+    const core::EngineOptions &engine = validated("EngineOptions", args.engine);
+    serving::FrontendOptions fopts = args.frontend;
+    fopts.policy = *policy;
+    serving::ServingFrontend frontend(validated("FrontendOptions", fopts));
+    if (!args.modelFile.empty())
+        frontend.addModelFromFile("m", args.modelFile, engine);
+    else
+        frontend.addModelFromZoo("m", args.model, engine, args.trainSeed);
+    std::vector<std::string> names;
+    for (const serving::TenantConfig &cfg : tenants) {
+        frontend.addTenant(cfg);
+        names.push_back(cfg.name);
     }
     frontend.start();
     std::printf("serving %zu tenant(s) on '%s', policy %s, %d worker(s), "
@@ -803,8 +817,8 @@ cmdInfer(const Args &args)
                      kTestImages);
         return 2;
     }
-    const core::InferenceSession session =
-        core::InferenceSession::fromFile(args.modelFile, args.engine);
+    const core::InferenceSession session = core::InferenceSession::fromFile(
+        args.modelFile, validated("EngineOptions", args.engine));
     const nn::Sample &sample = test[static_cast<std::size_t>(args.index)];
     const core::ScPrediction pred = session.infer(sample.image);
     std::printf("backend %s, image %d: true label %d, predicted %d\n",

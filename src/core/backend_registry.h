@@ -6,7 +6,7 @@
  * ("aqfp-sorter", "cmos-apc", "float-ref", ...).  Stage TUs self-register
  * their factories at static-initialization time through the
  * *Registration helpers below, and stages::compileNetwork looks them up
- * by ScEngineConfig's resolved backend name — adding a backend therefore
+ * by EngineOptions::backend — adding a backend therefore
  * requires no edits to the compiler, only a new TU linked into the
  * binary.  (The build links the aqfpsc archive with WHOLE_ARCHIVE so the
  * linker never drops self-registering objects.)
@@ -61,7 +61,7 @@ struct WeightedStageInit
     /** Output stages: true when the source layer is MajorityChainDense. */
     bool majorityChainOutput = false;
     /** Engine configuration (backend-specific knobs, streamLen, ...). */
-    const ScEngineConfig &cfg;
+    const EngineOptions &cfg;
 };
 
 using ConvStageFactory = std::function<std::unique_ptr<ScStage>(
@@ -69,7 +69,7 @@ using ConvStageFactory = std::function<std::unique_ptr<ScStage>(
 using DenseStageFactory = std::function<std::unique_ptr<ScStage>(
     const stages::DenseGeometry &, WeightedStageInit)>;
 using PoolStageFactory = std::function<std::unique_ptr<ScStage>(
-    const stages::PoolGeometry &, const ScEngineConfig &)>;
+    const stages::PoolGeometry &, const EngineOptions &)>;
 using OutputStageFactory = std::function<std::unique_ptr<ScStage>(
     const stages::DenseGeometry &, WeightedStageInit)>;
 

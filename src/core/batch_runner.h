@@ -67,9 +67,8 @@ class BatchRunner
      * compacts in place as its images clear the margin, and cohorts
      * consume different amounts of work, which the atomic work-stealing
      * index absorbs naturally (an idle worker just pulls the next
-     * cohort).  Deterministic policies keep every prediction bit-
-     * identical for any thread count and cohort size, exactly like
-     * run().
+     * cohort).  Every prediction stays bit-identical for any thread
+     * count and cohort size, exactly like run().
      */
     std::vector<AdaptivePrediction>
     runAdaptive(const std::vector<nn::Sample> &samples,

@@ -98,9 +98,8 @@ PrecisionTuner::tune(const std::vector<nn::Sample> &calibration,
     // Uniform baseline: the session options as-is (scalar streamLen or
     // an explicit starting vector).  Its accuracy anchors the budget and
     // its throughput the reported speedup.
-    const ScEngineConfig baseCfg = opts_.toConfig();
     const ScEvalStats baseStats = [&] {
-        const ScNetworkEngine baseline(net_, baseCfg);
+        const ScNetworkEngine baseline(net_, opts_);
         result.baselineStageStreamLens = baseline.plan().stageStreamLens;
         return baseline.evaluate(calibration, eo);
     }();
@@ -121,7 +120,7 @@ PrecisionTuner::tune(const std::vector<nn::Sample> &calibration,
         cur[s] = std::min(cur[s], cur[s - 1]);
 
     const auto evaluate = [&](const std::vector<std::size_t> &lens) {
-        ScEngineConfig cfg = baseCfg;
+        EngineOptions cfg = opts_;
         cfg.streamLen = lens.front();
         cfg.stageStreamLens = lens;
         const ScNetworkEngine engine(net_, cfg);

@@ -4,7 +4,7 @@
  *
  * The SC stream-length trade-off (error ~ 1/sqrt(N), latency ~ N) is a
  * per-stage knob once the ExecutionPlan carries a length vector
- * (ScEngineConfig::stageStreamLens): early feature-extraction stages
+ * (EngineOptions::stageStreamLens): early feature-extraction stages
  * tolerate far shorter streams than the terminal categorization stage.
  * The tuner automates the search: starting from the uniform vector of
  * the session's streamLen, a coordinate-descent loop repeatedly tries to

@@ -39,32 +39,20 @@ argmaxLabel(const std::vector<double> &scores)
  */
 void
 armContext(StageContext &ctx, std::uint64_t engine_seed, std::size_t index,
-           const nn::Tensor &image, bool deterministic_spans)
+           const nn::Tensor &image)
 {
     ctx.imageSeed = sc::deriveStreamSeed(engine_seed, index);
     ctx.image = &image;
     ctx.values.clear();
     ctx.scores.clear();
-    ctx.deterministicSpans = deterministic_spans;
 }
 
-/** The input SNG generator of a deterministic run: one per image, over
- *  the whole stream, so any exit point is a bit-exact prefix. */
+/** The input SNG generator of an image: one over the whole stream, so
+ *  any exit point is a bit-exact prefix. */
 std::uint64_t
 inputSeed(std::uint64_t image_seed)
 {
     return image_seed ^ 0xABCDEF12345ULL;
-}
-
-/** The input SNG generator of a lazy (non-deterministic) run's block
- *  starting at cycle @p begin.  The block index is spread by the
- *  golden-ratio constant so no two (image, block) pairs share a seed in
- *  practice. */
-std::uint64_t
-blockInputSeed(std::uint64_t image_seed, std::size_t begin)
-{
-    return image_seed ^
-           (0xB10C5EEDULL + (begin / 64) * 0x9E3779B97F4A7C15ULL);
 }
 
 } // namespace
@@ -76,7 +64,6 @@ AdaptivePolicy::neverExit(std::size_t checkpoint_cycles)
     policy.checkpointCycles = checkpoint_cycles;
     policy.exitMargin = std::numeric_limits<double>::infinity();
     policy.minCycles = 0;
-    policy.deterministic = true;
     return policy;
 }
 
@@ -98,14 +85,105 @@ AdaptivePolicy::validate() const
     return errors;
 }
 
+// validate() promises exactly the bound the execution layer clamps to.
+static_assert(EngineOptions::kMaxCohort ==
+                  static_cast<int>(kMaxCohortImages),
+              "EngineOptions::kMaxCohort must match stage.h's "
+              "kMaxCohortImages");
+
+std::vector<std::string>
+EngineOptions::validate() const
+{
+    std::vector<std::string> errors;
+    const BackendRegistry &registry = BackendRegistry::instance();
+    if (!registry.has(backend))
+        errors.push_back(registry.unknownBackendMessage(backend));
+    if (streamLen < kMinStreamLen || streamLen > kMaxStreamLen) {
+        errors.push_back(
+            "streamLen " + std::to_string(streamLen) + " out of [" +
+            std::to_string(kMinStreamLen) + ", " +
+            std::to_string(kMaxStreamLen) +
+            "]: below the minimum a stream cannot resolve bipolar values "
+            "(SC error scales as 1/sqrt(N)); above the maximum the "
+            "per-layer stream matrices exhaust memory");
+    }
+    if (rngBits < sc::kMinSngBits || rngBits > kMaxRngBits) {
+        errors.push_back(
+            "rngBits " + std::to_string(rngBits) + " out of [" +
+            std::to_string(sc::kMinSngBits) + ", " +
+            std::to_string(kMaxRngBits) +
+            "]: the SNG quantizes values to a 2^bits code compared "
+            "against a bits-wide RNG draw each cycle");
+    }
+    if (threads < 0 || threads > kMaxThreads) {
+        errors.push_back(
+            "threads " + std::to_string(threads) + " out of [0, " +
+            std::to_string(kMaxThreads) +
+            "]: 0 means one worker per hardware thread; the batch "
+            "runner clamps worker pools at " + std::to_string(kMaxThreads));
+    }
+    if (cohort < 1 || cohort > kMaxCohort) {
+        errors.push_back(
+            "cohort " + std::to_string(cohort) + " out of [1, " +
+            std::to_string(kMaxCohort) +
+            "]: the stage-major kernel cores keep per-cohort pointer "
+            "tables on the stack, so cohorts are bounded; larger batches "
+            "simply run as several cohorts");
+    }
+    for (std::size_t s = 0; s < stageStreamLens.size(); ++s) {
+        const std::size_t len = stageStreamLens[s];
+        if (len == 0 || len % 64 != 0) {
+            errors.push_back(
+                "stageStreamLens[" + std::to_string(s) + "] = " +
+                std::to_string(len) +
+                " must be a positive multiple of 64: checkpointed spans "
+                "and the packed-stream kernels work in 64-bit words");
+            continue;
+        }
+        if (len > kMaxStreamLen) {
+            errors.push_back(
+                "stageStreamLens[" + std::to_string(s) + "] = " +
+                std::to_string(len) + " exceeds the maximum stream "
+                "length " + std::to_string(kMaxStreamLen) +
+                ": per-layer stream matrices exhaust memory beyond it");
+        }
+        if (s > 0 && len > stageStreamLens[s - 1]) {
+            errors.push_back(
+                "stageStreamLens must be non-increasing in execution "
+                "order (a stage consumes the prefix of longer upstream "
+                "streams, so no stage may outlive its producer); entry " +
+                std::to_string(s) + " = " + std::to_string(len) +
+                " exceeds entry " + std::to_string(s - 1) + " = " +
+                std::to_string(stageStreamLens[s - 1]));
+        }
+    }
+    for (const std::string &e : adaptive.validate())
+        errors.push_back("adaptive: " + e);
+    return errors;
+}
+
+void
+EngineOptions::validateOrThrow() const
+{
+    const std::vector<std::string> errors = validate();
+    if (errors.empty())
+        return;
+    std::string msg = "invalid EngineOptions: ";
+    for (std::size_t i = 0; i < errors.size(); ++i) {
+        if (i > 0)
+            msg += "; ";
+        msg += errors[i];
+    }
+    throw std::invalid_argument(msg);
+}
+
 ScNetworkEngine::~ScNetworkEngine() = default;
 
 ScNetworkEngine::ScNetworkEngine(const nn::Network &net,
-                                 const ScEngineConfig &cfg)
-    : cfg_(cfg), backendName_(cfg.resolvedBackend()),
+                                 const EngineOptions &cfg)
+    : cfg_(cfg), plan_(stages::compileNetwork(net, cfg)),
       encodeInputStreams_(
-          BackendRegistry::instance().traits(backendName_).wantsInputStreams),
-      plan_(stages::compileNetwork(net, cfg))
+          BackendRegistry::instance().traits(cfg.backend).wantsInputStreams)
 {
     // Chaos-test hook: lets tests exercise the "engine failed to
     // compile" error path without crafting an uncompilable network.
@@ -291,46 +369,34 @@ ScNetworkEngine::inferAdaptiveCohort(const nn::Tensor *const images[],
     // block's work — the first time before any input is encoded, so a
     // run cancelled while it was being set up stops here.
     pollControl(control, 0);
+    // The input SNGs run full length up front, so any exit point is a
+    // bit-exact prefix of the full run.  Each image draws from its own
+    // generator; one call steps the cohort's generators side by side.
+    // The input runs at the first stage's length (stageStreamLens[0]).
+    // Value-domain backends (traits.wantsInputStreams == false) read the
+    // image through the context instead and get an empty matrix.
+    sc::StreamMatrix *inputs[kMaxCohortImages];
+    const float *values[kMaxCohortImages];
+    sc::Xoshiro256StarStar rngs[kMaxCohortImages];
+    sc::Xoshiro256StarStar *rng_of[kMaxCohortImages];
     ws.active_.clear();
     for (std::size_t c = 0; c < count; ++c) {
         CohortWorkspace::Slot &slot = ws.slots_[c];
-        armContext(slot.ctx, cfg_.seed, indices[c], *images[c],
-                   policy.deterministic);
-        // Value-domain backends (traits.wantsInputStreams == false) read
-        // the image through the context instead and get an empty matrix.
-        // The input runs at the first stage's length (stageStreamLens[0]).
+        armContext(slot.ctx, cfg_.seed, indices[c], *images[c]);
         if (encodeInputStreams_)
             slot.input.reset(images[c]->size(), len);
         else
             slot.input.reset(0, 0);
+        inputs[c] = &slot.input;
+        values[c] = images[c]->data();
+        rngs[c] = sc::Xoshiro256StarStar(inputSeed(slot.ctx.imageSeed));
+        rng_of[c] = &rngs[c];
         out[c] = AdaptivePrediction{};
         ws.active_.push_back(c);
     }
-
-    // The input SNGs of the active slots over cycles [begin, end), each
-    // image from its own generator: one call steps the cohort's
-    // generators side by side.
-    const auto encodeInputs = [&](std::size_t begin, std::size_t end,
-                                  auto seed_of) {
-        sc::StreamMatrix *inputs[kMaxCohortImages];
-        const float *values[kMaxCohortImages];
-        sc::Xoshiro256StarStar rngs[kMaxCohortImages];
-        sc::Xoshiro256StarStar *rng_of[kMaxCohortImages];
-        const std::size_t lanes = ws.active_.size();
-        for (std::size_t k = 0; k < lanes; ++k) {
-            CohortWorkspace::Slot &slot = ws.slots_[ws.active_[k]];
-            inputs[k] = &slot.input;
-            values[k] = slot.ctx.image->data();
-            rngs[k] = sc::Xoshiro256StarStar(seed_of(slot.ctx.imageSeed));
-            rng_of[k] = &rngs[k];
-        }
-        sc::fillBipolarLanes(inputs, values, rng_of, lanes, cfg_.rngBits,
-                             begin, end);
-    };
-    // Deterministic: the full-length up-front SNG fill, so any exit
-    // point is a bit-exact prefix of the full run.
-    if (encodeInputStreams_ && policy.deterministic)
-        encodeInputs(0, len, inputSeed);
+    if (encodeInputStreams_)
+        sc::fillBipolarLanes(inputs, values, rng_of, count, cfg_.rngBits, 0,
+                             len);
 
     // The cohort advances through checkpoint blocks together, one stage
     // dispatch per stage and block, so weight streams are traversed once
@@ -344,13 +410,6 @@ ScNetworkEngine::inferAdaptiveCohort(const nn::Tensor *const images[],
     std::size_t begin = 0;
     while (!ws.active_.empty()) {
         const std::size_t end = std::min(begin + block, len);
-        if (encodeInputStreams_ && !policy.deterministic) {
-            // Lazy SNG: this block's input cycles from an own substream —
-            // cycles past an early exit are never generated.
-            encodeInputs(begin, end, [begin](std::uint64_t image_seed) {
-                return blockInputSeed(image_seed, begin);
-            });
-        }
 
         // Ping-pong the activation buffers: stage s reads what stage s-1
         // wrote and overwrites the other buffer, so no stream is copied.

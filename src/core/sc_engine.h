@@ -44,6 +44,7 @@
 
 #include "core/status.h"
 #include "nn/network.h"
+#include "sc/sng.h"
 
 namespace aqfpsc::core {
 
@@ -54,56 +55,6 @@ using StageWorkspace = CohortWorkspace;
 namespace stages {
 struct ExecutionPlan;
 } // namespace stages
-
-/** Engine configuration. */
-struct ScEngineConfig
-{
-    std::size_t streamLen = 1024; ///< stochastic stream length N
-    int rngBits = 10;             ///< SNG code width
-    std::uint64_t seed = 123;     ///< randomness seed
-    /**
-     * BackendRegistry name ("aqfp-sorter", "cmos-apc", "float-ref", ...).
-     * String names have been the only backend selector since the
-     * deprecated ScBackend enum shim was removed.
-     */
-    std::string backendName = "aqfp-sorter";
-    /**
-     * Worker threads evaluate() fans images across (0 = one per
-     * hardware thread).  Results are bit-identical for any value.
-     */
-    int threads = 1;
-    /**
-     * Images per execution cohort (stage-major batching): each worker
-     * pushes up to this many images through every stage together, so
-     * weight streams are traversed once per cohort instead of once per
-     * image.  Results are bit-identical for any value (per-image seeds
-     * are untouched); clamped to [1, kMaxCohortImages of stage.h].
-     */
-    int cohort = 1;
-    /**
-     * Per-stage stream lengths (mixed stream-length precision).  Empty
-     * (the default) means "uniform at streamLen" — the compiler resolves
-     * it to a uniform vector, and that path is bit-identical to the
-     * scalar config it replaces.  A non-empty vector must have one entry
-     * per compiled stage (in execution order), every entry a positive
-     * multiple of 64 (word-aligned spans), and must be non-increasing
-     * along the graph: each stage consumes the prefix of a longer
-     * upstream stream, so an upstream stage may never be shorter than
-     * its consumer.  Stage s generates its weight/bias streams at —
-     * and executes exactly — stageStreamLens[s] cycles; when set,
-     * streamLen is ignored for stage lengths (the input encoding runs at
-     * stageStreamLens[0]).  See core::PrecisionTuner for the search that
-     * produces these vectors.
-     */
-    std::vector<std::size_t> stageStreamLens;
-
-    /** The authoritative backend name (empty falls back to the default
-     *  registry name, so a value-initialized config stays valid). */
-    std::string resolvedBackend() const
-    {
-        return backendName.empty() ? "aqfp-sorter" : backendName;
-    }
-};
 
 /**
  * Per-call options of one batched evaluation.  The worker count defaults
@@ -164,32 +115,83 @@ struct AdaptivePolicy
      *  0 = may exit at the first checkpoint. */
     std::size_t minCycles = 320;
 
-    /**
-     * true (default): all randomness draws are identical to the
-     * non-adaptive path — input SNG streams are generated at full length
-     * up front and position-dependent per-stage draws are replayed
-     * exactly, so results are bit-identical to ScNetworkEngine::infer*
-     * truncated at the exit point.  false: input streams and MUX selects
-     * come from cheaper per-block/per-pixel substreams (early-exited
-     * cycles are never even generated); statistically equivalent,
-     * different draws.
-     */
-    bool deterministic = true;
-
     /** Violations of the constraints above; empty means valid. */
     std::vector<std::string> validate() const;
 
     /**
      * The never-exit policy of full-length inference: exitMargin =
-     * infinity, deterministic draws, blocks of @p checkpoint_cycles (a
-     * positive multiple of 64).  The default, the largest multiple of 64,
-     * is one block covering any stream — what non-adaptive inference
-     * runs; serving passes a finite block so a RunControl can stop the
-     * run between blocks.
+     * infinity, blocks of @p checkpoint_cycles (a positive multiple of
+     * 64).  The default, the largest multiple of 64, is one block
+     * covering any stream — what non-adaptive inference runs; serving
+     * passes a finite block so a RunControl can stop the run between
+     * blocks.
      */
     static AdaptivePolicy neverExit(std::size_t checkpoint_cycles =
                                         ~std::size_t{63});
 };
+
+/**
+ * The engine's configuration.  Every compile (ScNetworkEngine,
+ * stages::compileNetwork, InferenceSession) rejects options for which
+ * validate() reports an error, before any stage is built.  The one
+ * source of truth for worker threads: engines compile with threads and
+ * evaluate() uses it unless an EvalOptions override asks otherwise.
+ */
+struct EngineOptions
+{
+    std::string backend = "aqfp-sorter"; ///< BackendRegistry name
+    std::size_t streamLen = 1024;        ///< stochastic stream length N
+    /**
+     * Per-stage stream lengths (mixed stream-length precision).  Empty
+     * (the default) means uniform at streamLen, bit-identical to the
+     * scalar config.  A non-empty vector has one entry per compiled
+     * stage in execution order (checked at compile time, when the
+     * network is known), every entry a positive multiple of 64
+     * (word-aligned spans), and is non-increasing along the graph: each
+     * stage consumes the prefix of a longer upstream stream.  Stage s
+     * generates its weight/bias streams at, and executes exactly,
+     * stageStreamLens[s] cycles; the input encoding runs at entry 0.
+     * Produced by core::PrecisionTuner / InferenceSession::tune(), or
+     * set by hand (CLI --stage-lens).
+     */
+    std::vector<std::size_t> stageStreamLens;
+    int rngBits = 10;                    ///< SNG code width
+    std::uint64_t seed = 123;            ///< randomness seed
+    int threads = 1;                     ///< workers (0 = one per hw thread)
+    /** Images per stage-major execution cohort: each worker pushes up to
+     *  this many images through every stage together, so weight streams
+     *  are traversed once per cohort.  Bit-identical results at any
+     *  value. */
+    int cohort = 1;
+    /** Early-exit policy of the session's adaptive entry points
+     *  (inferAdaptive/evaluateAdaptive); non-adaptive calls ignore it.
+     *  Validated with the rest. */
+    AdaptivePolicy adaptive;
+
+    /** Hard bounds validate() enforces. */
+    static constexpr std::size_t kMinStreamLen = 8;
+    static constexpr std::size_t kMaxStreamLen = std::size_t{1} << 22;
+    static constexpr int kMaxRngBits = sc::kMaxSngBits;
+    static constexpr int kMaxThreads = 256; ///< BatchRunner's clamp
+    static constexpr int kMaxCohort = 64;   ///< == stages' kMaxCohortImages
+
+    /**
+     * All configuration errors, each one actionable; empty means valid.
+     * Unknown backends list the registered names; numeric violations
+     * say which bound was broken and why it exists.
+     */
+    std::vector<std::string> validate() const;
+
+    /** @throws std::invalid_argument joining validate() errors. */
+    void validateOrThrow() const;
+};
+
+/**
+ * The engine configuration's former name, which the repository
+ * benchmark (perfbench/scbench.cc) still spells.  The ROADMAP item
+ * "Next benchmark change" drops that use; then this alias goes.
+ */
+using ScEngineConfig = EngineOptions;
 
 /** One adaptive inference: the prediction plus how it terminated. */
 struct AdaptivePrediction
@@ -235,8 +237,10 @@ class ScNetworkEngine
      * Compile the stage graph and pre-generate all weight streams.
      * @param net Trained network (weights are read, not copied).
      * @param cfg Engine configuration.
+     * @throws std::invalid_argument when @p cfg fails validate() or
+     *         @p net cannot be compiled for its backend.
      */
-    ScNetworkEngine(const nn::Network &net, const ScEngineConfig &cfg);
+    ScNetworkEngine(const nn::Network &net, const EngineOptions &cfg);
 
     /** Out-of-line: ScStage is incomplete at this point. */
     ~ScNetworkEngine();
@@ -282,12 +286,11 @@ class ScNetworkEngine
 
     /**
      * Adaptive early-exit inference of one image (see AdaptivePolicy): a
-     * cohort of one through inferAdaptiveCohort().  With
-     * policy.deterministic the result is bit-identical to what
-     * inferIndexed(image, index, workspace) computes over the same
-     * number of cycles — and to the full inferIndexed() result whenever
-     * the image does not exit early.  Thread-safe across distinct
-     * workspaces.
+     * cohort of one through inferAdaptiveCohort().  The result is
+     * bit-identical to what inferIndexed(image, index, workspace)
+     * computes over the same number of cycles — and to the full
+     * inferIndexed() result whenever the image does not exit early.
+     * Thread-safe across distinct workspaces.
      * @throws std::invalid_argument like inferAdaptiveCohort().
      * @throws StatusError when @p control reports cancellation/expiry.
      */
@@ -358,8 +361,8 @@ class ScNetworkEngine
     /**
      * Batched adaptive evaluation: evaluate() with per-image early exit
      * under @p policy, also reporting the mean consumed stream cycles
-     * and the early-exit count.  Deterministic policies keep per-image
-     * results bit-identical for any thread count, like evaluate().
+     * and the early-exit count.  Per-image results are bit-identical
+     * for any thread count, like evaluate().
      */
     AdaptiveEvalStats evaluateAdaptive(const std::vector<nn::Sample> &samples,
                                        const AdaptivePolicy &policy,
@@ -373,10 +376,10 @@ class ScNetworkEngine
                                       const EvalOptions &opts = {}) const;
 
     /** Engine configuration. */
-    const ScEngineConfig &config() const { return cfg_; }
+    const EngineOptions &config() const { return cfg_; }
 
-    /** Resolved BackendRegistry name this engine was compiled for. */
-    const std::string &backendName() const { return backendName_; }
+    /** BackendRegistry name this engine was compiled for. */
+    const std::string &backendName() const { return cfg_.backend; }
 
     /** Number of compiled stages (terminal stage included). */
     std::size_t stageCount() const;
@@ -418,10 +421,9 @@ class ScNetworkEngine
     void releaseWorkspace(std::unique_ptr<CohortWorkspace> workspace) const;
 
   private:
-    ScEngineConfig cfg_;
-    std::string backendName_;
-    bool encodeInputStreams_ = true; ///< from the backend's traits
+    EngineOptions cfg_;
     std::shared_ptr<const stages::ExecutionPlan> plan_;
+    bool encodeInputStreams_ = true; ///< from the backend's traits
     /** Idle workspaces (acquireWorkspace()). */
     mutable std::mutex idleMutex_;
     mutable std::vector<std::unique_ptr<CohortWorkspace>> idle_;

@@ -1,117 +1,10 @@
 #include "session.h"
 
-#include <stdexcept>
 #include <utility>
 
-#include "core/backend_registry.h"
 #include "core/model_zoo.h"
 
 namespace aqfpsc::core {
-
-// validate() promises exactly the bound the execution layer clamps to.
-static_assert(EngineOptions::kMaxCohort ==
-                  static_cast<int>(kMaxCohortImages),
-              "EngineOptions::kMaxCohort must match stage.h's "
-              "kMaxCohortImages");
-
-std::vector<std::string>
-EngineOptions::validate() const
-{
-    std::vector<std::string> errors;
-    const BackendRegistry &registry = BackendRegistry::instance();
-    if (!registry.has(backend))
-        errors.push_back(registry.unknownBackendMessage(backend));
-    if (streamLen < kMinStreamLen || streamLen > kMaxStreamLen) {
-        errors.push_back(
-            "streamLen " + std::to_string(streamLen) + " out of [" +
-            std::to_string(kMinStreamLen) + ", " +
-            std::to_string(kMaxStreamLen) +
-            "]: below the minimum a stream cannot resolve bipolar values "
-            "(SC error scales as 1/sqrt(N)); above the maximum the "
-            "per-layer stream matrices exhaust memory");
-    }
-    if (rngBits < 1 || rngBits > kMaxRngBits) {
-        errors.push_back(
-            "rngBits " + std::to_string(rngBits) + " out of [1, " +
-            std::to_string(kMaxRngBits) +
-            "]: the SNG quantizes values to a 2^bits code compared "
-            "against a bits-wide RNG draw each cycle");
-    }
-    if (threads < 0 || threads > kMaxThreads) {
-        errors.push_back(
-            "threads " + std::to_string(threads) + " out of [0, " +
-            std::to_string(kMaxThreads) +
-            "]: 0 means one worker per hardware thread; the batch "
-            "runner clamps worker pools at " + std::to_string(kMaxThreads));
-    }
-    if (cohort < 1 || cohort > kMaxCohort) {
-        errors.push_back(
-            "cohort " + std::to_string(cohort) + " out of [1, " +
-            std::to_string(kMaxCohort) +
-            "]: the stage-major kernel cores keep per-cohort pointer "
-            "tables on the stack, so cohorts are bounded; larger batches "
-            "simply run as several cohorts");
-    }
-    for (std::size_t s = 0; s < stageStreamLens.size(); ++s) {
-        const std::size_t len = stageStreamLens[s];
-        if (len == 0 || len % 64 != 0) {
-            errors.push_back(
-                "stageStreamLens[" + std::to_string(s) + "] = " +
-                std::to_string(len) +
-                " must be a positive multiple of 64: checkpointed spans "
-                "and the packed-stream kernels work in 64-bit words");
-            continue;
-        }
-        if (len > kMaxStreamLen) {
-            errors.push_back(
-                "stageStreamLens[" + std::to_string(s) + "] = " +
-                std::to_string(len) + " exceeds the maximum stream "
-                "length " + std::to_string(kMaxStreamLen) +
-                ": per-layer stream matrices exhaust memory beyond it");
-        }
-        if (s > 0 && len > stageStreamLens[s - 1]) {
-            errors.push_back(
-                "stageStreamLens must be non-increasing in execution "
-                "order (a stage consumes the prefix of longer upstream "
-                "streams, so no stage may outlive its producer); entry " +
-                std::to_string(s) + " = " + std::to_string(len) +
-                " exceeds entry " + std::to_string(s - 1) + " = " +
-                std::to_string(stageStreamLens[s - 1]));
-        }
-    }
-    for (const std::string &e : adaptive.validate())
-        errors.push_back("adaptive: " + e);
-    return errors;
-}
-
-void
-EngineOptions::validateOrThrow() const
-{
-    const std::vector<std::string> errors = validate();
-    if (errors.empty())
-        return;
-    std::string msg = "invalid EngineOptions: ";
-    for (std::size_t i = 0; i < errors.size(); ++i) {
-        if (i > 0)
-            msg += "; ";
-        msg += errors[i];
-    }
-    throw std::invalid_argument(msg);
-}
-
-ScEngineConfig
-EngineOptions::toConfig(const std::string &backendOverride) const
-{
-    ScEngineConfig cfg;
-    cfg.streamLen = streamLen;
-    cfg.stageStreamLens = stageStreamLens;
-    cfg.rngBits = rngBits;
-    cfg.seed = seed;
-    cfg.threads = threads;
-    cfg.cohort = cohort;
-    cfg.backendName = backendOverride.empty() ? backend : backendOverride;
-    return cfg;
-}
 
 InferenceSession::InferenceSession(nn::Network net, EngineOptions opts)
     : net_(std::move(net)), opts_(std::move(opts))
@@ -142,15 +35,14 @@ InferenceSession::engine(const std::string &backend) const
         if (it != engines_.end())
             return *it->second;
     }
-    if (!BackendRegistry::instance().has(name))
-        throw std::invalid_argument(
-            BackendRegistry::instance().unknownBackendMessage(name));
     // Compile outside the lock: stream generation for a large network
     // takes seconds, and serving calls on already-compiled backends must
     // not stall behind it.  Two threads racing on the same first use
     // both compile; emplace keeps the first and drops the duplicate.
-    auto compiled =
-        std::make_unique<ScNetworkEngine>(net_, opts_.toConfig(name));
+    // The compile validates the options, the backend name included.
+    EngineOptions opts = opts_;
+    opts.backend = name;
+    auto compiled = std::make_unique<ScNetworkEngine>(net_, opts);
     const std::lock_guard<std::mutex> lock(mutex_);
     const auto [it, inserted] =
         engines_.emplace(name, std::move(compiled));

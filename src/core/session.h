@@ -7,7 +7,7 @@
  * so the same model can be served on "aqfp-sorter", "cmos-apc",
  * "float-ref" or any backend registered in core::BackendRegistry without
  * recompiling more than once per backend.  Callers never wire
- * train -> quantize -> ScEngineConfig -> ScNetworkEngine -> BatchRunner
+ * train -> quantize -> EngineOptions -> ScNetworkEngine -> BatchRunner
  * by hand any more:
  *
  *   core::EngineOptions opts;
@@ -31,8 +31,8 @@
  * Determinism: every prediction is a pure function of (model, options,
  * backend, image, image index) — independent of thread count, batch
  * size, call order, and which entry point computed it.  Adaptive calls
- * with a deterministic policy are bit-identical to the non-adaptive
- * path over the cycles they consume (see AdaptivePolicy).
+ * are bit-identical to the non-adaptive path over the cycles they
+ * consume (see AdaptivePolicy).
  */
 
 #ifndef AQFPSC_CORE_SESSION_H
@@ -52,58 +52,6 @@ namespace aqfpsc::core {
 
 struct TuneOptions;
 struct TuneResult;
-
-/**
- * Validated session/engine configuration, keyed by backend registry
- * name.  The one source of truth for worker threads: engines compile
- * with EngineOptions::threads and evaluate() uses it unless an
- * EvalOptions override asks otherwise.
- */
-struct EngineOptions
-{
-    std::string backend = "aqfp-sorter"; ///< BackendRegistry name
-    std::size_t streamLen = 1024;        ///< stochastic stream length N
-    /** Per-stage stream lengths (mixed stream-length precision).  Empty
-     *  = uniform at streamLen (bit-identical to the scalar config).
-     *  Non-empty vectors must be word-aligned (multiples of 64) and
-     *  non-increasing in execution order — stages consume the prefix of
-     *  longer upstream streams — with one entry per compiled stage (the
-     *  stage-count check happens at compile time, when the network is
-     *  known).  Produced by core::PrecisionTuner / InferenceSession::
-     *  tune(), or set by hand (CLI --stage-lens). */
-    std::vector<std::size_t> stageStreamLens;
-    int rngBits = 10;                    ///< SNG code width
-    std::uint64_t seed = 123;            ///< randomness seed
-    int threads = 1;                     ///< workers (0 = one per hw thread)
-    /** Images per stage-major execution cohort: each worker pushes up to
-     *  this many images through every stage together, amortizing weight-
-     *  stream traversal.  Bit-identical results at any value. */
-    int cohort = 1;
-    /** Early-exit policy of the session's adaptive entry points
-     *  (inferAdaptive/evaluateAdaptive); non-adaptive calls ignore it.
-     *  Validated with the rest. */
-    AdaptivePolicy adaptive;
-
-    /** Hard bounds validate() enforces. */
-    static constexpr std::size_t kMinStreamLen = 8;
-    static constexpr std::size_t kMaxStreamLen = std::size_t{1} << 22;
-    static constexpr int kMaxRngBits = 24;
-    static constexpr int kMaxThreads = 256; ///< BatchRunner's clamp
-    static constexpr int kMaxCohort = 64;   ///< == stages' kMaxCohortImages
-
-    /**
-     * All configuration errors, each one actionable; empty means valid.
-     * Unknown backends list the registered names; numeric violations
-     * say which bound was broken and why it exists.
-     */
-    std::vector<std::string> validate() const;
-
-    /** @throws std::invalid_argument joining validate() errors. */
-    void validateOrThrow() const;
-
-    /** Lower to the engine config, optionally overriding the backend. */
-    ScEngineConfig toConfig(const std::string &backendOverride = {}) const;
-};
 
 /** One trained model served through lazily-compiled per-backend engines. */
 class InferenceSession
@@ -169,8 +117,8 @@ class InferenceSession
 
     /**
      * Batched adaptive evaluation under options().adaptive: evaluate()
-     * plus mean consumed stream cycles and the early-exit count.
-     * Deterministic policies are bit-identical for any thread count.
+     * plus mean consumed stream cycles and the early-exit count,
+     * bit-identical for any thread count.
      * @throws std::invalid_argument like inferAdaptive().
      */
     AdaptiveEvalStats

@@ -12,7 +12,7 @@ namespace aqfpsc::core::stages {
 namespace {
 
 const PoolStageRegistration kRegistration{
-    "aqfp-sorter", [](const PoolGeometry &g, const ScEngineConfig &cfg) {
+    "aqfp-sorter", [](const PoolGeometry &g, const EngineOptions &cfg) {
         return std::make_unique<AqfpPoolStage>(g, cfg.streamLen);
     }};
 

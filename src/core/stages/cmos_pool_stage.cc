@@ -13,7 +13,7 @@ namespace aqfpsc::core::stages {
 
 namespace {
 const PoolStageRegistration kRegistration{
-    "cmos-apc", [](const PoolGeometry &g, const ScEngineConfig &cfg) {
+    "cmos-apc", [](const PoolGeometry &g, const EngineOptions &cfg) {
         return std::make_unique<CmosPoolStage>(g, cfg.streamLen);
     }};
 
@@ -24,9 +24,7 @@ const PoolStageRegistration kRegistration{
  * draws selects [p*N, (p+1)*N)), so checkpointed execution snapshots the
  * generator at every pixel's start offset on the first span and resumes
  * each snapshot as later spans arrive — the select draws are
- * bit-identical to one full span at any checkpoint granularity.  In
- * non-deterministic mode each pixel instead gets an independent
- * substream (no skip-ahead cost, draws differ from the one-pass path).
+ * bit-identical to one full span at any checkpoint granularity.
  */
 struct CmosPoolScratch final : StageScratch
 {
@@ -160,13 +158,10 @@ CmosPoolStage::runCohortSpan(const CohortSlot *slots, std::size_t count,
         // the image seed so batched execution stays schedule-independent.
         sc::simd::XoshiroLanes master;
         master.lanes = std::min(sc::simd::kXoshiroLanes, count - first);
-        bool anyDeterministic = false;
-        for (std::size_t l = 0; l < master.lanes; ++l) {
+        for (std::size_t l = 0; l < master.lanes; ++l)
             setLane(master, l,
                     sc::Xoshiro256StarStar(group[l].ctx->imageSeed ^
                                            0x9E3779B9ULL));
-            anyDeterministic |= group[l].ctx->deterministicSpans;
-        }
         const auto scratch = [&](std::size_t l) -> CmosPoolScratch & {
             return *static_cast<CmosPoolScratch *>(group[l].scratch);
         };
@@ -185,9 +180,9 @@ CmosPoolStage::runCohortSpan(const CohortSlot *slots, std::size_t count,
                         (static_cast<std::size_t>(c) * geom_.inH + 2 * y) *
                             geom_.inW +
                         2 * x;
-                    // Position each lane's select generator.  Full span
-                    // and deterministic first span: the master, at this
-                    // pixel's one-pass offset p*N.
+                    // Position each lane's select generator.  First
+                    // span: the master, at this pixel's one-pass offset
+                    // p*N; later spans: the pixel's stored snapshot.
                     sc::simd::XoshiroLanes gen = master;
                     for (std::size_t l = 0; l < gen.lanes; ++l) {
                         const CohortSlot &slot = group[l];
@@ -197,13 +192,6 @@ CmosPoolStage::runCohortSpan(const CohortSlot *slots, std::size_t count,
                         dst[l] = slot.out->row(out_row);
                         if (!firstSpan)
                             setLane(gen, l, scratch(l).rngs[out_row]);
-                        else if (!fullSpan && !slot.ctx->deterministicSpans)
-                            setLane(gen, l,
-                                    sc::Xoshiro256StarStar(
-                                        sc::deriveStreamSeed(
-                                            slot.ctx->imageSeed ^
-                                                0x9E3779B9ULL,
-                                            out_row + 1)));
                     }
                     muxPoolLanes(rows, gen, begin, end, dst);
                     if (fullSpan) {
@@ -212,11 +200,11 @@ CmosPoolStage::runCohortSpan(const CohortSlot *slots, std::size_t count,
                     }
                     for (std::size_t l = 0; l < gen.lanes; ++l)
                         storeLane(gen, l, scratch(l).rngs[out_row]);
-                    // Deterministic partial first span: skip the master
-                    // past the draws this pixel would have consumed to
-                    // the end of the stream, so the next pixel's
-                    // snapshot lands at its one-pass offset.
-                    if (firstSpan && anyDeterministic) {
+                    // Partial first span: skip the master past the draws
+                    // this pixel would have consumed to the end of the
+                    // stream, so the next pixel's snapshot lands at its
+                    // one-pass offset.
+                    if (firstSpan) {
                         master = gen;
                         drawSelects(master, len - end, [](auto &&...) {});
                     }

@@ -265,7 +265,7 @@ const DenseStageRegistration kDense{
     }};
 
 const PoolStageRegistration kPool{
-    kFloatRefBackend, [](const PoolGeometry &g, const ScEngineConfig &) {
+    kFloatRefBackend, [](const PoolGeometry &g, const EngineOptions &) {
         return std::make_unique<FloatRefPoolStage>(g);
     }};
 

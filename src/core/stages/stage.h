@@ -72,12 +72,10 @@ struct StageContext
     std::vector<float> values;
 
     /**
-     * Partial-span execution only: when true, stages whose randomness
-     * consumption depends on stream position (CmosPool's MUX selects)
-     * replay the exact draw sequence of the uninterrupted path, so
-     * block-wise execution is bit-identical to one full span.  When
-     * false, they may draw from cheaper per-block substreams instead
-     * (statistically equivalent, not bit-identical).
+     * Unused: no stage reads it, since every span decomposition replays
+     * the draws of one full span.  The repository benchmark
+     * (perfbench/scbench.cc) still assigns it; the ROADMAP item "Next
+     * benchmark change" drops that write, and then this field goes.
      */
     bool deterministicSpans = true;
 };
@@ -109,7 +107,7 @@ struct StageFootprint
 
 /**
  * Upper bound on the images one cohort may execute together
- * (ScEngineConfig::cohort, CohortWorkspace capacity).  Keeps the
+ * (EngineOptions::cohort, CohortWorkspace capacity).  Keeps the
  * per-cohort pointer tables of the interleaved kernel cores stack-sized;
  * larger batches are simply executed as several cohorts.
  */
@@ -189,9 +187,8 @@ class ScStage
      * each slot's scratch: a call with begin == 0 re-arms it for a new
      * image and reshapes @c out; later calls resume it, so that covering
      * [0, N) with any sequence of adjacent spans is bit-identical to one
-     * full span (see StageContext::deterministicSpans for the one
-     * permitted deviation).  Within one image, spans must be executed in
-     * order and without gaps.  Terminal stages update ctx.scores to the
+     * full span.  Within one image, spans must be executed in order and
+     * without gaps.  Terminal stages update ctx.scores to the
      * scores over cycles [0, @p end) and write no output streams.
      * Non-resumable stages are only ever called with the full span.
      *

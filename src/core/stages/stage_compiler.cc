@@ -39,7 +39,7 @@ activationKind(const nn::Layer &l)
  */
 FeatureStreams
 makeStreams(const std::vector<float> &weights,
-            const std::vector<float> &biases, const ScEngineConfig &cfg,
+            const std::vector<float> &biases, const EngineOptions &cfg,
             sc::RandomSource &rng)
 {
     FeatureStreams s;
@@ -70,8 +70,7 @@ makeStreams(const std::vector<float> &weights,
 std::shared_ptr<const StageShared>
 internStageState(StageKind kind, const std::array<int, 7> &dims,
                  FusedActivation act, bool majority_chain,
-                 const std::string &backend, const ScEngineConfig &cfg,
-                 sc::Xoshiro256StarStar &rng,
+                 const EngineOptions &cfg, sc::Xoshiro256StarStar &rng,
                  const std::vector<float> &weights,
                  const std::vector<float> &biases, bool wanted,
                  const std::function<OperandPlan()> &make_plan)
@@ -79,7 +78,7 @@ internStageState(StageKind kind, const std::array<int, 7> &dims,
     if (!wanted)
         return nullptr;
     StageSpec spec;
-    spec.backend = backend;
+    spec.backend = cfg.backend;
     spec.kind = kind;
     spec.dims = dims;
     spec.activation = static_cast<int>(act);
@@ -108,12 +107,11 @@ internStageState(StageKind kind, const std::array<int, 7> &dims,
  *  resolve to a uniform vector first), so a scalar streamLen and the
  *  equivalent explicit uniform vector share one cache entry. */
 PlanSpec
-makePlanSpec(const nn::Network &net, const ScEngineConfig &cfg,
-             const std::string &backend,
+makePlanSpec(const nn::Network &net, const EngineOptions &cfg,
              const std::vector<std::size_t> &lens)
 {
     PlanSpec p;
-    p.backend = backend;
+    p.backend = cfg.backend;
     p.streamLen = lens.empty() ? cfg.streamLen : lens.front();
     p.stageStreamLens.assign(lens.begin(), lens.end());
     p.rngBits = cfg.rngBits;
@@ -224,46 +222,28 @@ countStages(const nn::Network &net)
 } // namespace
 
 std::vector<std::size_t>
-resolveStageLens(const nn::Network &net, const ScEngineConfig &cfg)
+resolveStageLens(const nn::Network &net, const EngineOptions &cfg)
 {
+    cfg.validateOrThrow();
     const std::size_t n_stages = countStages(net);
     if (cfg.stageStreamLens.empty())
         return std::vector<std::size_t>(n_stages, cfg.streamLen);
-
-    const std::vector<std::size_t> &lens = cfg.stageStreamLens;
-    if (lens.size() != n_stages) {
+    if (cfg.stageStreamLens.size() != n_stages) {
         throw std::invalid_argument(
-            "stageStreamLens has " + std::to_string(lens.size()) +
+            "stageStreamLens has " +
+            std::to_string(cfg.stageStreamLens.size()) +
             " entries but the network compiles to " +
             std::to_string(n_stages) +
             " stages; provide one length per stage in execution order");
     }
-    for (std::size_t s = 0; s < lens.size(); ++s) {
-        if (lens[s] == 0 || lens[s] % 64 != 0) {
-            throw std::invalid_argument(
-                "stageStreamLens[" + std::to_string(s) + "] = " +
-                std::to_string(lens[s]) +
-                " must be a positive multiple of 64 (word-aligned spans)");
-        }
-        if (s > 0 && lens[s] > lens[s - 1]) {
-            throw std::invalid_argument(
-                "stageStreamLens must be non-increasing along the graph "
-                "(stages consume the prefix of longer upstream streams); "
-                "entry " +
-                std::to_string(s) + " = " + std::to_string(lens[s]) +
-                " exceeds entry " + std::to_string(s - 1) + " = " +
-                std::to_string(lens[s - 1]));
-        }
-    }
-    return lens;
+    return cfg.stageStreamLens;
 }
 
 std::shared_ptr<const ExecutionPlan>
-compileNetwork(const nn::Network &net, const ScEngineConfig &cfg)
+compileNetwork(const nn::Network &net, const EngineOptions &cfg)
 {
     return PlanCache::instance().internPlan(
-        makePlanSpec(net, cfg, cfg.resolvedBackend(),
-                     resolveStageLens(net, cfg)),
+        makePlanSpec(net, cfg, resolveStageLens(net, cfg)),
         [&] {
             return std::make_shared<const ExecutionPlan>(
                 compileNetworkUncached(net, cfg));
@@ -271,15 +251,13 @@ compileNetwork(const nn::Network &net, const ScEngineConfig &cfg)
 }
 
 ExecutionPlan
-compileNetworkUncached(const nn::Network &net, const ScEngineConfig &cfg)
+compileNetworkUncached(const nn::Network &net, const EngineOptions &cfg)
 {
-    const std::string backend = cfg.resolvedBackend();
-    // entry() throws the documented unknown-backend message.
+    const std::vector<std::size_t> lens = resolveStageLens(net, cfg);
+    const std::string &backend = cfg.backend;
     const BackendEntry &factories =
         BackendRegistry::instance().entry(backend);
     const bool want_streams = factories.traits.wantsParamStreams;
-
-    const std::vector<std::size_t> lens = resolveStageLens(net, cfg);
 
     std::vector<std::unique_ptr<ScStage>> stages;
 
@@ -287,7 +265,7 @@ compileNetworkUncached(const nn::Network &net, const ScEngineConfig &cfg)
     // stage's own resolved length (factories and stream generation read
     // only streamLen, so a scalar-era stage builds unchanged from it).
     const auto stageCfg = [&]() {
-        ScEngineConfig c = cfg;
+        EngineOptions c = cfg;
         c.streamLen = lens[stages.size()];
         c.stageStreamLens.clear();
         return c;
@@ -322,7 +300,7 @@ compileNetworkUncached(const nn::Network &net, const ScEngineConfig &cfg)
             g.kernel = conv->kernel();
             if (!factories.conv)
                 throwIncomplete(backend, "conv");
-            const ScEngineConfig scfg = stageCfg();
+            const EngineOptions scfg = stageCfg();
             stages.push_back(makeStage(
                 li, l, factories.conv, g,
                 WeightedStageInit{
@@ -330,8 +308,8 @@ compileNetworkUncached(const nn::Network &net, const ScEngineConfig &cfg)
                         StageKind::Conv,
                         {g.inC, g.inH, g.inW, g.outC, g.outH, g.outW,
                          g.kernel},
-                        activationKind(net.layer(li + 1)), false, backend,
-                        scfg, rng, conv->weights(), conv->biases(),
+                        activationKind(net.layer(li + 1)), false, scfg,
+                        rng, conv->weights(), conv->biases(),
                         want_streams,
                         [&g] {
                             return compileOperandPlan(ConvWindowGather{g});
@@ -371,14 +349,14 @@ compileNetworkUncached(const nn::Network &net, const ScEngineConfig &cfg)
                 input_elements = io.in.elements;
             if (!factories.output)
                 throwIncomplete(backend, "output");
-            const ScEngineConfig scfg = stageCfg();
+            const EngineOptions scfg = stageCfg();
             stages.push_back(factories.output(
                 g, WeightedStageInit{
                        internStageState(
                            StageKind::Output,
                            {g.inFeatures, g.outFeatures, 0, 0, 0, 0, 0},
-                           FusedActivation::None, true, backend, scfg,
-                           rng, chain->weights(), chain->biases(),
+                           FusedActivation::None, true, scfg, rng,
+                           chain->weights(), chain->biases(),
                            want_streams, nullptr),
                        chain->weights(), chain->biases(),
                        FusedActivation::None, true, scfg}));
@@ -398,11 +376,11 @@ compileNetworkUncached(const nn::Network &net, const ScEngineConfig &cfg)
             const FusedActivation act =
                 has_act ? activationKind(net.layer(li + 1))
                         : FusedActivation::None;
-            const ScEngineConfig scfg = stageCfg();
+            const EngineOptions scfg = stageCfg();
             auto shared = internStageState(
                 has_act ? StageKind::Dense : StageKind::Output,
                 {g.inFeatures, g.outFeatures, 0, 0, 0, 0, 0}, act, false,
-                backend, scfg, rng, fc->weights(), fc->biases(),
+                scfg, rng, fc->weights(), fc->biases(),
                 want_streams, [&g, has_act]() -> OperandPlan {
                     if (!has_act)
                         return {};

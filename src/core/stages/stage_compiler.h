@@ -12,12 +12,13 @@
  * are part of the deterministic contract: one seed, one stage graph).
  *
  * Stage construction is registry-driven: the backend named by
- * ScEngineConfig::resolvedBackend() is looked up in core::BackendRegistry
- * and its per-layer-kind factories build the stages, so new backends
- * plug in without touching this compiler.
+ * EngineOptions::backend is looked up in core::BackendRegistry and its
+ * per-layer-kind factories build the stages, so new backends plug in
+ * without touching this compiler.
  *
  * Documented error messages (all std::invalid_argument):
- *  - "unknown backend '<name>'; registered backends: <a>, <b>, ..."
+ *  - "invalid EngineOptions: <validate() errors joined by '; '>", e.g.
+ *    "unknown backend '<name>'; registered backends: <a>, <b>, ..."
  *  - "backend '<name>' registers no <conv|dense|pool|output> stage"
  *  - "ScNetworkEngine: Conv2D needs a following activation"
  *  - "ScNetworkEngine: MajorityChainDense must be last"
@@ -111,20 +112,19 @@ struct ExecutionPlan
 };
 
 /**
- * Resolve @p cfg 's per-stage stream lengths against @p net: counts the
- * stages the compiler will emit and returns one length per stage.  An
- * empty ScEngineConfig::stageStreamLens yields a uniform vector at
+ * Validate @p cfg (EngineOptions::validateOrThrow) and resolve its
+ * per-stage stream lengths against @p net: counts the stages the
+ * compiler will emit and returns one length per stage.  An empty
+ * EngineOptions::stageStreamLens yields a uniform vector at
  * cfg.streamLen (bit-identical to the scalar path); a non-empty vector
- * is validated — size must equal the stage count, every entry a
- * positive multiple of 64 within the engine bounds, and the sequence
- * non-increasing in execution order (prefix consumption: a stage may
- * never outlive its upstream producer).
+ * must have one entry per stage, the one check that needs the network.
+ * Both compile entry points call this first.
  *
  * @throws std::invalid_argument with an actionable message on any
  *         violation.
  */
 std::vector<std::size_t> resolveStageLens(const nn::Network &net,
-                                          const ScEngineConfig &cfg);
+                                          const EngineOptions &cfg);
 
 /**
  * Compile @p net into an ExecutionPlan for @p cfg 's backend.
@@ -138,12 +138,12 @@ std::vector<std::size_t> resolveStageLens(const nn::Network &net,
  * bit-identical (see plan_cache.h for the RNG fast-forward argument);
  * set AQFPSC_DISABLE_PLAN_CACHE=1 to always compile cold.
  *
- * @throws std::invalid_argument if the backend is unknown or incomplete,
- *         or the network does not follow the mappable pattern (see the
- *         documented messages above).
+ * @throws std::invalid_argument if @p cfg is invalid, the backend is
+ *         incomplete, or the network does not follow the mappable
+ *         pattern (see the documented messages above).
  */
 std::shared_ptr<const ExecutionPlan>
-compileNetwork(const nn::Network &net, const ScEngineConfig &cfg);
+compileNetwork(const nn::Network &net, const EngineOptions &cfg);
 
 /**
  * The cold compile path: always rebuilds the plan, never consults the
@@ -152,7 +152,7 @@ compileNetwork(const nn::Network &net, const ScEngineConfig &cfg);
  * differential tests call it directly to pin cached == cold.
  */
 ExecutionPlan compileNetworkUncached(const nn::Network &net,
-                                     const ScEngineConfig &cfg);
+                                     const EngineOptions &cfg);
 
 } // namespace aqfpsc::core::stages
 

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "layers.h"
+#include "sc/sng.h"
 #include "tensor.h"
 
 namespace aqfpsc::nn {
@@ -62,9 +63,9 @@ class Network
      */
     double train(std::vector<Sample> &samples, const TrainConfig &cfg);
 
-    /** SNG code widths quantizeParams() accepts. */
-    static constexpr int kMinQuantBits = 1;
-    static constexpr int kMaxQuantBits = 20;
+    /** SNG code widths quantizeParams() accepts: the SNG's own. */
+    static constexpr int kMinQuantBits = sc::kMinSngBits;
+    static constexpr int kMaxQuantBits = sc::kMaxSngBits;
 
     /**
      * Snap all parameters to the bipolar SNG code grid (2^bits + 1 codes

@@ -9,7 +9,7 @@ namespace aqfpsc::sc {
 std::uint32_t
 quantizeUnipolar(double x, int bits)
 {
-    assert(bits >= 1 && bits <= 20);
+    assert(bits >= kMinSngBits && bits <= kMaxSngBits);
     const double clipped = std::clamp(x, 0.0, 1.0);
     const double scale = static_cast<double>(1u << bits);
     return static_cast<std::uint32_t>(std::lround(clipped * scale));
@@ -68,7 +68,7 @@ SngBank::SngBank(int rng_bits, Mode mode, std::uint64_t seed)
       matrixDim_((rng_bits % 2 == 0) ? rng_bits + 1 : rng_bits),
       fastRng_(seed)
 {
-    assert(rng_bits >= 3 && rng_bits <= 20);
+    assert(rng_bits >= 3 && rng_bits <= kMaxSngBits);
 }
 
 std::vector<Bitstream>

@@ -31,6 +31,17 @@
 namespace aqfpsc::sc {
 
 /**
+ * SNG code widths every bits argument below accepts, and the one bound
+ * the engine (core::EngineOptions::rngBits) and the model quantizer
+ * (nn::Network::quantizeParams) enforce.  Codes span [0, 2^bits] in a
+ * uint32, so the width must stay below 32; a 20-bit grid step (about
+ * 1e-6) is already far finer than the 1/sqrt(N) noise of any stream the
+ * engine runs.
+ */
+inline constexpr int kMinSngBits = 1;
+inline constexpr int kMaxSngBits = 20;
+
+/**
  * Quantize a unipolar value x in [0, 1] to an SNG code in [0, 2^bits].
  * The inclusive upper code lets 1.0 be represented exactly.
  */
@@ -75,7 +86,8 @@ class SngBank
     };
 
     /**
-     * @param rng_bits Width of the binary codes / random numbers (3..20).
+     * @param rng_bits Width of the binary codes / random numbers (3 to
+     *        kMaxSngBits).
      * @param mode Random-number supply strategy.
      * @param seed Seed for all randomness in this bank.
      */

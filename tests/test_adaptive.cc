@@ -1,7 +1,7 @@
 /**
  * @file
- * Adaptive (early-exit) inference: the deterministic-mode bit-exactness
- * contract against the non-adaptive path, exit-point independence from
+ * Adaptive (early-exit) inference: the bit-exactness contract against
+ * the non-adaptive path, exit-point independence from
  * the checkpoint granularity, policy validation, batched adaptive
  * evaluation stats, and rejection on non-resumable backends.
  */
@@ -178,34 +178,6 @@ TEST(AdaptiveInference, WorkspaceReuseAcrossModesIsClean)
     }
 }
 
-/**
- * Non-deterministic mode (lazy per-block SNG substreams) is a different
- * Monte-Carlo draw, not a different computation: it must run to the
- * same structural outcome and be reproducible for a fixed (seed, index).
- */
-TEST(AdaptiveInference, NonDeterministicModeIsSelfConsistent)
-{
-    const auto samples = testImages(2);
-    for (const char *backend : {"aqfp-sorter", "cmos-apc"}) {
-        const InferenceSession session = makeSession(backend, 192);
-        const ScNetworkEngine &engine = session.engine();
-        StageWorkspace ws(engine);
-        AdaptivePolicy policy;
-        policy.checkpointCycles = 64;
-        policy.exitMargin = kInf;
-        policy.deterministic = false;
-        for (std::size_t i = 0; i < samples.size(); ++i) {
-            const AdaptivePrediction a =
-                engine.inferAdaptive(samples[i].image, i, ws, policy);
-            const AdaptivePrediction b =
-                engine.inferAdaptive(samples[i].image, i, ws, policy);
-            EXPECT_EQ(a.consumedCycles, 192u);
-            EXPECT_EQ(a.prediction.scores, b.prediction.scores);
-            EXPECT_EQ(a.prediction.scores.size(), 10u);
-        }
-    }
-}
-
 TEST(AdaptivePolicy, ValidateTable)
 {
     EXPECT_TRUE(AdaptivePolicy{}.validate().empty());
@@ -304,7 +276,7 @@ TEST(AdaptiveInference, EvaluateAdaptiveStats)
     EXPECT_DOUBLE_EQ(first.avgConsumedCycles, 64.0);
     EXPECT_EQ(first.earlyExits, samples.size());
 
-    // Thread-count independence of the deterministic adaptive batch.
+    // Thread-count independence of the adaptive batch.
     const auto one =
         session.engine().evaluateAdaptive(samples, always, {.threads = 1});
     const auto four =

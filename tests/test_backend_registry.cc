@@ -40,24 +40,11 @@ TEST(BackendRegistry, BuiltinBackendsAreRegistered)
     EXPECT_TRUE(has("float-ref"));
 }
 
-TEST(BackendRegistry, ResolvedBackendDefaultsAndOverrides)
-{
-    // String names are the only selector (the ScBackend enum shim is
-    // gone); a value-initialized config must resolve to the default
-    // registered backend, and an explicit name must win.
-    ScEngineConfig cfg;
-    EXPECT_EQ(cfg.resolvedBackend(), "aqfp-sorter");
-    cfg.backendName = "float-ref";
-    EXPECT_EQ(cfg.resolvedBackend(), "float-ref");
-    cfg.backendName.clear(); // legacy empty spelling stays valid
-    EXPECT_EQ(cfg.resolvedBackend(), "aqfp-sorter");
-}
-
 TEST(BackendRegistry, UnknownBackendListsRegisteredNames)
 {
     nn::Network net = buildTinyCnn(1);
-    ScEngineConfig cfg;
-    cfg.backendName = "does-not-exist";
+    EngineOptions cfg;
+    cfg.backend = "does-not-exist";
     try {
         ScNetworkEngine engine(net, cfg);
         FAIL() << "expected std::invalid_argument";
@@ -197,8 +184,8 @@ TEST(BackendRegistry, CompilerRejectsLayerShapesThatDoNotChain)
         SCOPED_TRACE(c.what);
         for (const char *backend : {"aqfp-sorter", "cmos-apc", "float-ref"}) {
             SCOPED_TRACE(backend);
-            ScEngineConfig cfg;
-            cfg.backendName = backend;
+            EngineOptions cfg;
+            cfg.backend = backend;
             cfg.streamLen = 64;
             try {
                 ScNetworkEngine engine(c.build(), cfg);
@@ -213,8 +200,8 @@ TEST(BackendRegistry, CompilerRejectsLayerShapesThatDoNotChain)
     for (const std::string &name : modelNames()) {
         SCOPED_TRACE(name);
         for (const char *backend : {"aqfp-sorter", "cmos-apc", "float-ref"}) {
-            ScEngineConfig cfg;
-            cfg.backendName = backend;
+            EngineOptions cfg;
+            cfg.backend = backend;
             cfg.streamLen = 64;
             EXPECT_NO_THROW({
                 const ScNetworkEngine engine(buildModel(name, 1), cfg);
@@ -284,8 +271,8 @@ TEST(BackendRegistry, CompilerRejectsFanInTheFeedbackKernelCannotCount)
         SCOPED_TRACE(c.what);
         for (const char *backend : {"aqfp-sorter", "cmos-apc", "float-ref"}) {
             SCOPED_TRACE(backend);
-            ScEngineConfig cfg;
-            cfg.backendName = backend;
+            EngineOptions cfg;
+            cfg.backend = backend;
             cfg.streamLen = 64;
             if (c.layer == nullptr || std::string(backend) == "float-ref") {
                 EXPECT_NO_THROW({
@@ -347,8 +334,8 @@ TEST(BackendRegistry, BackendRegisteredOutsideCompilerServesInference)
 
     nn::Network net;
     net.add(std::make_unique<nn::Dense>(16, 4, 1));
-    ScEngineConfig cfg;
-    cfg.backendName = "test-constant";
+    EngineOptions cfg;
+    cfg.backend = "test-constant";
     const ScNetworkEngine engine(net, cfg);
 
     nn::Tensor image({1, 4, 4});
@@ -377,8 +364,8 @@ TEST(BackendRegistry, FloatRefMatchesFloatNetworkBitExactly)
 {
     nn::Network net = buildTinyCnn(7);
     net.quantizeParams(10);
-    ScEngineConfig cfg;
-    cfg.backendName = "float-ref";
+    EngineOptions cfg;
+    cfg.backend = "float-ref";
     const ScNetworkEngine engine(net, cfg);
 
     const auto samples = data::generateDigits(12, 2026);
@@ -397,8 +384,8 @@ TEST(BackendRegistry, FloatRefMatchesFloatNetworkBitExactly)
 TEST(BackendRegistry, FloatRefIsDeterministicAcrossEnginesAndIndices)
 {
     nn::Network net = buildTinyCnn(5);
-    ScEngineConfig cfg;
-    cfg.backendName = "float-ref";
+    EngineOptions cfg;
+    cfg.backend = "float-ref";
     const ScNetworkEngine a(net, cfg);
     const ScNetworkEngine b(net, cfg);
     const auto samples = data::generateDigits(4, 99);

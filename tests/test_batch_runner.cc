@@ -31,13 +31,13 @@ expectSamePredictions(const std::vector<ScPrediction> &a,
     }
 }
 
-ScEngineConfig
+EngineOptions
 makeConfig(const std::string &backend)
 {
-    ScEngineConfig cfg;
+    EngineOptions cfg;
     cfg.streamLen = 256;
     cfg.seed = 99;
-    cfg.backendName = backend;
+    cfg.backend = backend;
     return cfg;
 }
 
@@ -126,7 +126,7 @@ TEST(BatchRunner, EngineEvaluateRoutesThroughBatchRunner)
     const nn::Network net = buildTinyCnn(26);
     const auto samples = data::generateDigits(8, 41);
 
-    ScEngineConfig cfg = makeConfig("aqfp-sorter");
+    EngineOptions cfg = makeConfig("aqfp-sorter");
     cfg.threads = 4;
     const ScNetworkEngine engine(net, cfg);
     const double acc = engine.evaluate(samples, EvalOptions{}).accuracy;

@@ -14,8 +14,7 @@
  *    registered backends, against the per-image inferIndexed()
  *    reference, via a golden score hash;
  *  - adaptive early-exit cohorts (in-place compaction) against
- *    per-image inferAdaptive(), in both deterministic and lazy-substream
- *    modes, across thread counts;
+ *    per-image inferAdaptive(), across thread counts;
  *  - cohort knob validation and workspace capacity clamping.
  */
 
@@ -138,52 +137,44 @@ TEST(Cohort, ScheduleIndependentAcrossThreadCounts)
 /**
  * Adaptive cohorts compact in place as images clear the margin; every
  * retired image must have consumed exactly the checkpoint schedule of
- * the per-image adaptive path — in deterministic mode bit-identically,
- * and in lazy-substream mode too (per-block seeds derive only from the
- * image seed and block index, never from the cohort).
+ * the per-image adaptive path, bit-identically.
  */
-TEST(Cohort, AdaptiveMatchesPerImageInBothModes)
+TEST(Cohort, AdaptiveMatchesPerImage)
 {
     const auto samples = testImages();
     for (const char *backend : {"aqfp-sorter", "cmos-apc"}) {
+        SCOPED_TRACE(backend);
         const InferenceSession session = makeSession(backend, 512);
         const ScNetworkEngine &engine = session.engine();
-        for (const bool deterministic : {true, false}) {
-            SCOPED_TRACE(std::string(backend) + " det=" +
-                         std::to_string(deterministic));
-            AdaptivePolicy policy;
-            policy.checkpointCycles = 128;
-            policy.exitMargin = 0.1;
-            policy.minCycles = 128;
-            policy.deterministic = deterministic;
+        AdaptivePolicy policy;
+        policy.checkpointCycles = 128;
+        policy.exitMargin = 0.1;
+        policy.minCycles = 128;
 
-            std::vector<AdaptivePrediction> reference;
-            for (std::size_t i = 0; i < samples.size(); ++i)
-                reference.push_back(
-                    engine.inferAdaptive(samples[i].image, i, policy));
+        std::vector<AdaptivePrediction> reference;
+        for (std::size_t i = 0; i < samples.size(); ++i)
+            reference.push_back(
+                engine.inferAdaptive(samples[i].image, i, policy));
 
-            for (const int threads : {1, 2}) {
-                for (const int cohort : {2, 5, 8, 9}) {
-                    SCOPED_TRACE("threads=" + std::to_string(threads) +
-                                 " cohort=" + std::to_string(cohort));
-                    const std::vector<AdaptivePrediction> got =
-                        BatchRunner(engine, threads, cohort)
-                            .runAdaptive(samples, policy);
-                    ASSERT_EQ(got.size(), reference.size());
-                    for (std::size_t i = 0; i < got.size(); ++i) {
-                        EXPECT_EQ(got[i].prediction.scores,
-                                  reference[i].prediction.scores)
-                            << i;
-                        EXPECT_EQ(got[i].consumedCycles,
-                                  reference[i].consumedCycles)
-                            << i;
-                        EXPECT_EQ(got[i].checkpoints,
-                                  reference[i].checkpoints)
-                            << i;
-                        EXPECT_EQ(got[i].exitedEarly,
-                                  reference[i].exitedEarly)
-                            << i;
-                    }
+        for (const int threads : {1, 2}) {
+            for (const int cohort : {2, 5, 8, 9}) {
+                SCOPED_TRACE("threads=" + std::to_string(threads) +
+                             " cohort=" + std::to_string(cohort));
+                const std::vector<AdaptivePrediction> got =
+                    BatchRunner(engine, threads, cohort)
+                        .runAdaptive(samples, policy);
+                ASSERT_EQ(got.size(), reference.size());
+                for (std::size_t i = 0; i < got.size(); ++i) {
+                    EXPECT_EQ(got[i].prediction.scores,
+                              reference[i].prediction.scores)
+                        << i;
+                    EXPECT_EQ(got[i].consumedCycles,
+                              reference[i].consumedCycles)
+                        << i;
+                    EXPECT_EQ(got[i].checkpoints, reference[i].checkpoints)
+                        << i;
+                    EXPECT_EQ(got[i].exitedEarly, reference[i].exitedEarly)
+                        << i;
                 }
             }
         }

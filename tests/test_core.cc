@@ -5,12 +5,15 @@
  */
 
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "core/hardware_report.h"
 #include "core/model_zoo.h"
 #include "core/sc_engine.h"
+#include "core/stages/stage_compiler.h"
 #include "data/digits.h"
 
 namespace aqfpsc::core {
@@ -60,9 +63,9 @@ TEST_F(TrainedTinyCnn, FloatAccuracyIsHigh)
 
 TEST_F(TrainedTinyCnn, AqfpScInferenceTracksFloat)
 {
-    ScEngineConfig cfg;
+    EngineOptions cfg;
     cfg.streamLen = 1024;
-    cfg.backendName = "aqfp-sorter";
+    cfg.backend = "aqfp-sorter";
     ScNetworkEngine engine(*net_, cfg);
     const double float_acc = net_->evaluate(*test_);
     const double sc_acc = engine.evaluate(*test_, {.limit = 40}).accuracy;
@@ -86,9 +89,9 @@ TEST_F(TrainedTinyCnn, CmosScInferenceRuns)
     cmos_net.train(*train_, tcfg);
     cmos_net.quantizeParams(10);
 
-    ScEngineConfig cfg;
+    EngineOptions cfg;
     cfg.streamLen = 1024;
-    cfg.backendName = "cmos-apc";
+    cfg.backend = "cmos-apc";
     ScNetworkEngine engine(cmos_net, cfg);
     const double float_acc = cmos_net.evaluate(*test_);
     const double sc_acc = engine.evaluate(*test_, {.limit = 40}).accuracy;
@@ -98,7 +101,7 @@ TEST_F(TrainedTinyCnn, CmosScInferenceRuns)
 
 TEST_F(TrainedTinyCnn, ScoresExposeRanking)
 {
-    ScEngineConfig cfg;
+    EngineOptions cfg;
     cfg.streamLen = 512;
     ScNetworkEngine engine(*net_, cfg);
     const ScPrediction pred = engine.infer((*test_)[0].image);
@@ -111,7 +114,7 @@ TEST_F(TrainedTinyCnn, ScoresExposeRanking)
 
 TEST_F(TrainedTinyCnn, LongerStreamsDoNotHurt)
 {
-    ScEngineConfig short_cfg, long_cfg;
+    EngineOptions short_cfg, long_cfg;
     short_cfg.streamLen = 128;
     long_cfg.streamLen = 2048;
     ScNetworkEngine short_engine(*net_, short_cfg);
@@ -128,7 +131,7 @@ TEST(ScEngine, RejectsConvWithoutActivation)
     nn::Network net;
     net.add(std::make_unique<nn::Conv2D>(1, 2, 3, 1));
     net.add(std::make_unique<nn::Dense>(2 * 28 * 28, 10, 2));
-    ScEngineConfig cfg;
+    EngineOptions cfg;
     EXPECT_THROW(ScNetworkEngine(net, cfg), std::invalid_argument);
 }
 
@@ -137,8 +140,65 @@ TEST(ScEngine, RejectsMissingOutputLayer)
     nn::Network net;
     net.add(std::make_unique<nn::Dense>(784, 10, 1));
     net.add(std::make_unique<nn::HardTanh>());
-    ScEngineConfig cfg;
+    EngineOptions cfg;
     EXPECT_THROW(ScNetworkEngine(net, cfg), std::invalid_argument);
+}
+
+/**
+ * The engine validates its configuration on the compile path: a raw
+ * engine and both compile entry points reject what a session rejects,
+ * with std::invalid_argument naming the field, before a stage is built
+ * or a stream drawn.  The widest SNG code compiles and infers.
+ */
+TEST(ScEngine, CompileEntryPointsRejectInvalidOptions)
+{
+    const nn::Network net = buildModel("tiny", 1);
+    struct Case
+    {
+        const char *field;
+        void (*set)(EngineOptions &);
+    };
+    const Case cases[] = {
+        {"rngBits", [](EngineOptions &o) { o.rngBits = 0; }},
+        {"rngBits", [](EngineOptions &o) { o.rngBits = 21; }},
+        {"rngBits", [](EngineOptions &o) { o.rngBits = 40; }},
+        {"streamLen", [](EngineOptions &o) { o.streamLen = 0; }},
+        {"backend", [](EngineOptions &o) { o.backend = ""; }},
+        {"backend", [](EngineOptions &o) { o.backend = "nope"; }},
+        {"stageStreamLens",
+         [](EngineOptions &o) { o.stageStreamLens = {100}; }},
+        {"cohort", [](EngineOptions &o) { o.cohort = 0; }},
+    };
+    for (const Case &c : cases) {
+        EngineOptions opts;
+        opts.streamLen = 64;
+        c.set(opts);
+        const auto expectRejected = [&](const char *entry, auto &&compile) {
+            SCOPED_TRACE(std::string(entry) + " " + c.field);
+            try {
+                compile();
+                ADD_FAILURE() << "expected std::invalid_argument";
+            } catch (const std::invalid_argument &e) {
+                EXPECT_NE(std::string(e.what()).find(c.field),
+                          std::string::npos)
+                    << e.what();
+            }
+        };
+        expectRejected("ScNetworkEngine",
+                       [&] { const ScNetworkEngine engine(net, opts); });
+        expectRejected("compileNetworkUncached",
+                       [&] { stages::compileNetworkUncached(net, opts); });
+        expectRejected("compileNetwork",
+                       [&] { stages::compileNetwork(net, opts); });
+    }
+
+    EngineOptions widest;
+    widest.streamLen = 64;
+    widest.rngBits = sc::kMaxSngBits;
+    EXPECT_NO_THROW(stages::compileNetworkUncached(net, widest));
+    const ScNetworkEngine engine(net, widest);
+    const nn::Sample sample = data::generateDigits(1, 5)[0];
+    EXPECT_EQ(engine.infer(sample.image).scores.size(), 10u);
 }
 
 TEST(ModelZoo, ArchitecturesMatchTable8)

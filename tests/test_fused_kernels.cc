@@ -540,8 +540,8 @@ TEST(FusedKernels, GoldenEndToEndBitExactAcrossBackends)
 TEST(StageWorkspace, ReuseIsBitIdentical)
 {
     const std::vector<nn::Sample> samples = data::generateDigits(3, 42);
-    core::ScEngineConfig cfg;
-    cfg.backendName = "aqfp-sorter";
+    core::EngineOptions cfg;
+    cfg.backend = "aqfp-sorter";
     cfg.streamLen = 96;
     cfg.seed = 5;
     const core::ScNetworkEngine engine(core::buildModel("tiny", 2), cfg);
@@ -566,8 +566,8 @@ TEST(StageWorkspace, SteadyStateInferenceDoesNotAllocate)
 {
     const std::vector<nn::Sample> samples = data::generateDigits(2, 7);
     for (const char *backend : {"aqfp-sorter", "cmos-apc"}) {
-        core::ScEngineConfig cfg;
-        cfg.backendName = backend;
+        core::EngineOptions cfg;
+        cfg.backend = backend;
         cfg.streamLen = 64;
         const core::ScNetworkEngine engine(core::buildModel("tiny", 2),
                                            cfg);
@@ -590,8 +590,8 @@ TEST(StageWorkspace, SteadyStateInferenceDoesNotAllocate)
         EXPECT_EQ(p.scores.size(), 10u);
 
         // Cohorts through one CohortWorkspace: four images at once (the
-        // lane-parallel SNG fill and MUX draws), then a lazy adaptive
-        // cohort, whose SNG fills run per 64-cycle checkpoint block.
+        // lane-parallel SNG fill and MUX draws), then an adaptive cohort
+        // that runs 64-cycle checkpoint blocks and exits at 128 cycles.
         cfg.streamLen = 192;
         const core::ScNetworkEngine long_engine(core::buildModel("tiny", 2),
                                                 cfg);
@@ -602,17 +602,16 @@ TEST(StageWorkspace, SteadyStateInferenceDoesNotAllocate)
             images[c] = &samples[c % 2].image;
             indices[c] = c;
         }
-        core::AdaptivePolicy lazy;
-        lazy.checkpointCycles = 64;
-        lazy.exitMargin = 0.0;
-        lazy.minCycles = 128;
-        lazy.deterministic = false;
+        core::AdaptivePolicy checkpointed;
+        checkpointed.checkpointCycles = 64;
+        checkpointed.exitMargin = 0.0;
+        checkpointed.minCycles = 128;
         core::ScPrediction preds[4];
         core::AdaptivePrediction adaptive[4];
         const auto runBoth = [&] {
             long_engine.inferCohort(images, indices, 4, cohort_ws, preds);
             long_engine.inferAdaptiveCohort(images, indices, 4, cohort_ws,
-                                            lazy, adaptive);
+                                            checkpointed, adaptive);
         };
         runBoth();
         runBoth();

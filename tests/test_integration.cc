@@ -25,7 +25,7 @@ TEST(EngineDeterminism, SameSeedSameScores)
     nn::Network net = buildTinyCnn(9);
     const auto samples = data::generateDigits(5, 77);
 
-    ScEngineConfig cfg;
+    EngineOptions cfg;
     cfg.streamLen = 256;
     cfg.seed = 4242;
     ScNetworkEngine a(net, cfg);
@@ -44,7 +44,7 @@ TEST(EngineDeterminism, DifferentSeedDifferentStreams)
 {
     nn::Network net = buildTinyCnn(9);
     const auto samples = data::generateDigits(3, 78);
-    ScEngineConfig a_cfg, b_cfg;
+    EngineOptions a_cfg, b_cfg;
     a_cfg.streamLen = b_cfg.streamLen = 256;
     a_cfg.seed = 1;
     b_cfg.seed = 2;

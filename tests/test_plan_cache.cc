@@ -191,7 +191,7 @@ TEST(PlanCacheDifferential, UncachedCompileBypassesPlanMap)
         GTEST_SKIP() << "plan cache disabled via environment";
     CacheGuard guard;
     const nn::Network net = buildTinyCnn(3);
-    const ScEngineConfig cfg = makeOptions("aqfp-sorter", 128).toConfig();
+    const EngineOptions cfg = makeOptions("aqfp-sorter", 128);
 
     const auto plan = stages::compileNetwork(net, cfg);
     const PlanCacheStats after_first = PlanCache::instance().stats();
@@ -367,8 +367,8 @@ TEST(OperandPlan, ZooStagePlansListTheGatherPairsInOrder)
     for (const std::string &model : modelNames()) {
         for (const char *backend : {"aqfp-sorter", "cmos-apc"}) {
             SCOPED_TRACE(model + " " + backend);
-            ScEngineConfig cfg;
-            cfg.backendName = backend;
+            EngineOptions cfg;
+            cfg.backend = backend;
             cfg.streamLen = 64;
             const ScNetworkEngine engine(buildModel(model, 3), cfg);
             std::size_t linear = 0;

@@ -173,10 +173,7 @@ TEST(Session, MatchesDirectEnginePathBitExactly)
 
     EngineOptions opts;
     opts.streamLen = 256;
-    ScEngineConfig direct_cfg;
-    direct_cfg.streamLen = 256;
-    direct_cfg.backendName = "aqfp-sorter";
-    const ScNetworkEngine direct(net, direct_cfg);
+    const ScNetworkEngine direct(net, opts);
     const InferenceSession session(std::move(net), opts);
 
     const auto via_session = session.predict(samples);

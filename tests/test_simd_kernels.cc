@@ -895,10 +895,10 @@ TEST(SimdKernels, CmosLinearStagesMatchPerRowBtanh)
 
 /**
  * The CMOS MUX pool, on every tier, against a per-cycle reference that
- * draws nextBits(2) for each cycle's select: pixel-major from one
- * per-image generator, or with per-pixel substreams for a
- * non-deterministic span run.  The inputs carry 64 more cycles than
- * the stage reads, so bits past the stream's end must be masked.
+ * draws nextBits(2) for each cycle's select, pixel-major from one
+ * per-image generator, in one span and in 64-cycle spans.  The inputs
+ * carry 64 more cycles than the stage reads, so bits past the stream's
+ * end must be masked.
  */
 TEST(SimdKernels, CmosPoolWordMuxMatchesPerCycleSelects)
 {
@@ -913,51 +913,37 @@ TEST(SimdKernels, CmosPoolWordMuxMatchesPerCycleSelects)
     for (const std::size_t len : {std::size_t{100}, std::size_t{192},
                                   std::size_t{256}}) {
         const sc::StreamMatrix x = randomStreams(3 * 6 * 8, len + 64, rng);
-        const auto reference = [&](bool substreams) {
-            sc::StreamMatrix out(3 * 3 * 4, len);
-            sc::Xoshiro256StarStar master(image_seed ^ 0x9E3779B9ULL);
-            for (std::size_t p = 0; p < out.rows(); ++p) {
-                sc::Xoshiro256StarStar own(sc::deriveStreamSeed(
-                    image_seed ^ 0x9E3779B9ULL, p + 1));
-                sc::Xoshiro256StarStar &sel_rng = substreams ? own : master;
-                const std::size_t c = p / 12, y = p % 12 / 4, xx = p % 4;
-                const std::size_t top = (c * 6 + 2 * y) * 8 + 2 * xx;
-                const std::size_t window[] = {top, top + 1, top + 8, top + 9};
-                for (std::size_t t = 0; t < len; ++t)
-                    if (streamBit(x.row(window[sel_rng.nextBits(2)]), t))
-                        out.row(p)[t / 64] |= 1ULL << (t % 64);
-            }
-            return out;
-        };
-        const sc::StreamMatrix one_pass = reference(false);
-        const sc::StreamMatrix substreams = reference(true);
+        sc::StreamMatrix expect(3 * 3 * 4, len);
+        sc::Xoshiro256StarStar sel_rng(image_seed ^ 0x9E3779B9ULL);
+        for (std::size_t p = 0; p < expect.rows(); ++p) {
+            const std::size_t c = p / 12, y = p % 12 / 4, xx = p % 4;
+            const std::size_t top = (c * 6 + 2 * y) * 8 + 2 * xx;
+            const std::size_t window[] = {top, top + 1, top + 8, top + 9};
+            for (std::size_t t = 0; t < len; ++t)
+                if (streamBit(x.row(window[sel_rng.nextBits(2)]), t))
+                    expect.row(p)[t / 64] |= 1ULL << (t % 64);
+        }
 
         std::vector<std::pair<std::size_t, std::size_t>> word_spans;
         for (std::size_t b = 0; b < len; b += 64)
             word_spans.emplace_back(b, std::min(len, b + 64));
         const core::stages::CmosPoolStage stage(g, len);
         for (const Level level : runnableLevels()) {
-            for (const auto &[deterministic, spans] :
-                 {std::pair{true, std::vector<std::pair<std::size_t,
-                                                        std::size_t>>{
-                                      {0, len}}},
-                  std::pair{true, word_spans}, std::pair{false, word_spans}}) {
+            for (const auto &spans :
+                 {std::vector<std::pair<std::size_t, std::size_t>>{{0, len}},
+                  word_spans}) {
                 SCOPED_TRACE(std::string(sc::simd::levelName(level)) +
                              " N=" + std::to_string(len) + " spans=" +
-                             std::to_string(spans.size()) +
-                             (deterministic ? "" : " non-deterministic"));
+                             std::to_string(spans.size()));
                 const LevelGuard guard(level);
                 sc::StreamMatrix got;
                 core::StageContext ctx;
                 ctx.imageSeed = image_seed;
-                ctx.deterministicSpans = deterministic;
                 const std::unique_ptr<core::StageScratch> scratch =
                     stage.makeScratch();
                 const core::CohortSlot slot{&x, &got, &ctx, scratch.get()};
                 for (const auto &[begin, end] : spans)
                     stage.runCohortSpan(&slot, 1, begin, end);
-                const sc::StreamMatrix &expect =
-                    deterministic || spans.size() == 1 ? one_pass : substreams;
                 for (std::size_t r = 0; r < expect.rows(); ++r)
                     ASSERT_TRUE(std::equal(expect.row(r),
                                            expect.row(r) + expect.wordsPerRow(),
@@ -1547,8 +1533,8 @@ TEST(SimdKernels, CheckpointBlocksMatchOneBlockOnEveryTier)
             for (const Level level : runnableLevels()) {
                 SCOPED_TRACE(sc::simd::levelName(level));
                 const LevelGuard guard(level);
-                core::ScEngineConfig cfg;
-                cfg.backendName = backend;
+                core::EngineOptions cfg;
+                cfg.backend = backend;
                 cfg.streamLen = len;
                 const core::ScNetworkEngine engine(net, cfg);
                 core::CohortWorkspace ws(engine, 9);
