@@ -90,7 +90,7 @@ buildCmosVariant(const nn::Network &aqfp_net, nn::Network &&same_arch_linear,
     nn::Network cmos = std::move(same_arch_linear);
     // Copy all body parameters (every layer except the output head).
     for (std::size_t li = 0; li + 1 < aqfp_net.layerCount(); ++li) {
-        auto src = const_cast<nn::Network &>(aqfp_net).layer(li).params();
+        const auto src = aqfp_net.layer(li).params();
         auto dst = cmos.layer(li).params();
         for (std::size_t p = 0; p < src.size(); ++p)
             *dst[p] = *src[p];

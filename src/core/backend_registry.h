@@ -12,10 +12,10 @@
  * linker never drops self-registering objects.)
  *
  * Factories receive the layer geometry plus a WeightedStageInit bundle:
- * the pre-generated SC parameter streams, the float parameters they were
- * generated from (for value-domain backends such as "float-ref"), the
- * activation the compiler fused into the stage, and the engine config.
- * Stream generation itself stays in the compiler so that every
+ * the pre-generated SC parameter streams, the stages::MappedStage the
+ * stage implements (its source layer and fused activation, which
+ * value-domain backends such as "float-ref" run), and the engine
+ * config.  Stream generation itself stays in the compiler so that every
  * stream-domain backend sees bit-identical parameter streams for the
  * same seed.
  */
@@ -35,13 +35,9 @@
 
 namespace aqfpsc::core {
 
-/** Activation the compiler fused into a weighted stage. */
-enum class FusedActivation
-{
-    None,       ///< output layers: no activation
-    HardTanh,   ///< trained with the idealized clip
-    SorterTanh, ///< trained with the measured sorter response tanh(0.8z)
-};
+namespace stages {
+struct MappedStage;
+} // namespace stages
 
 /** Everything a weighted-stage factory may consume. */
 struct WeightedStageInit
@@ -52,14 +48,10 @@ struct WeightedStageInit
      *  wantsParamStreams = false).  Stream-domain stages keep the
      *  shared_ptr; value-domain stages ignore it. */
     std::shared_ptr<const stages::StageShared> shared;
-    /** Float parameters the streams were generated from.  Only valid
+    /** The network entry this stage implements (stage_compiler.h): its
+     *  source layer, fused activation and input shape.  Only valid
      *  during the factory call — value-domain stages must copy. */
-    const std::vector<float> &weights;
-    const std::vector<float> &biases;
-    /** Activation fused into this stage (None for output stages). */
-    FusedActivation activation = FusedActivation::None;
-    /** Output stages: true when the source layer is MajorityChainDense. */
-    bool majorityChainOutput = false;
+    const stages::MappedStage &mapped;
     /** Engine configuration (backend-specific knobs, streamLen, ...). */
     const EngineOptions &cfg;
 };

@@ -1,14 +1,14 @@
 #include "hardware_report.h"
 
-#include <cassert>
 #include <map>
-#include <stdexcept>
+#include <variant>
 
 #include "aqfp/passes.h"
 #include "blocks/avg_pooling.h"
 #include "blocks/categorization.h"
 #include "blocks/feature_extraction.h"
 #include "blocks/sng_block.h"
+#include "core/stages/stage_compiler.h"
 #include "sc/simd/simd.h"
 #include "sorting/bitonic.h"
 
@@ -111,101 +111,49 @@ analyzeNetworkHardware(const nn::Network &net, std::size_t stream_len,
     NetworkHardware hw;
     hw.streamLen = stream_len;
     CostCache cache;
-
-    int in_c = 0, in_h = 28, in_w = 28;
-    bool shape_known = false;
     const int rng_bits = 10;
 
-    const std::size_t n_layers = net.layerCount();
-    for (std::size_t li = 0; li < n_layers; ++li) {
-        const nn::Layer &l = net.layer(li);
-
-        if (const auto *conv = dynamic_cast<const nn::Conv2D *>(&l)) {
-            if (!shape_known) {
-                in_c = conv->inChannels();
-                shape_known = true;
-            }
-            LayerHardware lh;
-            const int m = conv->inChannels() * conv->kernel() *
-                              conv->kernel() + 1; // + bias
-            lh.name = conv->name();
-            lh.blockInputs = m;
-            lh.instances = static_cast<long long>(conv->outChannels()) *
-                           in_h * in_w;
-            lh.aqfpPerBlock = featureBlockCost(m, aqfp_tech, fast, cache);
-            lh.cmosPerBlock =
-                baseline::cmosFeatureExtractionCost(m, cmos_tech);
-            hw.layers.push_back(lh);
-            hw.weightStreams += static_cast<long long>(conv->weights().size()) +
-                                static_cast<long long>(conv->biases().size());
-            in_c = conv->outChannels();
-            ++li; // HardTanh
-            continue;
-        }
-        if (dynamic_cast<const nn::AvgPool2 *>(&l) != nullptr) {
-            LayerHardware lh;
-            lh.name = "AvgPool2";
+    const std::vector<stages::MappedStage> mapped = stages::mapNetwork(net);
+    for (const stages::MappedStage &m : mapped) {
+        LayerHardware lh;
+        lh.name = m.layer->name();
+        if (const auto *g = std::get_if<stages::ConvGeometry>(&m.geometry)) {
+            lh.blockInputs = g->inC * g->kernel * g->kernel + 1; // + bias
+            lh.instances =
+                static_cast<long long>(g->outC) * g->outH * g->outW;
+        } else if (const auto *pool =
+                       std::get_if<stages::PoolGeometry>(&m.geometry)) {
             lh.blockInputs = 4;
-            lh.instances = static_cast<long long>(in_c) * (in_h / 2) *
-                           (in_w / 2);
-            lh.aqfpPerBlock = poolingBlockCost(4, aqfp_tech, cache);
-            lh.cmosPerBlock = baseline::cmosMuxPoolingCost(4, cmos_tech);
-            hw.layers.push_back(lh);
-            in_h /= 2;
-            in_w /= 2;
-            continue;
+            lh.instances = static_cast<long long>(pool->channels) *
+                           pool->outH * pool->outW;
+        } else {
+            // One block per output neuron: the output stage's are the
+            // classes.
+            const auto &d = std::get<stages::DenseGeometry>(m.geometry);
+            lh.blockInputs = d.inFeatures + 1; // + bias
+            lh.instances = d.outFeatures;
         }
-        if (const auto *chain =
-                dynamic_cast<const nn::MajorityChainDense *>(&l)) {
-            LayerHardware lh;
-            const int m = chain->inFeatures() + 1;
-            lh.name = chain->name();
-            lh.blockInputs = m;
-            lh.instances = chain->outFeatures();
-            lh.aqfpPerBlock = categorizationBlockCost(m, aqfp_tech, cache);
+        const int inputs = lh.blockInputs;
+        if (m.kind == StageKind::Pool) {
+            lh.aqfpPerBlock = poolingBlockCost(inputs, aqfp_tech, cache);
+            lh.cmosPerBlock = baseline::cmosMuxPoolingCost(inputs, cmos_tech);
+        } else if (m.kind == StageKind::Output) {
+            lh.aqfpPerBlock =
+                categorizationBlockCost(inputs, aqfp_tech, cache);
             lh.cmosPerBlock =
-                baseline::cmosCategorizationCost(m, cmos_tech);
-            hw.layers.push_back(lh);
-            hw.weightStreams +=
-                static_cast<long long>(chain->weights().size()) +
-                static_cast<long long>(chain->biases().size());
-            continue;
+                baseline::cmosCategorizationCost(inputs, cmos_tech);
+        } else {
+            lh.aqfpPerBlock = featureBlockCost(inputs, aqfp_tech, fast, cache);
+            lh.cmosPerBlock =
+                baseline::cmosFeatureExtractionCost(inputs, cmos_tech);
         }
-        if (const auto *fc = dynamic_cast<const nn::Dense *>(&l)) {
-            const bool has_act =
-                li + 1 < n_layers &&
-                (dynamic_cast<const nn::HardTanh *>(&net.layer(li + 1)) !=
-                     nullptr ||
-                 dynamic_cast<const nn::SorterTanh *>(&net.layer(li + 1)) !=
-                     nullptr);
-            LayerHardware lh;
-            const int m = fc->inFeatures() + 1;
-            lh.name = fc->name();
-            lh.blockInputs = m;
-            lh.instances = fc->outFeatures();
-            if (has_act) {
-                lh.aqfpPerBlock =
-                    featureBlockCost(m, aqfp_tech, fast, cache);
-                lh.cmosPerBlock =
-                    baseline::cmosFeatureExtractionCost(m, cmos_tech);
-                ++li;
-            } else {
-                lh.aqfpPerBlock =
-                    categorizationBlockCost(m, aqfp_tech, cache);
-                lh.cmosPerBlock =
-                    baseline::cmosCategorizationCost(m, cmos_tech);
-            }
-            hw.layers.push_back(lh);
-            hw.weightStreams += static_cast<long long>(fc->weights().size()) +
-                                static_cast<long long>(fc->biases().size());
-            continue;
-        }
-        throw std::invalid_argument("analyzeNetworkHardware: unmappable " +
-                                    l.name());
+        for (const std::vector<float> *p : m.layer->params())
+            hw.weightStreams += static_cast<long long>(p->size());
+        hw.layers.push_back(lh);
     }
 
-    // Primary inputs: first layer geometry (28x28, single channel).
-    hw.inputStreams = 28LL * 28LL;
+    // Primary inputs: what the first stage reads.
+    hw.inputStreams = static_cast<long long>(mapped.front().in.elements);
 
     // AQFP totals.
     double aqfp_energy_cycle = 0.0;

@@ -60,14 +60,19 @@ struct NetworkHardware
 };
 
 /**
- * Analyze a mappable network (same layer pattern ScNetworkEngine accepts)
- * at stream length @p stream_len.
+ * Analyze @p net at stream length @p stream_len.  The report walks
+ * core::stages::mapNetwork, the stage compiler's own mapping, so it
+ * accepts exactly the networks the engine maps, and layers[s] costs
+ * compiled stage s.  Block instances and input streams come from the
+ * mapped shapes.
  *
  * @param fast When true, large feature-extraction netlists are costed
  *        from the sorting-network comparator counts plus calibrated
  *        buffer/splitter overhead instead of full legalization (used by
  *        the DNN row, where exact legalization of the 3000-input FC
  *        sorter is slow); small blocks are always legalized exactly.
+ * @throws std::invalid_argument with mapNetwork's messages for a
+ *         network the engine refuses to map.
  */
 NetworkHardware
 analyzeNetworkHardware(const nn::Network &net, std::size_t stream_len,

@@ -62,12 +62,13 @@ struct ExecutionPlan;
 
 namespace aqfpsc::core {
 
-/** Layer-kind discriminator of a StageSpec. */
+/** The block a compiled stage maps to; weighted kinds key a StageSpec. */
 enum class StageKind : std::uint8_t
 {
     Conv = 1,   ///< fused Conv2D + activation
     Dense = 2,  ///< fused hidden Dense + activation
     Output = 3, ///< terminal categorization stage
+    Pool = 4,   ///< AvgPool2 (parameter-free: never a StageSpec)
 };
 
 /**
@@ -83,7 +84,7 @@ struct StageSpec
     /** Geometry: conv uses all 7 (inC,inH,inW,outC,outH,outW,kernel);
      *  dense/output use the first two (inFeatures, outFeatures). */
     std::array<int, 7> dims{};
-    int activation = 0;         ///< FusedActivation as int
+    int activation = 0;         ///< the compiler's FusedActivation as int
     bool majorityChain = false; ///< output stages: from MajorityChainDense
     std::uint64_t streamLen = 0;
     int rngBits = 0;

@@ -1,29 +1,32 @@
 /**
  * @file
- * "float-ref" backend: a value-domain reference implementation of the
- * stage graph, registered entirely outside the stage compiler (the
- * demonstration that BackendRegistry is an open API).
+ * "float-ref" backend: the float network itself, run stage by stage,
+ * registered entirely outside the stage compiler (the demonstration
+ * that BackendRegistry is an open API).
  *
- * Every stage replicates the float network's arithmetic bit-exactly
- * (same accumulation order as nn/layers.cc), reading the input image
- * from StageContext::image and passing activations through the
- * StageContext::values side channel instead of stochastic streams.  The
- * backend's traits opt out of both parameter-stream generation and
- * input-stream encoding, so it compiles and runs orders of magnitude
- * faster than the stream backends — the intended use is accuracy
- * debugging: run the same InferenceSession on "aqfp-sorter" and
- * "float-ref" and diff the per-class scores to separate SC noise from
- * model error.
+ * Each stage holds copies of the float layers its MappedStage maps (the
+ * source layer and its fused activation) and runs them through
+ * nn::Layer::infer, so its scores are bit-identical to
+ * nn::Network::forward by construction.  The first stage reads the
+ * input image from StageContext::image; activations pass to the next
+ * stage through the StageContext::values side channel instead of
+ * stochastic streams.  The backend's traits opt out of both
+ * parameter-stream generation and input-stream encoding, so it compiles
+ * and runs orders of magnitude faster than the stream backends — the
+ * intended use is accuracy debugging: run the same InferenceSession on
+ * "aqfp-sorter" and "float-ref" and diff the per-class scores (or the
+ * per-stage values) to separate SC noise from model error.
  */
 
 #ifndef AQFPSC_CORE_STAGES_FLOAT_REF_STAGE_H
 #define AQFPSC_CORE_STAGES_FLOAT_REF_STAGE_H
 
+#include <memory>
+#include <string>
 #include <vector>
 
-#include "core/backend_registry.h"
+#include "nn/layers.h"
 #include "stage.h"
-#include "stage_common.h"
 
 namespace aqfpsc::core::stages {
 
@@ -31,82 +34,34 @@ namespace aqfpsc::core::stages {
 inline constexpr const char *kFloatRefBackend = "float-ref";
 
 /**
- * Common base of the value-domain stages: they run whole images only
- * (not resumable, so the engine hands them the full span) and pass
- * activations through StageContext::values instead of streams.
+ * One value-domain stage: owned copies of its mapped float layers (a
+ * plan may outlive the network it was compiled from), run whole images
+ * only (not resumable, so the engine hands it the full span).
  */
-class FloatRefStage : public ScStage
+class FloatRefStage final : public ScStage
 {
   public:
+    /**
+     * @param name Stage name, e.g. "FloatRefConv 8x28x28 k3".
+     * @param terminal Whether the stage writes the scores.
+     * @param in_shape The shape the first layer reads (CHW or flat); the
+     *        stage reshapes its input, a flat image included, to it.
+     * @param layers The layers to run in order.
+     */
+    FloatRefStage(std::string name, bool terminal, std::vector<int> in_shape,
+                  std::vector<std::unique_ptr<nn::Layer>> layers);
+
+    std::string name() const override { return name_; }
+    bool terminal() const override { return terminal_; }
+
     void runCohortSpan(const CohortSlot *slots, std::size_t count,
-                       std::size_t begin, std::size_t end) const final;
-
-  protected:
-    /** Compute one image's activations (or, terminal, its scores). */
-    virtual void forward(StageContext &ctx) const = 0;
-};
-
-/** Conv2D (+ fused activation) in the value domain. */
-class FloatRefConvStage final : public FloatRefStage
-{
-  public:
-    FloatRefConvStage(const ConvGeometry &geom, WeightedStageInit init);
-
-    std::string name() const override;
+                       std::size_t begin, std::size_t end) const override;
 
   private:
-    void forward(StageContext &ctx) const override;
-
-    ConvGeometry geom_;
-    std::vector<float> w_, b_;
-    FusedActivation activation_;
-};
-
-/** Hidden Dense (+ fused activation) in the value domain. */
-class FloatRefDenseStage final : public FloatRefStage
-{
-  public:
-    FloatRefDenseStage(const DenseGeometry &geom, WeightedStageInit init);
-
-    std::string name() const override;
-
-  private:
-    void forward(StageContext &ctx) const override;
-
-    DenseGeometry geom_;
-    std::vector<float> w_, b_;
-    FusedActivation activation_;
-};
-
-/** 2x2 average pooling in the value domain. */
-class FloatRefPoolStage final : public FloatRefStage
-{
-  public:
-    explicit FloatRefPoolStage(const PoolGeometry &geom) : geom_(geom) {}
-
-    std::string name() const override;
-
-  private:
-    void forward(StageContext &ctx) const override;
-
-    PoolGeometry geom_;
-};
-
-/** Terminal scoring stage: linear Dense or the majority-chain fold. */
-class FloatRefOutputStage final : public FloatRefStage
-{
-  public:
-    FloatRefOutputStage(const DenseGeometry &geom, WeightedStageInit init);
-
-    std::string name() const override;
-    bool terminal() const override { return true; }
-
-  private:
-    void forward(StageContext &ctx) const override;
-
-    DenseGeometry geom_;
-    std::vector<float> w_, b_;
-    bool majorityChain_;
+    std::string name_;
+    bool terminal_;
+    std::vector<int> inShape_;
+    std::vector<std::unique_ptr<nn::Layer>> layers_;
 };
 
 } // namespace aqfpsc::core::stages

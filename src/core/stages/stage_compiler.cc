@@ -1,10 +1,9 @@
 #include "stage_compiler.h"
 
 #include <algorithm>
-#include <array>
-#include <functional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "core/backend_registry.h"
 #include "core/plan_cache.h"
@@ -14,22 +13,64 @@ namespace aqfpsc::core::stages {
 
 namespace {
 
+/** Activation the compiler fused into a weighted stage, as its StageSpec
+ *  keys it. */
+enum class FusedActivation
+{
+    None,       ///< pooling and output stages
+    HardTanh,   ///< trained with the idealized clip
+    SorterTanh, ///< trained with the measured sorter response tanh(0.8z)
+};
+
+FusedActivation
+activationKind(const nn::Layer *act)
+{
+    if (act == nullptr)
+        return FusedActivation::None;
+    return act->spec().kind == nn::LayerSpec::Kind::SorterTanh
+               ? FusedActivation::SorterTanh
+               : FusedActivation::HardTanh;
+}
+
 /** Layers the feature-extraction block's activation can stand in for. */
 bool
 isScActivation(const nn::Layer &l)
 {
-    return dynamic_cast<const nn::HardTanh *>(&l) != nullptr ||
-           dynamic_cast<const nn::SorterTanh *>(&l) != nullptr;
+    const nn::LayerSpec::Kind kind = l.spec().kind;
+    return kind == nn::LayerSpec::Kind::HardTanh ||
+           kind == nn::LayerSpec::Kind::SorterTanh;
 }
 
-FusedActivation
-activationKind(const nn::Layer &l)
+/** Throw the compiler's std::invalid_argument "ScNetworkEngine: <what>". */
+[[noreturn]] void
+throwEngineError(const std::string &what)
 {
-    if (dynamic_cast<const nn::SorterTanh *>(&l) != nullptr)
-        return FusedActivation::SorterTanh;
-    if (dynamic_cast<const nn::HardTanh *>(&l) != nullptr)
-        return FusedActivation::HardTanh;
-    return FusedActivation::None;
+    throw std::invalid_argument("ScNetworkEngine: " + what);
+}
+
+/** nn::chainLayer, its mismatch message prefixed as the compiler's. */
+nn::LayerShapes
+chainStage(std::size_t li, const nn::Layer &l, const nn::FeatureShape &prev)
+{
+    try {
+        return nn::chainLayer(li, l, prev);
+    } catch (const std::invalid_argument &e) {
+        throwEngineError(e.what());
+    }
+}
+
+/** The geometry of a @p kind stage, from the shapes chainLayer gave
+ *  its layer @p spec. */
+std::variant<ConvGeometry, PoolGeometry, DenseGeometry>
+stageGeometry(StageKind kind, const nn::LayerSpec &spec,
+              const nn::LayerShapes &io)
+{
+    if (kind == StageKind::Conv)
+        return ConvGeometry{io.in.c,  io.in.h,  io.in.w, io.out.c,
+                            io.out.h, io.out.w, spec.p2};
+    if (kind == StageKind::Pool)
+        return PoolGeometry{io.in.c, io.in.h, io.in.w, io.out.h, io.out.w};
+    return DenseGeometry{spec.p0, spec.p1};
 }
 
 /**
@@ -56,11 +97,11 @@ makeStreams(const std::vector<float> &weights,
 }
 
 /**
- * Produce (or intern) one weighted stage's immutable compile product:
- * its parameter streams and, for a linear stage, the operand plan
- * @p make_plan compiles from its Gather.  Backends whose traits opt out
- * of parameter streams get nullptr (the whole graph is one backend, so
- * the skipped draws cannot desynchronize anything).
+ * Produce (or intern) weighted stage @p m's immutable compile product:
+ * its parameter streams and, for a linear (conv or hidden dense) stage,
+ * the operand plan compiled from its Gather.  Backends whose traits opt
+ * out of parameter streams get nullptr (the whole graph is one backend,
+ * so the skipped draws cannot desynchronize anything).
  *
  * The spec keys on the RNG state before generation; on a cache hit the
  * build never runs and the compiler RNG is fast-forwarded to the
@@ -68,32 +109,39 @@ makeStreams(const std::vector<float> &weights,
  * consumes the identical word sequence a cold compile would produce.
  */
 std::shared_ptr<const StageShared>
-internStageState(StageKind kind, const std::array<int, 7> &dims,
-                 FusedActivation act, bool majority_chain,
-                 const EngineOptions &cfg, sc::Xoshiro256StarStar &rng,
-                 const std::vector<float> &weights,
-                 const std::vector<float> &biases, bool wanted,
-                 const std::function<OperandPlan()> &make_plan)
+internStageState(const MappedStage &m, const EngineOptions &cfg,
+                 sc::Xoshiro256StarStar &rng, bool wanted)
 {
     if (!wanted)
         return nullptr;
+    const auto params = m.layer->params(); // weights, biases
     StageSpec spec;
     spec.backend = cfg.backend;
-    spec.kind = kind;
-    spec.dims = dims;
-    spec.activation = static_cast<int>(act);
-    spec.majorityChain = majority_chain;
+    spec.kind = m.kind;
+    if (const auto *g = std::get_if<ConvGeometry>(&m.geometry)) {
+        spec.dims = {g->inC, g->inH, g->inW, g->outC, g->outH, g->outW,
+                     g->kernel};
+    } else {
+        const auto &d = std::get<DenseGeometry>(m.geometry);
+        spec.dims = {d.inFeatures, d.outFeatures, 0, 0, 0, 0, 0};
+    }
+    spec.activation = static_cast<int>(activationKind(m.activation));
+    spec.majorityChain = m.layer->spec().kind ==
+                         nn::LayerSpec::Kind::MajorityChainDense;
     spec.streamLen = cfg.streamLen;
     spec.rngBits = cfg.rngBits;
     spec.rngState = rng.state();
-    spec.weights = weights;
-    spec.biases = biases;
+    spec.weights = *params[0];
+    spec.biases = *params[1];
     auto shared = PlanCache::instance().internStage(spec, [&] {
         auto s = std::make_shared<StageShared>();
-        s->streams = makeStreams(weights, biases, cfg, rng);
+        s->streams = makeStreams(spec.weights, spec.biases, cfg, rng);
         s->rngStateAfter = rng.state();
-        if (make_plan)
-            s->plan = make_plan();
+        if (const auto *g = std::get_if<ConvGeometry>(&m.geometry))
+            s->plan = compileOperandPlan(ConvWindowGather{*g});
+        else if (m.kind == StageKind::Dense)
+            s->plan = compileOperandPlan(
+                DenseGather{std::get<DenseGeometry>(m.geometry)});
         s->bytes = featureStreamBytes(s->streams) + s->plan.bytes();
         return s;
     });
@@ -116,9 +164,6 @@ makePlanSpec(const nn::Network &net, const EngineOptions &cfg,
     p.stageStreamLens.assign(lens.begin(), lens.end());
     p.rngBits = cfg.rngBits;
     p.seed = cfg.seed;
-    auto append = [&p](const std::vector<float> &v) {
-        p.params.insert(p.params.end(), v.begin(), v.end());
-    };
     std::string arch = "q";
     arch += std::to_string(net.quantBits());
     for (std::size_t li = 0; li < net.layerCount(); ++li) {
@@ -129,103 +174,118 @@ makePlanSpec(const nn::Network &net, const EngineOptions &cfg,
         arch += ':';
         arch += std::to_string(s.p0) + ',' + std::to_string(s.p1) + ',' +
                 std::to_string(s.p2);
-        if (const auto *chain =
-                dynamic_cast<const nn::MajorityChainDense *>(&l)) {
-            append(chain->weights());
-            append(chain->biases());
-        } else if (const auto *conv = dynamic_cast<const nn::Conv2D *>(&l)) {
-            append(conv->weights());
-            append(conv->biases());
-        } else if (const auto *fc = dynamic_cast<const nn::Dense *>(&l)) {
-            append(fc->weights());
-            append(fc->biases());
-        }
+        for (const std::vector<float> *v : l.params())
+            p.params.insert(p.params.end(), v->begin(), v->end());
     }
     p.architecture = std::move(arch);
     return p;
 }
 
-/** nn::chainLayer, its mismatch message prefixed as the compiler's. */
-nn::LayerShapes
-chainStage(std::size_t li, const nn::Layer &l, const nn::FeatureShape &prev)
-{
-    try {
-        return nn::chainLayer(li, l, prev);
-    } catch (const std::invalid_argument &e) {
-        throw std::invalid_argument(std::string("ScNetworkEngine: ") +
-                                    e.what());
-    }
-}
-
-/** @p factory's stage for layer @p li, a refusal (std::invalid_argument)
- *  prefixed with the layer as chainStage prefixes shape errors. */
-template <typename Factory, typename Geometry>
+/**
+ * @p factory's stage for @p m: "registers no <kind> stage" without a
+ * factory, a refusal (std::invalid_argument) prefixed with the layer as
+ * chainStage prefixes shape errors.
+ */
+template <typename Factory, typename Geometry, typename Init>
 std::unique_ptr<ScStage>
-makeStage(std::size_t li, const nn::Layer &l, const Factory &factory,
-          const Geometry &g, WeightedStageInit init)
+makeStage(const MappedStage &m, const std::string &backend,
+          const char *kind, const Factory &factory, const Geometry &g,
+          Init init)
 {
+    if (!factory)
+        throw std::invalid_argument("backend '" + backend +
+                                    "' registers no " + kind + " stage");
     try {
         return factory(g, std::move(init));
     } catch (const std::invalid_argument &e) {
-        throw std::invalid_argument("ScNetworkEngine: layer " +
-                                    std::to_string(li) + " (" + l.name() +
-                                    "): " + e.what());
+        throwEngineError("layer " + std::to_string(m.layerIndex) + " (" +
+                        m.layer->name() + "): " + e.what());
     }
 }
 
-[[noreturn]] void
-throwIncomplete(const std::string &backend, const char *kind)
+/** The stage @p factories build for @p m at @p cfg's stream length. */
+std::unique_ptr<ScStage>
+buildStage(const MappedStage &m, const BackendEntry &factories,
+           const EngineOptions &cfg, sc::Xoshiro256StarStar &rng)
 {
-    throw std::invalid_argument("backend '" + backend +
-                                "' registers no " + kind + " stage");
-}
-
-/**
- * Count the stages the compiler will emit for @p net — the same walk as
- * compileNetworkUncached (conv/dense fuse their following activation),
- * minus the stage construction.  Mapping errors are left for the real
- * compile to diagnose; this only needs the count for length resolution.
- */
-std::size_t
-countStages(const nn::Network &net)
-{
-    std::size_t count = 0;
-    const std::size_t n_layers = net.layerCount();
-    for (std::size_t li = 0; li < n_layers; ++li) {
-        const nn::Layer &l = net.layer(li);
-        if (dynamic_cast<const nn::Conv2D *>(&l) != nullptr) {
-            ++count;
-            if (li + 1 < n_layers && isScActivation(net.layer(li + 1)))
-                ++li; // the activation fuses into the conv stage
-            continue;
-        }
-        if (dynamic_cast<const nn::AvgPool2 *>(&l) != nullptr) {
-            ++count;
-            continue;
-        }
-        if (dynamic_cast<const nn::MajorityChainDense *>(&l) != nullptr) {
-            ++count;
-            continue;
-        }
-        if (dynamic_cast<const nn::Dense *>(&l) != nullptr) {
-            ++count;
-            if (li + 1 < n_layers && isScActivation(net.layer(li + 1)))
-                ++li; // fused hidden Dense + activation
-            continue;
-        }
-        // Unmappable layers contribute no stage; compileNetworkUncached
-        // throws the documented message when it reaches them.
-    }
-    return count;
+    const std::string &backend = cfg.backend;
+    if (m.kind == StageKind::Pool)
+        return makeStage(m, backend, "pool", factories.pool,
+                         std::get<PoolGeometry>(m.geometry), cfg);
+    WeightedStageInit init{
+        internStageState(m, cfg, rng, factories.traits.wantsParamStreams),
+        m, cfg};
+    if (m.kind == StageKind::Conv)
+        return makeStage(m, backend, "conv", factories.conv,
+                         std::get<ConvGeometry>(m.geometry), init);
+    const auto &g = std::get<DenseGeometry>(m.geometry);
+    if (m.kind == StageKind::Dense)
+        return makeStage(m, backend, "dense", factories.dense, g, init);
+    return makeStage(m, backend, "output", factories.output, g, init);
 }
 
 } // namespace
+
+std::vector<MappedStage>
+mapNetwork(const nn::Network &net)
+{
+    using Kind = nn::LayerSpec::Kind;
+    std::vector<MappedStage> mapped;
+    nn::FeatureShape shape; // what the previous stage writes
+    const std::size_t n_layers = net.layerCount();
+    for (std::size_t li = 0; li < n_layers; ++li) {
+        const nn::Layer &l = net.layer(li);
+        const nn::LayerSpec spec = l.spec();
+        const bool last = li + 1 == n_layers;
+        const nn::Layer *act = !last && isScActivation(net.layer(li + 1))
+                                   ? &net.layer(li + 1)
+                                   : nullptr;
+        MappedStage m;
+        m.layerIndex = li;
+        m.layer = &l;
+        switch (spec.kind) {
+          case Kind::Conv2D:
+            if (act == nullptr)
+                throwEngineError("Conv2D needs a following activation");
+            m.kind = StageKind::Conv;
+            m.activation = act;
+            break;
+          case Kind::AvgPool2:
+            m.kind = StageKind::Pool;
+            break;
+          case Kind::MajorityChainDense:
+            if (!last)
+                throwEngineError("MajorityChainDense must be last");
+            m.kind = StageKind::Output;
+            break;
+          case Kind::Dense:
+            m.kind = act != nullptr ? StageKind::Dense : StageKind::Output;
+            m.activation = act;
+            break;
+          case Kind::HardTanh:
+          case Kind::SorterTanh:
+            throwEngineError("unmappable layer " + l.name());
+        }
+        const nn::LayerShapes io = chainStage(li, l, shape);
+        if (m.kind == StageKind::Output && !last)
+            throwEngineError("activation-free Dense must be last");
+        m.geometry = stageGeometry(m.kind, spec, io);
+        m.in = io.in;
+        shape = io.out;
+        if (m.activation != nullptr)
+            ++li; // the activation fuses into this stage
+        mapped.push_back(m);
+    }
+    if (mapped.empty() || mapped.back().kind != StageKind::Output)
+        throwEngineError("network must end in an output Dense layer");
+    return mapped;
+}
 
 std::vector<std::size_t>
 resolveStageLens(const nn::Network &net, const EngineOptions &cfg)
 {
     cfg.validateOrThrow();
-    const std::size_t n_stages = countStages(net);
+    const std::size_t n_stages = mapNetwork(net).size();
     if (cfg.stageStreamLens.empty())
         return std::vector<std::size_t>(n_stages, cfg.streamLen);
     if (cfg.stageStreamLens.size() != n_stages) {
@@ -254,169 +314,22 @@ ExecutionPlan
 compileNetworkUncached(const nn::Network &net, const EngineOptions &cfg)
 {
     const std::vector<std::size_t> lens = resolveStageLens(net, cfg);
-    const std::string &backend = cfg.backend;
+    const std::vector<MappedStage> mapped = mapNetwork(net);
     const BackendEntry &factories =
-        BackendRegistry::instance().entry(backend);
-    const bool want_streams = factories.traits.wantsParamStreams;
+        BackendRegistry::instance().entry(cfg.backend);
 
-    std::vector<std::unique_ptr<ScStage>> stages;
-
-    // Per-stage config: identical to cfg except streamLen carries the
-    // stage's own resolved length (factories and stream generation read
-    // only streamLen, so a scalar-era stage builds unchanged from it).
-    const auto stageCfg = [&]() {
-        EngineOptions c = cfg;
-        c.streamLen = lens[stages.size()];
-        c.stageStreamLens.clear();
-        return c;
-    };
-
+    // One stage per mapped entry, parameter streams drawn in layer order
+    // from one RNG.  Each stage's config is cfg except that streamLen
+    // carries the stage's own resolved length (factories and stream
+    // generation read only streamLen).
     sc::Xoshiro256StarStar rng(cfg.seed);
-
-    // Walk the float network and fuse (Conv|Dense) + activation pairs;
-    // nn::chainLayer checks that each layer reads what the last wrote.
-    nn::FeatureShape shape;
-    std::size_t input_elements = 0; // what the first stage reads
-
-    const std::size_t n_layers = net.layerCount();
-    for (std::size_t li = 0; li < n_layers; ++li) {
-        const nn::Layer &l = net.layer(li);
-
-        if (const auto *conv = dynamic_cast<const nn::Conv2D *>(&l)) {
-            if (li + 1 >= n_layers || !isScActivation(net.layer(li + 1))) {
-                throw std::invalid_argument(
-                    "ScNetworkEngine: Conv2D needs a following activation");
-            }
-            const nn::LayerShapes io = chainStage(li, l, shape);
-            if (stages.empty())
-                input_elements = io.in.elements;
-            ConvGeometry g;
-            g.inC = conv->inChannels();
-            g.inH = io.in.h;
-            g.inW = io.in.w;
-            g.outC = conv->outChannels();
-            g.outH = io.out.h;
-            g.outW = io.out.w;
-            g.kernel = conv->kernel();
-            if (!factories.conv)
-                throwIncomplete(backend, "conv");
-            const EngineOptions scfg = stageCfg();
-            stages.push_back(makeStage(
-                li, l, factories.conv, g,
-                WeightedStageInit{
-                    internStageState(
-                        StageKind::Conv,
-                        {g.inC, g.inH, g.inW, g.outC, g.outH, g.outW,
-                         g.kernel},
-                        activationKind(net.layer(li + 1)), false, scfg,
-                        rng, conv->weights(), conv->biases(),
-                        want_streams,
-                        [&g] {
-                            return compileOperandPlan(ConvWindowGather{g});
-                        }),
-                    conv->weights(), conv->biases(),
-                    activationKind(net.layer(li + 1)), false, scfg}));
-            shape = io.out;
-            ++li; // consume the activation
-            continue;
-        }
-
-        if (dynamic_cast<const nn::AvgPool2 *>(&l) != nullptr) {
-            const nn::LayerShapes io = chainStage(li, l, shape);
-            PoolGeometry g;
-            g.channels = io.in.c;
-            g.inH = io.in.h;
-            g.inW = io.in.w;
-            g.outH = io.out.h;
-            g.outW = io.out.w;
-            if (!factories.pool)
-                throwIncomplete(backend, "pool");
-            stages.push_back(factories.pool(g, stageCfg()));
-            shape = io.out;
-            continue;
-        }
-
-        if (const auto *chain =
-                dynamic_cast<const nn::MajorityChainDense *>(&l)) {
-            if (li + 1 != n_layers)
-                throw std::invalid_argument(
-                    "ScNetworkEngine: MajorityChainDense must be last");
-            DenseGeometry g;
-            g.inFeatures = chain->inFeatures();
-            g.outFeatures = chain->outFeatures();
-            const nn::LayerShapes io = chainStage(li, l, shape);
-            if (stages.empty())
-                input_elements = io.in.elements;
-            if (!factories.output)
-                throwIncomplete(backend, "output");
-            const EngineOptions scfg = stageCfg();
-            stages.push_back(factories.output(
-                g, WeightedStageInit{
-                       internStageState(
-                           StageKind::Output,
-                           {g.inFeatures, g.outFeatures, 0, 0, 0, 0, 0},
-                           FusedActivation::None, true, scfg, rng,
-                           chain->weights(), chain->biases(),
-                           want_streams, nullptr),
-                       chain->weights(), chain->biases(),
-                       FusedActivation::None, true, scfg}));
-            continue;
-        }
-
-        if (const auto *fc = dynamic_cast<const nn::Dense *>(&l)) {
-            const bool has_act =
-                li + 1 < n_layers && isScActivation(net.layer(li + 1));
-            DenseGeometry g;
-            g.inFeatures = fc->inFeatures();
-            g.outFeatures = fc->outFeatures();
-            const nn::LayerShapes io = chainStage(li, l, shape);
-            if (stages.empty())
-                input_elements = io.in.elements;
-            shape = io.out;
-            const FusedActivation act =
-                has_act ? activationKind(net.layer(li + 1))
-                        : FusedActivation::None;
-            const EngineOptions scfg = stageCfg();
-            auto shared = internStageState(
-                has_act ? StageKind::Dense : StageKind::Output,
-                {g.inFeatures, g.outFeatures, 0, 0, 0, 0, 0}, act, false,
-                scfg, rng, fc->weights(), fc->biases(),
-                want_streams, [&g, has_act]() -> OperandPlan {
-                    if (!has_act)
-                        return {};
-                    return compileOperandPlan(DenseGather{g});
-                });
-            if (has_act) {
-                if (!factories.dense)
-                    throwIncomplete(backend, "dense");
-                stages.push_back(makeStage(
-                    li, l, factories.dense, g,
-                    WeightedStageInit{std::move(shared), fc->weights(),
-                                      fc->biases(), act, false, scfg}));
-                ++li;
-            } else {
-                if (li + 1 != n_layers)
-                    throw std::invalid_argument(
-                        "ScNetworkEngine: activation-free Dense must be "
-                        "last");
-                if (!factories.output)
-                    throwIncomplete(backend, "output");
-                stages.push_back(factories.output(
-                    g, WeightedStageInit{std::move(shared), fc->weights(),
-                                         fc->biases(),
-                                         FusedActivation::None, false,
-                                         scfg}));
-            }
-            continue;
-        }
-
-        throw std::invalid_argument("ScNetworkEngine: unmappable layer " +
-                                    l.name());
+    std::vector<std::unique_ptr<ScStage>> stages;
+    for (std::size_t s = 0; s < mapped.size(); ++s) {
+        EngineOptions stage_cfg = cfg;
+        stage_cfg.streamLen = lens[s];
+        stage_cfg.stageStreamLens.clear();
+        stages.push_back(buildStage(mapped[s], factories, stage_cfg, rng));
     }
-
-    if (stages.empty() || !stages.back()->terminal())
-        throw std::invalid_argument(
-            "ScNetworkEngine: network must end in an output Dense layer");
 
     // Graph-level buffer plan: stage s writes ping-pong buffer s % 2, so
     // record each parity's high-water row count and stream length —
@@ -425,7 +338,7 @@ compileNetworkUncached(const nn::Network &net, const EngineOptions &cfg)
     ExecutionPlan plan;
     plan.streamLen = lens.front();
     plan.stageStreamLens = lens;
-    plan.inputElements = input_elements;
+    plan.inputElements = mapped.front().in.elements;
     for (std::size_t s = 0; s < stages.size(); ++s) {
         plan.bufferRows[s % 2] = std::max(
             plan.bufferRows[s % 2], stages[s]->footprint().outputRows);

@@ -4,44 +4,89 @@
  * the executable stage graph of the requested backend plus the
  * graph-level buffer plan every workspace allocates from.
  *
- * The compiler walks the float network, fuses (Conv2D | Dense) +
- * activation pairs into feature-extraction stages, maps AvgPool2 to
- * pooling stages and the final Dense / MajorityChainDense to the
- * terminal categorization stage, and pre-generates every weight/bias
- * stream from a single RNG walked in layer order (the stream contents
- * are part of the deterministic contract: one seed, one stage graph).
+ * mapNetwork() is the one network-to-stage mapping, the paper's: a conv
+ * or hidden Dense layer with its activation becomes a feature-extraction
+ * stage, AvgPool2 a pooling stage and the final Dense /
+ * MajorityChainDense the terminal categorization stage.  The compiler
+ * builds one stage per entry and pre-generates every weight/bias stream
+ * from a single RNG walked in layer order (the stream contents are part
+ * of the deterministic contract: one seed, one stage graph);
+ * core::analyzeNetworkHardware costs the same entries.
  *
  * Stage construction is registry-driven: the backend named by
  * EngineOptions::backend is looked up in core::BackendRegistry and its
  * per-layer-kind factories build the stages, so new backends plug in
  * without touching this compiler.
  *
- * Documented error messages (all std::invalid_argument):
- *  - "invalid EngineOptions: <validate() errors joined by '; '>", e.g.
- *    "unknown backend '<name>'; registered backends: <a>, <b>, ..."
- *  - "backend '<name>' registers no <conv|dense|pool|output> stage"
- *  - "ScNetworkEngine: Conv2D needs a following activation"
- *  - "ScNetworkEngine: MajorityChainDense must be last"
- *  - "ScNetworkEngine: activation-free Dense must be last"
- *  - "ScNetworkEngine: unmappable layer <name>"
- *  - "ScNetworkEngine: network must end in an output Dense layer"
- *  - "ScNetworkEngine: layer <i> (<name>): <reason>" when a backend's
- *    stage refuses the layer, e.g. aqfp-sorter and cmos-apc for a
- *    fan-in above core::stages::LinearScStage::kMaxProducts (4093)
- *    products per row
+ * Documented error messages (all std::invalid_argument); mapNetwork()
+ * owns the second group, for a network the paper's blocks cannot map:
+ * @verbatim
+ - "invalid EngineOptions: <validate() errors joined by '; '>", e.g.
+   "unknown backend '<name>'; registered backends: <a>, <b>, ..."
+ - "ScNetworkEngine: Conv2D needs a following activation"
+   "ScNetworkEngine: MajorityChainDense must be last"
+   "ScNetworkEngine: activation-free Dense must be last"
+   "ScNetworkEngine: unmappable layer <name>"
+   "ScNetworkEngine: network must end in an output Dense layer"
+   "ScNetworkEngine: layer <i> (<name>) expects <what>, but its input
+   has <shape>" (nn::chainLayer's shape errors)
+ - "backend '<name>' registers no <conv|dense|pool|output> stage"
+ - "ScNetworkEngine: layer <i> (<name>): <reason>" when a backend's
+   stage refuses the layer, e.g. aqfp-sorter and cmos-apc for a fan-in
+   above core::stages::LinearScStage::kMaxProducts (4093) products per
+   row
+ @endverbatim
  */
 
 #ifndef AQFPSC_CORE_STAGES_STAGE_COMPILER_H
 #define AQFPSC_CORE_STAGES_STAGE_COMPILER_H
 
 #include <memory>
+#include <variant>
 #include <vector>
 
+#include "core/plan_cache.h"
 #include "core/sc_engine.h"
 #include "core/stages/stage.h"
+#include "core/stages/stage_common.h"
 #include "nn/network.h"
 
 namespace aqfpsc::core::stages {
+
+/**
+ * One stage of a network as the paper maps it (see mapNetwork).  The
+ * pointers refer into the mapped network and live as long as it does.
+ */
+struct MappedStage
+{
+    StageKind kind = StageKind::Conv;
+    /** Index of the source layer in the network. */
+    std::size_t layerIndex = 0;
+    /** The source layer: Conv2D, AvgPool2, Dense or MajorityChainDense. */
+    const nn::Layer *layer = nullptr;
+    /** The activation fused into a Conv or Dense stage, else nullptr. */
+    const nn::Layer *activation = nullptr;
+    /** The geometry the kind's stage factory takes: ConvGeometry,
+     *  PoolGeometry, or DenseGeometry for Dense and Output. */
+    std::variant<ConvGeometry, PoolGeometry, DenseGeometry> geometry;
+    /** What the stage reads (nn::chainLayer's input shape);
+     *  in.elements is its input element count. */
+    nn::FeatureShape in;
+};
+
+/**
+ * Map @p net onto the paper's blocks, one entry per compiled stage in
+ * execution order: Conv2D + activation -> Conv, AvgPool2 -> Pool,
+ * Dense + activation -> Dense, and the last layer, a Dense without
+ * activation or a MajorityChainDense, -> Output.  Shapes come from
+ * nn::chainLayer.  The stage compiler, resolveStageLens and
+ * core::analyzeNetworkHardware all walk a network through this one
+ * function, so they accept exactly the same networks.
+ *
+ * @throws std::invalid_argument with mapNetwork()'s documented messages
+ *         (see the file comment).
+ */
+std::vector<MappedStage> mapNetwork(const nn::Network &net);
 
 /**
  * Compiled stage graph plus the graph-level buffer plan.
@@ -49,7 +94,7 @@ namespace aqfpsc::core::stages {
  * The plan is what every core::CohortWorkspace sizes its arena from,
  * and what the engine validates inputs against: stage s of the graph reads
  * ping-pong buffer (s % 2) ^ 1 and writes buffer s % 2 (the first stage
- * reads the input matrix), so @ref bufferRows holds the high-water row
+ * reads the input matrix), so bufferRows holds the high-water row
  * count of each parity — one sized allocation per buffer per cohort
  * slot, reused across all stages, never reallocated afterwards.
  */
@@ -71,9 +116,10 @@ struct ExecutionPlan
     bool resumable = true;
 
     /**
-     * Input elements the first stage reads per image: inC x 28 x 28 for a
-     * conv (the compiler's fixed input geometry) or inFeatures for a
-     * dense layer.  The engine rejects images of any other size.
+     * Input elements the first stage reads per image (its
+     * MappedStage::in): inC x 28 x 28 for a conv (nn::chainLayer's input
+     * geometry) or inFeatures for a dense layer.  The engine rejects
+     * images of any other size.
      */
     std::size_t inputElements = 0;
 
@@ -113,8 +159,8 @@ struct ExecutionPlan
 
 /**
  * Validate @p cfg (EngineOptions::validateOrThrow) and resolve its
- * per-stage stream lengths against @p net: counts the stages the
- * compiler will emit and returns one length per stage.  An empty
+ * per-stage stream lengths against @p net: maps the network
+ * (mapNetwork) and returns one length per stage.  An empty
  * EngineOptions::stageStreamLens yields a uniform vector at
  * cfg.streamLen (bit-identical to the scalar path); a non-empty vector
  * must have one entry per stage, the one check that needs the network.

@@ -51,11 +51,10 @@ Conv2D::Conv2D(int in_ch, int out_ch, int kernel, unsigned seed)
 }
 
 Tensor
-Conv2D::forward(const Tensor &x)
+Conv2D::infer(const Tensor &x) const
 {
     assert(x.shape().size() == 3 && x.shape()[0] == inCh_);
     const int h = x.shape()[1], wd = x.shape()[2];
-    lastIn_ = x;
     Tensor y({outCh_, h, wd});
     const int r = k_ / 2;
     for (int oc = 0; oc < outCh_; ++oc) {
@@ -84,6 +83,13 @@ Conv2D::forward(const Tensor &x)
         }
     }
     return y;
+}
+
+Tensor
+Conv2D::forward(const Tensor &x)
+{
+    lastIn_ = x;
+    return infer(x);
 }
 
 Tensor
@@ -150,13 +156,19 @@ Conv2D::params()
 }
 
 Tensor
-HardTanh::forward(const Tensor &x)
+HardTanh::infer(const Tensor &x) const
 {
-    lastIn_ = x;
     Tensor y = x;
     for (std::size_t i = 0; i < y.size(); ++i)
         y[i] = std::clamp(y[i], -1.0f, 1.0f);
     return y;
+}
+
+Tensor
+HardTanh::forward(const Tensor &x)
+{
+    lastIn_ = x;
+    return infer(x);
 }
 
 Tensor
@@ -172,13 +184,19 @@ HardTanh::backward(const Tensor &grad_out)
 }
 
 Tensor
-SorterTanh::forward(const Tensor &x)
+SorterTanh::infer(const Tensor &x) const
 {
     Tensor y = x;
     for (std::size_t i = 0; i < y.size(); ++i)
         y[i] = std::tanh(kGain * y[i]);
-    lastOut_ = y;
     return y;
+}
+
+Tensor
+SorterTanh::forward(const Tensor &x)
+{
+    lastOut_ = infer(x);
+    return lastOut_;
 }
 
 Tensor
@@ -193,11 +211,10 @@ SorterTanh::backward(const Tensor &grad_out)
 }
 
 Tensor
-AvgPool2::forward(const Tensor &x)
+AvgPool2::infer(const Tensor &x) const
 {
     const int c = x.shape()[0], h = x.shape()[1], wd = x.shape()[2];
     assert(h % 2 == 0 && wd % 2 == 0);
-    lastShape_ = x.shape();
     Tensor y({c, h / 2, wd / 2});
     for (int ch = 0; ch < c; ++ch) {
         for (int yy = 0; yy < h / 2; ++yy) {
@@ -211,6 +228,13 @@ AvgPool2::forward(const Tensor &x)
         }
     }
     return y;
+}
+
+Tensor
+AvgPool2::forward(const Tensor &x)
+{
+    lastShape_ = x.shape();
+    return infer(x);
 }
 
 Tensor
@@ -248,10 +272,9 @@ Dense::Dense(int in, int out, unsigned seed) : in_(in), out_(out)
 }
 
 Tensor
-Dense::forward(const Tensor &x)
+Dense::infer(const Tensor &x) const
 {
     assert(static_cast<int>(x.size()) == in_);
-    lastIn_ = x;
     Tensor y({out_});
     for (int o = 0; o < out_; ++o) {
         const float *row = &w_[static_cast<std::size_t>(o) * in_];
@@ -261,6 +284,13 @@ Dense::forward(const Tensor &x)
         y[static_cast<std::size_t>(o)] = acc;
     }
     return y;
+}
+
+Tensor
+Dense::forward(const Tensor &x)
+{
+    lastIn_ = x;
+    return infer(x);
 }
 
 Tensor
@@ -325,8 +355,9 @@ MajorityChainDense::MajorityChainDense(int in, int out, unsigned seed)
     initUniform(w_, 0.5f, seed);
 }
 
-double
-MajorityChainDense::chainValue(const Tensor &x, int o) const
+float
+MajorityChainDense::fold(const Tensor &x, int o,
+                         std::vector<float> *partial) const
 {
     const int k_total = in_ + 1; // + bias
     const float *row = &w_[static_cast<std::size_t>(o) * in_];
@@ -338,41 +369,38 @@ MajorityChainDense::chainValue(const Tensor &x, int o) const
         return 0.0f; // neutral pad
     };
     float acc = majValue(product(0), product(1), product(2));
+    if (partial != nullptr)
+        partial->push_back(acc);
     for (int j = 3; j < k_total; j += 2) {
         const float p2 = j + 1 < k_total ? product(j + 1) : 0.0f;
         acc = majValue(acc, product(j), p2);
+        if (partial != nullptr)
+            partial->push_back(acc);
     }
     return acc;
+}
+
+double
+MajorityChainDense::chainValue(const Tensor &x, int o) const
+{
+    return fold(x, o, nullptr);
+}
+
+Tensor
+MajorityChainDense::infer(const Tensor &x) const
+{
+    assert(static_cast<int>(x.size()) == in_);
+    Tensor y({out_});
+    for (int o = 0; o < out_; ++o)
+        y[static_cast<std::size_t>(o)] = fold(x, o, nullptr) * kLogitGain;
+    return y;
 }
 
 Tensor
 MajorityChainDense::forward(const Tensor &x)
 {
-    assert(static_cast<int>(x.size()) == in_);
     lastIn_ = x;
-    trace_.assign(static_cast<std::size_t>(out_), {});
-    Tensor y({out_});
-    const int k_total = in_ + 1;
-    for (int o = 0; o < out_; ++o) {
-        const float *row = &w_[static_cast<std::size_t>(o) * in_];
-        auto product = [&](int j) -> float {
-            if (j < in_)
-                return row[j] * x[static_cast<std::size_t>(j)];
-            if (j == in_)
-                return b_[static_cast<std::size_t>(o)];
-            return 0.0f;
-        };
-        auto &accs = trace_[static_cast<std::size_t>(o)];
-        float acc = majValue(product(0), product(1), product(2));
-        accs.push_back(acc);
-        for (int j = 3; j < k_total; j += 2) {
-            const float p2 = j + 1 < k_total ? product(j + 1) : 0.0f;
-            acc = majValue(acc, product(j), p2);
-            accs.push_back(acc);
-        }
-        y[static_cast<std::size_t>(o)] = acc * kLogitGain;
-    }
-    return y;
+    return infer(x);
 }
 
 Tensor
@@ -380,10 +408,12 @@ MajorityChainDense::backward(const Tensor &grad_out)
 {
     Tensor gx({in_});
     const int k_total = in_ + 1;
+    std::vector<float> accs; // each fold stage's value
     for (int o = 0; o < out_; ++o) {
         const float *row = &w_[static_cast<std::size_t>(o) * in_];
         float *grow = &gw_[static_cast<std::size_t>(o) * in_];
-        const auto &accs = trace_[static_cast<std::size_t>(o)];
+        accs.clear();
+        fold(lastIn_, o, &accs);
         auto product = [&](int j) -> float {
             if (j < in_)
                 return row[j] * lastIn_[static_cast<std::size_t>(j)];

@@ -18,6 +18,12 @@
  *
  * Weights are clamped to [-1, 1] after every update, since bipolar SC
  * cannot represent values outside that range.
+ *
+ * Every layer has two forward entry points.  infer() is the arithmetic
+ * alone: const, it writes nothing, so any number of threads may run one
+ * layer at once (nn::Network::forward, the "float-ref" backend).
+ * forward() is the training pass: it stores what backward() needs and
+ * returns infer(x), so both give bit-identical outputs.
  */
 
 #ifndef AQFPSC_NN_LAYERS_H
@@ -67,7 +73,11 @@ class Layer
   public:
     virtual ~Layer() = default;
 
-    /** Forward pass; caches whatever backward() needs. */
+    /** Forward arithmetic without training caches; thread-safe. */
+    virtual Tensor infer(const Tensor &x) const = 0;
+
+    /** Training forward pass: caches what backward() needs, then
+     *  returns infer(x). */
     virtual Tensor forward(const Tensor &x) = 0;
 
     /** Backward pass: dL/dx from dL/dy; accumulates parameter grads. */
@@ -84,6 +94,13 @@ class Layer
 
     /** Parameter arrays (weights then biases), for quantization / IO. */
     virtual std::vector<std::vector<float> *> params() { return {}; }
+
+    /** Read-only params(), for reading or copying a const layer. */
+    std::vector<const std::vector<float> *> params() const
+    {
+        const auto p = const_cast<Layer *>(this)->params();
+        return {p.begin(), p.end()};
+    }
 };
 
 /** 2-D convolution, same padding, stride 1, square odd kernel. */
@@ -98,6 +115,7 @@ class Conv2D : public Layer
      */
     Conv2D(int in_ch, int out_ch, int kernel, unsigned seed);
 
+    Tensor infer(const Tensor &x) const override;
     Tensor forward(const Tensor &x) override;
     Tensor backward(const Tensor &grad_out) override;
     void update(float lr, float momentum) override;
@@ -126,6 +144,7 @@ class Conv2D : public Layer
 class HardTanh : public Layer
 {
   public:
+    Tensor infer(const Tensor &x) const override;
     Tensor forward(const Tensor &x) override;
     Tensor backward(const Tensor &grad_out) override;
     std::string name() const override { return "HardTanh"; }
@@ -153,6 +172,7 @@ class SorterTanh : public Layer
     /** Gain of the fitted tanh response. */
     static constexpr float kGain = 0.8f;
 
+    Tensor infer(const Tensor &x) const override;
     Tensor forward(const Tensor &x) override;
     Tensor backward(const Tensor &grad_out) override;
     std::string name() const override { return "ScTanh"; }
@@ -169,6 +189,7 @@ class SorterTanh : public Layer
 class AvgPool2 : public Layer
 {
   public:
+    Tensor infer(const Tensor &x) const override;
     Tensor forward(const Tensor &x) override;
     Tensor backward(const Tensor &grad_out) override;
     std::string name() const override { return "AvgPool2"; }
@@ -184,6 +205,7 @@ class Dense : public Layer
   public:
     Dense(int in, int out, unsigned seed);
 
+    Tensor infer(const Tensor &x) const override;
     Tensor forward(const Tensor &x) override;
     Tensor backward(const Tensor &grad_out) override;
     void update(float lr, float momentum) override;
@@ -230,6 +252,7 @@ class MajorityChainDense : public Layer
   public:
     MajorityChainDense(int in, int out, unsigned seed);
 
+    Tensor infer(const Tensor &x) const override;
     Tensor forward(const Tensor &x) override;
     Tensor backward(const Tensor &grad_out) override;
     void update(float lr, float momentum) override;
@@ -252,13 +275,18 @@ class MajorityChainDense : public Layer
     static constexpr float kLogitGain = 8.0f;
 
   private:
+    /**
+     * The chain fold of output @p o over @p x (no logit gain): the one
+     * copy of the recursion, behind infer(), chainValue() and
+     * backward().  With @p partial, appends each fold stage's value.
+     */
+    float fold(const Tensor &x, int o, std::vector<float> *partial) const;
+
     int in_, out_;
     std::vector<float> w_; ///< [out][in]
     std::vector<float> b_;
     std::vector<float> gw_, gb_, vw_, vb_;
     Tensor lastIn_;
-    /** Per-output per-stage accumulated chain values (for backward). */
-    std::vector<std::vector<float>> trace_;
 };
 
 } // namespace aqfpsc::nn

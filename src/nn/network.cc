@@ -9,6 +9,7 @@
 #include <numeric>
 #include <random>
 #include <stdexcept>
+#include <utility>
 
 #include "core/fault_injection.h"
 #include "core/status.h"
@@ -27,7 +28,7 @@ Network::forward(const Tensor &x) const
 {
     Tensor cur = x;
     for (const auto &l : layers_)
-        cur = l->forward(cur);
+        cur = l->infer(cur);
     return cur;
 }
 
@@ -150,8 +151,7 @@ Network::saveWeights(const std::string &path) const
     const char magic[8] = {'A', 'Q', 'F', 'P', 'S', 'C', 'W', '1'};
     out.write(magic, sizeof(magic));
     for (const auto &l : layers_) {
-        for (std::vector<float> *p :
-             const_cast<Layer &>(*l).params()) {
+        for (const std::vector<float> *p : std::as_const(*l).params()) {
             const std::uint64_t n = p->size();
             out.write(reinterpret_cast<const char *>(&n), sizeof(n));
             out.write(reinterpret_cast<const char *>(p->data()),
@@ -327,7 +327,7 @@ Network::saveModel(const std::string &path) const
         sink.pod(static_cast<std::int32_t>(spec.p2));
     }
     for (const auto &l : layers_) {
-        for (std::vector<float> *p : const_cast<Layer &>(*l).params()) {
+        for (const std::vector<float> *p : std::as_const(*l).params()) {
             const std::uint64_t n = p->size();
             sink.pod(n);
             sink.raw(p->data(), p->size() * sizeof(float));

@@ -48,7 +48,9 @@ class Network
     Layer &layer(std::size_t i) { return *layers_[i]; }
     const Layer &layer(std::size_t i) const { return *layers_[i]; }
 
-    /** Forward pass to class scores (logits). */
+    /** Forward pass to class scores (logits) through every layer's
+     *  infer(): it leaves the training caches alone, so it may run
+     *  between a layer's forward() and backward() and on many threads. */
     Tensor forward(const Tensor &x) const;
 
     /** Predicted class of one image. */
@@ -164,8 +166,9 @@ struct LayerShapes
  * an engine would read past the previous stage's output rows: a conv
  * needs its channel count of spatial features, AvgPool2 spatial
  * features of even height and width, a fully connected layer its
- * fan-in.  Both the model loader and the stage compiler walk a network
- * through this function.
+ * fan-in.  The model loader and core::stages::mapNetwork (the stage
+ * compiler's and the hardware report's mapping) walk a network through
+ * this function.
  *
  * @throws std::invalid_argument "layer <index> (<name>) expects <what>,
  *         but its input has <prev.describe()>"

@@ -360,24 +360,41 @@ TEST(BackendRegistry, BackendRegisteredOutsideCompilerServesInference)
     }
 }
 
+/**
+ * float-ref runs the float layers themselves, so it scores every zoo
+ * model exactly as nn::Network::forward does — dnn adds conv -> conv and
+ * 5x5/7x7 kernels — whether the image comes CHW or flat.
+ */
 TEST(BackendRegistry, FloatRefMatchesFloatNetworkBitExactly)
 {
-    nn::Network net = buildTinyCnn(7);
-    net.quantizeParams(10);
-    EngineOptions cfg;
-    cfg.backend = "float-ref";
-    const ScNetworkEngine engine(net, cfg);
-
     const auto samples = data::generateDigits(12, 2026);
-    for (const auto &s : samples) {
-        const ScPrediction pred = engine.infer(s.image);
-        const nn::Tensor scores = net.forward(s.image);
-        ASSERT_EQ(pred.scores.size(), scores.size());
-        for (std::size_t c = 0; c < scores.size(); ++c) {
-            EXPECT_EQ(pred.scores[c], static_cast<double>(scores[c]))
-                << "class " << c;
+    for (const std::string &name : modelNames()) {
+        SCOPED_TRACE(name);
+        nn::Network net = buildModel(name, 7);
+        net.quantizeParams(10);
+        EngineOptions cfg;
+        cfg.backend = "float-ref";
+        const ScNetworkEngine engine(net, cfg);
+
+        // The larger models' float passes are slow in sanitizer builds.
+        const std::size_t images = name == "tiny" ? samples.size() : 4;
+        for (std::size_t i = 0; i < images; ++i) {
+            const nn::Tensor &image = samples[i].image;
+            nn::Tensor flat({static_cast<int>(image.size())});
+            flat.vec() = image.vec();
+            const nn::Tensor scores = net.forward(image);
+            const nn::Tensor *const inputs[] = {&image, &flat};
+            for (const nn::Tensor *input : inputs) {
+                SCOPED_TRACE(input == &flat ? "flat image" : "CHW image");
+                const ScPrediction pred = engine.infer(*input);
+                ASSERT_EQ(pred.scores.size(), scores.size());
+                for (std::size_t c = 0; c < scores.size(); ++c) {
+                    EXPECT_EQ(pred.scores[c], static_cast<double>(scores[c]))
+                        << "image " << i << " class " << c;
+                }
+                EXPECT_EQ(pred.label, net.predict(image));
+            }
         }
-        EXPECT_EQ(pred.label, net.predict(s.image));
     }
 }
 

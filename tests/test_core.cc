@@ -15,6 +15,7 @@
 #include "core/sc_engine.h"
 #include "core/stages/stage_compiler.h"
 #include "data/digits.h"
+#include "nn/layers.h"
 
 namespace aqfpsc::core {
 namespace {
@@ -250,6 +251,68 @@ TEST(HardwareReport, PerBlockCostsAreLegalizedNetlists)
         EXPECT_GT(layer.aqfpPerBlock.depthPhases, 0) << layer.name;
         EXPECT_GT(layer.cmosPerBlock.energyPerCycleJ, 0.0) << layer.name;
         EXPECT_GT(layer.instances, 0) << layer.name;
+    }
+}
+
+/**
+ * The report walks the compiler's mapping: a network the engine refuses
+ * is refused with the compiler's message (a pool is no activation), and
+ * the input streams are what the first stage reads, not a fixed 28x28.
+ */
+TEST(HardwareReport, CostsWhatTheEngineMaps)
+{
+    nn::Network unmappable;
+    unmappable.add(std::make_unique<nn::Conv2D>(1, 4, 3, 1));
+    unmappable.add(std::make_unique<nn::AvgPool2>());
+    unmappable.add(std::make_unique<nn::Dense>(784, 10, 2));
+    try {
+        analyzeNetworkHardware(unmappable, 64);
+        FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_STREQ(e.what(),
+                     "ScNetworkEngine: Conv2D needs a following activation");
+    }
+
+    nn::Network dense_first;
+    dense_first.add(std::make_unique<nn::Dense>(800, 10, 1));
+    EXPECT_EQ(analyzeNetworkHardware(dense_first, 64).inputStreams, 800);
+
+    nn::Network two_channel;
+    two_channel.add(std::make_unique<nn::Conv2D>(2, 4, 3, 1));
+    two_channel.add(std::make_unique<nn::SorterTanh>());
+    two_channel.add(std::make_unique<nn::Dense>(4 * 28 * 28, 10, 2));
+    EXPECT_EQ(analyzeNetworkHardware(two_channel, 64).inputStreams,
+              2 * 28 * 28);
+}
+
+/**
+ * Layer s of the report is compiled stage s — the join that puts a
+ * stage's host time next to its modeled energy: one layer per stage,
+ * one block instance per output row of every non-terminal stage, and
+ * one categorization block per class.
+ */
+TEST(HardwareReport, LayersAreTheCompiledStages)
+{
+    for (const std::string &name : modelNames()) {
+        const nn::Network net = buildModel(name, 1);
+        const NetworkHardware hw = analyzeNetworkHardware(net, 64, {}, {},
+                                                          /*fast=*/true);
+        for (const char *backend : {"aqfp-sorter", "cmos-apc"}) {
+            SCOPED_TRACE(name + " on " + backend);
+            EngineOptions cfg;
+            cfg.backend = backend;
+            cfg.streamLen = 64;
+            const ScNetworkEngine engine(net, cfg);
+            ASSERT_EQ(hw.layers.size(), engine.stageCount());
+            for (std::size_t s = 0; s + 1 < engine.stageCount(); ++s) {
+                EXPECT_EQ(static_cast<std::size_t>(hw.layers[s].instances),
+                          engine.stage(s).footprint().outputRows)
+                    << "stage " << s << " (" << hw.layers[s].name << ")";
+            }
+            EXPECT_TRUE(engine.stage(engine.stageCount() - 1).terminal());
+            const int classes = net.layer(net.layerCount() - 1).spec().p1;
+            EXPECT_EQ(hw.layers.back().instances, classes);
+        }
     }
 }
 

@@ -257,6 +257,32 @@ TEST(Dense, WeightsClampedAfterUpdate)
         EXPECT_LE(std::abs(w), 1.0f);
 }
 
+/**
+ * Network::forward is inference: called between a layer's forward() and
+ * backward(), it must leave the cached input, and so the update, alone.
+ */
+TEST(Network, InferenceBetweenForwardAndBackwardLeavesTheUpdate)
+{
+    Tensor a({4}), b({4}), g({2});
+    for (std::size_t i = 0; i < 4; ++i) {
+        a[i] = 0.2f * static_cast<float>(i) - 0.3f;
+        b[i] = 0.9f - 0.4f * static_cast<float>(i);
+    }
+    g[0] = 1.0f;
+    g[1] = -0.5f;
+    auto train_step = [&](bool infer_between) {
+        Network net;
+        net.add(std::make_unique<Dense>(4, 2, 5));
+        net.layer(0).forward(a);
+        if (infer_between)
+            net.forward(b);
+        net.layer(0).backward(g);
+        net.layer(0).update(0.1f, 0.0f);
+        return dynamic_cast<const Dense &>(net.layer(0)).weights();
+    };
+    EXPECT_EQ(train_step(true), train_step(false));
+}
+
 TEST(Network, TrainsOnLinearlySeparableTask)
 {
     // Tiny 2-class problem on 1x4x4 images: class = brightest half.
