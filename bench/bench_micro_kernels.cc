@@ -33,8 +33,6 @@
 #include "blocks/avg_pooling.h"
 #include "blocks/feature_extraction.h"
 #include "blocks/feedback_unit.h"
-#include "core/stages/aqfp_conv_stage.h"
-#include "core/stages/aqfp_dense_stage.h"
 #include "core/stages/cmos_pool_stage.h"
 #include "core/stages/stage_common.h"
 #include "sc/apc.h"

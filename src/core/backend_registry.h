@@ -1,23 +1,19 @@
 /**
  * @file
- * Open, string-keyed backend registry for the SC stage compiler.
+ * String-keyed backend registry of the SC stage compiler.
  *
- * A backend is a named set of per-layer-kind stage factories
- * ("aqfp-sorter", "cmos-apc", "float-ref", ...).  Stage TUs self-register
- * their factories at static-initialization time through the
- * *Registration helpers below, and stages::compileNetwork looks them up
- * by EngineOptions::backend — adding a backend therefore
- * requires no edits to the compiler, only a new TU linked into the
- * binary.  (The build links the aqfpsc archive with WHOLE_ARCHIVE so the
- * linker never drops self-registering objects.)
+ * A backend is one stage factory over the compiler's network mapping
+ * (stages::mapNetwork): given a MappedStage — its kind, geometry, source
+ * layer and fused activation — it builds that stage.  The registry's
+ * constructor registers the three builtins explicitly: "aqfp-sorter"
+ * (the paper's blocks), "cmos-apc" (the SC-DCNN baseline) and
+ * "float-ref" (the float layers, for debugging).  Any program linked
+ * against the library finds them, however it links.  add() registers
+ * an out-of-tree backend under a new name; stages::compileNetwork looks
+ * backends up by EngineOptions::backend.
  *
- * Factories receive the layer geometry plus a WeightedStageInit bundle:
- * the pre-generated SC parameter streams, the stages::MappedStage the
- * stage implements (its source layer and fused activation, which
- * value-domain backends such as "float-ref" run), and the engine
- * config.  Stream generation itself stays in the compiler so that every
- * stream-domain backend sees bit-identical parameter streams for the
- * same seed.
+ * Stream generation stays in the compiler, so every stream-domain
+ * backend sees bit-identical parameter streams for the same seed.
  */
 
 #ifndef AQFPSC_CORE_BACKEND_REGISTRY_H
@@ -31,7 +27,6 @@
 
 #include "core/sc_engine.h"
 #include "core/stages/stage.h"
-#include "core/stages/stage_common.h"
 
 namespace aqfpsc::core {
 
@@ -39,139 +34,81 @@ namespace stages {
 struct MappedStage;
 } // namespace stages
 
-/** Everything a weighted-stage factory may consume. */
-struct WeightedStageInit
-{
-    /** Interned immutable compile product holding the pre-generated
-     *  parameter streams — possibly shared with other engines through
-     *  core::PlanCache (null when the backend's traits set
-     *  wantsParamStreams = false).  Stream-domain stages keep the
-     *  shared_ptr; value-domain stages ignore it. */
-    std::shared_ptr<const stages::StageShared> shared;
-    /** The network entry this stage implements (stage_compiler.h): its
-     *  source layer, fused activation and input shape.  Only valid
-     *  during the factory call — value-domain stages must copy. */
-    const stages::MappedStage &mapped;
-    /** Engine configuration (backend-specific knobs, streamLen, ...). */
-    const EngineOptions &cfg;
-};
+/**
+ * Builds the stage of one mapped network entry.
+ *
+ * - The MappedStage is the entry the stage implements (stage_compiler.h);
+ *   it is only valid during the call, so a stage that needs its layers
+ *   must copy them.
+ * - The StageShared is the entry's interned compile product: its
+ *   pre-generated parameter streams and, for a linear stage, its operand
+ *   plan, possibly shared with other engines through core::PlanCache.
+ *   It is null for a Pool entry and for a backend without streams.
+ * - The EngineOptions carry the stage's own stream length.
+ *
+ * A factory refuses a layer it cannot build by throwing
+ * std::invalid_argument; the compiler prefixes the layer.
+ */
+using StageFactory = std::function<std::unique_ptr<ScStage>(
+    const stages::MappedStage &, std::shared_ptr<const stages::StageShared>,
+    const EngineOptions &)>;
 
-using ConvStageFactory = std::function<std::unique_ptr<ScStage>(
-    const stages::ConvGeometry &, WeightedStageInit)>;
-using DenseStageFactory = std::function<std::unique_ptr<ScStage>(
-    const stages::DenseGeometry &, WeightedStageInit)>;
-using PoolStageFactory = std::function<std::unique_ptr<ScStage>(
-    const stages::PoolGeometry &, const EngineOptions &)>;
-using OutputStageFactory = std::function<std::unique_ptr<ScStage>(
-    const stages::DenseGeometry &, WeightedStageInit)>;
-
-/** Compile/runtime behaviour switches of one backend. */
-struct BackendTraits
+/** One registered backend. */
+struct Backend
 {
-    /** Generate weight/bias streams at engine compile time. */
-    bool wantsParamStreams = true;
-    /** Encode the input image into SNG streams for every inference. */
-    bool wantsInputStreams = true;
-};
-
-/** One backend's registered factories. */
-struct BackendEntry
-{
-    ConvStageFactory conv;
-    DenseStageFactory dense;
-    PoolStageFactory pool;
-    OutputStageFactory output;
-    BackendTraits traits;
+    StageFactory factory;
+    /**
+     * A stochastic-stream backend: the compiler generates each weighted
+     * stage's parameter streams and the engine encodes every input image
+     * into SNG streams.  A value-domain backend ("float-ref") sets false
+     * and reads StageContext::image and StageContext::values instead.
+     */
+    bool streams = true;
 };
 
 /**
- * Process-wide backend name -> stage-factory table.
+ * Process-wide backend name -> Backend table.
  *
- * Thread safety: registration normally happens during static
- * initialization (before main), so lookups never race with it; all
- * const lookups (has/names/entry/traits) are safe to call concurrently
- * once main has started.  Later programmatic registration is allowed
- * but must not run concurrently with lookups or compiles.
+ * Thread safety: the builtins are registered when instance() first
+ * constructs the table, which C++ makes thread-safe.  Lookups are safe
+ * to call concurrently; add() must not run concurrently with lookups or
+ * compiles.
  *
- * Determinism: the registry only resolves names to factories — stream
- * generation stays in the stage compiler, so every stream-domain
- * backend sees bit-identical parameter streams for the same seed, and
+ * Determinism: the registry only resolves names to factories, so
  * backend lookup order never influences results.
  */
 class BackendRegistry
 {
   public:
-    /** The singleton table. */
+    /** The singleton table, holding the builtins from its first use. */
     static BackendRegistry &instance();
 
-    /** Register one stage factory.  @throws std::logic_error if the
-     *  backend already registered that stage kind. */
-    void registerConv(const std::string &backend, ConvStageFactory f);
-    void registerDense(const std::string &backend, DenseStageFactory f);
-    void registerPool(const std::string &backend, PoolStageFactory f);
-    void registerOutput(const std::string &backend, OutputStageFactory f);
+    /**
+     * Register @p backend under @p name.
+     * @throws std::logic_error if @p name is taken or the factory is
+     *         empty; the registry is then unchanged.
+     */
+    void add(const std::string &name, Backend backend);
 
-    /** Override the default traits of @p backend. */
-    void registerTraits(const std::string &backend, BackendTraits traits);
-
-    /** Whether @p backend has any registration. */
-    bool has(const std::string &backend) const;
+    /** Whether @p name is registered. */
+    bool has(const std::string &name) const;
 
     /** Registered backend names, sorted. */
     std::vector<std::string> names() const;
 
     /**
-     * Factory table of @p backend.
-     * @throws std::invalid_argument listing the registered names when
-     *         @p backend is unknown.
+     * The backend registered under @p name.
+     * @throws std::invalid_argument with unknownBackendMessage() when
+     *         @p name is unknown.
      */
-    const BackendEntry &entry(const std::string &backend) const;
+    const Backend &backend(const std::string &name) const;
 
-    /** Traits of @p backend (throws like entry()). */
-    BackendTraits traits(const std::string &backend) const;
-
-    /** The documented unknown-backend error text for @p backend. */
-    std::string unknownBackendMessage(const std::string &backend) const;
+    /** The documented unknown-backend error text for @p name. */
+    std::string unknownBackendMessage(const std::string &name) const;
 
   private:
-    BackendRegistry() = default;
-    std::map<std::string, BackendEntry> entries_;
-};
-
-/**
- * Self-registration helpers: define one at namespace scope in the stage
- * TU, e.g.
- *
- *   namespace {
- *   const core::ConvStageRegistration kReg{
- *       "aqfp-sorter",
- *       [](const ConvGeometry &g, core::WeightedStageInit init) {
- *           return std::make_unique<AqfpConvStage>(g,
- *                                                  std::move(init.shared));
- *       }};
- *   } // namespace
- */
-struct ConvStageRegistration
-{
-    ConvStageRegistration(const std::string &backend, ConvStageFactory f);
-};
-struct DenseStageRegistration
-{
-    DenseStageRegistration(const std::string &backend, DenseStageFactory f);
-};
-struct PoolStageRegistration
-{
-    PoolStageRegistration(const std::string &backend, PoolStageFactory f);
-};
-struct OutputStageRegistration
-{
-    OutputStageRegistration(const std::string &backend,
-                            OutputStageFactory f);
-};
-struct BackendTraitsRegistration
-{
-    BackendTraitsRegistration(const std::string &backend,
-                              BackendTraits traits);
+    BackendRegistry();
+    std::map<std::string, Backend> backends_;
 };
 
 } // namespace aqfpsc::core

@@ -183,7 +183,7 @@ ScNetworkEngine::ScNetworkEngine(const nn::Network &net,
                                  const EngineOptions &cfg)
     : cfg_(cfg), plan_(stages::compileNetwork(net, cfg)),
       encodeInputStreams_(
-          BackendRegistry::instance().traits(cfg.backend).wantsInputStreams)
+          BackendRegistry::instance().backend(cfg.backend).streams)
 {
     // Chaos-test hook: lets tests exercise the "engine failed to
     // compile" error path without crafting an uncompilable network.
@@ -373,7 +373,7 @@ ScNetworkEngine::inferAdaptiveCohort(const nn::Tensor *const images[],
     // bit-exact prefix of the full run.  Each image draws from its own
     // generator; one call steps the cohort's generators side by side.
     // The input runs at the first stage's length (stageStreamLens[0]).
-    // Value-domain backends (traits.wantsInputStreams == false) read the
+    // Value-domain backends (Backend::streams == false) read the
     // image through the context instead and get an empty matrix.
     sc::StreamMatrix *inputs[kMaxCohortImages];
     const float *values[kMaxCohortImages];

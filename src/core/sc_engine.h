@@ -423,7 +423,7 @@ class ScNetworkEngine
   private:
     EngineOptions cfg_;
     std::shared_ptr<const stages::ExecutionPlan> plan_;
-    bool encodeInputStreams_ = true; ///< from the backend's traits
+    bool encodeInputStreams_ = true; ///< Backend::streams
     /** Idle workspaces (acquireWorkspace()). */
     mutable std::mutex idleMutex_;
     mutable std::vector<std::unique_ptr<CohortWorkspace>> idle_;

@@ -4,17 +4,9 @@
 #include <cassert>
 #include <span>
 
-#include "core/backend_registry.h"
-
 namespace aqfpsc::core::stages {
 
 namespace {
-
-const OutputStageRegistration kRegistration{
-    "aqfp-sorter", [](const DenseGeometry &g, WeightedStageInit init) {
-        return std::make_unique<AqfpOutputStage>(g,
-                                                 std::move(init.shared));
-    }};
 
 std::uint64_t
 majWord(std::uint64_t a, std::uint64_t b, std::uint64_t c)
@@ -27,8 +19,7 @@ majWord(std::uint64_t a, std::uint64_t b, std::uint64_t c)
 std::string
 AqfpOutputStage::name() const
 {
-    return "AqfpOutput " + std::to_string(geom_.inFeatures) + "->" +
-           std::to_string(geom_.outFeatures);
+    return "AqfpOutput " + shapeName(geom_);
 }
 
 std::unique_ptr<StageScratch>

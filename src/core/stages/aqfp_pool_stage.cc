@@ -5,16 +5,10 @@
 #include <span>
 
 #include "blocks/feedback_unit.h"
-#include "core/backend_registry.h"
 
 namespace aqfpsc::core::stages {
 
 namespace {
-
-const PoolStageRegistration kRegistration{
-    "aqfp-sorter", [](const PoolGeometry &g, const EngineOptions &cfg) {
-        return std::make_unique<AqfpPoolStage>(g, cfg.streamLen);
-    }};
 
 /** Per-output-pixel remainder count S mod 4, resumed across spans. */
 struct PoolScratch final : StageScratch
@@ -29,8 +23,7 @@ struct PoolScratch final : StageScratch
 std::string
 AqfpPoolStage::name() const
 {
-    return "AqfpPool " + std::to_string(geom_.channels) + "x" +
-           std::to_string(geom_.outH) + "x" + std::to_string(geom_.outW);
+    return "AqfpPool " + shapeName(geom_);
 }
 
 StageFootprint

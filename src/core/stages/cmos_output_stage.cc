@@ -4,24 +4,12 @@
 #include <cassert>
 #include <span>
 
-#include "core/backend_registry.h"
-
 namespace aqfpsc::core::stages {
-
-namespace {
-const OutputStageRegistration kRegistration{
-    "cmos-apc", [](const DenseGeometry &g, WeightedStageInit init) {
-        return std::make_unique<CmosOutputStage>(g,
-                                                 std::move(init.shared));
-    }};
-
-} // namespace
 
 std::string
 CmosOutputStage::name() const
 {
-    return "CmosOutput " + std::to_string(geom_.inFeatures) + "->" +
-           std::to_string(geom_.outFeatures);
+    return "CmosOutput " + shapeName(geom_);
 }
 
 std::unique_ptr<StageScratch>

@@ -5,17 +5,12 @@
 #include <cassert>
 #include <span>
 
-#include "core/backend_registry.h"
 #include "sc/rng.h"
 #include "sc/simd/simd.h"
 
 namespace aqfpsc::core::stages {
 
 namespace {
-const PoolStageRegistration kRegistration{
-    "cmos-apc", [](const PoolGeometry &g, const EngineOptions &cfg) {
-        return std::make_unique<CmosPoolStage>(g, cfg.streamLen);
-    }};
 
 /**
  * Per-pixel MUX-select RNG positions, resumed across spans.
@@ -114,8 +109,7 @@ muxPoolLanes(const std::uint64_t *const rows[][4],
 std::string
 CmosPoolStage::name() const
 {
-    return "CmosPool " + std::to_string(geom_.channels) + "x" +
-           std::to_string(geom_.outH) + "x" + std::to_string(geom_.outW);
+    return "CmosPool " + shapeName(geom_);
 }
 
 StageFootprint

@@ -2,8 +2,8 @@
 
 #include <cassert>
 #include <span>
+#include <variant>
 
-#include "core/backend_registry.h"
 #include "core/stages/stage_compiler.h"
 #include "nn/tensor.h"
 
@@ -42,9 +42,6 @@ FloatRefStage::runCohortSpan(const CohortSlot *slots, std::size_t count,
     }
 }
 
-// ---------------------------------------------------------------- registry
-// The whole backend registers from this TU: no edits to the stage
-// compiler (or anything else in core) are needed to add a backend.
 namespace {
 
 /** A copy of @p layer: a fresh layer of its spec holding its parameters. */
@@ -67,62 +64,45 @@ tensorShape(const nn::FeatureShape &s)
     return {s.c, s.h, s.w};
 }
 
-/** The stage running @p m's source layer and fused activation. */
+/** "FloatRef<kind> <shape>"; an output stage names its layer's fold. */
+std::string
+stageName(const MappedStage &m)
+{
+    std::string name = "FloatRef";
+    switch (m.kind) {
+      case StageKind::Conv:
+        name += "Conv ";
+        break;
+      case StageKind::Dense:
+        name += "Dense ";
+        break;
+      case StageKind::Pool:
+        name += "Pool ";
+        break;
+      case StageKind::Output:
+        name += m.layer->spec().kind == nn::LayerSpec::Kind::MajorityChainDense
+                    ? "Output maj-chain "
+                    : "Output linear ";
+        break;
+    }
+    return name + std::visit([](const auto &g) { return shapeName(g); },
+                             m.geometry);
+}
+
+} // namespace
+
 std::unique_ptr<ScStage>
-mappedStage(std::string name, const MappedStage &m)
+makeFloatRefStage(const MappedStage &m, std::shared_ptr<const StageShared>,
+                  const EngineOptions &)
 {
     std::vector<std::unique_ptr<nn::Layer>> layers;
     layers.push_back(copyLayer(*m.layer));
     if (m.activation != nullptr)
         layers.push_back(copyLayer(*m.activation));
-    return std::make_unique<FloatRefStage>(std::move(name),
+    return std::make_unique<FloatRefStage>(stageName(m),
                                            m.kind == StageKind::Output,
                                            tensorShape(m.in),
                                            std::move(layers));
 }
-
-const BackendTraitsRegistration kTraits{
-    kFloatRefBackend,
-    BackendTraits{/*wantsParamStreams=*/false, /*wantsInputStreams=*/false}};
-
-const ConvStageRegistration kConv{
-    kFloatRefBackend, [](const ConvGeometry &g, WeightedStageInit init) {
-        return mappedStage("FloatRefConv " + std::to_string(g.outC) + "x" +
-                               std::to_string(g.outH) + "x" +
-                               std::to_string(g.outW) + " k" +
-                               std::to_string(g.kernel),
-                           init.mapped);
-    }};
-
-const DenseStageRegistration kDense{
-    kFloatRefBackend, [](const DenseGeometry &g, WeightedStageInit init) {
-        return mappedStage("FloatRefDense " + std::to_string(g.inFeatures) +
-                               "->" + std::to_string(g.outFeatures),
-                           init.mapped);
-    }};
-
-const PoolStageRegistration kPool{
-    kFloatRefBackend, [](const PoolGeometry &g, const EngineOptions &) {
-        std::vector<std::unique_ptr<nn::Layer>> layers;
-        layers.push_back(std::make_unique<nn::AvgPool2>());
-        return std::make_unique<FloatRefStage>(
-            "FloatRefPool " + std::to_string(g.channels) + "x" +
-                std::to_string(g.outH) + "x" + std::to_string(g.outW),
-            false, std::vector<int>{g.channels, g.inH, g.inW},
-            std::move(layers));
-    }};
-
-const OutputStageRegistration kOutput{
-    kFloatRefBackend, [](const DenseGeometry &g, WeightedStageInit init) {
-        const bool chain = init.mapped.layer->spec().kind ==
-                           nn::LayerSpec::Kind::MajorityChainDense;
-        return mappedStage(std::string("FloatRefOutput ") +
-                               (chain ? "maj-chain " : "linear ") +
-                               std::to_string(g.inFeatures) + "->" +
-                               std::to_string(g.outFeatures),
-                           init.mapped);
-    }};
-
-} // namespace
 
 } // namespace aqfpsc::core::stages

@@ -1,8 +1,6 @@
 /**
  * @file
- * "float-ref" backend: the float network itself, run stage by stage,
- * registered entirely outside the stage compiler (the demonstration
- * that BackendRegistry is an open API).
+ * "float-ref" backend: the float network itself, run stage by stage.
  *
  * Each stage holds copies of the float layers its MappedStage maps (the
  * source layer and its fused activation) and runs them through
@@ -10,12 +8,13 @@
  * nn::Network::forward by construction.  The first stage reads the
  * input image from StageContext::image; activations pass to the next
  * stage through the StageContext::values side channel instead of
- * stochastic streams.  The backend's traits opt out of both
- * parameter-stream generation and input-stream encoding, so it compiles
- * and runs orders of magnitude faster than the stream backends — the
- * intended use is accuracy debugging: run the same InferenceSession on
- * "aqfp-sorter" and "float-ref" and diff the per-class scores (or the
- * per-stage values) to separate SC noise from model error.
+ * stochastic streams.  The backend has no streams (Backend::streams is
+ * false): no parameter streams are generated and no input is encoded,
+ * so it compiles and runs orders of magnitude faster than the stream
+ * backends.  The intended use is accuracy debugging: run the same
+ * InferenceSession on "aqfp-sorter" and "float-ref" and diff the
+ * per-class scores (or the per-stage values) to separate SC noise from
+ * model error.
  */
 
 #ifndef AQFPSC_CORE_STAGES_FLOAT_REF_STAGE_H
@@ -25,13 +24,14 @@
 #include <string>
 #include <vector>
 
+#include "core/sc_engine.h"
 #include "nn/layers.h"
 #include "stage.h"
 
 namespace aqfpsc::core::stages {
 
-/** Registry name of the value-domain reference backend. */
-inline constexpr const char *kFloatRefBackend = "float-ref";
+struct MappedStage;
+struct StageShared;
 
 /**
  * One value-domain stage: owned copies of its mapped float layers (a
@@ -63,6 +63,12 @@ class FloatRefStage final : public ScStage
     std::vector<int> inShape_;
     std::vector<std::unique_ptr<nn::Layer>> layers_;
 };
+
+/** The float-ref backend's core::StageFactory: a FloatRefStage running
+ *  copies of @p m's layers (the streams and options are unused). */
+std::unique_ptr<ScStage>
+makeFloatRefStage(const MappedStage &m, std::shared_ptr<const StageShared>,
+                  const EngineOptions &);
 
 } // namespace aqfpsc::core::stages
 

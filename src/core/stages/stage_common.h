@@ -5,8 +5,8 @@
  *
  * Every weighted stage (Conv/Dense x backend) owns a FeatureStreams
  * bundle: pre-generated weight and bias streams plus the neutral 0101...
- * pad stream.  The four linear stage TUs (aqfp_conv, aqfp_dense,
- * cmos_conv, cmos_dense) are thin instantiations of one kernel core,
+ * pad stream.  The four linear stages (AqfpConv, AqfpDense, CmosConv,
+ * CmosDense) are instantiations of one kernel core,
  * LinearScStage<Policy, Gather>:
  *
  *  - the Gather names each output row's (input row, weight row) product
@@ -70,6 +70,30 @@ struct DenseGeometry
     int inFeatures = 0;
     int outFeatures = 0;
 };
+
+/** The shape part of a stage name, after its kind: "<outC>x<outH>x<outW>
+ *  k<kernel>" for a conv, "<channels>x<outH>x<outW>" for a pool and
+ *  "<inFeatures>-><outFeatures>" for a dense or output stage. */
+inline std::string
+shapeName(const ConvGeometry &g)
+{
+    return std::to_string(g.outC) + "x" + std::to_string(g.outH) + "x" +
+           std::to_string(g.outW) + " k" + std::to_string(g.kernel);
+}
+
+inline std::string
+shapeName(const PoolGeometry &g)
+{
+    return std::to_string(g.channels) + "x" + std::to_string(g.outH) + "x" +
+           std::to_string(g.outW);
+}
+
+inline std::string
+shapeName(const DenseGeometry &g)
+{
+    return std::to_string(g.inFeatures) + "->" +
+           std::to_string(g.outFeatures);
+}
 
 /** Pre-generated parameter streams of one weighted stage. */
 struct FeatureStreams
@@ -252,6 +276,10 @@ xnorProduct(std::uint64_t *prod, const std::uint64_t *x,
  */
 struct DenseGather
 {
+    using Geometry = DenseGeometry;
+    /** The stage kind in a linear stage's name. */
+    static constexpr const char *kKind = "Dense";
+
     DenseGeometry g;
 
     /** Largest product count any output row gathers. */
@@ -294,6 +322,9 @@ struct DenseGather
  */
 struct ConvWindowGather
 {
+    using Geometry = ConvGeometry;
+    static constexpr const char *kKind = "Conv";
+
     ConvGeometry g;
 
     /** Interior window product count (border rows gather fewer). */
@@ -411,6 +442,8 @@ struct LinearScratch final : StageScratch
  */
 struct SorterMajorityPolicy
 {
+    /** The backend prefix of a linear stage's name. */
+    static constexpr const char *kPrefix = "Aqfp";
     /** Pad even product counts to odd with the neutral stream. */
     static constexpr bool kPadToOdd = true;
     static constexpr auto kRecurrence =
@@ -429,6 +462,7 @@ struct SorterMajorityPolicy
  */
 struct ApcBtanhPolicy
 {
+    static constexpr const char *kPrefix = "Cmos";
     static constexpr bool kPadToOdd = false;
     static constexpr auto kRecurrence = sc::simd::FeedbackRecurrence::Btanh;
 
@@ -444,12 +478,11 @@ struct ApcBtanhPolicy
  * bit-identity across cohort sizes holds by construction: per-image
  * state (tile planes, recurrence states, output rows) is fully
  * per-slot, and each image's rows count the same products whatever the
- * cohort.
- *
- * Concrete stages only add name() and a registry entry.
+ * cohort.  The stage names itself from the policy's prefix and the
+ * gather's kind and shape, e.g. "AqfpConv 8x28x28 k3".
  */
 template <typename Policy, typename Gather>
-class LinearScStage : public ScStage
+class LinearScStage final : public ScStage
 {
   public:
     /** Most products a row may count: with the bias and a neutral pad,
@@ -457,10 +490,13 @@ class LinearScStage : public ScStage
     static constexpr int kMaxProducts =
         (1 << sc::simd::kMaxFeedbackPlanes) - 3;
 
-    /** @throws std::invalid_argument when a row gathers more than
+    /** @p shared holds the stage's parameter streams and the operand
+     *  plan compiled from Gather{geom}.
+     *  @throws std::invalid_argument when a row gathers more than
      *  kMaxProducts products. */
-    LinearScStage(Gather gather, std::shared_ptr<const StageShared> shared)
-        : gather_(std::move(gather)), shared_(std::move(shared)),
+    LinearScStage(const typename Gather::Geometry &geom,
+                  std::shared_ptr<const StageShared> shared)
+        : gather_{geom}, shared_(std::move(shared)),
           planes_(std::bit_width(
               static_cast<unsigned>(gather_.maxProducts() + 2)))
     {
@@ -495,6 +531,13 @@ class LinearScStage : public ScStage
             set(mBits_, r, Policy::tileM(m, eff_m));
             set(initialState_, r, Policy::initialState(m, eff_m));
         }
+    }
+
+    std::string
+    name() const override
+    {
+        return std::string(Policy::kPrefix) + Gather::kKind + " " +
+               shapeName(gather_.g);
     }
 
     StageFootprint footprint() const override { return {plan().rows()}; }
@@ -585,15 +628,11 @@ class LinearScStage : public ScStage
         }
     }
 
-  protected:
+  private:
     /** The interned read-only compile product (possibly shared). */
     const FeatureStreams &streams() const { return shared_->streams; }
     const OperandPlan &plan() const { return shared_->plan; }
 
-    Gather gather_;
-    std::shared_ptr<const StageShared> shared_;
-
-  private:
     int
     statePlanes() const
     {
@@ -602,12 +641,20 @@ class LinearScStage : public ScStage
                    : planes_;
     }
 
+    Gather gather_;
+    std::shared_ptr<const StageShared> shared_;
     int planes_;
     /** Bit-sliced m and initial state of every row. */
     std::vector<std::uint64_t> mBits_;
     std::vector<std::uint64_t> initialState_;
     std::size_t sliceStride_ = 0;
 };
+
+/** The four linear stages of the stream backends. */
+using AqfpConvStage = LinearScStage<SorterMajorityPolicy, ConvWindowGather>;
+using AqfpDenseStage = LinearScStage<SorterMajorityPolicy, DenseGather>;
+using CmosConvStage = LinearScStage<ApcBtanhPolicy, ConvWindowGather>;
+using CmosDenseStage = LinearScStage<ApcBtanhPolicy, DenseGather>;
 
 } // namespace aqfpsc::core::stages
 

@@ -99,9 +99,9 @@ makeStreams(const std::vector<float> &weights,
 /**
  * Produce (or intern) weighted stage @p m's immutable compile product:
  * its parameter streams and, for a linear (conv or hidden dense) stage,
- * the operand plan compiled from its Gather.  Backends whose traits opt
- * out of parameter streams get nullptr (the whole graph is one backend,
- * so the skipped draws cannot desynchronize anything).
+ * the operand plan compiled from its Gather.  Only stream backends ask
+ * for it (the whole graph is one backend, so the draws a value-domain
+ * backend skips cannot desynchronize anything).
  *
  * The spec keys on the RNG state before generation; on a cache hit the
  * build never runs and the compiler RNG is fast-forwarded to the
@@ -110,10 +110,8 @@ makeStreams(const std::vector<float> &weights,
  */
 std::shared_ptr<const StageShared>
 internStageState(const MappedStage &m, const EngineOptions &cfg,
-                 sc::Xoshiro256StarStar &rng, bool wanted)
+                 sc::Xoshiro256StarStar &rng)
 {
-    if (!wanted)
-        return nullptr;
     const auto params = m.layer->params(); // weights, biases
     StageSpec spec;
     spec.backend = cfg.backend;
@@ -181,47 +179,21 @@ makePlanSpec(const nn::Network &net, const EngineOptions &cfg,
     return p;
 }
 
-/**
- * @p factory's stage for @p m: "registers no <kind> stage" without a
- * factory, a refusal (std::invalid_argument) prefixed with the layer as
- * chainStage prefixes shape errors.
- */
-template <typename Factory, typename Geometry, typename Init>
+/** @p backend's stage for @p m; a refusal (std::invalid_argument) is
+ *  prefixed with the layer, as chainStage prefixes shape errors. */
 std::unique_ptr<ScStage>
-makeStage(const MappedStage &m, const std::string &backend,
-          const char *kind, const Factory &factory, const Geometry &g,
-          Init init)
-{
-    if (!factory)
-        throw std::invalid_argument("backend '" + backend +
-                                    "' registers no " + kind + " stage");
-    try {
-        return factory(g, std::move(init));
-    } catch (const std::invalid_argument &e) {
-        throwEngineError("layer " + std::to_string(m.layerIndex) + " (" +
-                        m.layer->name() + "): " + e.what());
-    }
-}
-
-/** The stage @p factories build for @p m at @p cfg's stream length. */
-std::unique_ptr<ScStage>
-buildStage(const MappedStage &m, const BackendEntry &factories,
+buildStage(const MappedStage &m, const Backend &backend,
            const EngineOptions &cfg, sc::Xoshiro256StarStar &rng)
 {
-    const std::string &backend = cfg.backend;
-    if (m.kind == StageKind::Pool)
-        return makeStage(m, backend, "pool", factories.pool,
-                         std::get<PoolGeometry>(m.geometry), cfg);
-    WeightedStageInit init{
-        internStageState(m, cfg, rng, factories.traits.wantsParamStreams),
-        m, cfg};
-    if (m.kind == StageKind::Conv)
-        return makeStage(m, backend, "conv", factories.conv,
-                         std::get<ConvGeometry>(m.geometry), init);
-    const auto &g = std::get<DenseGeometry>(m.geometry);
-    if (m.kind == StageKind::Dense)
-        return makeStage(m, backend, "dense", factories.dense, g, init);
-    return makeStage(m, backend, "output", factories.output, g, init);
+    std::shared_ptr<const StageShared> shared;
+    if (backend.streams && m.kind != StageKind::Pool)
+        shared = internStageState(m, cfg, rng);
+    try {
+        return backend.factory(m, std::move(shared), cfg);
+    } catch (const std::invalid_argument &e) {
+        throwEngineError("layer " + std::to_string(m.layerIndex) + " (" +
+                         m.layer->name() + "): " + e.what());
+    }
 }
 
 } // namespace
@@ -315,8 +287,7 @@ compileNetworkUncached(const nn::Network &net, const EngineOptions &cfg)
 {
     const std::vector<std::size_t> lens = resolveStageLens(net, cfg);
     const std::vector<MappedStage> mapped = mapNetwork(net);
-    const BackendEntry &factories =
-        BackendRegistry::instance().entry(cfg.backend);
+    const Backend &backend = BackendRegistry::instance().backend(cfg.backend);
 
     // One stage per mapped entry, parameter streams drawn in layer order
     // from one RNG.  Each stage's config is cfg except that streamLen
@@ -328,7 +299,7 @@ compileNetworkUncached(const nn::Network &net, const EngineOptions &cfg)
         EngineOptions stage_cfg = cfg;
         stage_cfg.streamLen = lens[s];
         stage_cfg.stageStreamLens.clear();
-        stages.push_back(buildStage(mapped[s], factories, stage_cfg, rng));
+        stages.push_back(buildStage(mapped[s], backend, stage_cfg, rng));
     }
 
     // Graph-level buffer plan: stage s writes ping-pong buffer s % 2, so

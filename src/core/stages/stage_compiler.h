@@ -15,8 +15,8 @@
  *
  * Stage construction is registry-driven: the backend named by
  * EngineOptions::backend is looked up in core::BackendRegistry and its
- * per-layer-kind factories build the stages, so new backends plug in
- * without touching this compiler.
+ * one stage factory builds every entry, so new backends plug in without
+ * touching this compiler.
  *
  * Documented error messages (all std::invalid_argument); mapNetwork()
  * owns the second group, for a network the paper's blocks cannot map:
@@ -30,9 +30,8 @@
    "ScNetworkEngine: network must end in an output Dense layer"
    "ScNetworkEngine: layer <i> (<name>) expects <what>, but its input
    has <shape>" (nn::chainLayer's shape errors)
- - "backend '<name>' registers no <conv|dense|pool|output> stage"
  - "ScNetworkEngine: layer <i> (<name>): <reason>" when a backend's
-   stage refuses the layer, e.g. aqfp-sorter and cmos-apc for a fan-in
+   factory refuses the layer, e.g. aqfp-sorter and cmos-apc for a fan-in
    above core::stages::LinearScStage::kMaxProducts (4093) products per
    row
  @endverbatim
@@ -66,8 +65,8 @@ struct MappedStage
     const nn::Layer *layer = nullptr;
     /** The activation fused into a Conv or Dense stage, else nullptr. */
     const nn::Layer *activation = nullptr;
-    /** The geometry the kind's stage factory takes: ConvGeometry,
-     *  PoolGeometry, or DenseGeometry for Dense and Output. */
+    /** The stage's geometry: ConvGeometry, PoolGeometry, or
+     *  DenseGeometry for Dense and Output. */
     std::variant<ConvGeometry, PoolGeometry, DenseGeometry> geometry;
     /** What the stage reads (nn::chainLayer's input shape);
      *  in.elements is its input element count. */
@@ -184,9 +183,9 @@ std::vector<std::size_t> resolveStageLens(const nn::Network &net,
  * bit-identical (see plan_cache.h for the RNG fast-forward argument);
  * set AQFPSC_DISABLE_PLAN_CACHE=1 to always compile cold.
  *
- * @throws std::invalid_argument if @p cfg is invalid, the backend is
- *         incomplete, or the network does not follow the mappable
- *         pattern (see the documented messages above).
+ * @throws std::invalid_argument if @p cfg is invalid, the network
+ *         does not follow the mappable pattern, or the backend refuses
+ *         a layer (see the documented messages above).
  */
 std::shared_ptr<const ExecutionPlan>
 compileNetwork(const nn::Network &net, const EngineOptions &cfg);

@@ -18,10 +18,24 @@ initUniform(std::vector<float> &w, float bound, unsigned seed)
         x = dist(gen);
 }
 
+/**
+ * Size the gradient @p g and momentum @p v of parameters @p w, zeroed,
+ * on their first use: a layer built only for inference (loadModel,
+ * float-ref's layer copies) then holds one copy of its parameters.
+ */
+void
+armTraining(const std::vector<float> &w, std::vector<float> &g,
+            std::vector<float> &v)
+{
+    g.resize(w.size());
+    v.resize(w.size());
+}
+
 void
 sgdStep(std::vector<float> &w, std::vector<float> &g, std::vector<float> &v,
         float lr, float momentum)
 {
+    armTraining(w, g, v);
     for (std::size_t i = 0; i < w.size(); ++i) {
         v[i] = momentum * v[i] + g[i];
         w[i] -= lr * v[i];
@@ -41,10 +55,6 @@ Conv2D::Conv2D(int in_ch, int out_ch, int kernel, unsigned seed)
                            kernel * kernel;
     w_.assign(wn, 0.0f);
     b_.assign(static_cast<std::size_t>(out_ch), 0.0f);
-    gw_.assign(wn, 0.0f);
-    gb_.assign(b_.size(), 0.0f);
-    vw_.assign(wn, 0.0f);
-    vb_.assign(b_.size(), 0.0f);
     const float bound =
         std::sqrt(2.0f / (static_cast<float>(in_ch) * kernel * kernel));
     initUniform(w_, bound, seed);
@@ -98,6 +108,8 @@ Conv2D::backward(const Tensor &grad_out)
     const Tensor &x = lastIn_;
     const int h = x.shape()[1], wd = x.shape()[2];
     const int r = k_ / 2;
+    armTraining(w_, gw_, vw_);
+    armTraining(b_, gb_, vb_);
     Tensor gx({inCh_, h, wd});
     for (int oc = 0; oc < outCh_; ++oc) {
         float *gwbase = &gw_[static_cast<std::size_t>(oc) * inCh_ * k_ * k_];
@@ -264,10 +276,6 @@ Dense::Dense(int in, int out, unsigned seed) : in_(in), out_(out)
     const std::size_t wn = static_cast<std::size_t>(in) * out;
     w_.assign(wn, 0.0f);
     b_.assign(static_cast<std::size_t>(out), 0.0f);
-    gw_.assign(wn, 0.0f);
-    gb_.assign(b_.size(), 0.0f);
-    vw_.assign(wn, 0.0f);
-    vb_.assign(b_.size(), 0.0f);
     initUniform(w_, std::sqrt(2.0f / static_cast<float>(in)), seed);
 }
 
@@ -296,6 +304,8 @@ Dense::forward(const Tensor &x)
 Tensor
 Dense::backward(const Tensor &grad_out)
 {
+    armTraining(w_, gw_, vw_);
+    armTraining(b_, gb_, vb_);
     Tensor gx({in_});
     for (int o = 0; o < out_; ++o) {
         const float g = grad_out[static_cast<std::size_t>(o)];
@@ -346,10 +356,6 @@ MajorityChainDense::MajorityChainDense(int in, int out, unsigned seed)
     const std::size_t wn = static_cast<std::size_t>(in) * out;
     w_.assign(wn, 0.0f);
     b_.assign(static_cast<std::size_t>(out), 0.0f);
-    gw_.assign(wn, 0.0f);
-    gb_.assign(b_.size(), 0.0f);
-    vw_.assign(wn, 0.0f);
-    vb_.assign(b_.size(), 0.0f);
     // The chain attenuates early products, so a larger init than a linear
     // layer keeps late-product gradients alive.
     initUniform(w_, 0.5f, seed);
@@ -406,6 +412,8 @@ MajorityChainDense::forward(const Tensor &x)
 Tensor
 MajorityChainDense::backward(const Tensor &grad_out)
 {
+    armTraining(w_, gw_, vw_);
+    armTraining(b_, gb_, vb_);
     Tensor gx({in_});
     const int k_total = in_ + 1;
     std::vector<float> accs; // each fold stage's value

@@ -136,6 +136,7 @@ class Conv2D : public Layer
     int inCh_, outCh_, k_;
     std::vector<float> w_;  ///< [out_ch][in_ch][k][k]
     std::vector<float> b_;  ///< [out_ch]
+    /** Gradients and momenta, sized on the first backward()/update(). */
     std::vector<float> gw_, gb_, vw_, vb_;
     Tensor lastIn_;
 };
@@ -225,6 +226,7 @@ class Dense : public Layer
     int in_, out_;
     std::vector<float> w_; ///< [out][in]
     std::vector<float> b_;
+    /** Gradients and momenta, sized on the first backward()/update(). */
     std::vector<float> gw_, gb_, vw_, vb_;
     Tensor lastIn_;
 };
@@ -285,6 +287,7 @@ class MajorityChainDense : public Layer
     int in_, out_;
     std::vector<float> w_; ///< [out][in]
     std::vector<float> b_;
+    /** Gradients and momenta, sized on the first backward()/update(). */
     std::vector<float> gw_, gb_, vw_, vb_;
     Tensor lastIn_;
 };

@@ -1,22 +1,26 @@
 /**
  * @file
- * BackendRegistry seams: builtin registrations, the documented error
- * messages of compileNetwork/unknown backends, bit-exactness of the
- * float-ref backend against the float network, and — the acceptance
- * demonstration — a backend registered entirely outside the stage
- * compiler (from this test TU).
+ * BackendRegistry seams: builtin registrations, the add() contract, the
+ * documented error messages of compileNetwork/unknown backends, the
+ * stage names of the builtins, bit-exactness of the float-ref backend
+ * against the float network, and a backend registered entirely outside
+ * the stage compiler (from this test TU).
  */
 
 #include <algorithm>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <variant>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/backend_registry.h"
 #include "core/model_zoo.h"
 #include "core/sc_engine.h"
+#include "core/stages/stage.h"
+#include "core/stages/stage_compiler.h"
 #include "data/digits.h"
 #include "nn/layers.h"
 
@@ -292,10 +296,81 @@ TEST(BackendRegistry, CompilerRejectsFanInTheFeedbackKernelCannotCount)
 }
 
 /**
- * The acceptance demonstration: a complete backend registered from this
- * TU — no edits to stage_compiler.cc (or any core file).  The backend
- * only serves networks that are a single output layer and scores every
- * class with a constant, which is all the test needs.
+ * Every stage name of the zoo models on the builtin backends at N = 64.
+ * The repository benchmark derives its per-layer metric keys from these
+ * names, so a rename must show up here.
+ */
+TEST(BackendRegistry, BuiltinStageNamesArePinned)
+{
+    struct Case
+    {
+        const char *model;
+        const char *backend;
+        std::vector<std::string> names;
+    };
+    const Case cases[] = {
+        {"tiny", "aqfp-sorter",
+         {"AqfpConv 8x28x28 k3", "AqfpPool 8x14x14", "AqfpPool 8x7x7",
+          "AqfpDense 392->64", "AqfpOutput 64->10"}},
+        {"tiny", "cmos-apc",
+         {"CmosConv 8x28x28 k3", "CmosPool 8x14x14", "CmosPool 8x7x7",
+          "CmosDense 392->64", "CmosOutput 64->10"}},
+        {"tiny", "float-ref",
+         {"FloatRefConv 8x28x28 k3", "FloatRefPool 8x14x14",
+          "FloatRefPool 8x7x7", "FloatRefDense 392->64",
+          "FloatRefOutput maj-chain 64->10"}},
+        {"snn", "aqfp-sorter",
+         {"AqfpConv 32x28x28 k3", "AqfpPool 32x14x14", "AqfpConv 32x14x14 k3",
+          "AqfpPool 32x7x7", "AqfpDense 1568->500", "AqfpDense 500->800",
+          "AqfpOutput 800->10"}},
+        {"snn", "cmos-apc",
+         {"CmosConv 32x28x28 k3", "CmosPool 32x14x14", "CmosConv 32x14x14 k3",
+          "CmosPool 32x7x7", "CmosDense 1568->500", "CmosDense 500->800",
+          "CmosOutput 800->10"}},
+        {"snn", "float-ref",
+         {"FloatRefConv 32x28x28 k3", "FloatRefPool 32x14x14",
+          "FloatRefConv 32x14x14 k3", "FloatRefPool 32x7x7",
+          "FloatRefDense 1568->500", "FloatRefDense 500->800",
+          "FloatRefOutput maj-chain 800->10"}},
+        {"dnn", "aqfp-sorter",
+         {"AqfpConv 32x28x28 k3", "AqfpConv 32x28x28 k3", "AqfpPool 32x14x14",
+          "AqfpConv 32x14x14 k5", "AqfpConv 32x14x14 k5", "AqfpPool 32x7x7",
+          "AqfpConv 64x7x7 k7", "AqfpDense 3136->500", "AqfpDense 500->800",
+          "AqfpOutput 800->10"}},
+        {"dnn", "cmos-apc",
+         {"CmosConv 32x28x28 k3", "CmosConv 32x28x28 k3", "CmosPool 32x14x14",
+          "CmosConv 32x14x14 k5", "CmosConv 32x14x14 k5", "CmosPool 32x7x7",
+          "CmosConv 64x7x7 k7", "CmosDense 3136->500", "CmosDense 500->800",
+          "CmosOutput 800->10"}},
+        {"dnn", "float-ref",
+         {"FloatRefConv 32x28x28 k3", "FloatRefConv 32x28x28 k3",
+          "FloatRefPool 32x14x14", "FloatRefConv 32x14x14 k5",
+          "FloatRefConv 32x14x14 k5", "FloatRefPool 32x7x7",
+          "FloatRefConv 64x7x7 k7", "FloatRefDense 3136->500",
+          "FloatRefDense 500->800", "FloatRefOutput maj-chain 800->10"}},
+    };
+    std::size_t pinned = 0;
+    for (const Case &c : cases) {
+        SCOPED_TRACE(std::string(c.model) + " on " + c.backend);
+        EngineOptions cfg;
+        cfg.backend = c.backend;
+        cfg.streamLen = 64;
+        const ScNetworkEngine engine(buildModel(c.model, 1), cfg);
+        std::vector<std::string> names;
+        for (std::size_t s = 0; s < engine.stageCount(); ++s)
+            names.push_back(engine.stage(s).name());
+        EXPECT_EQ(names, c.names);
+        pinned += c.names.size();
+    }
+    EXPECT_EQ(pinned, 66u);
+}
+
+/**
+ * A complete backend registered from this TU through add(), with no
+ * edits to stage_compiler.cc (or any core file).  The backend only
+ * serves networks that are a single output layer and scores every class
+ * with a constant, which is all the tests need; it refuses every other
+ * stage kind.
  */
 class ConstantOutputStage final : public ScStage
 {
@@ -317,19 +392,61 @@ class ConstantOutputStage final : public ScStage
     int classes_;
 };
 
-const OutputStageRegistration kTestBackendOutput{
-    "test-constant",
-    [](const stages::DenseGeometry &g, WeightedStageInit) {
-        return std::make_unique<ConstantOutputStage>(g.outFeatures);
-    }};
+std::unique_ptr<ScStage>
+constantStage(const stages::MappedStage &m,
+              std::shared_ptr<const stages::StageShared>,
+              const EngineOptions &)
+{
+    if (m.kind != StageKind::Output)
+        throw std::invalid_argument("test-constant builds output stages only");
+    return std::make_unique<ConstantOutputStage>(
+        std::get<stages::DenseGeometry>(m.geometry).outFeatures);
+}
 
-const BackendTraitsRegistration kTestBackendTraits{
-    "test-constant",
-    BackendTraits{/*wantsParamStreams=*/false,
-                  /*wantsInputStreams=*/false}};
+/** Register "test-constant", once per process. */
+void
+registerTestConstant()
+{
+    static const bool registered = [] {
+        BackendRegistry::instance().add("test-constant",
+                                        {constantStage, false});
+        return true;
+    }();
+    (void)registered;
+}
+
+TEST(BackendRegistry, AddRefusesTakenNamesAndEmptyFactories)
+{
+    registerTestConstant();
+    BackendRegistry &registry = BackendRegistry::instance();
+    const std::vector<std::string> before = registry.names();
+
+    // A taken name, builtin or added, is refused.
+    for (const char *name : {"aqfp-sorter", "float-ref", "test-constant"}) {
+        SCOPED_TRACE(name);
+        EXPECT_THROW(registry.add(name, {constantStage, false}),
+                     std::logic_error);
+    }
+    // So is an empty factory, under any name.
+    EXPECT_THROW(registry.add("test-empty", {}), std::logic_error);
+    EXPECT_THROW(registry.add("aqfp-sorter", {}), std::logic_error);
+    EXPECT_FALSE(registry.has("test-empty"));
+    EXPECT_EQ(registry.names(), before);
+
+    // The first registrations keep serving.
+    EXPECT_TRUE(registry.backend("aqfp-sorter").streams);
+    EXPECT_FALSE(registry.backend("float-ref").streams);
+    EngineOptions cfg;
+    cfg.streamLen = 64;
+    const ScNetworkEngine engine(buildTinyCnn(1), cfg);
+    EXPECT_EQ(engine.stage(0).name(), "AqfpConv 8x28x28 k3");
+    EXPECT_EQ(engine.stage(engine.stageCount() - 1).name(),
+              "AqfpOutput 64->10");
+}
 
 TEST(BackendRegistry, BackendRegisteredOutsideCompilerServesInference)
 {
+    registerTestConstant();
     ASSERT_TRUE(BackendRegistry::instance().has("test-constant"));
 
     nn::Network net;
@@ -344,8 +461,7 @@ TEST(BackendRegistry, BackendRegisteredOutsideCompilerServesInference)
     ASSERT_EQ(pred.scores.size(), 4u);
     EXPECT_EQ(pred.scores[1], 1.0);
 
-    // An incomplete backend fails with the documented message when the
-    // network needs a stage kind it never registered.
+    // A factory's refusal reaches the caller prefixed with the layer.
     nn::Network conv_net;
     conv_net.add(std::make_unique<nn::Conv2D>(1, 2, 3, 1));
     conv_net.add(std::make_unique<nn::HardTanh>());
@@ -354,9 +470,9 @@ TEST(BackendRegistry, BackendRegisteredOutsideCompilerServesInference)
         ScNetworkEngine engine2(conv_net, cfg);
         FAIL() << "expected std::invalid_argument";
     } catch (const std::invalid_argument &e) {
-        EXPECT_TRUE(contains(
-            e.what(), "backend 'test-constant' registers no conv stage"))
-            << e.what();
+        EXPECT_EQ(std::string(e.what()),
+                  "ScNetworkEngine: layer 0 (Conv3x3x2): test-constant "
+                  "builds output stages only");
     }
 }
 

@@ -351,7 +351,7 @@ dumpConfig(const std::string &backend, std::size_t len, std::uint64_t seed,
     core::InferenceSession session(core::buildModel("tiny", 3), opts);
     const core::ScNetworkEngine &engine = session.engine();
     const bool streams =
-        core::BackendRegistry::instance().traits(backend).wantsInputStreams;
+        core::BackendRegistry::instance().backend(backend).streams;
 
     std::string out;
     char buf[256];

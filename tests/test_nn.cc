@@ -5,6 +5,7 @@
  * quantization.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -255,6 +256,35 @@ TEST(Dense, WeightsClampedAfterUpdate)
     }
     for (float w : fc.weights())
         EXPECT_LE(std::abs(w), 1.0f);
+}
+
+/**
+ * The gradient and momentum buffers are sized on first use, so update()
+ * before any backward() steps with zero gradients: the parameters only
+ * clamp to [-1, 1], for every trainable layer kind.
+ */
+TEST(Layers, UpdateBeforeBackwardOnlyClampsTheParameters)
+{
+    std::vector<std::unique_ptr<Layer>> layers;
+    layers.push_back(std::make_unique<Conv2D>(1, 2, 3, 1));
+    layers.push_back(std::make_unique<Dense>(3, 2, 1));
+    layers.push_back(std::make_unique<MajorityChainDense>(3, 2, 1));
+    for (const auto &layer : layers) {
+        SCOPED_TRACE(layer->name());
+        std::vector<std::vector<float>> expect;
+        for (std::vector<float> *p : layer->params()) {
+            const float pattern[] = {1.5f, -2.0f, 0.25f, -0.0f, -1.0f};
+            for (std::size_t i = 0; i < p->size(); ++i)
+                (*p)[i] = pattern[i % 5];
+            expect.push_back(*p);
+            for (float &v : expect.back())
+                v = std::clamp(v, -1.0f, 1.0f);
+        }
+        layer->update(0.5f, 0.9f);
+        std::size_t i = 0;
+        for (const std::vector<float> *p : layer->params())
+            EXPECT_EQ(*p, expect[i++]);
+    }
 }
 
 /**

@@ -27,11 +27,8 @@
 #include "core/model_zoo.h"
 #include "core/plan_cache.h"
 #include "core/session.h"
-#include "core/stages/aqfp_conv_stage.h"
-#include "core/stages/aqfp_dense_stage.h"
-#include "core/stages/cmos_conv_stage.h"
-#include "core/stages/cmos_dense_stage.h"
 #include "core/stages/stage.h"
+#include "core/stages/stage_common.h"
 #include "core/stages/stage_compiler.h"
 #include "data/digits.h"
 #include "nn/layers.h"

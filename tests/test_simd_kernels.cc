@@ -60,9 +60,6 @@
 #include "core/sc_engine.h"
 #include "core/session.h"
 #include "core/workspace.h"
-#include "core/stages/aqfp_dense_stage.h"
-#include "core/stages/cmos_conv_stage.h"
-#include "core/stages/cmos_dense_stage.h"
 #include "core/stages/cmos_pool_stage.h"
 #include "core/stages/stage_common.h"
 #include "data/digits.h"
