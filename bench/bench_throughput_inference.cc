@@ -176,13 +176,13 @@ main(int argc, char **argv)
 
     // --- Plan & weight reuse -------------------------------------------
     // A serving fleet holds several resident instances of the same
-    // model.  With the plan cache off every instance compiles and keeps
-    // its own parameter streams; with it on they intern one copy.  The
-    // resident-bytes rows (unique StageShared bytes actually held) and
-    // the fleet warm-up time are recorded per mode so bench_diff can
-    // track the memory win across PRs.
+    // model.  The "off" rows clear the plan cache before each instance,
+    // so every instance compiles and keeps its own parameter streams;
+    // in the "on" rows they intern one plan.  The resident-bytes rows
+    // (unique StageShared bytes actually held) and the fleet warm-up
+    // time are recorded per mode so bench_diff can track the memory win
+    // across PRs.
     constexpr int kInstances = 4;
-    const bool cache_default = core::PlanCache::instance().enabled();
     bench::banner("Plan & weight reuse (" + std::to_string(kInstances) +
                   " resident instances of " + model + ")");
     bench::header({"backend", "cache", "resident KiB", "sum KiB",
@@ -190,7 +190,6 @@ main(int argc, char **argv)
     for (const char *backend : {"aqfp-sorter", "cmos-apc"}) {
         for (const bool cache_on : {false, true}) {
             core::PlanCache::instance().clear();
-            core::PlanCache::instance().setEnabled(cache_on);
 
             core::EngineOptions opts;
             opts.backend = backend;
@@ -200,6 +199,8 @@ main(int argc, char **argv)
             bench::WallTimer warmup;
             std::vector<std::unique_ptr<core::InferenceSession>> fleet;
             for (int i = 0; i < kInstances; ++i) {
+                if (!cache_on)
+                    core::PlanCache::instance().clear();
                 fleet.push_back(std::make_unique<core::InferenceSession>(
                     core::buildModel(model, 3), opts));
                 (void)fleet.back()->engine();
@@ -240,7 +241,6 @@ main(int argc, char **argv)
                     .set("warmup_seconds", warmup_seconds));
         }
     }
-    core::PlanCache::instance().setEnabled(cache_default);
     core::PlanCache::instance().clear();
 
     return bench::writeBenchReport("throughput_inference",

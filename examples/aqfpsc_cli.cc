@@ -339,12 +339,11 @@ void
 printPlanCacheLine(const core::PlanCacheStats &pc)
 {
     std::printf("plan cache: %llu hit(s), %llu miss(es), %llu "
-                "eviction(s); resident %zu plan(s), %zu stage state(s), "
-                "%.1f KiB shared\n",
+                "eviction(s); resident %zu plan(s), %.1f KiB shared\n",
                 static_cast<unsigned long long>(pc.hits),
                 static_cast<unsigned long long>(pc.misses),
                 static_cast<unsigned long long>(pc.evictions),
-                pc.residentPlans, pc.residentStages,
+                pc.residentPlans,
                 static_cast<double>(pc.residentBytes) / 1024.0);
 }
 
@@ -568,7 +567,7 @@ cmdServe(const Args &args)
                 stats.queueHistogram.summary().c_str());
     std::printf("service latency %s\n",
                 stats.serviceHistogram.summary().c_str());
-    printPlanCacheLine(core::InferenceSession::planCacheStats());
+    printPlanCacheLine(frontend.health().planCache);
     return 0;
 }
 

@@ -34,7 +34,7 @@ streamStage(const stages::MappedStage &m,
     if (const auto *g = std::get_if<stages::PoolGeometry>(&m.geometry))
         return std::make_unique<Pool>(*g, cfg.streamLen);
     const auto &g = std::get<stages::DenseGeometry>(m.geometry);
-    if (m.kind == StageKind::Dense)
+    if (m.kind == stages::StageKind::Dense)
         return std::make_unique<LinearScStage<Policy, stages::DenseGather>>(
             g, std::move(shared));
     return std::make_unique<Output>(g, std::move(shared));

@@ -40,9 +40,9 @@ struct MappedStage;
  * - The MappedStage is the entry the stage implements (stage_compiler.h);
  *   it is only valid during the call, so a stage that needs its layers
  *   must copy them.
- * - The StageShared is the entry's interned compile product: its
- *   pre-generated parameter streams and, for a linear stage, its operand
- *   plan, possibly shared with other engines through core::PlanCache.
+ * - The StageShared is the entry's compile product: its pre-generated
+ *   parameter streams and, for a linear stage, its operand plan, shared
+ *   by every engine of the plan core::PlanCache interns.
  *   It is null for a Pool entry and for a backend without streams.
  * - The EngineOptions carry the stage's own stream length.
  *

@@ -134,10 +134,10 @@ analyzeNetworkHardware(const nn::Network &net, std::size_t stream_len,
             lh.instances = d.outFeatures;
         }
         const int inputs = lh.blockInputs;
-        if (m.kind == StageKind::Pool) {
+        if (m.kind == stages::StageKind::Pool) {
             lh.aqfpPerBlock = poolingBlockCost(inputs, aqfp_tech, cache);
             lh.cmosPerBlock = baseline::cmosMuxPoolingCost(inputs, cmos_tech);
-        } else if (m.kind == StageKind::Output) {
+        } else if (m.kind == stages::StageKind::Output) {
             lh.aqfpPerBlock =
                 categorizationBlockCost(inputs, aqfp_tech, cache);
             lh.cmosPerBlock =

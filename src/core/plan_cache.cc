@@ -1,6 +1,5 @@
 #include "plan_cache.h"
 
-#include <cstdlib>
 #include <cstring>
 
 #include "core/stages/stage_compiler.h"
@@ -26,7 +25,7 @@ constexpr std::size_t kFnvBasis = 0xCBF29CE484222325ULL;
 /**
  * Hash a float sequence consistently with vector<float> equality:
  * +0.0f and -0.0f compare equal but differ in bits, so zeros hash as
- * +0.0f.  (NaN payloads never compare equal, so their hashes are free.)
+ * +0.0f.
  */
 std::size_t
 hashFloats(const std::vector<float> &v, std::size_t h)
@@ -46,35 +45,7 @@ hashString(const std::string &s, std::size_t h)
     return fnv1a(s.data(), s.size(), h);
 }
 
-bool
-envDisabled()
-{
-    const char *v = std::getenv("AQFPSC_DISABLE_PLAN_CACHE");
-    return v != nullptr && v[0] != '\0' &&
-           !(v[0] == '0' && v[1] == '\0');
-}
-
 } // namespace
-
-std::size_t
-PlanCache::StageSpecHash::operator()(const StageSpec &s) const
-{
-    std::size_t h = kFnvBasis;
-    h = hashString(s.backend, h);
-    const std::uint8_t kind = static_cast<std::uint8_t>(s.kind);
-    h = fnv1a(&kind, sizeof kind, h);
-    h = fnv1a(s.dims.data(), s.dims.size() * sizeof(int), h);
-    h = fnv1a(&s.activation, sizeof s.activation, h);
-    const std::uint8_t chain = s.majorityChain ? 1 : 0;
-    h = fnv1a(&chain, sizeof chain, h);
-    h = fnv1a(&s.streamLen, sizeof s.streamLen, h);
-    h = fnv1a(&s.rngBits, sizeof s.rngBits, h);
-    h = fnv1a(s.rngState.data(),
-              s.rngState.size() * sizeof(std::uint64_t), h);
-    h = hashFloats(s.weights, h);
-    h = hashFloats(s.biases, h);
-    return h;
-}
 
 std::size_t
 PlanCache::PlanSpecHash::operator()(const PlanSpec &s) const
@@ -93,8 +64,6 @@ PlanCache::PlanSpecHash::operator()(const PlanSpec &s) const
     return h;
 }
 
-PlanCache::PlanCache() : enabled_(!envDisabled()) {}
-
 PlanCache &
 PlanCache::instance()
 {
@@ -102,99 +71,40 @@ PlanCache::instance()
     return cache;
 }
 
-bool
-PlanCache::enabled() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return enabled_;
-}
-
-void
-PlanCache::setEnabled(bool enabled)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    enabled_ = enabled;
-}
-
-template <typename Map>
-void
-PlanCache::purgeExpired(Map &map)
-{
-    for (auto it = map.begin(); it != map.end();) {
-        if (it->second.expired()) {
-            it = map.erase(it);
-            ++evictions_;
-        } else {
-            ++it;
-        }
-    }
-}
-
-std::shared_ptr<const stages::StageShared>
-PlanCache::internStage(
-    const StageSpec &spec,
-    const std::function<std::shared_ptr<const stages::StageShared>()>
-        &build)
-{
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (enabled_) {
-            auto it = stageMap_.find(spec);
-            if (it != stageMap_.end()) {
-                if (auto live = it->second.lock()) {
-                    ++stageHits_;
-                    return live;
-                }
-                stageMap_.erase(it);
-                ++evictions_;
-            }
-        }
-    }
-    // Build outside the lock: stream generation is the expensive part,
-    // and a plan build re-enters the cache for its stages.
-    auto built = build();
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stageMisses_;
-    if (!enabled_)
-        return built;
-    auto [it, inserted] = stageMap_.emplace(spec, built);
-    if (!inserted) {
-        // Raced an identical build: adopt the first-inserted object so
-        // equal specs always yield pointer-equal shared state.
-        if (auto live = it->second.lock())
-            return live;
-        it->second = built;
-    }
-    return built;
-}
-
 std::shared_ptr<const stages::ExecutionPlan>
 PlanCache::internPlan(
-    const PlanSpec &spec,
+    PlanSpec spec,
     const std::function<std::shared_ptr<const stages::ExecutionPlan>()>
         &build)
 {
     {
         std::lock_guard<std::mutex> lock(mu_);
-        if (enabled_) {
-            auto it = planMap_.find(spec);
-            if (it != planMap_.end()) {
-                if (auto live = it->second.lock()) {
-                    ++planHits_;
-                    return live;
-                }
-                planMap_.erase(it);
+        auto it = plans_.find(spec);
+        if (it != plans_.end()) {
+            if (auto live = it->second.lock()) {
+                ++hits_;
+                return live;
+            }
+        }
+        // A miss: drop the dead entries, and their keys' copies of the
+        // parameters, before the build allocates the new streams.
+        ++misses_;
+        for (it = plans_.begin(); it != plans_.end();) {
+            if (it->second.expired()) {
+                it = plans_.erase(it);
                 ++evictions_;
+            } else {
+                ++it;
             }
         }
     }
+    // Build outside the lock: stream generation is the expensive part.
     auto built = build();
     std::lock_guard<std::mutex> lock(mu_);
-    ++planMisses_;
-    if (!enabled_)
-        return built;
-    auto [it, inserted] = planMap_.emplace(spec, built);
+    auto [it, inserted] = plans_.try_emplace(std::move(spec), built);
     if (!inserted) {
+        // Raced an identical build: adopt the first-inserted plan so
+        // equal specs always yield pointer-equal plans.
         if (auto live = it->second.lock())
             return live;
         it->second = built;
@@ -203,24 +113,22 @@ PlanCache::internPlan(
 }
 
 PlanCacheStats
-PlanCache::stats()
+PlanCache::stats() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    purgeExpired(stageMap_);
-    purgeExpired(planMap_);
     PlanCacheStats s;
-    s.planHits = planHits_;
-    s.planMisses = planMisses_;
-    s.stageHits = stageHits_;
-    s.stageMisses = stageMisses_;
-    s.hits = planHits_ + stageHits_;
-    s.misses = planMisses_ + stageMisses_;
+    s.hits = hits_;
+    s.misses = misses_;
     s.evictions = evictions_;
-    s.residentPlans = planMap_.size();
-    s.residentStages = stageMap_.size();
-    for (const auto &[spec, weak] : stageMap_) {
-        if (auto live = weak.lock())
-            s.residentBytes += live->bytes;
+    for (const auto &[spec, weak] : plans_) {
+        const auto plan = weak.lock();
+        if (plan == nullptr)
+            continue;
+        ++s.residentPlans;
+        for (const auto &stage : plan->stages) {
+            if (const stages::StageShared *shared = stage->sharedState())
+                s.residentBytes += shared->bytes;
+        }
     }
     return s;
 }
@@ -229,9 +137,8 @@ void
 PlanCache::clear()
 {
     std::lock_guard<std::mutex> lock(mu_);
-    stageMap_.clear();
-    planMap_.clear();
-    planHits_ = planMisses_ = stageHits_ = stageMisses_ = evictions_ = 0;
+    plans_.clear();
+    hits_ = misses_ = evictions_ = 0;
 }
 
 } // namespace aqfpsc::core

@@ -1,50 +1,35 @@
 /**
  * @file
- * Process-wide spec-keyed cache of compiled execution plans and interned
- * per-stage weight state.
+ * Process-wide spec-keyed cache of compiled execution plans.
  *
- * Every ScNetworkEngine compile used to rebuild its per-stage immutable
- * state (weight bit-plane streams, bias/neutral rows) from scratch, so a
- * multi-model, multi-backend serving deployment paid
- * O(engines x layers) memory and warm-up.  The PlanCache removes that
- * cost the way poplibs memoizes convolution implementations: compile
- * products are interned under a canonical spec tuple, and identical
- * specs — repeated engines across sessions, tenants sharing a model in
- * serving::ServingFrontend, models sharing a layer — reference one copy.
+ * The paper's weights are hardwired, so a compiled plan draws each
+ * weighted stage's parameter streams once, and a resident engine keeps
+ * them for its lifetime.  Engines compiled from the same network and
+ * options — repeated sessions, tenants sharing a model in
+ * serving::ServingFrontend, identical models registered under two
+ * names — would each draw and hold their own copy.  The PlanCache
+ * interns whole plans the way poplibs memoizes convolution
+ * implementations: a compile product is stored under its canonical
+ * PlanSpec, and an identical spec references the one ExecutionPlan.
  *
- * Two levels are interned, both held by weak_ptr (the cache never keeps
- * anything alive; entries expire with their last engine):
+ * The key is one tuple: backend, resolved per-stage stream lengths, SNG
+ * code width, seed, the architecture (layer specs and quantization
+ * grid) and every parameter.  Equality is exact content equality, so a
+ * hash collision can never alias two different plans, and a hit hands
+ * back exactly the plan a fresh compile would build.  A plan's streams
+ * come from one RNG walked in layer order inside that compile, so
+ * nothing about the RNG needs recording.
  *
- *  - StageSpec -> stages::StageShared: one weighted stage's parameter
- *    streams.  The key is the full content tuple (backend, layer kind,
- *    geometry, fused activation, engine options, stream length, SNG code
- *    width) plus the float weights/biases themselves and the compiler
- *    RNG state at generation time — equality is exact content equality,
- *    so a hash collision can never alias two different stages.
- *  - PlanSpec -> stages::ExecutionPlan: a whole compiled stage graph,
- *    keyed by backend, engine options, and the network architecture +
- *    flattened parameters.
- *
- * Bit-identity: parameter streams are drawn from one compiler RNG walked
- * in layer order, so skipping regeneration would ordinarily desync every
- * downstream layer.  The StageSpec therefore keys on the RNG state
- * *before* generation, and the interned StageShared records the state
- * *after* it; on a hit the compiler fast-forwards its RNG to the stored
- * post-state.  A cache-hit compile is thereby indistinguishable from a
- * cold compile — same streams, same RNG sequence, same scores — which
- * the differential suite in tests/test_plan_cache.cc pins against the
- * golden score hashes.
- *
- * The cache is enabled by default; set AQFPSC_DISABLE_PLAN_CACHE=1 in
- * the environment (or call setEnabled(false)) to compile everything
- * cold.  Results are identical either way — only memory and warm-up
- * time change.
+ * Entries are weak_ptr: the cache never keeps a plan alive, and an
+ * entry expires with its last engine.  Each miss sweeps the expired
+ * entries before it builds, so a dead plan's key (with its copy of the
+ * parameters) lives until the next miss at most.  Cold references for
+ * tests come from clear() or stages::compileNetworkUncached().
  */
 
 #ifndef AQFPSC_CORE_PLAN_CACHE_H
 #define AQFPSC_CORE_PLAN_CACHE_H
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -54,52 +39,18 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/stages/stage_common.h"
-
 namespace aqfpsc::core::stages {
 struct ExecutionPlan;
 } // namespace aqfpsc::core::stages
 
 namespace aqfpsc::core {
 
-/** The block a compiled stage maps to; weighted kinds key a StageSpec. */
-enum class StageKind : std::uint8_t
-{
-    Conv = 1,   ///< fused Conv2D + activation
-    Dense = 2,  ///< fused hidden Dense + activation
-    Output = 3, ///< terminal categorization stage
-    Pool = 4,   ///< AvgPool2 (parameter-free: never a StageSpec)
-};
-
-/**
- * Canonical identity of one weighted stage's compile product.  Two specs
- * compare equal exactly when a cold compile would produce bit-identical
- * StageShared contents for both (same geometry, options, parameters, and
- * compiler RNG position), so interning by StageSpec is always safe.
- */
-struct StageSpec
-{
-    std::string backend;              ///< resolved registry name
-    StageKind kind = StageKind::Conv; ///< layer kind
-    /** Geometry: conv uses all 7 (inC,inH,inW,outC,outH,outW,kernel);
-     *  dense/output use the first two (inFeatures, outFeatures). */
-    std::array<int, 7> dims{};
-    int activation = 0;         ///< the compiler's FusedActivation as int
-    bool majorityChain = false; ///< output stages: from MajorityChainDense
-    std::uint64_t streamLen = 0;
-    int rngBits = 0;
-    /** Compiler RNG state immediately before stream generation. */
-    std::array<std::uint64_t, 4> rngState{};
-    std::vector<float> weights;
-    std::vector<float> biases;
-
-    bool operator==(const StageSpec &) const = default;
-};
-
 /**
  * Canonical identity of a whole compiled plan: backend + engine options
- * + network architecture + flattened parameters.  Excludes threads and
- * cohort, which configure execution, not the compile product.
+ * + network architecture + flattened parameters.  Two specs compare
+ * equal exactly when a cold compile would build bit-identical plans for
+ * both.  Excludes threads, cohort and the adaptive policy, which
+ * configure execution, not the compile product.
  */
 struct PlanSpec
 {
@@ -122,25 +73,19 @@ struct PlanSpec
 /** Point-in-time cache counters (monotonic except the resident gauges). */
 struct PlanCacheStats
 {
-    std::uint64_t hits = 0;      ///< planHits + stageHits
-    std::uint64_t misses = 0;    ///< planMisses + stageMisses
-    std::uint64_t evictions = 0; ///< expired weak entries purged
-    std::uint64_t planHits = 0;
-    std::uint64_t planMisses = 0;
-    std::uint64_t stageHits = 0;
-    std::uint64_t stageMisses = 0;
-    std::size_t residentPlans = 0;  ///< live interned plans
-    std::size_t residentStages = 0; ///< live interned stage states
-    /** Packed stream bytes of all live interned stage states. */
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t evictions = 0; ///< expired entries swept by a miss
+    std::size_t residentPlans = 0; ///< live interned plans
+    /** StageShared::bytes summed over the live plans' stages. */
     std::size_t residentBytes = 0;
 };
 
 /**
- * The process-wide plan/weight-state cache.  Thread-safe; the intern
- * entry points run their build callbacks outside the cache lock (a plan
- * build interns its stages through the same cache), and a build that
- * races an identical insert adopts the first-inserted object so pointer
- * equality of equal specs holds even under contention.
+ * The process-wide plan cache.  Thread-safe; internPlan runs its build
+ * callback outside the cache lock, and a build that races an identical
+ * insert adopts the first-inserted plan, so pointer equality of equal
+ * specs holds even under contention.
  */
 class PlanCache
 {
@@ -148,69 +93,39 @@ class PlanCache
     /** The singleton cache. */
     static PlanCache &instance();
 
-    /** Whether interning is active (AQFPSC_DISABLE_PLAN_CACHE unset and
-     *  not switched off via setEnabled).  When disabled every intern
-     *  call builds cold and stores nothing. */
-    bool enabled() const;
-
-    /** Switch interning on/off at runtime (benches comparing cache-on
-     *  vs. cache-off in one process).  Disabling does not drop existing
-     *  entries; clear() does. */
-    void setEnabled(bool enabled);
-
     /**
-     * Return the live StageShared interned under @p spec, or run
-     * @p build (outside the lock), intern its result, and return it.
-     * Exactly one of {hit, miss} is counted per call.
+     * Return the live plan interned under @p spec.  On a miss, sweep the
+     * expired entries, run @p build (outside the lock), move @p spec
+     * into the map with the built plan, and return it.  Exactly one of
+     * {hit, miss} is counted per call.
      */
-    std::shared_ptr<const stages::StageShared>
-    internStage(const StageSpec &spec,
-                const std::function<std::shared_ptr<const stages::StageShared>()>
-                    &build);
-
-    /** Plan-level intern; the contract mirrors internStage(). */
     std::shared_ptr<const stages::ExecutionPlan>
-    internPlan(const PlanSpec &spec,
+    internPlan(PlanSpec spec,
                const std::function<std::shared_ptr<const stages::ExecutionPlan>()>
                    &build);
 
-    /** Counters plus resident gauges; sweeps expired entries (counted
-     *  as evictions) so the gauges reflect live objects only. */
-    PlanCacheStats stats();
+    /** Counters plus the resident gauges, which count live plans only.
+     *  Erases nothing. */
+    PlanCacheStats stats() const;
 
     /** Drop every entry and reset all counters (test isolation). */
     void clear();
 
   private:
-    PlanCache();
+    PlanCache() = default;
 
-    struct StageSpecHash
-    {
-        std::size_t operator()(const StageSpec &s) const;
-    };
     struct PlanSpecHash
     {
         std::size_t operator()(const PlanSpec &s) const;
     };
 
-    /** Purge expired entries of @p map, counting them as evictions.
-     *  Caller holds mu_. */
-    template <typename Map> void purgeExpired(Map &map);
-
     mutable std::mutex mu_;
-    bool enabled_ = true;
-    std::unordered_map<StageSpec,
-                       std::weak_ptr<const stages::StageShared>,
-                       StageSpecHash>
-        stageMap_;
     std::unordered_map<PlanSpec,
                        std::weak_ptr<const stages::ExecutionPlan>,
                        PlanSpecHash>
-        planMap_;
-    std::uint64_t planHits_ = 0;
-    std::uint64_t planMisses_ = 0;
-    std::uint64_t stageHits_ = 0;
-    std::uint64_t stageMisses_ = 0;
+        plans_;
+    std::uint64_t hits_ = 0;
+    std::uint64_t misses_ = 0;
     std::uint64_t evictions_ = 0;
 };
 

@@ -16,11 +16,10 @@
  * word alignment down to the 64-cycle floor, so every candidate is a
  * valid EngineOptions::stageStreamLens value.
  *
- * Candidate evaluation compiles a throwaway engine per vector; the
- * process-wide core::PlanCache interns each stage's weight streams by
- * (spec, length), so candidates sharing stage lengths — which
- * coordinate descent produces constantly — reuse each other's streams
- * and candidate compiles stay cheap.
+ * Candidate evaluation compiles a throwaway engine per vector and
+ * destroys it before the next candidate compiles, so candidates share
+ * no streams; only the uniform baseline can hit a plan the session
+ * already holds in core::PlanCache.
  *
  * Determinism: with a fixed calibration set the search is a pure
  * function of (network, options, TuneOptions) — evaluation is the

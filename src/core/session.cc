@@ -61,12 +61,6 @@ InferenceSession::compiledBackends() const
     return out;
 }
 
-PlanCacheStats
-InferenceSession::planCacheStats()
-{
-    return PlanCache::instance().stats();
-}
-
 ScPrediction
 InferenceSession::infer(const nn::Tensor &image,
                         const std::string &backend) const

@@ -44,7 +44,6 @@
 #include <string>
 #include <vector>
 
-#include "core/plan_cache.h"
 #include "core/sc_engine.h"
 #include "nn/network.h"
 
@@ -151,15 +150,6 @@ class InferenceSession
     TuneResult tune(const std::vector<nn::Sample> &calibration,
                     const TuneOptions &opts,
                     const std::string &backend = {}) const;
-
-    /**
-     * Counters of the process-wide core::PlanCache every session's
-     * engine compiles route through (a convenience forward of
-     * PlanCache::instance().stats(): the cache is shared by all
-     * sessions, not per-session).  Serving health endpoints surface
-     * these to show cross-tenant plan/weight sharing.
-     */
-    static PlanCacheStats planCacheStats();
 
     /** Persist the model as a versioned artifact.  @return success. */
     bool save(const std::string &path) const

@@ -144,12 +144,11 @@ class ScStage
     virtual StageFootprint footprint() const { return {}; }
 
     /**
-     * The interned immutable compile product this stage references, or
-     * nullptr for stages without one (pooling, value-domain reference).
-     * Identical specs compiled through the core::PlanCache return stages
-     * whose sharedState() pointers compare equal — the observable handle
-     * of cross-engine weight-state sharing, used by cache statistics and
-     * the differential tests.
+     * The immutable compile product this stage references (its
+     * parameter streams and operand plan), or nullptr for stages
+     * without one (pooling, value-domain reference).  Engines that
+     * share one interned plan (core::PlanCache) share these objects;
+     * cache statistics sum their bytes.
      */
     virtual const stages::StageShared *sharedState() const
     {

@@ -32,7 +32,6 @@
 #define AQFPSC_CORE_STAGES_STAGE_COMMON_H
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cassert>
 #include <cstdint>
@@ -233,29 +232,21 @@ compileOperandPlan(const Gather &gather)
 }
 
 /**
- * Immutable per-stage compile product, shared across engines.
+ * Immutable per-stage compile product.
  *
  * Everything a weighted stage derives once at compile time and only ever
  * reads afterwards lives here: the parameter bit-streams (weight
  * bit-plane layout, bias rows, neutral pad row) and, for a linear
- * stage, its operand plan.  The plan cache interns StageShared objects
- * by spec so identical layers across engines, sessions, and serving
- * tenants reference one copy; mutable run state stays in StageScratch /
+ * stage, its operand plan.  The plan that owns the stage is what
+ * core::PlanCache interns, so engines of one plan spec share this
+ * object through it; mutable run state stays in StageScratch /
  * CohortWorkspace, which remain strictly per-engine-invocation.
- *
- * rngStateAfter records the compiler RNG state immediately after the
- * streams were generated.  On a cache hit the compiler restores it so
- * the layers downstream of the hit see exactly the word sequence a cold
- * compile would have produced — the mechanism behind the cached ==
- * cold-compiled bit-identity guarantee.
  */
 struct StageShared
 {
     FeatureStreams streams;
     /** Linear (conv and hidden dense) stages only. */
     OperandPlan plan;
-    /** Compiler RNG state right after generating @ref streams. */
-    std::array<std::uint64_t, 4> rngStateAfter{};
     /** Resident payload size (packed stream words and the plan), for
      *  cache stats. */
     std::size_t bytes = 0;

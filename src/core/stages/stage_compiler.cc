@@ -13,25 +13,6 @@ namespace aqfpsc::core::stages {
 
 namespace {
 
-/** Activation the compiler fused into a weighted stage, as its StageSpec
- *  keys it. */
-enum class FusedActivation
-{
-    None,       ///< pooling and output stages
-    HardTanh,   ///< trained with the idealized clip
-    SorterTanh, ///< trained with the measured sorter response tanh(0.8z)
-};
-
-FusedActivation
-activationKind(const nn::Layer *act)
-{
-    if (act == nullptr)
-        return FusedActivation::None;
-    return act->spec().kind == nn::LayerSpec::Kind::SorterTanh
-               ? FusedActivation::SorterTanh
-               : FusedActivation::HardTanh;
-}
-
 /** Layers the feature-extraction block's activation can stand in for. */
 bool
 isScActivation(const nn::Layer &l)
@@ -97,54 +78,26 @@ makeStreams(const std::vector<float> &weights,
 }
 
 /**
- * Produce (or intern) weighted stage @p m's immutable compile product:
- * its parameter streams and, for a linear (conv or hidden dense) stage,
- * the operand plan compiled from its Gather.  Only stream backends ask
- * for it (the whole graph is one backend, so the draws a value-domain
- * backend skips cannot desynchronize anything).
- *
- * The spec keys on the RNG state before generation; on a cache hit the
- * build never runs and the compiler RNG is fast-forwarded to the
- * recorded post-generation state instead, so every downstream layer
- * consumes the identical word sequence a cold compile would produce.
+ * Build weighted stage @p m's immutable compile product: its parameter
+ * streams and, for a linear (conv or hidden dense) stage, the operand
+ * plan compiled from its Gather.  Only stream backends ask for it (the
+ * whole graph is one backend, so the draws a value-domain backend skips
+ * cannot desynchronize anything).
  */
 std::shared_ptr<const StageShared>
-internStageState(const MappedStage &m, const EngineOptions &cfg,
-                 sc::Xoshiro256StarStar &rng)
+makeStageShared(const MappedStage &m, const EngineOptions &cfg,
+                sc::RandomSource &rng)
 {
     const auto params = m.layer->params(); // weights, biases
-    StageSpec spec;
-    spec.backend = cfg.backend;
-    spec.kind = m.kind;
-    if (const auto *g = std::get_if<ConvGeometry>(&m.geometry)) {
-        spec.dims = {g->inC, g->inH, g->inW, g->outC, g->outH, g->outW,
-                     g->kernel};
-    } else {
-        const auto &d = std::get<DenseGeometry>(m.geometry);
-        spec.dims = {d.inFeatures, d.outFeatures, 0, 0, 0, 0, 0};
-    }
-    spec.activation = static_cast<int>(activationKind(m.activation));
-    spec.majorityChain = m.layer->spec().kind ==
-                         nn::LayerSpec::Kind::MajorityChainDense;
-    spec.streamLen = cfg.streamLen;
-    spec.rngBits = cfg.rngBits;
-    spec.rngState = rng.state();
-    spec.weights = *params[0];
-    spec.biases = *params[1];
-    auto shared = PlanCache::instance().internStage(spec, [&] {
-        auto s = std::make_shared<StageShared>();
-        s->streams = makeStreams(spec.weights, spec.biases, cfg, rng);
-        s->rngStateAfter = rng.state();
-        if (const auto *g = std::get_if<ConvGeometry>(&m.geometry))
-            s->plan = compileOperandPlan(ConvWindowGather{*g});
-        else if (m.kind == StageKind::Dense)
-            s->plan = compileOperandPlan(
-                DenseGather{std::get<DenseGeometry>(m.geometry)});
-        s->bytes = featureStreamBytes(s->streams) + s->plan.bytes();
-        return s;
-    });
-    rng.setState(shared->rngStateAfter);
-    return shared;
+    auto s = std::make_shared<StageShared>();
+    s->streams = makeStreams(*params[0], *params[1], cfg, rng);
+    if (const auto *g = std::get_if<ConvGeometry>(&m.geometry))
+        s->plan = compileOperandPlan(ConvWindowGather{*g});
+    else if (m.kind == StageKind::Dense)
+        s->plan = compileOperandPlan(
+            DenseGather{std::get<DenseGeometry>(m.geometry)});
+    s->bytes = featureStreamBytes(s->streams) + s->plan.bytes();
+    return s;
 }
 
 /** Canonical PlanSpec of (net, cfg): architecture string from the layer
@@ -183,11 +136,11 @@ makePlanSpec(const nn::Network &net, const EngineOptions &cfg,
  *  prefixed with the layer, as chainStage prefixes shape errors. */
 std::unique_ptr<ScStage>
 buildStage(const MappedStage &m, const Backend &backend,
-           const EngineOptions &cfg, sc::Xoshiro256StarStar &rng)
+           const EngineOptions &cfg, sc::RandomSource &rng)
 {
     std::shared_ptr<const StageShared> shared;
     if (backend.streams && m.kind != StageKind::Pool)
-        shared = internStageState(m, cfg, rng);
+        shared = makeStageShared(m, cfg, rng);
     try {
         return backend.factory(m, std::move(shared), cfg);
     } catch (const std::invalid_argument &e) {
@@ -258,6 +211,15 @@ resolveStageLens(const nn::Network &net, const EngineOptions &cfg)
 {
     cfg.validateOrThrow();
     const std::size_t n_stages = mapNetwork(net).size();
+    for (std::size_t li = 0; li < net.layerCount(); ++li) {
+        const nn::Layer &l = net.layer(li);
+        for (const std::vector<float> *block : l.params()) {
+            const std::string bad = nn::nonFiniteParameter(*block);
+            if (!bad.empty())
+                throwEngineError("layer " + std::to_string(li) + " (" +
+                                 l.name() + "): " + bad);
+        }
+    }
     if (cfg.stageStreamLens.empty())
         return std::vector<std::size_t>(n_stages, cfg.streamLen);
     if (cfg.stageStreamLens.size() != n_stages) {

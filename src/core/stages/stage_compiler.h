@@ -30,6 +30,8 @@
    "ScNetworkEngine: network must end in an output Dense layer"
    "ScNetworkEngine: layer <i> (<name>) expects <what>, but its input
    has <shape>" (nn::chainLayer's shape errors)
+ - "ScNetworkEngine: layer <i> (<name>): holds a non-finite parameter
+   <value> at index <k>" (nn::nonFiniteParameter, on every backend)
  - "ScNetworkEngine: layer <i> (<name>): <reason>" when a backend's
    factory refuses the layer, e.g. aqfp-sorter and cmos-apc for a fan-in
    above core::stages::LinearScStage::kMaxProducts (4093) products per
@@ -40,17 +42,26 @@
 #ifndef AQFPSC_CORE_STAGES_STAGE_COMPILER_H
 #define AQFPSC_CORE_STAGES_STAGE_COMPILER_H
 
+#include <cstdint>
 #include <memory>
 #include <variant>
 #include <vector>
 
-#include "core/plan_cache.h"
 #include "core/sc_engine.h"
 #include "core/stages/stage.h"
 #include "core/stages/stage_common.h"
 #include "nn/network.h"
 
 namespace aqfpsc::core::stages {
+
+/** The block a compiled stage maps to. */
+enum class StageKind : std::uint8_t
+{
+    Conv,   ///< fused Conv2D + activation
+    Dense,  ///< fused hidden Dense + activation
+    Output, ///< terminal categorization stage
+    Pool,   ///< AvgPool2
+};
 
 /**
  * One stage of a network as the paper maps it (see mapNetwork).  The
@@ -159,11 +170,12 @@ struct ExecutionPlan
 /**
  * Validate @p cfg (EngineOptions::validateOrThrow) and resolve its
  * per-stage stream lengths against @p net: maps the network
- * (mapNetwork) and returns one length per stage.  An empty
- * EngineOptions::stageStreamLens yields a uniform vector at
- * cfg.streamLen (bit-identical to the scalar path); a non-empty vector
- * must have one entry per stage, the one check that needs the network.
- * Both compile entry points call this first.
+ * (mapNetwork), refuses a NaN or Inf parameter, and returns one length
+ * per stage.  An empty EngineOptions::stageStreamLens yields a uniform
+ * vector at cfg.streamLen (bit-identical to the scalar path); a
+ * non-empty vector must have one entry per stage.  Both compile entry
+ * points call this first, so a network is refused before its plan is
+ * keyed.
  *
  * @throws std::invalid_argument with an actionable message on any
  *         violation.
@@ -176,24 +188,21 @@ std::vector<std::size_t> resolveStageLens(const nn::Network &net,
  *
  * Compilation is routed through core::PlanCache: an identical
  * (backend, options, architecture, parameters) spec compiled earlier —
- * and still alive in some engine — is returned directly, and on a plan
- * miss each weighted stage's immutable state is still interned
- * stage-by-stage, so engines of different models share the state of
- * layers they have in common.  Cached and cold compiles are
- * bit-identical (see plan_cache.h for the RNG fast-forward argument);
- * set AQFPSC_DISABLE_PLAN_CACHE=1 to always compile cold.
+ * and still alive in some engine — is returned directly; otherwise the
+ * plan is built by compileNetworkUncached() and interned.  A cached
+ * plan is the plan a fresh compile would build (see plan_cache.h).
  *
  * @throws std::invalid_argument if @p cfg is invalid, the network
- *         does not follow the mappable pattern, or the backend refuses
- *         a layer (see the documented messages above).
+ *         does not follow the mappable pattern, holds a NaN or Inf
+ *         parameter, or the backend refuses a layer (see the documented
+ *         messages above).
  */
 std::shared_ptr<const ExecutionPlan>
 compileNetwork(const nn::Network &net, const EngineOptions &cfg);
 
 /**
- * The cold compile path: always rebuilds the plan, never consults the
- * plan-level cache (stage-level interning still applies when the cache
- * is enabled).  compileNetwork() runs this on a plan miss; the
+ * The cold compile path: always builds a fresh plan and never consults
+ * core::PlanCache.  compileNetwork() runs this on a miss; the
  * differential tests call it directly to pin cached == cold.
  */
 ExecutionPlan compileNetworkUncached(const nn::Network &net,

@@ -487,21 +487,26 @@ Network::loadModel(const std::string &path)
                         std::to_string(p->size()));
             src.raw(p->data(), p->size() * sizeof(float),
                     "layer parameters");
-            // A NaN or Inf would serve: float-ref would score it and the
-            // SC backends quantize it to an arbitrary code.
-            const auto bad = std::find_if(p->begin(), p->end(), [](float v) {
-                return !std::isfinite(v);
-            });
-            if (bad != p->end())
-                throw StatusError(
-                    StatusCode::ModelCorrupted,
-                    "loadModel: '" + path + "' layer " + std::to_string(i) +
-                        " (" + l.name() + ") holds a non-finite parameter " +
-                        std::to_string(*bad) + " at index " +
-                        std::to_string(bad - p->begin()));
+            const std::string bad = nonFiniteParameter(*p);
+            if (!bad.empty())
+                throw StatusError(StatusCode::ModelCorrupted,
+                                  "loadModel: '" + path + "' layer " +
+                                      std::to_string(i) + " (" + l.name() +
+                                      ") " + bad);
         }
     }
     return net;
+}
+
+std::string
+nonFiniteParameter(const std::vector<float> &block)
+{
+    const auto bad = std::find_if(block.begin(), block.end(),
+                                  [](float v) { return !std::isfinite(v); });
+    if (bad == block.end())
+        return {};
+    return "holds a non-finite parameter " + std::to_string(*bad) +
+           " at index " + std::to_string(bad - block.begin());
 }
 
 FeatureShape

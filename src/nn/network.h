@@ -176,6 +176,16 @@ struct LayerShapes
 LayerShapes chainLayer(std::size_t index, const Layer &layer,
                        const FeatureShape &prev);
 
+/**
+ * "holds a non-finite parameter <value> at index <k>" for the first NaN
+ * or Inf of @p block (one of a layer's params()), or empty when every
+ * entry is finite.  Such a parameter would serve: float-ref would score
+ * it and the SC backends quantize it to an arbitrary code, so the model
+ * loader and core::stages::resolveStageLens (both compile entry points)
+ * refuse it.
+ */
+std::string nonFiniteParameter(const std::vector<float> &block);
+
 /** Numerically stable softmax over a score tensor. */
 std::vector<double> softmax(const Tensor &scores);
 

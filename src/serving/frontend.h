@@ -137,6 +137,7 @@
 #include <vector>
 
 #include "core/latency_histogram.h"
+#include "core/plan_cache.h"
 #include "core/sc_engine.h"
 #include "core/session.h"
 #include "core/status.h"

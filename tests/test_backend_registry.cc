@@ -397,7 +397,7 @@ constantStage(const stages::MappedStage &m,
               std::shared_ptr<const stages::StageShared>,
               const EngineOptions &)
 {
-    if (m.kind != StageKind::Output)
+    if (m.kind != stages::StageKind::Output)
         throw std::invalid_argument("test-constant builds output stages only");
     return std::make_unique<ConstantOutputStage>(
         std::get<stages::DenseGeometry>(m.geometry).outFeatures);

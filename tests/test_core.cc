@@ -4,6 +4,7 @@
  * the hardware report, and the model zoo.
  */
 
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -200,6 +201,61 @@ TEST(ScEngine, CompileEntryPointsRejectInvalidOptions)
     const ScNetworkEngine engine(net, widest);
     const nn::Sample sample = data::generateDigits(1, 5)[0];
     EXPECT_EQ(engine.infer(sample.image).scores.size(), 10u);
+}
+
+/**
+ * A network built in code with a NaN or Inf parameter never compiles:
+ * loadModel refuses such an artifact, and the compiler refuses the same
+ * network on every backend, from both entry points, naming the layer,
+ * before a plan is keyed or a stream drawn.
+ */
+TEST(ScEngine, CompileRefusesNonFiniteParameters)
+{
+    struct Case
+    {
+        std::size_t layer;
+        std::size_t block; // 0 weights, 1 biases
+        std::size_t index;
+        float value;
+        const char *message;
+    };
+    const Case cases[] = {
+        {0, 0, 5, std::numeric_limits<float>::quiet_NaN(),
+         "ScNetworkEngine: layer 0 (Conv3x3x8): holds a non-finite "
+         "parameter nan at index 5"},
+        {4, 1, 7, std::numeric_limits<float>::infinity(),
+         "ScNetworkEngine: layer 4 (FC64): holds a non-finite parameter "
+         "inf at index 7"},
+        {6, 0, 0, -std::numeric_limits<float>::infinity(),
+         "ScNetworkEngine: layer 6 (MajChainFC10): holds a non-finite "
+         "parameter -inf at index 0"},
+    };
+    for (const char *backend : {"aqfp-sorter", "cmos-apc", "float-ref"}) {
+        for (const Case &c : cases) {
+            SCOPED_TRACE(std::string(backend) + " " + c.message);
+            nn::Network net = buildModel("tiny", 1);
+            (*net.layer(c.layer).params()[c.block])[c.index] = c.value;
+            EngineOptions opts;
+            opts.backend = backend;
+            opts.streamLen = 64;
+            const auto expectRefused = [&](const char *entry, auto &&compile) {
+                SCOPED_TRACE(entry);
+                try {
+                    compile();
+                    ADD_FAILURE() << "expected std::invalid_argument";
+                } catch (const std::invalid_argument &e) {
+                    EXPECT_EQ(std::string(e.what()), c.message);
+                }
+            };
+            expectRefused("ScNetworkEngine",
+                          [&] { const ScNetworkEngine engine(net, opts); });
+            expectRefused("compileNetworkUncached", [&] {
+                stages::compileNetworkUncached(net, opts);
+            });
+            expectRefused("compileNetwork",
+                          [&] { stages::compileNetwork(net, opts); });
+        }
+    }
 }
 
 TEST(ModelZoo, ArchitecturesMatchTable8)

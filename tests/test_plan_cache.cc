@@ -1,22 +1,19 @@
 /**
  * @file
  * Differential and concurrency tests of core::PlanCache — the contract
- * that interning compiled plans and per-stage weight state is
- * observationally invisible: a cache-hit engine is bit-identical to a
- * cold-compiled one on every stream backend, deterministic and
- * adaptive, at every cohort size.  Plus: hit/miss/eviction accounting,
- * cross-model StageShared sharing (pointer equality), a
- * ServingFrontend regression pinning one compile per unique
- * (model, backend) pair, and a multi-threaded compile/destroy stress
- * run for the sanitizer jobs.
- *
- * Every cache-behaviour test skips itself when the cache is disabled
- * (AQFPSC_DISABLE_PLAN_CACHE=1), so the CI smoke comparison of both
- * modes sees identical outcomes from the rest of the suite.
+ * that interning compiled plans is observationally invisible: a
+ * cache-hit engine is bit-identical to a cold-compiled one on every
+ * stream backend, deterministic and adaptive, at every cohort size.
+ * Plus: the key (exactly the compile inputs select a plan), hit/miss/
+ * eviction accounting and the sweep of dead entries, a ServingFrontend
+ * regression pinning one compile per unique (model, backend) pair, and
+ * a multi-threaded compile/destroy stress run for the sanitizer jobs.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <thread>
 #include <utility>
@@ -71,50 +68,50 @@ scoreHash(const std::vector<ScPrediction> &preds)
     return h;
 }
 
-/** RAII guard: start the test from a cold cache and restore whatever
- *  enabled-mode the process default (env-derived) was, so tests that
- *  toggle setEnabled cannot leak into later tests and the
- *  AQFPSC_DISABLE_PLAN_CACHE=1 CI run keeps its semantics. */
+/** RAII guard: start the test from an empty cache and leave one
+ *  behind, so no test sees another's entries or counters. */
 class CacheGuard
 {
   public:
-    CacheGuard() : restore_(PlanCache::instance().enabled())
-    {
-        PlanCache::instance().clear();
-    }
-    ~CacheGuard()
-    {
-        PlanCache::instance().setEnabled(restore_);
-        PlanCache::instance().clear();
-    }
-
-  private:
-    bool restore_;
+    CacheGuard() { PlanCache::instance().clear(); }
+    ~CacheGuard() { PlanCache::instance().clear(); }
 };
 
-/** Number of weighted (stream-carrying) stages of an engine's plan. */
+/** StageShared::bytes summed over @p plan's stages: what the cache
+ *  reports resident for it. */
 std::size_t
-sharedStageCount(const ScNetworkEngine &engine)
+planBytes(const stages::ExecutionPlan &plan)
 {
-    std::size_t n = 0;
-    for (std::size_t s = 0; s < engine.plan().stageCount(); ++s) {
-        if (engine.plan().stage(s).sharedState() != nullptr)
-            ++n;
+    std::size_t bytes = 0;
+    for (std::size_t s = 0; s < plan.stageCount(); ++s) {
+        if (const stages::StageShared *shared = plan.stage(s).sharedState())
+            bytes += shared->bytes;
     }
-    return n;
+    return bytes;
+}
+
+/** Expect @p a and @p b to hold the same streams, word for word. */
+void
+expectSameWords(const sc::StreamMatrix &a, const sc::StreamMatrix &b)
+{
+    ASSERT_EQ(a.rows(), b.rows());
+    ASSERT_EQ(a.streamLen(), b.streamLen());
+    ASSERT_EQ(a.wordsPerRow(), b.wordsPerRow());
+    for (std::size_t r = 0; r < a.rows(); ++r) {
+        for (std::size_t w = 0; w < a.wordsPerRow(); ++w)
+            ASSERT_EQ(a.row(r)[w], b.row(r)[w]) << "row " << r << " word " << w;
+    }
 }
 
 /**
  * Cold-compiled vs cache-hit engines are bitwise identical on every
- * stream backend, deterministic + adaptive, cohort 1/4/8.  "Cold" is
- * compiled with interning switched off — nothing consulted, nothing
- * stored — and "warm" engines are compiled twice with the cache on, so
- * the second is a pure plan-level hit.
+ * stream backend, deterministic + adaptive, cohort 1/4/8.  The cold
+ * reference compiles into an empty cache and is then dropped from it
+ * (clear()), so the first warm engine compiles its own plan and the
+ * second is a pure plan-level hit.
  */
 TEST(PlanCacheDifferential, CachedEqualsColdOnAllStreamBackends)
 {
-    if (!PlanCache::instance().enabled())
-        GTEST_SKIP() << "plan cache disabled via environment";
     const auto samples = testImages();
     struct Case
     {
@@ -134,8 +131,6 @@ TEST(PlanCacheDifferential, CachedEqualsColdOnAllStreamBackends)
         CacheGuard guard;
         const EngineOptions opts = makeOptions(c.backend, c.len);
 
-        // Cold reference: interning off, nothing shared.
-        PlanCache::instance().setEnabled(false);
         const InferenceSession cold(buildModel(c.model, 3), opts);
         std::vector<std::uint64_t> goldens;
         for (const int cohort : {1, 4, 8}) {
@@ -150,10 +145,11 @@ TEST(PlanCacheDifferential, CachedEqualsColdOnAllStreamBackends)
         for (const auto &s : samples)
             cold_adaptive.push_back(cold.inferAdaptive(s.image));
 
-        PlanCache::instance().setEnabled(true);
+        PlanCache::instance().clear();
         const InferenceSession warm1(buildModel(c.model, 3), opts);
         (void)warm1.engine();
         const InferenceSession warm2(buildModel(c.model, 3), opts);
+        EXPECT_NE(&cold.engine().plan(), &warm1.engine().plan());
         EXPECT_EQ(&warm1.engine().plan(), &warm2.engine().plan())
             << "identical specs must intern to one plan";
 
@@ -179,148 +175,201 @@ TEST(PlanCacheDifferential, CachedEqualsColdOnAllStreamBackends)
     }
 }
 
-/** The direct compiler contract: compileNetwork (cached) and
- *  compileNetworkUncached produce plans with pointer-shared stage state
- *  and the uncached path never consults the plan map. */
+/** The direct compiler contract: compileNetworkUncached never touches
+ *  the cache, and it draws the same parameter streams, word for word,
+ *  as the plan compileNetwork interned. */
 TEST(PlanCacheDifferential, UncachedCompileBypassesPlanMap)
 {
-    if (!PlanCache::instance().enabled())
-        GTEST_SKIP() << "plan cache disabled via environment";
     CacheGuard guard;
     const nn::Network net = buildTinyCnn(3);
-    const EngineOptions cfg = makeOptions("aqfp-sorter", 128);
+    for (const char *backend : {"aqfp-sorter", "cmos-apc"}) {
+        SCOPED_TRACE(backend);
+        PlanCache::instance().clear();
+        const EngineOptions cfg = makeOptions(backend, 128);
 
-    const auto plan = stages::compileNetwork(net, cfg);
-    const PlanCacheStats after_first = PlanCache::instance().stats();
-    EXPECT_EQ(after_first.planMisses, 1u);
-    EXPECT_EQ(after_first.planHits, 0u);
+        const auto plan = stages::compileNetwork(net, cfg);
+        const stages::ExecutionPlan direct =
+            stages::compileNetworkUncached(net, cfg);
+        const PlanCacheStats s = PlanCache::instance().stats();
+        EXPECT_EQ(s.misses, 1u);
+        EXPECT_EQ(s.hits, 0u);
+        EXPECT_EQ(s.residentPlans, 1u)
+            << "uncached compile must not touch the plan map";
 
-    const stages::ExecutionPlan direct =
-        stages::compileNetworkUncached(net, cfg);
-    const PlanCacheStats after_direct = PlanCache::instance().stats();
-    EXPECT_EQ(after_direct.planMisses, 1u)
-        << "uncached compile must not touch the plan map";
-    // Stage-level interning still applies: the direct plan's stages
-    // share state with the cached plan's.
-    ASSERT_EQ(direct.stageCount(), plan->stageCount());
-    for (std::size_t s = 0; s < direct.stageCount(); ++s)
-        EXPECT_EQ(direct.stage(s).sharedState(),
-                  plan->stage(s).sharedState())
-            << s;
+        ASSERT_EQ(direct.stageCount(), plan->stageCount());
+        std::size_t weighted = 0;
+        for (std::size_t st = 0; st < direct.stageCount(); ++st) {
+            SCOPED_TRACE("stage " + std::to_string(st));
+            const stages::StageShared *interned =
+                plan->stage(st).sharedState();
+            const stages::StageShared *cold = direct.stage(st).sharedState();
+            ASSERT_EQ(interned == nullptr, cold == nullptr);
+            if (interned == nullptr)
+                continue;
+            ++weighted;
+            EXPECT_NE(interned, cold);
+            expectSameWords(interned->streams.weights, cold->streams.weights);
+            expectSameWords(interned->streams.biases, cold->streams.biases);
+            expectSameWords(interned->streams.neutral, cold->streams.neutral);
+            EXPECT_EQ(interned->bytes, cold->bytes);
+        }
+        EXPECT_EQ(weighted, 3u) << "tiny's conv, hidden dense and output";
+    }
 }
 
-/** Hit/miss/eviction counters and the resident gauges. */
+/** A two-layer dense network with every parameter 0.5 (on every SNG
+ *  grid), so two shapes can flatten to the same parameter vector. */
+nn::Network
+constantDenseNet(int in, int hidden, int out)
+{
+    nn::Network net;
+    net.add(std::make_unique<nn::Dense>(in, hidden, 1));
+    net.add(std::make_unique<nn::HardTanh>());
+    net.add(std::make_unique<nn::Dense>(hidden, out, 2));
+    for (std::size_t li = 0; li < net.layerCount(); ++li) {
+        for (std::vector<float> *block : net.layer(li).params())
+            std::fill(block->begin(), block->end(), 0.5f);
+    }
+    net.quantizeParams(8);
+    return net;
+}
+
+/**
+ * With whole plans the only interned level, PlanSpec equality alone
+ * decides whether two compiles share streams.  Each row changes one
+ * input against a base compile: every input of stream generation gives
+ * a different plan, and execution-only options give the same one.
+ */
+TEST(PlanCacheKey, ExactlyTheCompileInputsSelectThePlan)
+{
+    CacheGuard guard;
+    const EngineOptions base_opts = makeOptions("aqfp-sorter", 128);
+    const auto base =
+        stages::compileNetwork(constantDenseNet(2, 3, 2), base_opts);
+    ASSERT_EQ(base->stageCount(), 2u);
+    using Change = void (*)(nn::Network &, EngineOptions &);
+    struct Row
+    {
+        const char *input;
+        bool samePlan;
+        Change change;
+    };
+    const Row rows[] = {
+        {"backend", false,
+         [](nn::Network &, EngineOptions &o) { o.backend = "cmos-apc"; }},
+        {"streamLen", false,
+         [](nn::Network &, EngineOptions &o) { o.streamLen = 192; }},
+        {"one stageStreamLens entry", false,
+         [](nn::Network &, EngineOptions &o) {
+             o.stageStreamLens = {128, 64};
+         }},
+        {"rngBits", false,
+         [](nn::Network &, EngineOptions &o) { o.rngBits = 9; }},
+        {"seed", false, [](nn::Network &, EngineOptions &o) { ++o.seed; }},
+        {"quantBits", false,
+         [](nn::Network &net, EngineOptions &) {
+             // 0.5 lies on both grids: only the recorded width changes.
+             net.quantizeParams(10);
+             EXPECT_EQ((*net.layer(0).params()[0])[0], 0.5f);
+         }},
+        {"a layer's shape", false,
+         [](nn::Network &net, EngineOptions &) {
+             // 3x2 + 2 + 2x3 + 3 = 17 parameters, all 0.5, as in 2-3-2.
+             net = constantDenseNet(3, 2, 3);
+         }},
+        {"one parameter", false,
+         [](nn::Network &net, EngineOptions &) {
+             (*net.layer(2).params()[1])[1] = 0.25f;
+         }},
+        {"threads", true,
+         [](nn::Network &, EngineOptions &o) { o.threads = 3; }},
+        {"cohort", true,
+         [](nn::Network &, EngineOptions &o) { o.cohort = 8; }},
+        {"adaptive policy", true,
+         [](nn::Network &, EngineOptions &o) {
+             o.adaptive.exitMargin = 0.5;
+             o.adaptive.minCycles = 64;
+         }},
+        {"stageStreamLens spelled uniformly", true,
+         [](nn::Network &, EngineOptions &o) {
+             o.stageStreamLens = {128, 128};
+         }},
+    };
+    for (const Row &row : rows) {
+        SCOPED_TRACE(row.input);
+        nn::Network net = constantDenseNet(2, 3, 2);
+        EngineOptions opts = base_opts;
+        row.change(net, opts);
+        const auto plan = stages::compileNetwork(net, opts);
+        EXPECT_EQ(plan == base, row.samePlan);
+    }
+}
+
+/** Hit/miss counters and the resident gauges. */
 TEST(PlanCacheCounters, HitMissEvictionAccounting)
 {
-    if (!PlanCache::instance().enabled())
-        GTEST_SKIP() << "plan cache disabled via environment";
     CacheGuard guard;
     const EngineOptions opts = makeOptions("aqfp-sorter", 128);
 
     {
         const InferenceSession a(buildTinyCnn(3), opts);
         (void)a.engine();
-        const std::size_t weighted = sharedStageCount(a.engine());
-        ASSERT_GT(weighted, 0u);
+        const std::size_t bytes = planBytes(a.engine().plan());
+        ASSERT_GT(bytes, 0u);
 
         PlanCacheStats s = PlanCache::instance().stats();
-        EXPECT_EQ(s.planMisses, 1u);
-        EXPECT_EQ(s.planHits, 0u);
-        EXPECT_EQ(s.stageMisses, weighted);
-        EXPECT_EQ(s.stageHits, 0u);
+        EXPECT_EQ(s.misses, 1u);
+        EXPECT_EQ(s.hits, 0u);
         EXPECT_EQ(s.evictions, 0u);
         EXPECT_EQ(s.residentPlans, 1u);
-        EXPECT_EQ(s.residentStages, weighted);
-        EXPECT_GT(s.residentBytes, 0u);
-        EXPECT_EQ(s.hits, s.planHits + s.stageHits);
-        EXPECT_EQ(s.misses, s.planMisses + s.stageMisses);
+        EXPECT_EQ(s.residentBytes, bytes);
 
         // Identical spec: one plan-level hit, no stage work at all.
         const InferenceSession b(buildTinyCnn(3), opts);
         (void)b.engine();
         s = PlanCache::instance().stats();
-        EXPECT_EQ(s.planHits, 1u);
-        EXPECT_EQ(s.planMisses, 1u);
-        EXPECT_EQ(s.stageMisses, weighted);
-        EXPECT_EQ(s.stageHits, 0u);
-        EXPECT_EQ(s.residentBytes,
-                  [&] {
-                      std::size_t bytes = 0;
-                      for (std::size_t i = 0;
-                           i < a.engine().plan().stageCount(); ++i) {
-                          if (const auto *shared =
-                                  a.engine().plan().stage(i).sharedState())
-                              bytes += shared->bytes;
-                      }
-                      return bytes;
-                  }())
-            << "two sessions, one resident copy";
+        EXPECT_EQ(s.hits, 1u);
+        EXPECT_EQ(s.misses, 1u);
+        EXPECT_EQ(s.residentPlans, 1u);
+        EXPECT_EQ(s.residentBytes, bytes) << "two sessions, one resident copy";
     }
-    // Engines destroyed: the weak entries expire and the next stats()
-    // sweep counts them as evictions.
+    // Engines destroyed: the gauges count live plans only.
     const PlanCacheStats s = PlanCache::instance().stats();
     EXPECT_EQ(s.residentPlans, 0u);
-    EXPECT_EQ(s.residentStages, 0u);
     EXPECT_EQ(s.residentBytes, 0u);
-    EXPECT_GT(s.evictions, 0u);
 }
 
 /**
- * Two different models sharing an identical prefix layer share one
- * StageShared: same seed and same first-layer parameters put the
- * compiler RNG in the same pre-generation state, so the stage spec
- * matches even though the plans differ (a later layer was perturbed).
- * The perturbed model still scores bit-identically to its own cold
- * compile — the RNG fast-forward on the prefix hit kept the downstream
- * stream draws aligned.
+ * A dead entry's key holds a copy of every parameter, so a miss sweeps
+ * the dead entries before it inserts, and stats() erases nothing.
+ * Compile and destroy spec A, then spec B: B's miss evicted A, and B's
+ * own dead entry waits for the next miss.
  */
-TEST(PlanCacheSharing, ModelsSharingALayerShareOneStageState)
+TEST(PlanCacheCounters, AMissSweepsDeadEntries)
 {
-    if (!PlanCache::instance().enabled())
-        GTEST_SKIP() << "plan cache disabled via environment";
     CacheGuard guard;
-    const auto samples = testImages(4);
-    const EngineOptions opts = makeOptions("aqfp-sorter", 128);
+    const nn::Network net = buildTinyCnn(3);
+    EngineOptions a = makeOptions("cmos-apc", 64);
+    EngineOptions b = a;
+    b.seed = a.seed + 1;
 
-    auto buildPerturbed = [] {
-        nn::Network net = buildTinyCnn(3);
-        // Perturb the final Dense layer's weights: the conv prefix stays
-        // spec-identical, the plan does not.
-        auto params = net.layer(net.layerCount() - 1).params();
-        (*params[0])[0] += 0.25f;
-        return net;
-    };
+    (void)stages::compileNetwork(net, a);
+    PlanCacheStats s = PlanCache::instance().stats();
+    EXPECT_EQ(s.misses, 1u);
+    EXPECT_EQ(s.residentPlans, 0u);
+    EXPECT_EQ(s.evictions, 0u) << "stats() erases nothing";
 
-    // Cold reference of the perturbed model before any sharing exists.
-    PlanCache::instance().setEnabled(false);
-    const InferenceSession cold_b(buildPerturbed(), opts);
-    const std::uint64_t golden_b = scoreHash(cold_b.predict(samples));
-    PlanCache::instance().setEnabled(true);
-    PlanCache::instance().clear();
+    (void)stages::compileNetwork(net, b);
+    s = PlanCache::instance().stats();
+    EXPECT_EQ(s.misses, 2u);
+    EXPECT_EQ(s.residentPlans, 0u);
+    EXPECT_EQ(s.evictions, 1u) << "B's miss swept A";
 
-    const InferenceSession a(buildTinyCnn(3), opts);
-    (void)a.engine();
-    const InferenceSession b(buildPerturbed(), opts);
-    (void)b.engine();
-
-    EXPECT_NE(&a.engine().plan(), &b.engine().plan());
-    const stages::StageShared *conv_a =
-        a.engine().plan().stage(0).sharedState();
-    const stages::StageShared *conv_b =
-        b.engine().plan().stage(0).sharedState();
-    ASSERT_NE(conv_a, nullptr);
-    EXPECT_EQ(conv_a, conv_b)
-        << "identical prefix layers must intern to one StageShared";
-
-    // Every weighted stage ahead of the perturbed output layer is
-    // shared: conv + hidden dense in the tiny zoo model.
-    const PlanCacheStats s = PlanCache::instance().stats();
-    EXPECT_EQ(s.planMisses, 2u);
-    EXPECT_EQ(s.stageHits, sharedStageCount(a.engine()) - 1)
-        << "all prefix stages shared, only the perturbed output differs";
-
-    // Bit-identity survived the prefix hit.
-    EXPECT_EQ(scoreHash(b.predict(samples)), golden_b);
+    (void)stages::compileNetwork(net, a);
+    s = PlanCache::instance().stats();
+    EXPECT_EQ(s.misses, 3u) << "A's entry is gone";
+    EXPECT_EQ(s.hits, 0u);
+    EXPECT_EQ(s.evictions, 2u) << "A's second miss swept B";
 }
 
 /**
@@ -413,21 +462,15 @@ TEST(OperandPlan, ZooStagePlansListTheGatherPairsInOrder)
     }
 }
 
-/** A plan-level hit and a stage-level hit both hand back the operand
- *  plan of the first compile, not a copy. */
+/** A plan-level hit hands back the operand plans of the first compile,
+ *  not copies. */
 TEST(PlanCacheSharing, HitsShareTheOperandPlan)
 {
-    if (!PlanCache::instance().enabled())
-        GTEST_SKIP() << "plan cache disabled via environment";
     CacheGuard guard;
     const EngineOptions opts = makeOptions("aqfp-sorter", 128);
     const InferenceSession a(buildTinyCnn(3), opts);
     const InferenceSession b(buildTinyCnn(3), opts);
-    nn::Network perturbed = buildTinyCnn(3);
-    (*perturbed.layer(perturbed.layerCount() - 1).params()[0])[0] += 0.25f;
-    const InferenceSession c(std::move(perturbed), opts);
-    EXPECT_EQ(&a.engine().plan(), &b.engine().plan());
-    EXPECT_NE(&a.engine().plan(), &c.engine().plan());
+    ASSERT_EQ(&a.engine().plan(), &b.engine().plan());
     std::size_t plans = 0;
     for (std::size_t s = 0; s < a.engine().plan().stageCount(); ++s) {
         const stages::StageShared *shared =
@@ -437,9 +480,9 @@ TEST(PlanCacheSharing, HitsShareTheOperandPlan)
         ++plans;
         EXPECT_EQ(shared->plan.rows(),
                   a.engine().plan().stage(s).footprint().outputRows);
-        EXPECT_EQ(&c.engine().plan().stage(s).sharedState()->plan,
+        EXPECT_EQ(&b.engine().plan().stage(s).sharedState()->plan,
                   &shared->plan)
-            << "stage " << s << ": the stage-level hit copied the plan";
+            << "stage " << s << ": the plan-level hit copied the plan";
     }
     EXPECT_EQ(plans, 2u) << "tiny's conv and hidden dense";
 }
@@ -449,8 +492,6 @@ TEST(PlanCacheSharing, HitsShareTheOperandPlan)
  *  models, and the health snapshot surfaces the cache counters. */
 TEST(PlanCacheServing, OneCompilePerUniqueModelBackendPair)
 {
-    if (!PlanCache::instance().enabled())
-        GTEST_SKIP() << "plan cache disabled via environment";
     CacheGuard guard;
     serving::FrontendOptions fopts;
     fopts.startPaused = true;
@@ -471,12 +512,10 @@ TEST(PlanCacheServing, OneCompilePerUniqueModelBackendPair)
     fe.addTenant(tenant);
 
     const serving::HealthSnapshot health = fe.health();
-    EXPECT_EQ(health.planCache.planMisses, 1u)
+    EXPECT_EQ(health.planCache.misses, 1u)
         << "one compile per unique (model, backend) pair";
-    EXPECT_EQ(health.planCache.planHits, 1u)
+    EXPECT_EQ(health.planCache.hits, 1u)
         << "the identical twin model must hit";
-    EXPECT_EQ(health.planCache.stageMisses,
-              sharedStageCount(fe.model("m").engine()));
     EXPECT_EQ(&fe.model("m").engine().plan(),
               &fe.model("m2").engine().plan());
 }
@@ -491,7 +530,6 @@ TEST(PlanCacheServing, OneCompilePerUniqueModelBackendPair)
 TEST(PlanCacheConcurrency, CompileDestroyStress)
 {
     CacheGuard guard;
-    const bool enabled = PlanCache::instance().enabled();
     const auto samples = testImages(1);
     const EngineOptions specs[] = {
         makeOptions("aqfp-sorter", 128),
@@ -528,22 +566,14 @@ TEST(PlanCacheConcurrency, CompileDestroyStress)
 
     EXPECT_EQ(failures.load(), 0);
     const PlanCacheStats s = PlanCache::instance().stats();
-    EXPECT_EQ(s.planHits + s.planMisses, compiles.load())
+    EXPECT_EQ(s.hits + s.misses, compiles.load())
         << "every compile is exactly one of {hit, miss}";
     EXPECT_EQ(s.residentPlans, 0u) << "all engines destroyed";
-    EXPECT_EQ(s.residentStages, 0u);
     EXPECT_EQ(s.residentBytes, 0u);
-    if (enabled) {
-        // Misses can exceed the spec count (weak entries expire between
-        // generations, racing builds discard duplicates) but every miss
-        // belongs to some spec generation — and hits never exceed the
-        // compile total minus one miss per spec.
-        EXPECT_GE(s.planMisses, std::size(specs));
-        EXPECT_LE(s.planHits + s.planMisses, compiles.load() + 0u);
-    } else {
-        EXPECT_EQ(s.planMisses, compiles.load());
-        EXPECT_EQ(s.planHits, 0u);
-    }
+    // Misses can exceed the spec count (entries expire between
+    // generations, racing builds discard duplicates), but every spec
+    // misses at least once.
+    EXPECT_GE(s.misses, std::size(specs));
 }
 
 /**
@@ -552,8 +582,6 @@ TEST(PlanCacheConcurrency, CompileDestroyStress)
  */
 TEST(PlanCacheConcurrency, RacingIdenticalCompilesAgreeOnOnePlan)
 {
-    if (!PlanCache::instance().enabled())
-        GTEST_SKIP() << "plan cache disabled via environment";
     CacheGuard guard;
     const EngineOptions opts = makeOptions("aqfp-sorter", 128);
     constexpr int kThreads = 8;
